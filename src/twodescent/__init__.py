@@ -18,13 +18,13 @@ from .curve import (
     specialize,
 )
 from .descent import (
+    Descent,
     RankStatus,
     SelmerGroup,
     Torsor,
-    cassels_ratio_check,
+    descend,
     point_search,
     rank_bounds,
-    selmer_group,
     torsor_solvable_at,
 )
 from .family import (

@@ -22,6 +22,9 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _TRIAL_LIMIT = 4096
 _RHO_MAX_ITER = 1 << 22
 
+# stands for v_p(0) = +infinity: larger than any valuation that occurs
+_INF = 10**9
+
 
 class FactorizationEffortError(Exception):
     """An integer resisted factoring within the configured effort cap."""
@@ -168,6 +171,17 @@ def factor_rational(q: RationalLike) -> PrimeFactorization:
     return PrimeFactorization(num.sign, items)
 
 
+def int_valuation(n: int, p: int) -> int:
+    """v_p(n) for an integer n and p > 1, with v_p(0) = _INF; p is not checked."""
+    if n == 0:
+        return _INF
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
 def valuation(q: RationalLike, p: int) -> int:
     """The exponent v_p(q) of the prime p in the nonzero rational q."""
     if not is_prime(p):
@@ -175,16 +189,15 @@ def valuation(q: RationalLike, p: int) -> int:
     q = Fraction(q)
     if q == 0:
         raise ValueError("valuation of 0 is undefined (would be +infinity)")
-    v = 0
-    n = q.numerator
-    while n % p == 0:
-        n //= p
-        v += 1
-    d = q.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
+    return int_valuation(q.numerator, p) - int_valuation(q.denominator, p)
+
+
+def horner(coeffs, x):
+    """The polynomial with the given coefficients, constant term first, at x."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def is_square_rational(q: RationalLike) -> bool:
@@ -278,7 +291,3 @@ def square_class(q: RationalLike) -> SquareClassQ:
     fac = factor_rational(q)
     support = tuple(p for p, e in fac.factors if e % 2 != 0)
     return SquareClassQ(fac.sign, support)
-
-
-def square_class_value(q: RationalLike) -> int:
-    return square_class(q).value()

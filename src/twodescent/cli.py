@@ -7,11 +7,11 @@ import json
 import sys
 
 from .curve import AffinePoint, TwoTorsionModel, dual_model
-from .descent import point_search, rank_bounds, selmer_group
+from .descent import descend, point_search, rank_bounds
 from .family import builtin_families, family_by_name, verify_conditions
 from .localdata import parse_place, tate_local
 from .polyq import rational_from_str
-from .scan import emit_report, run_scan
+from .scan import DEFAULT_SEARCH_BOUND, emit_report, run_scan
 
 
 def _load_curve(arg: str) -> TwoTorsionModel:
@@ -30,10 +30,9 @@ def _basis_json(group) -> list[dict]:
 
 
 def _cmd_selmer(args) -> int:
-    E = _load_curve(args.curve)
+    D = descend(_load_curve(args.curve))
     out = {}
-    for context, key in (("phi", "phi"), ("phi-hat", "phi_hat")):
-        S = selmer_group(E, context)
+    for key, S in (("phi", D.phi), ("phi_hat", D.phi_hat)):
         out[key] = {"dim": S.dim, "basis": _basis_json(S)}
     print(json.dumps(out, sort_keys=True))
     return 0
@@ -51,7 +50,7 @@ def _cmd_rank(args) -> int:
     if args.search_bound:
         pts_e += point_search(E, args.search_bound)
         pts_ep += point_search(dual_model(E), args.search_bound)
-    status = rank_bounds(E, pts_e, pts_ep)
+    status = rank_bounds(descend(E), pts_e, pts_ep)
     print(json.dumps(status.to_json(), sort_keys=True))
     return 0
 
@@ -93,7 +92,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("rank", help="rank bounds by 2-isogeny descent")
     p.add_argument("--curve", required=True)
     p.add_argument("--points", help='{"E": [["x","y"],...], "E\'": [...]}')
-    p.add_argument("--search-bound", type=int, default=10**4)
+    p.add_argument("--search-bound", type=int, default=DEFAULT_SEARCH_BOUND)
     p.set_defaults(func=_cmd_rank)
 
     p = sub.add_parser("family", help="built-in family registry")

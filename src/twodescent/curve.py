@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .arith import SquareClassQ, square_class
+from .arith import SquareClassQ, int_valuation, square_class
 from .polyq import (
     Poly,
     RatFn,
@@ -276,8 +276,8 @@ def integral_model(E: TwoTorsionModel) -> tuple[int, int, Fraction]:
     a, b = E.a, E.b
     u = 1
     for p in {*_prime_factors(a.denominator), *_prime_factors(b.denominator)}:
-        va = _val_int(a.denominator, p)
-        vb = _val_int(b.denominator, p)
+        va = int_valuation(a.denominator, p)
+        vb = int_valuation(b.denominator, p)
         k = max(-(-va // 2), -(-vb // 4))
         u *= p**k
     A, B = int(a * u * u), int(b * u**4)
@@ -293,14 +293,6 @@ def _prime_factors(n: int):
     from .arith import factor
 
     return [] if n == 1 else list(factor(n).primes)
-
-
-def _val_int(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 def delta_span_dim(classes) -> int:
@@ -331,7 +323,3 @@ def _class_support(cls) -> frozenset:
         items |= {("root", r) for r in cls.roots}
         return frozenset(items)
     raise TypeError(f"not a square class: {cls!r}")
-
-
-def curve_from_json(data: dict) -> TwoTorsionModel:
-    return TwoTorsionModel.from_json(data)

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import modp
-from .arith import SquareClassQ, factor
+from .arith import _INF, SquareClassQ, factor, horner, int_valuation
 from .curve import (
     AffinePoint,
     TwoTorsionModel,
@@ -32,8 +32,6 @@ from .curve import (
     on_curve,
 )
 from .localdata import REAL, Place
-
-_INF = 10**9
 
 
 class SolvabilityPrecisionError(Exception):
@@ -70,23 +68,6 @@ class Torsor:
 # ----------------------------------------------------------------------
 
 
-def _vp(n: int, p: int) -> int:
-    if n == 0:
-        return _INF
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
-def _eval(F, z):
-    acc = 0
-    for c in reversed(F):
-        acc = acc * z + c
-    return acc
-
-
 def _deriv(F):
     return [i * c for i, c in enumerate(F)][1:]
 
@@ -110,7 +91,7 @@ def _res_exponent(A4: int, A2: int, A0: int, p: int) -> int:
     R = 16 * A4 * A4 * A0 * (A2 * A2 - 4 * A4 * A0) ** 2
     if R == 0:
         raise ValueError("singular quartic")
-    return _vp(abs(R), p)
+    return int_valuation(abs(R), p)
 
 
 def _z2_branch_solvable(F, c: int, k: int, rho: int, Fd) -> bool:
@@ -118,17 +99,17 @@ def _z2_branch_solvable(F, c: int, k: int, rho: int, Fd) -> bool:
     stack = [(c, k)]
     while stack:
         c, k = stack.pop()
-        val = _eval(F, c)
+        val = horner(F, c)
         if val == 0:
             return True
-        v = _vp(val, 2)
-        vd = _vp(_eval(Fd, c), 2)
+        v = int_valuation(val, 2)
+        vd = int_valuation(horner(Fd, c), 2)
         if v > 2 * vd:
             return True  # Newton converges to an exact root: a w = 0 point
         # is the class of F(z) pinned on this branch (unit known mod 8)?
         shifted = _taylor_shift(F, c)
         prec = min(
-            (_vp(cj, 2) + j * k for j, cj in enumerate(shifted) if j >= 1 and cj != 0),
+            (int_valuation(cj, 2) + j * k for j, cj in enumerate(shifted) if j >= 1 and cj != 0),
             default=_INF,
         )
         if prec >= v + 3:
@@ -160,9 +141,9 @@ def _fp_analysis(G, p):
     if p < 23:
         simple, multiple, sqval = False, [], False
         for s in range(p):
-            gv = modp._peval(Gbar, s, p)
+            gv = horner(Gbar, s) % p
             if gv == 0:
-                if (modp._peval(Gd, s, p) if Gd else 0) == 0:
+                if horner(Gd, s) % p == 0:
                     multiple.append(s)
                 else:
                     simple = True
@@ -214,18 +195,18 @@ def _zp_branch_solvable(F, c: int, k: int, p: int, rho: int, Fd) -> bool:
     stack = [(c, k)]
     while stack:
         c, k = stack.pop()
-        val = _eval(F, c)
+        val = horner(F, c)
         if val == 0:
             return True
-        vd = _vp(_eval(Fd, c), p)
-        if _vp(val, p) > 2 * vd:
+        vd = int_valuation(horner(Fd, c), p)
+        if int_valuation(val, p) > 2 * vd:
             return True
         if k > 2 * rho + 4:
             raise SolvabilityPrecisionError("p-adic refinement exceeded certified depth")
         G = _taylor_shift(F, c)
         for j in range(len(G)):
             G[j] *= p ** (j * k)
-        nu = min(_vp(g, p) for g in G if g != 0)
+        nu = min(int_valuation(g, p) for g in G if g != 0)
         G1 = [g // p**nu for g in G]
         simple, multiple, sqval = _fp_analysis(G1, p)
         if simple:
@@ -377,15 +358,10 @@ class SelmerGroup:
     """A phi- or phi-hat-Selmer group with an explicit F_2 basis."""
 
     basis: tuple[SquareClassQ, ...]
-    context: str  # "phi" | "phi-hat"
-    curve: TwoTorsionModel
 
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def size(self) -> int:
-        return 1 << self.dim
 
     def elements(self) -> list[SquareClassQ]:
         out = [SquareClassQ(1, ())]
@@ -397,17 +373,14 @@ class SelmerGroup:
         return cls in set(self.elements())
 
 
-def _selmer_model_data(a: Fraction, b: Fraction, odd_primes=None):
+def _selmer_model_data(a: Fraction, b: Fraction, odd_primes):
     """Selmer data for the isogeny whose torsors are Torsor(d, a, b).
 
     The classes computed are those of x-coordinates on the dual model
     (-2a, a^2-4b); candidates are supported on -1, 2 and the odd primes of
-    b(a^2-4b) per the standard descent bound.
+    b(a^2-4b) per the standard descent bound.  Returns the Selmer basis and
+    the echelonized local image at each tested place.
     """
-    bprime = a * a - 4 * b
-    if odd_primes is None:
-        support_int = (b * bprime).numerator * (b * bprime).denominator
-        odd_primes = [p for p in factor(support_int).primes if p != 2]
     gens = [SquareClassQ(-1, ()), SquareClassQ(1, (2,))] + [
         SquareClassQ(1, (p,)) for p in odd_primes
     ]
@@ -423,7 +396,6 @@ def _selmer_model_data(a: Fraction, b: Fraction, odd_primes=None):
         for pl in places:
             row += _quotient_coords(_local_coords(g, pl), _local_dim(pl), images[pl])
         constraints.append(row)
-    ncols = len(constraints[0]) if constraints else 0
     masks = []
     for row in constraints:
         m = 0
@@ -439,7 +411,7 @@ def _selmer_model_data(a: Fraction, b: Fraction, odd_primes=None):
                 cls = cls * gens[i]
         basis.append(cls)
     basis.sort(key=lambda c: (len(c.support), abs(c.value()), c.value()))
-    return tuple(basis), images, places
+    return tuple(basis), images
 
 
 def _f2_kernel(rows: list[int]) -> list[int]:
@@ -461,58 +433,67 @@ def _f2_kernel(rows: list[int]) -> list[int]:
     return kernel
 
 
-def selmer_group(E: TwoTorsionModel, context: str) -> SelmerGroup:
-    """Sel_phi(E/Q) or Sel_phi-hat(E'/Q) for the marked 2-isogeny phi: E -> E'."""
-    if context not in ("phi", "phi-hat"):
-        raise ValueError("context must be 'phi' or 'phi-hat'")
-    A, B, _ = integral_model(E)
-    a, b = Fraction(A), Fraction(B)
-    if context == "phi":
-        basis, _, _ = _selmer_model_data(a, b)
-    else:
-        basis, _, _ = _selmer_model_data(-2 * a, a * a - 4 * b)
-    return SelmerGroup(basis, context, E)
-
-
-def selmer_pair(E: TwoTorsionModel, odd_primes=None):
-    """(Sel_phi-hat, Sel_phi, cassels_ok) computed over a shared prime support.
-
-    Both contexts test the same set of places (the odd support of
-    b(a^2-4b) coincides for the model and its dual), so the Cassels ratio
-    comparison comes for free from the phi-side local images.
-    """
-    A, B, _ = integral_model(E)
-    a, b = Fraction(A), Fraction(B)
-    if odd_primes is None:
-        support_int = int(B * (A * A - 4 * B))
-        odd_primes = [p for p in factor(support_int).primes if p != 2]
-    basis_phi, images, _ = _selmer_model_data(a, b, odd_primes)
-    basis_hat, _, _ = _selmer_model_data(-2 * a, a * a - 4 * b, odd_primes)
-    cassels_ok = (len(basis_phi) - len(basis_hat)) == sum(
-        len(img) - 1 for img in images.values()
-    )
-    return (
-        SelmerGroup(basis_hat, "phi-hat", E),
-        SelmerGroup(basis_phi, "phi", E),
-        cassels_ok,
-    )
-
-
-def local_delta_image(E: TwoTorsionModel, place: Place) -> tuple[SquareClassQ, ...]:
-    """Im(delta_{E',place}) as classes, for E over Q and its marked isogeny."""
-    A, B, _ = integral_model(E)
-    basis = _image_at_place(Fraction(A), Fraction(B), place)
-    reps = _place_representatives(place)
-    by_coords = {_local_coords(r, place): r for r in reps}
+def _image_classes(basis, place: Place) -> tuple[SquareClassQ, ...]:
+    """The subgroup spanned by echelonized local vectors, as one class per element."""
+    by_coords = {_local_coords(r, place): r for r in _place_representatives(place)}
     span = {0}
     for v in basis:
         span |= {s ^ v for s in span}
     return tuple(by_coords[v] for v in sorted(span))
 
 
-def cassels_ratio_check(E: TwoTorsionModel) -> bool:
-    """Check |Sel_phi|/|Sel_phi-hat| = prod_v |Im(delta_{E',v})|/2 exactly."""
-    return selmer_pair(E)[2]
+@dataclass(frozen=True)
+class Descent:
+    """The descent by the marked 2-isogeny phi: E -> E' of a curve E over Q.
+
+    One set of local images, at the real place, 2 and the odd primes of
+    B(A^2-4B) for the integral model (A, B), gives both Selmer groups and
+    the Cassels ratio check.  `images` maps each of those places to
+    Im(delta_{E',v}) as square classes.
+    """
+
+    curve: TwoTorsionModel
+    integral: TwoTorsionModel
+    odd_support: tuple[int, ...]
+    phi: SelmerGroup
+    phi_hat: SelmerGroup
+    images: dict[Place, tuple[SquareClassQ, ...]]
+    cassels_ok: bool
+
+    def local_image(self, place: Place) -> tuple[SquareClassQ, ...]:
+        """Im(delta_{E',place}); a place outside the tested set is computed here."""
+        if place in self.images:
+            return self.images[place]
+        basis = _image_at_place(self.integral.a, self.integral.b, place)
+        return _image_classes(basis, place)
+
+
+def descend(E: TwoTorsionModel) -> Descent:
+    """Sel_phi(E/Q), Sel_phi-hat(E'/Q), the local images and the Cassels check.
+
+    B is factored before A^2-4B, so a FactorizationEffortError (whose
+    message lands in skipped scan records) names the first of the two that
+    resists.  The Cassels check is |Sel_phi|/|Sel_phi-hat| =
+    prod_v |Im(delta_{E',v})|/2 over the tested places.
+    """
+    A, B, _ = integral_model(E)
+    primes = factor(B).primes + factor(A * A - 4 * B).primes
+    odd_support = tuple(sorted({p for p in primes if p != 2}))
+    a, b = Fraction(A), Fraction(B)
+    basis_phi, images = _selmer_model_data(a, b, odd_support)
+    basis_hat, _ = _selmer_model_data(-2 * a, a * a - 4 * b, odd_support)
+    cassels_ok = (len(basis_phi) - len(basis_hat)) == sum(
+        len(img) - 1 for img in images.values()
+    )
+    return Descent(
+        curve=E,
+        integral=TwoTorsionModel.over_q(A, B),
+        odd_support=odd_support,
+        phi=SelmerGroup(basis_phi),
+        phi_hat=SelmerGroup(basis_hat),
+        images={pl: _image_classes(img, pl) for pl, img in images.items()},
+        cassels_ok=cassels_ok,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -600,23 +581,16 @@ class RankStatus:
         return {"kind": "bounded", "lo": self.lo, "hi": self.hi}
 
 
-def rank_bounds(
-    E: TwoTorsionModel,
-    points_e=(),
-    points_eprime=(),
-    selmer_phi: SelmerGroup | None = None,
-    selmer_phihat: SelmerGroup | None = None,
-) -> RankStatus:
+def rank_bounds(descent: Descent, points_e=(), points_eprime=()) -> RankStatus:
     """Rank bounds from delta images of known points and Selmer dimensions.
 
+    The points lie on descent.curve and its dual model.
     lower = dim<delta_E(points)> + dim<delta_E'(points')> - 2,
     upper = dim Sel_phi-hat + dim Sel_phi - 2 (both clamped at 0).
     """
+    E = descent.curve
     Edual = dual_model(E)
-    if selmer_phi is None:
-        selmer_phi = selmer_group(E, "phi")
-    if selmer_phihat is None:
-        selmer_phihat = selmer_group(E, "phi-hat")
+    selmer_phi, selmer_phihat = descent.phi, descent.phi_hat
     zero = AffinePoint.of(Fraction(0), Fraction(0))
     cls_e = [delta_class(E, zero)] + [delta_class(E, P) for P in points_e]
     cls_ep = [delta_class(Edual, zero)] + [delta_class(Edual, P) for P in points_eprime]

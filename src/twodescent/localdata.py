@@ -14,11 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import modp
-from .arith import is_prime, is_square_rational, sqrt_rational, valuation
+from .arith import _INF, int_valuation, is_prime, is_square_rational, sqrt_rational
 from .curve import DOMAIN_Q, DOMAIN_QT, TwoTorsionModel, dual_model
 from .polyq import Poly, UnsupportedClassError, model_discriminant, rational_roots, splits_linearly
-
-_INF = 10**9
 
 GOOD = "good"
 SPLIT_MULT = "split-multiplicative"
@@ -192,9 +190,7 @@ class _QpDVR:
         self.char = p
 
     def val(self, x: Fraction) -> int:
-        if x == 0:
-            return _INF
-        return valuation(x, self.p)
+        return int_valuation(x.numerator, self.p) - int_valuation(x.denominator, self.p)
 
     def shift(self, x: Fraction, k: int) -> Fraction:
         return Fraction(x) * Fraction(self.p) ** k

@@ -7,6 +7,8 @@ algorithms below are the right tool.
 
 from __future__ import annotations
 
+from .arith import horner
+
 
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a|p) for odd prime p, in {-1, 0, 1}."""
@@ -124,16 +126,9 @@ def count_roots(f: list[int], p: int) -> int:
     if not f:
         raise ValueError("zero polynomial")
     if p <= 64:
-        return sum(1 for r in range(p) if _peval(f, r, p) == 0)
+        return sum(1 for r in range(p) if horner(f, r) % p == 0)
     g = split_part(f, p)
     return len(g) - 1 if g else 0
-
-
-def _peval(f: list[int], x: int, p: int) -> int:
-    acc = 0
-    for c in reversed(f):
-        acc = (acc * x + c) % p
-    return acc
 
 
 def roots_deg_le2(f: list[int], p: int) -> list[int]:
@@ -148,7 +143,7 @@ def roots_deg_le2(f: list[int], p: int) -> list[int]:
         return [(-f[0]) * pow(f[1], -1, p) % p]
     c, b, a = f[0], f[1], f[2]
     if p == 2:
-        return [r for r in (0, 1) if _peval(f, r, p) == 0]
+        return [r for r in (0, 1) if horner(f, r) % p == 0]
     disc = (b * b - 4 * a * c) % p
     s = sqrt_mod(disc, p)
     if s is None:

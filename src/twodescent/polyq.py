@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .arith import SQUARE_CLASS_ONE, SquareClassQ, square_class
+from .arith import SQUARE_CLASS_ONE, SquareClassQ, horner, square_class
 
 Coef = Union[int, Fraction]
 
@@ -189,22 +189,6 @@ class Poly:
             raise ValueError("not divisible by T^k")
         return Poly(self.coeffs[k:])
 
-    def content_and_primitive(self) -> tuple[Fraction, "Poly"]:
-        """f = content * primitive with primitive integral, coprime coefficients."""
-        if self.is_zero:
-            return Fraction(0), Poly()
-        import math
-
-        den = math.lcm(*[c.denominator for c in self.coeffs])
-        ints = [int(c * den) for c in self.coeffs]
-        g = 0
-        for v in ints:
-            g = math.gcd(g, v)
-        if ints[-1] < 0:
-            g = -g
-        content = Fraction(g, den)
-        return content, Poly([v // g for v in ints])
-
     def gcd(self, other: "Poly") -> "Poly":
         a, b = self, other
         while not b.is_zero:
@@ -237,11 +221,7 @@ ONE = Poly.const(1)
 
 def eval_at(f: Poly, t: Coef) -> Fraction:
     """Exact Horner evaluation f(t)."""
-    t = Fraction(t)
-    acc = Fraction(0)
-    for c in reversed(f.coeffs):
-        acc = acc * t + c
-    return acc
+    return Fraction(horner(f.coeffs, Fraction(t)))
 
 
 def rational_roots(f: Poly) -> list[tuple[Fraction, int]]:
@@ -418,11 +398,6 @@ class RatFn:
         if d == 0:
             raise ZeroDivisionError(f"pole at {t}")
         return eval_at(self.num, t) / d
-
-    def as_poly(self) -> Poly:
-        if self.den.degree != 0:
-            raise ValueError("not a polynomial")
-        return self.num * Poly.const(1 / self.den[0])
 
     def __repr__(self):
         return f"RatFn({self.num!r}, {self.den!r})"

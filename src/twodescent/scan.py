@@ -17,18 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import FactorizationEffortError, factor, valuation
-from .curve import (
-    AffinePoint,
-    TwoTorsionModel,
-    dual_model,
-    integral_model,
-    j_invariant,
-    on_curve,
-    specialize,
-)
-from .descent import RankStatus, SolvabilityPrecisionError, point_search, rank_bounds, selmer_pair
+from .curve import AffinePoint, TwoTorsionModel, dual_model, j_invariant, on_curve, specialize
+from .descent import RankStatus, SolvabilityPrecisionError, descend, point_search, rank_bounds
 from .family import FamilyRecord, excluded_primes, family_by_name
-from .localdata import Place, local_image_order, tate_local
+from .localdata import Place, tate_local
 from .polyq import eval_at, rational_from_str, rational_to_str
 
 DEFAULT_SEARCH_BOUND = 32
@@ -129,51 +121,53 @@ def scan_one(name: str, m: int, n: int, search_bound: int = DEFAULT_SEARCH_BOUND
     t = Fraction(m, n)
     E_t = specialize(rec.E, t)
     try:
-        A, B, _ = integral_model(E_t)
-        E_int = TwoTorsionModel.over_q(A, B)
-        bdual = A * A - 4 * B
-        fac_b = factor(B)
-        fac_bd = factor(bdual)
-        odd_support = sorted({p for p in fac_b.primes + fac_bd.primes if p != 2})
-        sel_hat, sel_phi, cassels_ok = selmer_pair(E_int, odd_support)
+        D = descend(E_t)
     except FactorizationEffortError as exc:
         return ScanResult(name, t, skipped=f"factorization: {exc}")
     except SolvabilityPrecisionError as exc:
         return ScanResult(name, t, skipped=f"local solvability: {exc}")
+    E_int = D.integral
 
-    bad = [p for p in [2] + odd_support if not tate_local(E_int, Place.prime(p)).kodaira.is_good]
+    # one Tate run per prime on E_int, shared by the bad-prime list and the
+    # Tamagawa-pattern check below
+    red_e = {p: tate_local(E_int, Place.prime(p)) for p in (2,) + D.odd_support}
+    bad = [p for p, red in red_e.items() if not red.kodaira.is_good]
 
     pts_e = _specialized_points(rec, E_t, t, dualside=False)
     pts_ep = _specialized_points(rec, E_t, t, dualside=True)
     if search_bound:
         pts_e += point_search(E_t, search_bound)
         pts_ep += point_search(dual_model(E_t), search_bound)
-    rank = rank_bounds(E_t, pts_e, pts_ep, selmer_phi=sel_phi, selmer_phihat=sel_hat)
+    rank = rank_bounds(D, pts_e, pts_ep)
 
+    # (1/2)|Im(delta_{E',p})| = c_p(E')/c_p(E) at odd p, as in
+    # localdata.local_image_order
     expected_order = {"M": Fraction(1, 2), "M'": Fraction(2), "A": Fraction(1)}
+    E_dual = dual_model(E_int)
     tamagawa_ok = True
     for p, klass in _pattern_primes(rec, t):
-        if local_image_order(E_int, p) != expected_order[klass]:
+        place = Place.prime(p)
+        c_e = (red_e.get(p) or tate_local(E_int, place)).tamagawa
+        if Fraction(tate_local(E_dual, place).tamagawa, c_e) != expected_order[klass]:
             tamagawa_ok = False
             break
     checks = {
-        "cassels_ratio": "pass" if cassels_ok else "fail",
+        "cassels_ratio": "pass" if D.cassels_ok else "fail",
         "tamagawa_pattern": "pass" if tamagawa_ok else "fail",
     }
     return ScanResult(
         name,
         t,
         bad_primes=tuple(bad),
-        selmer_dims=(sel_hat.dim, sel_phi.dim),
+        selmer_dims=(D.phi_hat.dim, D.phi.dim),
         rank=rank,
         j=j_invariant(E_int),
         checks=checks,
     )
 
 
-def _worker(args) -> dict:
-    name, m, n, search_bound = args
-    return scan_one(name, m, n, search_bound).to_json()
+def _worker(args) -> ScanResult:
+    return scan_one(*args)
 
 
 def run_scan(
@@ -193,11 +187,10 @@ def run_scan(
         if Fraction(m, n) not in bad_ts
     ]
     if jobs == 1:
-        raw = [_worker(task) for task in tasks]
+        results = [_worker(task) for task in tasks]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            raw = list(pool.map(_worker, tasks, chunksize=32))
-    results = [ScanResult.from_json(r) for r in raw]
+            results = list(pool.map(_worker, tasks, chunksize=32))
     results.sort(key=lambda r: (max(abs(r.t.numerator), r.t.denominator), r.t))
     return results
 

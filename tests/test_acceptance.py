@@ -16,19 +16,13 @@ from oracles import oracle_selmer
 from twodescent.arith import factor
 from twodescent.curve import (
     AffinePoint,
-    TwoTorsionModel,
     delta_class,
     delta_span_dim,
     dual_model,
     integral_model,
     specialize,
 )
-from twodescent.descent import (
-    cassels_ratio_check,
-    local_delta_image,
-    point_search,
-    selmer_group,
-)
+from twodescent.descent import descend, point_search
 from twodescent.family import (
     admissible_divisor_sets,
     builtin_families,
@@ -246,20 +240,16 @@ def test_criterion_5_no_misdetermined_patterned_fibers(full_scans):
 
 
 def test_criterion_6_oracle_equivalence(small_curve_corpus):
-    """selmer_group equals the exhaustive brute-force oracle on 30 random
-    small curves; the Cassels ratio check passes on all of them."""
+    """Both Selmer groups of descend equal the exhaustive brute-force oracle
+    on 30 random small curves; the Cassels ratio check passes on all of them."""
     for E in small_curve_corpus:
         A, B, _ = integral_model(E)
-        fast_phi = sorted(
-            (c.value() for c in selmer_group(E, "phi").elements()), key=lambda x: (abs(x), x)
-        )
+        D = descend(E)
+        fast_phi = sorted((c.value() for c in D.phi.elements()), key=lambda x: (abs(x), x))
         assert fast_phi == oracle_selmer(A, B), (A, B)
-        fast_hat = sorted(
-            (c.value() for c in selmer_group(E, "phi-hat").elements()),
-            key=lambda x: (abs(x), x),
-        )
+        fast_hat = sorted((c.value() for c in D.phi_hat.elements()), key=lambda x: (abs(x), x))
         assert fast_hat == oracle_selmer(-2 * A, A * A - 4 * B), (A, B)
-        assert cassels_ratio_check(E), (A, B)
+        assert D.cassels_ok, (A, B)
     _report("criterion-6 oracle-equivalence", True, "30 curves, both contexts + Cassels")
 
 
@@ -274,9 +264,8 @@ def test_criterion_7_local_image_laws(full_scans):
             if r.skipped or examined >= 200:
                 continue
             examined += 1
-            Et = specialize(family_by_name(name).E, r.t)
-            A, B, _ = integral_model(Et)
-            E_int = TwoTorsionModel.over_q(A, B)
+            D = descend(specialize(family_by_name(name).E, r.t))
+            E_int = D.integral
             D_int = dual_model(E_int)
             odd_bad = [p for p in r.bad_primes if p != 2]
             for p in odd_bad[:3]:
@@ -288,13 +277,13 @@ def test_criterion_7_local_image_laws(full_scans):
                 if rE.kodaira.n != 2 * n or n < 1:
                     continue
                 if rE.reduction == "split-multiplicative" or n % 2 == 1:
-                    img = local_delta_image(E_int, Place.prime(p))
+                    img = D.local_image(Place.prime(p))
                     assert len(img) == 1 and img[0].is_identity, (name, str(r.t), p)
                     trivial_checks += 1
             for p in (3, 5, 7):
                 if p in r.bad_primes:
                     continue
-                img = local_delta_image(E_int, Place.prime(p))
+                img = D.local_image(Place.prime(p))
                 assert all(p not in cls.support for cls in img), (name, str(r.t), p)
                 unit_checks += 1
                 break

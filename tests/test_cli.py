@@ -39,6 +39,12 @@ def test_selmer_and_rank_subcommands(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out == {"kind": "determined", "value": 1}
 
+    # the default search bound is the scan's, 32
+    assert main(["rank", "--curve", curve]) == 0
+    default = capsys.readouterr().out
+    assert main(["rank", "--curve", curve, "--search-bound", "32"]) == 0
+    assert default == capsys.readouterr().out
+
     # explicit points instead of search
     pts = json.dumps({"E": [["-4/1", "6/1"], ["45/1", "300/1"]], "E'": [["5/1", "25/1"]]})
     assert main(["rank", "--curve", curve, "--points", pts, "--search-bound", "0"]) == 0

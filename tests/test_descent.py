@@ -5,25 +5,22 @@ import pytest
 
 from oracles import oracle_selmer, oracle_torsor_solvable
 from twodescent.arith import SquareClassQ, square_class
-from twodescent.curve import TwoTorsionModel, dual_model, integral_model
+from twodescent.curve import TwoTorsionModel, dual_model, integral_model, specialize
 from twodescent.descent import (
     RankStatus,
     Torsor,
-    cassels_ratio_check,
-    local_delta_image,
+    descend,
     point_search,
     rank_bounds,
-    selmer_group,
-    selmer_pair,
     torsor_solvable_at,
 )
-from twodescent.localdata import REAL, Place
+from twodescent.family import family_by_name
+from twodescent.localdata import REAL, Place, local_image_order
+from twodescent.scan import enumerate_heights
 
 
-def selmer_values(E, context):
-    return sorted(
-        (c.value() for c in selmer_group(E, context).elements()), key=lambda x: (abs(x), x)
-    )
+def selmer_values(S):
+    return sorted((c.value() for c in S.elements()), key=lambda x: (abs(x), x))
 
 
 def test_torsor_validation():
@@ -67,22 +64,21 @@ def test_selmer_matches_bruteforce_oracle(small_curve_corpus):
     """Criterion-6 style: exhaustive oracle agreement on the 30-curve corpus."""
     for E in small_curve_corpus:
         A, B, _ = integral_model(E)
-        fast_phi = selmer_values(E, "phi")
-        assert fast_phi == oracle_selmer(A, B), (A, B)
-        fast_hat = selmer_values(E, "phi-hat")
-        assert fast_hat == oracle_selmer(-2 * A, A * A - 4 * B), (A, B)
+        D = descend(E)
+        assert selmer_values(D.phi) == oracle_selmer(A, B), (A, B)
+        assert selmer_values(D.phi_hat) == oracle_selmer(-2 * A, A * A - 4 * B), (A, B)
 
 
 def test_cassels_ratio_on_corpus(small_curve_corpus):
     for E in small_curve_corpus:
-        assert cassels_ratio_check(E)
+        assert descend(E).cassels_ok
 
 
 def test_selmer_contains_identity_and_marked_classes(small_curve_corpus):
     for E in small_curve_corpus:
         A, B, _ = integral_model(E)
-        S_phi = selmer_group(E, "phi")
-        S_hat = selmer_group(E, "phi-hat")
+        D = descend(E)
+        S_phi, S_hat = D.phi, D.phi_hat
         assert S_phi.contains(SquareClassQ(1, ()))
         assert S_phi.contains(square_class(A * A - 4 * B))
         assert S_hat.contains(square_class(B))
@@ -92,7 +88,8 @@ def test_searched_points_pass_local_solvability(small_curve_corpus):
     """Soundness: delta classes of rational points lie in the Selmer group."""
     found = 0
     for E in small_curve_corpus[:12]:
-        S_hat = selmer_group(E, "phi-hat")
+        D = descend(E)
+        S_hat = D.phi_hat
         for P in point_search(E, 25):
             cls = (
                 square_class(E.b) if P.x == 0 else square_class(P.x)
@@ -100,7 +97,7 @@ def test_searched_points_pass_local_solvability(small_curve_corpus):
             assert S_hat.contains(cls)
             found += 1
         Ed = dual_model(E)
-        S_phi = selmer_group(E, "phi")
+        S_phi = D.phi
         for Q in point_search(Ed, 25):
             cls = square_class(Ed.b) if Q.x == 0 else square_class(Q.x)
             assert S_phi.contains(cls)
@@ -110,14 +107,32 @@ def test_searched_points_pass_local_solvability(small_curve_corpus):
 
 def test_local_image_is_group_of_size_1_2_4_or_8(small_curve_corpus):
     for E in small_curve_corpus[:10]:
+        D = descend(E)
         for pl in (REAL, Place.prime(2), Place.prime(3)):
-            img = local_delta_image(E, pl)
+            img = D.local_image(pl)
             assert len(img) in (1, 2, 4, 8)
 
 
+def test_local_images_match_tamagawa_ratios(small_curve_corpus):
+    """|Im(delta_{E',p})| = 2 c_p(E')/c_p(E) at every odd prime of B(A^2-4B),
+    on the corpus and the first 40 fibers of height <= 6 of each family: the
+    torsor tests of the descent agree with Tate's algorithm."""
+    curves = list(small_curve_corpus)
+    for name in ("rank0", "rank1", "rank2", "rank3", "rank4"):
+        rec = family_by_name(name)
+        bad = {pl.e for pl in rec.expected.all_places if pl.kind == "ft"}
+        ts = [Fraction(m, n) for m, n in enumerate_heights(6) if Fraction(m, n) not in bad]
+        curves += [specialize(rec.E, t) for t in ts[:40]]
+    pairs = 0
+    for E in curves:
+        D = descend(E)
+        for p in D.odd_support:
+            assert len(D.local_image(Place.prime(p))) == 2 * local_image_order(E, p), (E, p)
+            pairs += 1
+    assert pairs >= 800, pairs
+
+
 def test_point_search_examples():
-    from twodescent.curve import specialize
-    from twodescent.family import family_by_name
     from twodescent.polyq import Poly, eval_at
 
     E = TwoTorsionModel.over_q(0, 1)
@@ -141,12 +156,9 @@ def test_point_search_examples():
 
 def test_point_search_rank0_finds_no_infinite_order():
     # rank-0 family at an accepted t: exhaustive small search certifies rank 0
-    from twodescent.curve import specialize
-    from twodescent.family import family_by_name
-
     Et = specialize(family_by_name("rank0").E, 2)
     pts = point_search(Et, 200)
-    rs = rank_bounds(Et, pts, point_search(dual_model(Et), 200))
+    rs = rank_bounds(descend(Et), pts, point_search(dual_model(Et), 200))
     assert rs.kind == "determined" and rs.value == 0
 
 
@@ -158,33 +170,35 @@ def test_rank_bounds_statuses():
 
     # Sel dims (1,1) and only 2-torsion: determined 0
     E = TwoTorsionModel.over_q(0, -1)
-    rs = rank_bounds(E)
+    rs = rank_bounds(descend(E))
     assert rs.kind == "determined" and rs.value == 0
 
     # a curve with Selmer gap stays bounded without points
     E2 = TwoTorsionModel.over_q(0, -25)
-    rs2 = rank_bounds(E2)
+    rs2 = rank_bounds(descend(E2))
     assert rs2.kind == "bounded" and rs2.lo < rs2.hi
 
 
 def test_rank_bounds_monotone_in_search_bound():
     E = TwoTorsionModel.over_q(0, -25)
+    D = descend(E)
     los = []
     for bound in (0, 10, 60):
         pts = point_search(E, bound) if bound else []
         ptsd = point_search(dual_model(E), bound) if bound else []
-        los.append(rank_bounds(E, pts, ptsd).lo)
+        los.append(rank_bounds(D, pts, ptsd).lo)
     assert los == sorted(los)
     # Selmer dims are independent of the search bound
-    S1 = selmer_group(E, "phi").dim
-    assert S1 == selmer_group(E, "phi").dim
+    assert descend(E).phi.dim == D.phi.dim
 
 
 def test_selmer_pair_shares_support():
     E = TwoTorsionModel.over_q(259, -7000)
-    S_hat, S_phi, ok = selmer_pair(E)
-    assert ok
-    assert S_hat.dim == 2 and S_phi.dim == 2
+    D = descend(E)
+    assert D.cassels_ok
+    assert D.phi_hat.dim == 2 and D.phi.dim == 2
+    support = {p for c in D.phi.basis + D.phi_hat.basis for p in c.support}
+    assert support <= {2, *D.odd_support}
     # oracle-verified values for this curve
-    assert selmer_values(E, "phi") == [1, 119, 329, 799]
-    assert selmer_values(E, "phi-hat") == [1, 2, -35, -70]
+    assert selmer_values(D.phi) == [1, 119, 329, 799]
+    assert selmer_values(D.phi_hat) == [1, 2, -35, -70]

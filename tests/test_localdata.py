@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from twodescent.curve import TwoTorsionModel, dual_model, specialize
-from twodescent.descent import local_delta_image
+from twodescent.descent import descend
 from twodescent.family import builtin_families, excluded_primes, family_by_name
 from twodescent.localdata import (
     FT_INFINITY,
@@ -131,6 +131,7 @@ def test_trivial_image_at_split_or_odd_In_places():
 
             A, B, _ = integral_model(Et)
             disc = 16 * B * B * (A * A - 4 * B)
+            D = descend(Et)
             for p in factor(disc).primes:
                 if p == 2:
                     continue
@@ -142,7 +143,7 @@ def test_trivial_image_at_split_or_odd_In_places():
                 if rE.kodaira.n != 2 * n or n < 1:
                     continue
                 if rE.reduction == "split-multiplicative" or n % 2 == 1:
-                    img = local_delta_image(Et, Place.prime(p))
+                    img = D.local_image(Place.prime(p))
                     assert len(img) == 1 and img[0].is_identity
                     hits += 1
     assert hits >= 25
@@ -155,12 +156,13 @@ def test_unit_image_at_good_odd_places():
     for rec in builtin_families()[:3]:
         for t in _sample_ts(rec, rng, 3):
             Et = specialize(rec.E, t)
+            D = descend(Et)
             for p in (3, 5, 7, 11, 13):
                 if not tate_local(Et, Place.prime(p)).kodaira.is_good:
                     continue
                 if not tate_local(dual_model(Et), Place.prime(p)).kodaira.is_good:
                     continue
-                img = local_delta_image(Et, Place.prime(p))
+                img = D.local_image(Place.prime(p))
                 assert all(p not in cls.support for cls in img)
                 done += 1
     assert done >= 10

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -51,6 +52,17 @@ def test_deterministic_output(tmp_path):
     emit_report(r1, str(out1))
     emit_report(r2, str(out2))
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_scan_matches_golden_records(tmp_path):
+    """emit_report bytes for all five families at height 6 equal the stored
+    records (227 lines, also the height <= 6 lines of the benchmark's
+    height-12 reference)."""
+    out = tmp_path / "h6.records"
+    for name in ("rank0", "rank1", "rank2", "rank3", "rank4"):
+        emit_report(run_scan(name, 6), str(out))
+    golden = Path(__file__).parent / "data" / "scan-h6.records"
+    assert out.read_bytes() == golden.read_bytes()
 
 
 def test_parallel_matches_serial(tmp_path):
