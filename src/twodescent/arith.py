@@ -115,12 +115,6 @@ class PrimeFactorization:
             v *= Fraction(p) ** e
         return v
 
-    def exponent(self, p: int) -> int:
-        for q, e in self.factors:
-            if q == p:
-                return e
-        return 0
-
     @property
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
@@ -278,9 +272,6 @@ class SquareClassQ:
 
     def __str__(self) -> str:
         return str(self.value())
-
-
-SQUARE_CLASS_ONE = SquareClassQ(1, ())
 
 
 def square_class(q: RationalLike) -> SquareClassQ:

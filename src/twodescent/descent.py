@@ -43,10 +43,12 @@ class Torsor:
     """The quartic w^2 = d z^4 - 2a z^2 + (a^2-4b)/d attached to the class d."""
 
     d: int
-    a: Fraction
-    b: Fraction
+    a: int
+    b: int
 
     def __post_init__(self):
+        if not all(isinstance(x, int) for x in (self.d, self.a, self.b)):
+            raise TypeError("d, a and b must be ints")
         if self.d == 0:
             raise ValueError("d must be nonzero")
         fac = factor(self.d)
@@ -54,13 +56,15 @@ class Torsor:
             raise ValueError("d must be squarefree")
 
     def cleared_coefficients(self) -> tuple[int, int, int]:
-        """(A4, A2, A0) with the torsor scaled to w^2 = A4 z^4 + A2 z^2 + A0, integral."""
-        c4 = Fraction(self.d)
-        c2 = -2 * Fraction(self.a)
-        c0 = (Fraction(self.a) ** 2 - 4 * Fraction(self.b)) / self.d
-        l = math.lcm(c4.denominator, c2.denominator, c0.denominator)
-        l2 = l * l
-        return int(c4 * l2), int(c2 * l2), int(c0 * l2)
+        """(A4, A2, A0) with the torsor scaled to w^2 = A4 z^4 + A2 z^2 + A0, integral.
+
+        The scaling is by l^2 with l = |d| / gcd(d, a^2-4b), the least l that
+        clears the denominator of (a^2-4b)/d.
+        """
+        d, bdual = self.d, self.a * self.a - 4 * self.b
+        g = math.gcd(d, bdual)
+        l2 = (abs(d) // g) ** 2
+        return d * l2, -2 * self.a * l2, (bdual // g) * (d // g)
 
 
 # ----------------------------------------------------------------------
@@ -239,24 +243,28 @@ def quartic_solvable_qp(A4: int, A2: int, A0: int, p: int) -> bool:
     return _zp_branch_solvable(Frev, 0, 1, p, rho_rev, _deriv(Frev))
 
 
-def quartic_solvable_real(A4: Fraction, A2: Fraction, A0: Fraction) -> bool:
+def quartic_solvable_real(A4: int, A2: int, A0: int) -> bool:
     """Real solvability of w^2 = A4 z^4 + A2 z^2 + A0 by exact sign analysis."""
     if A4 > 0:
         return True
-    # A4 < 0: maximize A4 u^2 + A2 u + A0 over u = z^2 >= 0
-    vertex = -A2 / (2 * A4)
-    sup = A0 if vertex < 0 else A0 - A2 * A2 / (4 * A4)
-    return sup >= 0
+    # A4 < 0: maximize A4 u^2 + A2 u + A0 over u = z^2 >= 0; the vertex
+    # u = -A2 / (2 A4) is negative iff A2 < 0, and there the maximum is A0
+    if A2 < 0:
+        return A0 >= 0
+    return A2 * A2 >= 4 * A4 * A0
 
 
 def torsor_solvable_at(tor: Torsor, place: Place) -> bool:
-    """Local solvability of the torsor at a finite prime or the real place."""
-    if place.kind == "real":
-        a, b = Fraction(tor.a), Fraction(tor.b)
-        return quartic_solvable_real(Fraction(tor.d), -2 * a, (a * a - 4 * b) / tor.d)
-    if place.kind != "prime":
+    """Local solvability of the torsor at a finite prime or the real place.
+
+    Both tests run on the cleared coefficients: the scaling by a square
+    changes neither the signs nor the square classes of the values.
+    """
+    if place.kind not in ("real", "prime"):
         raise ValueError(f"torsors are tested at primes or the real place, not {place}")
     A4, A2, A0 = tor.cleared_coefficients()
+    if place.kind == "real":
+        return quartic_solvable_real(A4, A2, A0)
     return quartic_solvable_qp(A4, A2, A0, place.p)
 
 
@@ -311,7 +319,7 @@ def _place_representatives(place: Place) -> list[SquareClassQ]:
     return [SquareClassQ(1, s) for s in sups]
 
 
-def _image_at_place(a: Fraction, b: Fraction, place: Place) -> tuple[int, ...]:
+def _image_at_place(a: int, b: int, place: Place) -> tuple[int, ...]:
     """Im(delta_{E',v}) for the model (a, b), as echelonized local vectors."""
     vecs = set()
     for rep in _place_representatives(place):
@@ -373,7 +381,7 @@ class SelmerGroup:
         return cls in set(self.elements())
 
 
-def _selmer_model_data(a: Fraction, b: Fraction, odd_primes):
+def _selmer_model_data(a: int, b: int, odd_primes):
     """Selmer data for the isogeny whose torsors are Torsor(d, a, b).
 
     The classes computed are those of x-coordinates on the dual model
@@ -453,7 +461,7 @@ class Descent:
     """
 
     curve: TwoTorsionModel
-    integral: TwoTorsionModel
+    integral: TwoTorsionModel  # the model (A, B) with A, B integers
     odd_support: tuple[int, ...]
     phi: SelmerGroup
     phi_hat: SelmerGroup
@@ -464,7 +472,8 @@ class Descent:
         """Im(delta_{E',place}); a place outside the tested set is computed here."""
         if place in self.images:
             return self.images[place]
-        basis = _image_at_place(self.integral.a, self.integral.b, place)
+        A, B = int(self.integral.a), int(self.integral.b)
+        basis = _image_at_place(A, B, place)
         return _image_classes(basis, place)
 
 
@@ -479,9 +488,8 @@ def descend(E: TwoTorsionModel) -> Descent:
     A, B, _ = integral_model(E)
     primes = factor(B).primes + factor(A * A - 4 * B).primes
     odd_support = tuple(sorted({p for p in primes if p != 2}))
-    a, b = Fraction(A), Fraction(B)
-    basis_phi, images = _selmer_model_data(a, b, odd_support)
-    basis_hat, _ = _selmer_model_data(-2 * a, a * a - 4 * b, odd_support)
+    basis_phi, images = _selmer_model_data(A, B, odd_support)
+    basis_hat, _ = _selmer_model_data(-2 * A, A * A - 4 * B, odd_support)
     cassels_ok = (len(basis_phi) - len(basis_hat)) == sum(
         len(img) - 1 for img in images.values()
     )
@@ -511,23 +519,19 @@ def _square_mask() -> bytearray:
     return mask
 
 
-def point_search(
-    E: TwoTorsionModel, height_bound: int = 10**4, denominator_bound: int | None = None
-) -> list[AffinePoint]:
-    """All points with x = u/v^2, |u| <= height bound, v <= denominator bound.
+def point_search(E: TwoTorsionModel, height_bound: int) -> list[AffinePoint]:
+    """All points with x = u/v^2 on the integral model, |u|, v <= height bound.
 
-    The denominator bound defaults to the height bound.  The denominator of
-    x is a square for integral models with rational 2-torsion, so this
-    shape loses nothing; the search is sound but incomplete.
+    The denominator of x is a square for integral models with rational
+    2-torsion, so this shape loses nothing; the search is sound but
+    incomplete.
     """
-    if denominator_bound is None:
-        denominator_bound = height_bound
     A, B, scale = integral_model(E)
     mask = _square_mask()
     found: dict[Fraction, AffinePoint] = {}
     s2 = scale * scale
     s3 = s2 * scale
-    for v in range(1, denominator_bound + 1):
+    for v in range(1, height_bound + 1):
         v2 = v * v
         v4 = v2 * v2
         Av2 = A * v2

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import modp
 from .arith import _INF, int_valuation, is_prime, is_square_rational, sqrt_rational
-from .curve import DOMAIN_Q, DOMAIN_QT, TwoTorsionModel, dual_model
+from .curve import DOMAIN_Q, DOMAIN_QT, TwoTorsionModel, dual_model, integral_model
 from .polyq import Poly, UnsupportedClassError, model_discriminant, rational_roots, splits_linearly
 
 GOOD = "good"
@@ -184,28 +184,29 @@ class _ResidueFp:
 
 
 class _QpDVR:
+    """Z localized at p, on Python ints."""
+
     def __init__(self, p: int):
         self.p = p
         self.k = _ResidueFp(p)
         self.char = p
 
-    def val(self, x: Fraction) -> int:
-        return int_valuation(x.numerator, self.p) - int_valuation(x.denominator, self.p)
+    def val(self, x: int) -> int:
+        return int_valuation(x, self.p)
 
-    def shift(self, x: Fraction, k: int) -> Fraction:
-        return Fraction(x) * Fraction(self.p) ** k
+    def shift(self, x: int, k: int) -> int:
+        if k >= 0:
+            return x * self.p**k
+        q, r = divmod(x, self.p**-k)
+        if r:
+            raise TateError("division by a power of p is not exact")
+        return q
 
-    def residue(self, x: Fraction) -> int:
-        x = Fraction(x)
-        if x == 0:
-            return 0
-        if self.val(x) < 0:
-            raise TateError("residue of a non-integral element")
-        m = self.p
-        return x.numerator * pow(x.denominator, -1, m) % m
+    def residue(self, x: int) -> int:
+        return x % self.p
 
-    def lift(self, r: int) -> Fraction:
-        return Fraction(int(r))
+    def lift(self, r: int) -> int:
+        return r
 
 
 class _FTDVR:
@@ -267,8 +268,6 @@ def _cubic_analysis(k, a, b, c):
     disc = (
         18 * a * b * c - 4 * a * a * a * c + a * a * b * b - 4 * b * b * b - 27 * c * c
     )
-    if isinstance(k, _ResidueFp):
-        disc = disc % k.p
     if not k.is_zero(disc):
         return ("sf", k.nroots_cubic(a, b, c), None)
     if k.char == 3:
@@ -285,8 +284,6 @@ def _cubic_analysis(k, a, b, c):
         x0 = k.sqrt(b)
     else:
         x0 = k.div(9 * c - a * b, 2 * (a * a - 3 * b))
-    if isinstance(k, _ResidueFp):
-        x0 = x0 % k.p
     return ("double", None, x0)
 
 
@@ -353,17 +350,13 @@ def _singular_point(dvr, ai):
 
 
 def _tate_core(dvr, a2_in, a4_in) -> LocalReduction:
-    """Run Tate's algorithm on y^2 = x^3 + a2 x^2 + a4 x over the DVR."""
+    """Run Tate's algorithm on the integral model y^2 = x^3 + a2 x^2 + a4 x.
+
+    Outside residue characteristic 2 no step shifts y by a multiple of x,
+    so a1 stays 0 and a3 stays even; the exact halvings -a3 // 2 rely on it.
+    """
     zero = 0 * a2_in
     ai = [zero, a2_in, zero, a4_in, zero]
-    # integral model at the place
-    lam = 0
-    for i, a in zip((1, 2, 3, 4, 6), ai):
-        v = dvr.val(a)
-        if v < 0:
-            lam = max(lam, (-v + i - 1) // i)
-    if lam:
-        ai = [dvr.shift(a, i * lam) for i, a in zip((1, 2, 3, 4, 6), ai)]
     k = dvr.k
     char2 = k.char == 2
 
@@ -385,9 +378,6 @@ def _tate_core(dvr, a2_in, a4_in) -> LocalReduction:
         if char2:
             multiplicative = dvr.val(a1) == 0
         else:
-            # kill a1 exactly; b2 is invariant under s-shifts
-            ai = _translate(ai, zero, -a1 * Fraction(1, 2), zero)
-            a1, a2, a3, a4, a6 = ai
             multiplicative = dvr.val(a2) == 0
 
         if multiplicative:
@@ -404,7 +394,7 @@ def _tate_core(dvr, a2_in, a4_in) -> LocalReduction:
             s = dvr.lift(k.sqrt(dvr.residue(a2)))
             ai = _translate(ai, zero, s, zero)
         else:
-            ai = _translate(ai, zero, zero, -ai[2] * Fraction(1, 2))
+            ai = _translate(ai, zero, zero, -ai[2] // 2)
         a1, a2, a3, a4, a6 = ai
 
         if dvr.val(a6) < 2:
@@ -443,7 +433,7 @@ def _tate_core(dvr, a2_in, a4_in) -> LocalReduction:
         if kind == "double":
             ai = _translate(ai, dvr.shift(dvr.lift(x0), 1), zero, zero)
             if not char2:
-                ai = _translate(ai, zero, zero, -ai[2] * Fraction(1, 2))
+                ai = _translate(ai, zero, zero, -ai[2] // 2)
             a1, a2, a3, a4, a6 = ai
             if dvr.val(a2) != 1 or dvr.val(a4) < 3 or dvr.val(a6) < 4:
                 raise TateError("bad entry state for the I_m* subprocedure")
@@ -490,7 +480,7 @@ def _tate_core(dvr, a2_in, a4_in) -> LocalReduction:
         y0 = _quad_y_double_root(k, A, B)
         ai = _translate(ai, zero, zero, dvr.shift(dvr.lift(y0), 2))
         if not char2:
-            ai = _translate(ai, zero, zero, -ai[2] * Fraction(1, 2))
+            ai = _translate(ai, zero, zero, -ai[2] // 2)
         a1, a2, a3, a4, a6 = ai
         if dvr.val(a3) < 3 or dvr.val(a6) < 5:
             raise TateError("IV* exit state invalid")
@@ -520,8 +510,9 @@ def tate_local(E: TwoTorsionModel, place: Place) -> LocalReduction:
     if E.domain == DOMAIN_Q:
         if place.kind != "prime":
             raise ValueError(f"place {place} is incompatible with a Q-curve")
-        dvr = _QpDVR(place.p)
-        return _tate_core(dvr, Fraction(E.a), Fraction(E.b))
+        # isomorphic models share their local data, so any integral one will do
+        A, B, _ = integral_model(E)
+        return _tate_core(_QpDVR(place.p), A, B)
     if place.kind == "ft":
         dvr = _FTDVR()
         return _tate_core(dvr, E.a.shift(place.e), E.b.shift(place.e))

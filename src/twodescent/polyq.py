@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .arith import SQUARE_CLASS_ONE, SquareClassQ, horner, square_class
+from .arith import SquareClassQ, horner, square_class
 
 Coef = Union[int, Fraction]
 
@@ -150,10 +150,7 @@ class Poly:
     def __mod__(self, other) -> "Poly":
         return self.divmod(_as_poly(other))[1]
 
-    # -- calculus / helpers ---------------------------------------------
-    def derivative(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
-
+    # -- evaluation / helpers --------------------------------------------
     def __call__(self, t: Coef) -> Fraction:
         return eval_at(self, t)
 
@@ -215,7 +212,6 @@ def _as_poly(v) -> Poly:
     raise TypeError(f"cannot coerce {type(v)} to Poly")
 
 
-ZERO = Poly()
 ONE = Poly.const(1)
 
 
@@ -314,9 +310,6 @@ class SquareClassFT:
         for r in self.roots:
             parts.append(f"(T - {r})" if r >= 0 else f"(T + {-r})")
         return "*".join(parts) if parts else "1"
-
-
-FT_CLASS_ONE = SquareClassFT(SQUARE_CLASS_ONE, ())
 
 
 def ft_square_class(f: Poly) -> SquareClassFT:

@@ -25,10 +25,12 @@ def selmer_values(S):
 
 def test_torsor_validation():
     with pytest.raises(ValueError):
-        Torsor(0, Fraction(1), Fraction(1))
+        Torsor(0, 1, 1)
     with pytest.raises(ValueError):
-        Torsor(12, Fraction(1), Fraction(1))  # not squarefree
-    Torsor(-6, Fraction(2), Fraction(3))
+        Torsor(12, 1, 1)  # not squarefree
+    with pytest.raises(TypeError):
+        Torsor(1, Fraction(1, 2), 1)  # coefficients of an integral model only
+    Torsor(-6, 2, 3)
 
 
 def test_trivial_and_bdual_classes_always_solvable():
@@ -42,7 +44,7 @@ def test_trivial_and_bdual_classes_always_solvable():
         d_bd = square_class(bdual).value()
         places = [REAL, Place.prime(2), Place.prime(3), Place.prime(5)]
         for d in (d_triv, d_bd):
-            tor = Torsor(d, Fraction(a), Fraction(b))
+            tor = Torsor(d, a, b)
             assert all(torsor_solvable_at(tor, pl) for pl in places)
 
 
@@ -53,7 +55,7 @@ def test_torsor_solvability_matches_oracle():
         if b == 0 or a * a == 4 * b:
             continue
         d = rng.choice([1, -1, 2, -2, 3, 5, -5, 6, 7, -7, 10, 15, -15])
-        tor = Torsor(d, Fraction(a), Fraction(b))
+        tor = Torsor(d, a, b)
         for pl, okey in ((REAL, "real"), (Place.prime(2), 2), (Place.prime(3), 3), (Place.prime(5), 5), (Place.prime(7), 7)):
             got = torsor_solvable_at(tor, pl)
             want = oracle_torsor_solvable(d, Fraction(a), Fraction(b), okey)
@@ -143,7 +145,7 @@ def test_point_search_examples():
     T = Poly.x()
     t = Fraction(3)
     Et = specialize(family_by_name("rank4").E, t)
-    pts = point_search(Et, 64, denominator_bound=8)
+    pts = point_search(Et, 64)
     xs = {p.x for p in pts}
     for xpoly in (
         14 * (T * T - 121),

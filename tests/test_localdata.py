@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from twodescent.curve import TwoTorsionModel, dual_model, specialize
+from twodescent.arith import factor
+from twodescent.curve import TwoTorsionModel, dual_model, integral_model, specialize
 from twodescent.descent import descend
 from twodescent.family import builtin_families, excluded_primes, family_by_name
 from twodescent.localdata import (
@@ -46,16 +47,37 @@ def test_known_q_reductions(a, b, p, kod, c, red, f):
 
 
 def test_tate_is_model_independent():
-    # a non-minimal model (scaled by u = p) must give identical local data
+    # a non-minimal model (scaled by u = p) and a non-integral one (u = 1/p)
+    # must give identical local data
     rng = random.Random(31)
     for _ in range(25):
         a, b = rng.randint(-20, 20), rng.randint(-20, 20)
         if b == 0 or a * a == 4 * b:
             continue
         p = rng.choice([2, 3, 5, 7])
-        E = TwoTorsionModel.over_q(a, b)
+        r = tate_local(TwoTorsionModel.over_q(a, b), Place.prime(p))
         Escaled = TwoTorsionModel.over_q(a * p * p, b * p**4)
-        assert tate_local(E, Place.prime(p)) == tate_local(Escaled, Place.prime(p))
+        Efrac = TwoTorsionModel.over_q(Fraction(a, p * p), Fraction(b, p**4))
+        assert tate_local(Escaled, Place.prime(p)) == r
+        assert tate_local(Efrac, Place.prime(p)) == r
+
+
+def test_isogenous_curves_share_conductor_exponents():
+    """E and E' are isogenous over Q, so their conductors agree at every prime;
+    the primes 2 and 3 reach the wild branches of Tate's algorithm."""
+    pairs = 0
+    for a in range(-12, 13):
+        for b in range(-12, 13):
+            if b == 0 or a * a == 4 * b:
+                continue
+            E = TwoTorsionModel.over_q(a, b)
+            primes = {2, 3, *factor(b).primes, *factor(a * a - 4 * b).primes}
+            for p in sorted(primes):
+                fE = tate_local(E, Place.prime(p)).conductor_exponent
+                fD = tate_local(dual_model(E), Place.prime(p)).conductor_exponent
+                assert fE == fD, (a, b, p, fE, fD)
+                pairs += 1
+    assert pairs >= 1800, pairs
 
 
 def test_family_local_fixtures():
@@ -101,9 +123,6 @@ def test_isogeny_constraint_on_specializations():
         for t in _sample_ts(rec, rng, 14):
             Et = specialize(rec.E, t)
             Dt = dual_model(Et)
-            from twodescent.curve import integral_model
-            from twodescent.arith import factor
-
             A, B, _ = integral_model(Et)
             disc = 16 * B * B * (A * A - 4 * B)
             for p in factor(disc).primes:
@@ -126,9 +145,6 @@ def test_trivial_image_at_split_or_odd_In_places():
         for t in _sample_ts(rec, rng, 6):
             Et = specialize(rec.E, t)
             Dt = dual_model(Et)
-            from twodescent.curve import integral_model
-            from twodescent.arith import factor
-
             A, B, _ = integral_model(Et)
             disc = 16 * B * B * (A * A - 4 * B)
             D = descend(Et)
@@ -210,12 +226,11 @@ def test_tamagawa_ratio_matches_pattern_classes():
     done = 0
     for rec in builtin_families():
         excl = excluded_primes(rec.name)
-        for pl in rec.expected.all_places:
+        for pl in sorted(rec.expected.all_places, key=str):
             if pl.kind != "ft":
                 continue
             p = 53 if 53 not in excl else 89
             t = pl.e + Fraction(p * rng.randint(1, 3), p * rng.randint(1, 3) + 1)
-            t = pl.e + Fraction(p, p + 1)
             Et = specialize(rec.E, t)
             got = local_image_order(Et, p)
             assert got == expected[rec.expected.class_of(pl)], (rec.name, str(pl), got)
