@@ -194,6 +194,25 @@ def horner(coeffs, x):
     return acc
 
 
+def f2_reduce(v: int, basis) -> int:
+    """v reduced by an echelon basis of int bitmasks (decreasing leading bits)."""
+    for b in basis:
+        v = min(v, v ^ b)
+    return v
+
+
+def f2_echelon(vectors) -> tuple[int, ...]:
+    """Echelon basis of the F_2-span of vectors given as int bitmasks,
+    sorted by decreasing leading bit."""
+    basis: list[int] = []
+    for v in sorted(vectors, reverse=True):
+        v = f2_reduce(v, basis)
+        if v:
+            basis.append(v)
+            basis.sort(reverse=True)
+    return tuple(basis)
+
+
 def is_square_rational(q: RationalLike) -> bool:
     """Exact test: is q the square of a rational?"""
     q = Fraction(q)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .arith import SquareClassQ, int_valuation, square_class
+from .arith import SquareClassQ, f2_echelon, factor, int_valuation, square_class
 from .polyq import (
     Poly,
     RatFn,
@@ -275,7 +275,7 @@ def integral_model(E: TwoTorsionModel) -> tuple[int, int, Fraction]:
         raise ValueError("integral_model expects a Q-curve")
     a, b = E.a, E.b
     u = 1
-    for p in {*_prime_factors(a.denominator), *_prime_factors(b.denominator)}:
+    for p in factor(a.denominator * b.denominator).primes:
         va = int_valuation(a.denominator, p)
         vb = int_valuation(b.denominator, p)
         k = max(-(-va // 2), -(-vb // 4))
@@ -289,25 +289,16 @@ def integral_model(E: TwoTorsionModel) -> tuple[int, int, Fraction]:
     return A, B, Fraction(u)
 
 
-def _prime_factors(n: int):
-    from .arith import factor
-
-    return [] if n == 1 else list(factor(n).primes)
-
-
 def delta_span_dim(classes) -> int:
     """F_2-dimension of the span of square classes (Q or Q(T) flavour)."""
-    basis: dict = {}  # pivot atom -> reduced vector
+    bits: dict = {}  # atom -> bit position
+    vecs = []
     for cls in classes:
-        vec = set(_class_support(cls))
-        while vec:
-            piv = max(vec, key=repr)
-            if piv in basis:
-                vec ^= basis[piv]
-            else:
-                basis[piv] = frozenset(vec)
-                break
-    return len(basis)
+        v = 0
+        for atom in _class_support(cls):
+            v |= 1 << bits.setdefault(atom, len(bits))
+        vecs.append(v)
+    return len(f2_echelon(vecs))
 
 
 def _class_support(cls) -> frozenset:

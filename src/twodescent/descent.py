@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import modp
-from .arith import _INF, SquareClassQ, factor, horner, int_valuation
+from .arith import _INF, SquareClassQ, f2_echelon, f2_reduce, factor, horner, int_valuation
 from .curve import (
     AffinePoint,
     TwoTorsionModel,
@@ -328,7 +328,7 @@ def _image_at_place(a: int, b: int, place: Place) -> tuple[int, ...]:
             vecs.add(_local_coords(rep, place))
     assert 0 in vecs, "the trivial class must always be in the local image"
     # the image of a homomorphism is a subgroup: demand closure
-    basis = _echelon(vecs)
+    basis = f2_echelon(vecs)
     span = {0}
     for v in basis:
         span |= {s ^ v for s in span}
@@ -337,26 +337,9 @@ def _image_at_place(a: int, b: int, place: Place) -> tuple[int, ...]:
     return basis
 
 
-def _echelon(vectors) -> tuple[int, ...]:
-    basis: list[int] = []
-    for v in sorted(vectors, reverse=True):
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis.append(v)
-            basis.sort(reverse=True)
-    return tuple(basis)
-
-
-def _reduce(v: int, basis) -> int:
-    for b in basis:
-        v = min(v, v ^ b)
-    return v
-
-
 def _quotient_coords(v: int, dim: int, img_basis) -> list[int]:
     """Bits of v in a complement of the image subgroup (non-pivot coordinates)."""
-    v = _reduce(v, img_basis)
+    v = f2_reduce(v, img_basis)
     pivots = {b.bit_length() - 1 for b in img_basis}
     return [v >> i & 1 for i in range(dim) if i not in pivots]
 

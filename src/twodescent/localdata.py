@@ -3,7 +3,9 @@
 One driver runs against two instantiations: Z localized at a prime p
 (residue field F_p, full algorithm including residue characteristic 2
 and 3) and Q[T] localized at a linear place T - e (residue field Q, so
-only tame branches can occur).  The place at infinity of Q(T) is
+only tame branches can occur).  Each DVR also answers for its residue
+field: zero and square tests, square roots, division and counting the
+roots of a cubic.  The place at infinity of Q(T) is
 reduced to a linear place by rewriting the model in U = 1/T and
 clearing denominators with x = X/U^2, y = Y/U^3.
 """
@@ -124,97 +126,55 @@ class LocalReduction:
 
 
 # ----------------------------------------------------------------------
-# residue fields
-# ----------------------------------------------------------------------
-
-
-class _ResidueQ:
-    """Residue field Q of the places of Q(T) (characteristic 0)."""
-
-    char = 0
-
-    def is_zero(self, r) -> bool:
-        return r == 0
-
-    def is_square(self, r) -> bool:
-        return is_square_rational(r)
-
-    def sqrt(self, r):
-        return sqrt_rational(r)
-
-    def div(self, a, b):
-        return Fraction(a) / Fraction(b)
-
-    def nroots_cubic(self, a, b, c) -> int:
-        f = Poly([Fraction(c), Fraction(b), Fraction(a), Fraction(1)])
-        return len(rational_roots(f))
-
-
-class _ResidueFp:
-    """Residue field F_p; elements are ints in [0, p)."""
-
-    def __init__(self, p: int):
-        self.p = p
-        self.char = p
-
-    def is_zero(self, r) -> bool:
-        return r % self.p == 0
-
-    def is_square(self, r) -> bool:
-        r %= self.p
-        if r == 0:
-            return True
-        if self.p == 2:
-            return True
-        return modp.legendre(r, self.p) == 1
-
-    def sqrt(self, r):
-        return modp.sqrt_mod(r, self.p)
-
-    def div(self, a, b):
-        return a * pow(b, -1, self.p) % self.p
-
-    def nroots_cubic(self, a, b, c) -> int:
-        return modp.count_roots([c % self.p, b % self.p, a % self.p, 1], self.p)
-
-
-# ----------------------------------------------------------------------
-# DVRs
+# DVRs, each answering for its residue field too
 # ----------------------------------------------------------------------
 
 
 class _QpDVR:
-    """Z localized at p, on Python ints."""
+    """Z localized at p = char, on Python ints; residues are ints read mod p."""
 
     def __init__(self, p: int):
-        self.p = p
-        self.k = _ResidueFp(p)
         self.char = p
 
     def val(self, x: int) -> int:
-        return int_valuation(x, self.p)
+        return int_valuation(x, self.char)
 
     def shift(self, x: int, k: int) -> int:
         if k >= 0:
-            return x * self.p**k
-        q, r = divmod(x, self.p**-k)
+            return x * self.char**k
+        q, r = divmod(x, self.char**-k)
         if r:
             raise TateError("division by a power of p is not exact")
         return q
 
     def residue(self, x: int) -> int:
-        return x % self.p
+        return x % self.char
 
-    def lift(self, r: int) -> int:
-        return r
+    def is_zero(self, r) -> bool:
+        return r % self.char == 0
+
+    def is_square(self, r) -> bool:
+        r %= self.char
+        if r == 0 or self.char == 2:
+            return True
+        return modp.legendre(r, self.char) == 1
+
+    def sqrt(self, r):
+        return modp.sqrt_mod(r, self.char)
+
+    def div(self, a, b):
+        return a * pow(b, -1, self.char) % self.char
+
+    def nroots_cubic(self, a, b, c) -> int:
+        p = self.char
+        return modp.count_roots([c % p, b % p, a % p, 1], p)
 
 
 class _FTDVR:
-    """Q[T] localized at T (the place has been translated to the origin)."""
+    """Q[T] localized at T (the place has been translated to the origin);
+    residues are Fractions (residue field Q, characteristic 0)."""
 
-    def __init__(self):
-        self.k = _ResidueQ()
-        self.char = 0
+    char = 0
 
     def val(self, x: Poly) -> int:
         if x.is_zero:
@@ -229,8 +189,20 @@ class _FTDVR:
     def residue(self, x: Poly) -> Fraction:
         return x[0]
 
-    def lift(self, r) -> Poly:
-        return Poly.const(r)
+    def is_zero(self, r) -> bool:
+        return r == 0
+
+    def is_square(self, r) -> bool:
+        return is_square_rational(r)
+
+    def sqrt(self, r):
+        return sqrt_rational(r)
+
+    def div(self, a, b):
+        return Fraction(a) / Fraction(b)
+
+    def nroots_cubic(self, a, b, c) -> int:
+        return len(rational_roots(Poly([c, b, a, 1])))
 
 
 def _translate(ai, r, s, t):
@@ -259,78 +231,52 @@ def _discriminant(ai):
     return -b2 * b2 * b8 - 8 * b4 * b4 * b4 - 27 * b6 * b6 + 9 * b2 * b4 * b6
 
 
-def _cubic_analysis(k, a, b, c):
-    """Monic cubic X^3 + aX^2 + bX + c over the residue field k.
+def _cubic_analysis(dvr, a, b, c):
+    """Monic cubic X^3 + aX^2 + bX + c over the residue field of dvr.
 
     Returns ("sf", nroots_in_k, None), ("double", None, x0) or
-    ("triple", None, x0); x0 always lies in k.
+    ("triple", None, x0); x0 always lies in the residue field.
     """
     disc = (
         18 * a * b * c - 4 * a * a * a * c + a * a * b * b - 4 * b * b * b - 27 * c * c
     )
-    if not k.is_zero(disc):
-        return ("sf", k.nroots_cubic(a, b, c), None)
-    if k.char == 3:
-        triple = k.is_zero(a) and k.is_zero(b)
+    if not dvr.is_zero(disc):
+        return ("sf", dvr.nroots_cubic(a, b, c), None)
+    if dvr.char == 3:
+        triple = dvr.is_zero(a) and dvr.is_zero(b)
     else:
-        triple = k.is_zero(a * a - 3 * b)
+        triple = dvr.is_zero(a * a - 3 * b)
     if triple:
-        if k.char == 3:
+        if dvr.char == 3:
             x0 = (-c) % 3  # Frobenius cube root in F_3
         else:
-            x0 = k.div(-a, 3)
+            x0 = dvr.div(-a, 3)
         return ("triple", None, x0)
-    if k.char == 2:
-        x0 = k.sqrt(b)
+    if dvr.char == 2:
+        x0 = dvr.sqrt(b)
     else:
-        x0 = k.div(9 * c - a * b, 2 * (a * a - 3 * b))
+        x0 = dvr.div(9 * c - a * b, 2 * (a * a - 3 * b))
     return ("double", None, x0)
 
 
-def _quad_y_separable(k, A, B) -> bool:
-    """Is Y^2 + A*Y - B separable over kbar?"""
-    if k.char == 2:
-        return not k.is_zero(A)
-    return not k.is_zero(A * A + 4 * B)
+def _quadratic(dvr, a, b, c):
+    """aX^2 + bX + c over the residue field of dvr, with a a unit.
 
-
-def _quad_y_has_root(k, A, B) -> bool:
-    if k.char == 2:
-        # A = 1 in the separable case: Y^2 + Y + B has a root iff B = 0
-        return k.is_zero(B)
-    return k.is_square(A * A + 4 * B)
-
-
-def _quad_y_double_root(k, A, B):
-    if k.char == 2:
-        return k.sqrt(B)
-    return k.div(-A, 2)
-
-
-def _quad_x_separable(k, C, D, E) -> bool:
-    if k.char == 2:
-        return not k.is_zero(D)
-    return not k.is_zero(D * D - 4 * C * E)
-
-
-def _quad_x_has_root(k, C, D, E) -> bool:
-    if k.char == 2:
-        return k.is_zero(E) or k.is_zero(C + D + E)
-    return k.is_square(D * D - 4 * C * E)
-
-
-def _quad_x_double_root(k, C, D, E):
-    if k.char == 2:
-        return k.sqrt(k.div(E, C))
-    return k.div(-D, 2 * C)
+    Returns (separable, has_root, double_root): has_root is meant for the
+    separable case and the double root for the inseparable one.
+    """
+    if dvr.char == 2:
+        # the residue field is F_2, where a separable quadratic is X^2 + X + c
+        return not dvr.is_zero(b), dvr.is_zero(c), dvr.sqrt(dvr.div(c, a))
+    disc = b * b - 4 * a * c
+    return not dvr.is_zero(disc), dvr.is_square(disc), dvr.div(-b, 2 * a)
 
 
 def _singular_point(dvr, ai):
     """Residue coordinates (x0, y0) of the singular point of the reduction."""
-    k = dvr.k
     r1, r2, r3, r4, r6 = (dvr.residue(a) for a in ai)
-    if k.char in (2, 3):
-        p = k.p
+    if dvr.char in (2, 3):
+        p = dvr.char
         for x in range(p):
             for y in range(p):
                 F = y * y + r1 * x * y + r3 * y - (x**3 + r2 * x * x + r4 * x + r6)
@@ -342,10 +288,10 @@ def _singular_point(dvr, ai):
     b2 = r1 * r1 + 4 * r2
     b4 = 2 * r4 + r1 * r3
     b6 = r3 * r3 + 4 * r6
-    kind, _, x0 = _cubic_analysis(k, k.div(b2, 4), k.div(b4, 2), k.div(b6, 4))
+    kind, _, x0 = _cubic_analysis(dvr, dvr.div(b2, 4), dvr.div(b4, 2), dvr.div(b6, 4))
     if kind == "sf":
         raise TateError("reduction is singular but the 2-division cubic is squarefree")
-    y0 = k.div(-(r1 * x0 + r3), 2)
+    y0 = dvr.div(-(r1 * x0 + r3), 2)
     return x0, y0
 
 
@@ -357,8 +303,7 @@ def _tate_core(dvr, a2_in, a4_in) -> LocalReduction:
     """
     zero = 0 * a2_in
     ai = [zero, a2_in, zero, a4_in, zero]
-    k = dvr.k
-    char2 = k.char == 2
+    char2 = dvr.char == 2
 
     while True:
         a1, a2, a3, a4, a6 = ai
@@ -370,7 +315,7 @@ def _tate_core(dvr, a2_in, a4_in) -> LocalReduction:
             raise TateError("singular model (discriminant 0)")
 
         x0, y0 = _singular_point(dvr, ai)
-        ai = _translate(ai, dvr.lift(x0), zero, dvr.lift(y0))
+        ai = _translate(ai, x0, zero, y0)
         a1, a2, a3, a4, a6 = ai
         if min(dvr.val(a3), dvr.val(a4), dvr.val(a6)) < 1:
             raise TateError("singular point not at the origin after translation")
@@ -382,17 +327,16 @@ def _tate_core(dvr, a2_in, a4_in) -> LocalReduction:
 
         if multiplicative:
             if char2:
-                split = k.is_zero(dvr.residue(a2))
+                split = dvr.is_zero(dvr.residue(a2))
             else:
-                split = k.is_square(dvr.residue(a2))
+                split = dvr.is_square(dvr.residue(a2))
             c = n if split else (2 if n % 2 == 0 else 1)
             red = SPLIT_MULT if split else NONSPLIT_MULT
             return LocalReduction(KodairaSymbol("I", n), c, red, n, 1)
 
         # additive: normalize a3 (and a2 at residue characteristic 2)
         if char2:
-            s = dvr.lift(k.sqrt(dvr.residue(a2)))
-            ai = _translate(ai, zero, s, zero)
+            ai = _translate(ai, zero, dvr.sqrt(dvr.residue(a2)), zero)
         else:
             ai = _translate(ai, zero, zero, -ai[2] // 2)
         a1, a2, a3, a4, a6 = ai
@@ -405,13 +349,15 @@ def _tate_core(dvr, a2_in, a4_in) -> LocalReduction:
         if dvr.val(b6) < 3:
             A = dvr.residue(dvr.shift(a3, -1))
             B = dvr.residue(dvr.shift(a6, -2))
-            c = 3 if _quad_y_has_root(k, A, B) else 1
+            # v(b6) = 2 makes A a unit, so Y^2 + AY - B is separable
+            _, has_root, _ = _quadratic(dvr, 1, A, -B)
+            c = 3 if has_root else 1
             return LocalReduction(KodairaSymbol("IV"), c, ADDITIVE, n, n - 2)
 
         # step 6 normalization: pi | a1, a2; pi^2 | a3, a4; pi^3 | a6
         if char2:
             tau = dvr.residue(dvr.shift(a6, -2))
-            ai = _translate(ai, zero, zero, dvr.shift(dvr.lift(tau), 1))
+            ai = _translate(ai, zero, zero, dvr.shift(tau, 1))
             a1, a2, a3, a4, a6 = ai
         if not (
             dvr.val(a1) >= 1
@@ -425,13 +371,13 @@ def _tate_core(dvr, a2_in, a4_in) -> LocalReduction:
         P_a = dvr.residue(dvr.shift(a2, -1))
         P_b = dvr.residue(dvr.shift(a4, -2))
         P_c = dvr.residue(dvr.shift(a6, -3))
-        kind, nroots, x0 = _cubic_analysis(k, P_a, P_b, P_c)
+        kind, nroots, x0 = _cubic_analysis(dvr, P_a, P_b, P_c)
 
         if kind == "sf":
             return LocalReduction(KodairaSymbol("I*", 0), 1 + nroots, ADDITIVE, n, n - 4)
 
         if kind == "double":
-            ai = _translate(ai, dvr.shift(dvr.lift(x0), 1), zero, zero)
+            ai = _translate(ai, dvr.shift(x0, 1), zero, zero)
             if not char2:
                 ai = _translate(ai, zero, zero, -ai[2] // 2)
             a1, a2, a3, a4, a6 = ai
@@ -443,42 +389,43 @@ def _tate_core(dvr, a2_in, a4_in) -> LocalReduction:
                     kk = (m + 1) // 2
                     A = dvr.residue(dvr.shift(a3, -(kk + 1)))
                     B = dvr.residue(dvr.shift(a6, -(2 * kk + 2)))
-                    if _quad_y_separable(k, A, B):
-                        c = 4 if _quad_y_has_root(k, A, B) else 2
+                    separable, has_root, y0 = _quadratic(dvr, 1, A, -B)
+                    if separable:
+                        c = 4 if has_root else 2
                         return LocalReduction(
                             KodairaSymbol("I*", m), c, ADDITIVE, n, n - 4 - m
                         )
-                    y0 = _quad_y_double_root(k, A, B)
-                    ai = _translate(ai, zero, zero, dvr.shift(dvr.lift(y0), kk + 1))
+                    ai = _translate(ai, zero, zero, dvr.shift(y0, kk + 1))
                 else:
                     kk = m // 2
                     C = dvr.residue(dvr.shift(a2, -1))
                     D = dvr.residue(dvr.shift(a4, -(kk + 2)))
                     E = dvr.residue(dvr.shift(a6, -(2 * kk + 3)))
-                    if _quad_x_separable(k, C, D, E):
-                        c = 4 if _quad_x_has_root(k, C, D, E) else 2
+                    # C is a unit: v(a2) = 1 holds throughout the loop
+                    separable, has_root, x1 = _quadratic(dvr, C, D, E)
+                    if separable:
+                        c = 4 if has_root else 2
                         return LocalReduction(
                             KodairaSymbol("I*", m), c, ADDITIVE, n, n - 4 - m
                         )
-                    x1 = _quad_x_double_root(k, C, D, E)
-                    ai = _translate(ai, dvr.shift(dvr.lift(x1), kk + 1), zero, zero)
+                    ai = _translate(ai, dvr.shift(x1, kk + 1), zero, zero)
                 a1, a2, a3, a4, a6 = ai
                 m += 1
                 if m > n:
                     raise TateError("I_m* subprocedure failed to terminate")
 
         # triple root
-        ai = _translate(ai, dvr.shift(dvr.lift(x0), 1), zero, zero)
+        ai = _translate(ai, dvr.shift(x0, 1), zero, zero)
         a1, a2, a3, a4, a6 = ai
         if dvr.val(a2) < 2 or dvr.val(a4) < 3 or dvr.val(a6) < 4:
             raise TateError("triple-root translation failed")
         A = dvr.residue(dvr.shift(a3, -2))
         B = dvr.residue(dvr.shift(a6, -4))
-        if _quad_y_separable(k, A, B):
-            c = 3 if _quad_y_has_root(k, A, B) else 1
+        separable, has_root, y0 = _quadratic(dvr, 1, A, -B)
+        if separable:
+            c = 3 if has_root else 1
             return LocalReduction(KodairaSymbol("IV*"), c, ADDITIVE, n, n - 6)
-        y0 = _quad_y_double_root(k, A, B)
-        ai = _translate(ai, zero, zero, dvr.shift(dvr.lift(y0), 2))
+        ai = _translate(ai, zero, zero, dvr.shift(y0, 2))
         if not char2:
             ai = _translate(ai, zero, zero, -ai[2] // 2)
         a1, a2, a3, a4, a6 = ai

@@ -2,9 +2,9 @@
 
 The scan enumerates all t = m/n of bounded height rather than selecting t
 by prime constellations: the selection argument proves existence, while
-enumeration finds witnesses at desk scale.  Work is sharded round-robin
-over worker processes and merged by a deterministic sort, so two runs with
-identical parameters produce byte-identical output.
+enumeration finds witnesses at desk scale.  Tasks are ordered by
+(height, t) and worker processes return results in task order, so two runs
+with identical parameters produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -191,7 +191,6 @@ def run_scan(
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_worker, tasks, chunksize=32))
-    results.sort(key=lambda r: (max(abs(r.t.numerator), r.t.denominator), r.t))
     return results
 
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +35,8 @@ KNOWN_Q_CURVES = [
     (0, 1, 2, "II", 1, "additive", 6),
     (0, 4, 2, "I3*", 4, "additive", 5),
     (0, -4, 2, "I2*", 4, "additive", 6),
+    # the I_m* loop at p = 3 meets the double root X = 1 of 2(X - 1)^2 at m = 2
+    (-30, -18, 3, "I3*", 4, "additive", 2),
 ]
 
 
@@ -78,6 +81,36 @@ def test_isogenous_curves_share_conductor_exponents():
                 assert fE == fD, (a, b, p, fE, fD)
                 pairs += 1
     assert pairs >= 1800, pairs
+
+
+def _tate_grid_lines():
+    """One line per (a, b, p, E or E'): |a|, |b| <= 12 and p in {2, 3}.
+
+    tests/data/tate-grid-2-3.txt holds its output, written before the
+    residue fields of Tate's algorithm were folded into the DVRs."""
+    lines = []
+    for a in range(-12, 13):
+        for b in range(-12, 13):
+            if b == 0 or a * a == 4 * b:
+                continue
+            E = TwoTorsionModel.over_q(a, b)
+            for p in (2, 3):
+                for side, curve in (("E", E), ("E'", dual_model(E))):
+                    r = tate_local(curve, Place.prime(p))
+                    lines.append(
+                        f"{a} {b} {p} {side} {r.kodaira} {r.tamagawa} {r.reduction} "
+                        f"{r.min_disc_valuation} {r.conductor_exponent}\n"
+                    )
+    return lines
+
+
+def test_tate_matches_golden_grid_at_2_and_3():
+    """Kodaira symbols, Tamagawa numbers, reduction types, minimal discriminant
+    valuations and conductor exponents at the wild primes equal the stored
+    table (2,376 lines).  At p = 2 it reaches IV and IV* with c = 1 and 3,
+    I1*..I5* with c = 2 and 4, III* and II*; at p = 3, Im* with c = 2 and 4."""
+    golden = Path(__file__).parent / "data" / "tate-grid-2-3.txt"
+    assert "".join(_tate_grid_lines()) == golden.read_text()
 
 
 def test_family_local_fixtures():
