@@ -213,6 +213,14 @@ def f2_echelon(vectors) -> tuple[int, ...]:
     return tuple(basis)
 
 
+def f2_span(basis) -> set[int]:
+    """Every element of the F_2-span of int bitmasks, 0 included."""
+    span = {0}
+    for v in basis:
+        span |= {s ^ v for s in span}
+    return span
+
+
 def is_square_rational(q: RationalLike) -> bool:
     """Exact test: is q the square of a rational?"""
     q = Fraction(q)
@@ -260,6 +268,36 @@ def is_square_local(q: RationalLike, place: int | str) -> bool:
         return r == 1
     r = u.numerator * pow(u.denominator, -1, p) % p
     return pow(r, (p - 1) // 2, p) == 1
+
+
+def hilbert_symbol(x: RationalLike, y: RationalLike, place: int | str) -> int:
+    """The Hilbert symbol (x, y) at `place` (a prime, or REAL_PLACE), as +1 or -1.
+
+    Serre, A Course in Arithmetic, III.1.2: with x = p^alpha u, y = p^beta v,
+    (x, y)_p = (-1)^(alpha beta eps(p)) (u|p)^beta (v|p)^alpha at odd p, and
+    (x, y)_2 = (-1)^(eps(u) eps(v) + alpha omega(v) + beta omega(u)), where
+    eps(u) = (u-1)/2 and omega(u) = (u^2-1)/8 mod 2.
+    """
+    if x == 0 or y == 0:
+        raise ValueError("the Hilbert symbol is defined on nonzero rationals")
+    if place == REAL_PLACE:
+        return -1 if x < 0 and y < 0 else 1
+    p = int(place)
+    # n/d and n*d have the same square class; ints carry denominator 1
+    x, y = x.numerator * x.denominator, y.numerator * y.denominator
+    alpha, beta = int_valuation(x, p), int_valuation(y, p)
+    u, v = x // p**alpha, y // p**beta
+    if p == 2:
+        eps_u, eps_v = u % 4 == 3, v % 4 == 3
+        omega_u, omega_v = u % 8 in (3, 5), v % 8 in (3, 5)
+        odd = (eps_u and eps_v) ^ (alpha % 2 == 1 and omega_v) ^ (beta % 2 == 1 and omega_u)
+    else:
+        odd = alpha * beta % 2 == 1 and p % 4 == 3
+        if beta % 2 and pow(u, (p - 1) // 2, p) != 1:
+            odd = not odd
+        if alpha % 2 and pow(v, (p - 1) // 2, p) != 1:
+            odd = not odd
+    return -1 if odd else 1
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,10 @@ included).  Sel_phi(E/Q) is the set of classes passing this test at every
 place; it suffices to test the real place, 2, and the odd primes dividing
 b(a^2-4b): at any other odd prime the torsor has good reduction, so it has
 F_p-points by Hasse-Weil and they lift by Hensel.
+
+Only the torsors of (a, b) are swept.  At each tested place the image for
+the dual model (-2a, a^2-4b), which gives Sel_phi-hat(E'/Q), is the
+annihilator of this one under the Hilbert symbol.
 """
 
 from __future__ import annotations
@@ -21,7 +25,18 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import modp
-from .arith import _INF, SquareClassQ, f2_echelon, f2_reduce, factor, horner, int_valuation
+from .arith import (
+    _INF,
+    REAL_PLACE,
+    SquareClassQ,
+    f2_echelon,
+    f2_reduce,
+    f2_span,
+    factor,
+    hilbert_symbol,
+    horner,
+    int_valuation,
+)
 from .curve import (
     AffinePoint,
     TwoTorsionModel,
@@ -319,22 +334,40 @@ def _place_representatives(place: Place) -> list[SquareClassQ]:
     return [SquareClassQ(1, s) for s in sups]
 
 
-def _image_at_place(a: int, b: int, place: Place) -> tuple[int, ...]:
-    """Im(delta_{E',v}) for the model (a, b), as echelonized local vectors."""
-    vecs = set()
-    for rep in _place_representatives(place):
-        tor = Torsor(rep.value(), a, b)
-        if torsor_solvable_at(tor, place):
-            vecs.add(_local_coords(rep, place))
-    assert 0 in vecs, "the trivial class must always be in the local image"
-    # the image of a homomorphism is a subgroup: demand closure
+def _subgroup_basis(vecs: set[int], place: Place) -> tuple[int, ...]:
+    """Echelon basis of a local image, which must be a subgroup (0 included)."""
     basis = f2_echelon(vecs)
-    span = {0}
-    for v in basis:
-        span |= {s ^ v for s in span}
-    if span != vecs:
+    if f2_span(basis) != vecs:
         raise AssertionError(f"local image at {place} is not a subgroup: {sorted(vecs)}")
     return basis
+
+
+def _image_at_place(a: int, b: int, place: Place) -> tuple[int, ...]:
+    """Im(delta_{E',v}) for the model (a, b), as echelonized local vectors."""
+    vecs = {
+        _local_coords(rep, place)
+        for rep in _place_representatives(place)
+        if torsor_solvable_at(Torsor(rep.value(), a, b), place)
+    }
+    return _subgroup_basis(vecs, place)
+
+
+def _dual_image(basis, place: Place) -> tuple[int, ...]:
+    """The local image for the dual model (-2a, a^2-4b), from that of (a, b).
+
+    The two images are exact annihilators of each other under the Hilbert
+    symbol (Cassels, Arithmetic on curves of genus 1 VIII, 1965; Schaefer and
+    Stoll, Trans. AMS 356, 2004): a class lies in one iff it pairs trivially
+    with every basis class of the other.
+    """
+    key = REAL_PLACE if place.kind == "real" else place.p
+    by_coords = {_local_coords(r, place): r.value() for r in _place_representatives(place)}
+    gens = [by_coords[v] for v in basis]
+    vecs = {v for v, x in by_coords.items() if all(hilbert_symbol(x, g, key) == 1 for g in gens)}
+    dual = _subgroup_basis(vecs, place)
+    if len(basis) + len(dual) != _local_dim(place):
+        raise AssertionError(f"the Hilbert pairing at {place} is degenerate")
+    return dual
 
 
 def _quotient_coords(v: int, dim: int, img_basis) -> list[int]:
@@ -364,45 +397,31 @@ class SelmerGroup:
         return cls in set(self.elements())
 
 
-def _selmer_model_data(a: int, b: int, odd_primes):
-    """Selmer data for the isogeny whose torsors are Torsor(d, a, b).
+def _selmer_basis(images: dict[Place, tuple[int, ...]]) -> tuple[SquareClassQ, ...]:
+    """The Selmer basis cut out by echelonized local images at the tested places.
 
-    The classes computed are those of x-coordinates on the dual model
-    (-2a, a^2-4b); candidates are supported on -1, 2 and the odd primes of
-    b(a^2-4b) per the standard descent bound.  Returns the Selmer basis and
-    the echelonized local image at each tested place.
+    The places are the real place, 2 and the odd primes of b(a^2-4b); per the
+    standard descent bound the candidates are the classes supported on -1
+    and those primes, one generator per place.  A candidate lies in the
+    Selmer group iff its local coordinates fall inside the image subgroup at
+    every tested place, an F_2-linear condition.
     """
-    gens = [SquareClassQ(-1, ()), SquareClassQ(1, (2,))] + [
-        SquareClassQ(1, (p,)) for p in odd_primes
-    ]
-    places = [REAL, Place.prime(2)] + [Place.prime(p) for p in odd_primes]
-    images = {}
-    for pl in places:
-        images[pl] = _image_at_place(a, b, pl)
-    # F_2-linear membership: a candidate lies in the Selmer group iff its
-    # local coordinates fall inside the image subgroup at every tested place
-    constraints = []
+    gens = [SquareClassQ(-1, ()) if pl.kind == "real" else SquareClassQ(1, (pl.p,)) for pl in images]
+    masks = []
     for g in gens:
         row = []
-        for pl in places:
-            row += _quotient_coords(_local_coords(g, pl), _local_dim(pl), images[pl])
-        constraints.append(row)
-    masks = []
-    for row in constraints:
-        m = 0
-        for i, bit in enumerate(row):
-            m |= bit << i
-        masks.append(m)
-    kernel = _f2_kernel(masks)
+        for pl, img in images.items():
+            row += _quotient_coords(_local_coords(g, pl), _local_dim(pl), img)
+        masks.append(sum(bit << i for i, bit in enumerate(row)))
     basis = []
-    for kmask in kernel:
+    for kmask in _f2_kernel(masks):
         cls = SquareClassQ(1, ())
         for i in range(len(gens)):
             if kmask >> i & 1:
                 cls = cls * gens[i]
         basis.append(cls)
     basis.sort(key=lambda c: (len(c.support), abs(c.value()), c.value()))
-    return tuple(basis), images
+    return tuple(basis)
 
 
 def _f2_kernel(rows: list[int]) -> list[int]:
@@ -427,10 +446,7 @@ def _f2_kernel(rows: list[int]) -> list[int]:
 def _image_classes(basis, place: Place) -> tuple[SquareClassQ, ...]:
     """The subgroup spanned by echelonized local vectors, as one class per element."""
     by_coords = {_local_coords(r, place): r for r in _place_representatives(place)}
-    span = {0}
-    for v in basis:
-        span |= {s ^ v for s in span}
-    return tuple(by_coords[v] for v in sorted(span))
+    return tuple(by_coords[v] for v in sorted(f2_span(basis)))
 
 
 @dataclass(frozen=True)
@@ -463,19 +479,21 @@ class Descent:
 def descend(E: TwoTorsionModel) -> Descent:
     """Sel_phi(E/Q), Sel_phi-hat(E'/Q), the local images and the Cassels check.
 
-    B is factored before A^2-4B, so a FactorizationEffortError (whose
-    message lands in skipped scan records) names the first of the two that
-    resists.  The Cassels check is |Sel_phi|/|Sel_phi-hat| =
-    prod_v |Im(delta_{E',v})|/2 over the tested places.
+    Torsors are swept for the integral model (A, B) only; the images for
+    (-2A, A^2-4B) follow by Hilbert duality at each tested place.  B is
+    factored before A^2-4B, so a FactorizationEffortError (whose message
+    lands in skipped scan records) names the first of the two that resists.
+    The Cassels check compares the global Selmer sizes with the local ones:
+    |Sel_phi|/|Sel_phi-hat| = prod_v |Im(delta_{E',v})|/2.
     """
     A, B, _ = integral_model(E)
     primes = factor(B).primes + factor(A * A - 4 * B).primes
     odd_support = tuple(sorted({p for p in primes if p != 2}))
-    basis_phi, images = _selmer_model_data(A, B, odd_support)
-    basis_hat, _ = _selmer_model_data(-2 * A, A * A - 4 * B, odd_support)
-    cassels_ok = (len(basis_phi) - len(basis_hat)) == sum(
-        len(img) - 1 for img in images.values()
-    )
+    places = [REAL, Place.prime(2)] + [Place.prime(p) for p in odd_support]
+    images = {pl: _image_at_place(A, B, pl) for pl in places}
+    basis_phi = _selmer_basis(images)
+    basis_hat = _selmer_basis({pl: _dual_image(img, pl) for pl, img in images.items()})
+    cassels_ok = len(basis_phi) - len(basis_hat) == sum(len(img) - 1 for img in images.values())
     return Descent(
         curve=E,
         integral=TwoTorsionModel.over_q(A, B),

@@ -8,11 +8,40 @@ from twodescent.arith import (
     SquareClassQ,
     factor,
     factor_rational,
+    hilbert_symbol,
     is_prime,
     is_square_local,
     square_class,
     valuation,
 )
+from twodescent.descent import _place_representatives
+from twodescent.localdata import REAL, Place
+
+# Serre, A Course in Arithmetic, III.1.2: rows and columns in the order of
+# the heading, "+" for +1 and "-" for -1
+SERRE_TABLES = {
+    "real": ((1, -1), ("++", "+-")),
+    2: (
+        (1, 5, -1, -5, 2, 10, -2, -10),
+        (
+            "++++++++",
+            "++++----",
+            "++--++--",
+            "++----++",
+            "+-+-+-+-",
+            "+-+--+-+",
+            "+--++--+",
+            "+--+-++-",
+        ),
+    ),
+    3: ((1, 2, 3, 6), ("++++", "++--", "+--+", "+-+-")),
+    5: ((1, 2, 5, 10), ("++++", "++--", "+-+-", "+--+")),
+}
+HILBERT_PLACES = [REAL] + [Place.prime(p) for p in (2, 3, 5, 7, 11, 13, 23, 10007)]
+
+
+def _key(place):
+    return "real" if place.kind == "real" else place.p
 
 
 def test_valuation_examples():
@@ -101,3 +130,52 @@ def test_square_class_invariance_under_squares():
         assert square_class(q * r * r) == square_class(q)
     with pytest.raises(ValueError):
         square_class(0)
+
+
+def test_hilbert_symbol_serre_tables():
+    for place, (reps, rows) in SERRE_TABLES.items():
+        for x, row in zip(reps, rows):
+            for y, sign in zip(reps, row):
+                assert hilbert_symbol(x, y, place) == (1 if sign == "+" else -1), (x, y, place)
+    # rationals enter through their square classes
+    assert hilbert_symbol(Fraction(1, 2), 5, 2) == -1
+    assert hilbert_symbol(Fraction(3, 4), Fraction(9, 2), 3) == hilbert_symbol(3, 2, 3) == -1
+    with pytest.raises(ValueError):
+        hilbert_symbol(0, 3, 3)
+
+
+def test_hilbert_symbol_symmetric_and_bilinear():
+    for pl in HILBERT_PLACES:
+        reps = [r.value() for r in _place_representatives(pl)]
+        for x in reps:
+            for y in reps:
+                s = hilbert_symbol(x, y, _key(pl))
+                assert s == hilbert_symbol(y, x, _key(pl)), (x, y, str(pl))
+                for z in reps:
+                    assert hilbert_symbol(x * z, y, _key(pl)) == s * hilbert_symbol(z, y, _key(pl)), (x, y, z, str(pl))
+
+
+def test_hilbert_symbol_steinberg_relations():
+    """(x, -x) = 1 for every x, and (x, 1 - x) = 1 for x != 0, 1."""
+    rng = random.Random(6)
+    for _ in range(300):
+        x = Fraction(rng.randint(1, 2000), rng.randint(1, 200)) * rng.choice([1, -1])
+        for pl in HILBERT_PLACES:
+            assert hilbert_symbol(x, -x, _key(pl)) == 1, (x, str(pl))
+            if x != 1:
+                assert hilbert_symbol(x, 1 - x, _key(pl)) == 1, (x, str(pl))
+
+
+def test_hilbert_symbol_product_formula():
+    """prod_v (x, y)_v = 1 over the real place and the primes of 2xy."""
+    rng = random.Random(7)
+    pairs = 0
+    while pairs < 3000:
+        x, y = (rng.randint(1, 10**5) * rng.choice([1, -1]) for _ in range(2))
+        if square_class(x).value() != x or square_class(y).value() != y:
+            continue
+        prod = hilbert_symbol(x, y, "real")
+        for p in set(factor(2 * x * y).primes):
+            prod *= hilbert_symbol(x, y, p)
+        assert prod == 1, (x, y)
+        pairs += 1

@@ -2,13 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oracles import oracle_selmer, oracle_torsor_solvable
-from twodescent.arith import SquareClassQ, square_class
+from twodescent.arith import SquareClassQ, factor, square_class
 from twodescent.curve import TwoTorsionModel, dual_model, integral_model, specialize
 from twodescent.descent import (
     RankStatus,
     Torsor,
+    _dual_image,
+    _image_at_place,
     descend,
     point_search,
     rank_bounds,
@@ -105,6 +109,64 @@ def test_searched_points_pass_local_solvability(small_curve_corpus):
             assert S_phi.contains(cls)
             found += 1
     assert found >= 30
+
+
+def assert_dual_images_match_sweep(A, B) -> int:
+    """At the real place, 2, 3, 5 and the primes of B(A^2-4B), the image
+    derived by Hilbert duality equals a torsor sweep of (-2A, A^2-4B).
+    Returns the number of places compared."""
+    primes = {2, 3, 5, *factor(B).primes, *factor(A * A - 4 * B).primes}
+    places = [REAL] + [Place.prime(p) for p in sorted(primes)]
+    for pl in places:
+        derived = _dual_image(_image_at_place(A, B, pl), pl)
+        assert derived == _image_at_place(-2 * A, A * A - 4 * B, pl), (A, B, str(pl))
+    return len(places)
+
+
+def test_dual_images_match_sweep_on_grid():
+    pairs = 0
+    for a in range(-20, 21):
+        for b in range(-20, 21):
+            if b != 0 and a * a != 4 * b:
+                pairs += assert_dual_images_match_sweep(a, b)
+    assert pairs == 8250
+
+
+def test_dual_images_match_sweep_on_corpus_and_fibers(small_curve_corpus):
+    curves = list(small_curve_corpus)
+    for name in ("rank0", "rank1", "rank2", "rank3", "rank4"):
+        rec = family_by_name(name)
+        bad = {pl.e for pl in rec.expected.all_places if pl.kind == "ft"}
+        ts = [Fraction(m, n) for m, n in enumerate_heights(6) if Fraction(m, n) not in bad]
+        curves += [specialize(rec.E, t) for t in ts]
+    pairs = 0
+    for E in curves:
+        A, B, _ = integral_model(E)
+        pairs += assert_dual_images_match_sweep(A, B)
+    assert pairs >= 1600, pairs
+
+
+@st.composite
+def deep_curves(draw):
+    """(a, b) with p^k | b or p^k | a^2-4b for a prime p >= 23 (the gcd and
+    Weil-bound path of _fp_analysis) or 2^k with k >= 4 (deep 2-adic
+    refinement)."""
+    p = draw(st.sampled_from([2, 23, 29, 31, 37, 43, 97, 101, 1009]))
+    k = draw(st.integers(4, 20) if p == 2 else st.integers(1, 4))
+    c = p**k * draw(st.integers(-40, 40).filter(bool))
+    h = draw(st.integers(-40, 40))
+    if draw(st.booleans()):
+        a, b = h, c  # p^k | b
+    else:
+        a, b = 2 * h, h * h - c  # a^2 - 4b = 4c
+    assume(b != 0 and a * a != 4 * b)
+    return a, b
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(deep_curves())
+def test_dual_images_match_sweep_on_deep_valuations(ab):
+    assert_dual_images_match_sweep(*ab)
 
 
 def test_local_image_is_group_of_size_1_2_4_or_8(small_curve_corpus):
