@@ -334,6 +334,11 @@ def _place_representatives(place: Place) -> list[SquareClassQ]:
     return [SquareClassQ(1, s) for s in sups]
 
 
+def _coord_representatives(place: Place) -> dict[int, SquareClassQ]:
+    """Each element of Q_v^x/(Q_v^x)^2 as its local coordinates -> a representative class."""
+    return {_local_coords(r, place): r for r in _place_representatives(place)}
+
+
 def _subgroup_basis(vecs: set[int], place: Place) -> tuple[int, ...]:
     """Echelon basis of a local image, which must be a subgroup (0 included)."""
     basis = f2_echelon(vecs)
@@ -342,17 +347,16 @@ def _subgroup_basis(vecs: set[int], place: Place) -> tuple[int, ...]:
     return basis
 
 
-def _image_at_place(a: int, b: int, place: Place) -> tuple[int, ...]:
-    """Im(delta_{E',v}) for the model (a, b), as echelonized local vectors."""
-    vecs = {
-        _local_coords(rep, place)
-        for rep in _place_representatives(place)
-        if torsor_solvable_at(Torsor(rep.value(), a, b), place)
-    }
+def _image_at_place(a: int, b: int, place: Place, reps: dict[int, SquareClassQ]) -> tuple[int, ...]:
+    """Im(delta_{E',v}) for the model (a, b), as echelonized local vectors.
+
+    `reps` is `_coord_representatives(place)`.
+    """
+    vecs = {v for v, rep in reps.items() if torsor_solvable_at(Torsor(rep.value(), a, b), place)}
     return _subgroup_basis(vecs, place)
 
 
-def _dual_image(basis, place: Place) -> tuple[int, ...]:
+def _dual_image(basis, place: Place, reps: dict[int, SquareClassQ]) -> tuple[int, ...]:
     """The local image for the dual model (-2a, a^2-4b), from that of (a, b).
 
     The two images are exact annihilators of each other under the Hilbert
@@ -361,9 +365,8 @@ def _dual_image(basis, place: Place) -> tuple[int, ...]:
     with every basis class of the other.
     """
     key = REAL_PLACE if place.kind == "real" else place.p
-    by_coords = {_local_coords(r, place): r.value() for r in _place_representatives(place)}
-    gens = [by_coords[v] for v in basis]
-    vecs = {v for v, x in by_coords.items() if all(hilbert_symbol(x, g, key) == 1 for g in gens)}
+    gens = [reps[v].value() for v in basis]
+    vecs = {v for v, r in reps.items() if all(hilbert_symbol(r.value(), g, key) == 1 for g in gens)}
     dual = _subgroup_basis(vecs, place)
     if len(basis) + len(dual) != _local_dim(place):
         raise AssertionError(f"the Hilbert pairing at {place} is degenerate")
@@ -397,21 +400,22 @@ class SelmerGroup:
         return cls in set(self.elements())
 
 
-def _selmer_basis(images: dict[Place, tuple[int, ...]]) -> tuple[SquareClassQ, ...]:
+def _selmer_basis(gens, gen_coords, images: dict[Place, tuple[int, ...]]) -> tuple[SquareClassQ, ...]:
     """The Selmer basis cut out by echelonized local images at the tested places.
 
     The places are the real place, 2 and the odd primes of b(a^2-4b); per the
     standard descent bound the candidates are the classes supported on -1
-    and those primes, one generator per place.  A candidate lies in the
-    Selmer group iff its local coordinates fall inside the image subgroup at
-    every tested place, an F_2-linear condition.
+    and those primes, spanned by `gens`, one generator per place.
+    gen_coords[i][j] is the local coordinate vector of gens[i] at the j-th
+    place of `images`.  A candidate lies in the Selmer group iff its local
+    coordinates fall inside the image subgroup at every tested place, an
+    F_2-linear condition.
     """
-    gens = [SquareClassQ(-1, ()) if pl.kind == "real" else SquareClassQ(1, (pl.p,)) for pl in images]
     masks = []
-    for g in gens:
+    for coords in gen_coords:
         row = []
-        for pl, img in images.items():
-            row += _quotient_coords(_local_coords(g, pl), _local_dim(pl), img)
+        for v, (pl, img) in zip(coords, images.items()):
+            row += _quotient_coords(v, _local_dim(pl), img)
         masks.append(sum(bit << i for i, bit in enumerate(row)))
     basis = []
     for kmask in _f2_kernel(masks):
@@ -443,10 +447,9 @@ def _f2_kernel(rows: list[int]) -> list[int]:
     return kernel
 
 
-def _image_classes(basis, place: Place) -> tuple[SquareClassQ, ...]:
+def _image_classes(basis, reps: dict[int, SquareClassQ]) -> tuple[SquareClassQ, ...]:
     """The subgroup spanned by echelonized local vectors, as one class per element."""
-    by_coords = {_local_coords(r, place): r for r in _place_representatives(place)}
-    return tuple(by_coords[v] for v in sorted(f2_span(basis)))
+    return tuple(reps[v] for v in sorted(f2_span(basis)))
 
 
 @dataclass(frozen=True)
@@ -472,8 +475,8 @@ class Descent:
         if place in self.images:
             return self.images[place]
         A, B = int(self.integral.a), int(self.integral.b)
-        basis = _image_at_place(A, B, place)
-        return _image_classes(basis, place)
+        reps = _coord_representatives(place)
+        return _image_classes(_image_at_place(A, B, place, reps), reps)
 
 
 def descend(E: TwoTorsionModel) -> Descent:
@@ -490,9 +493,13 @@ def descend(E: TwoTorsionModel) -> Descent:
     primes = factor(B).primes + factor(A * A - 4 * B).primes
     odd_support = tuple(sorted({p for p in primes if p != 2}))
     places = [REAL, Place.prime(2)] + [Place.prime(p) for p in odd_support]
-    images = {pl: _image_at_place(A, B, pl) for pl in places}
-    basis_phi = _selmer_basis(images)
-    basis_hat = _selmer_basis({pl: _dual_image(img, pl) for pl, img in images.items()})
+    reps = {pl: _coord_representatives(pl) for pl in places}
+    images = {pl: _image_at_place(A, B, pl, reps[pl]) for pl in places}
+    gens = [SquareClassQ(-1, ()) if pl.kind == "real" else SquareClassQ(1, (pl.p,)) for pl in places]
+    gen_coords = [[_local_coords(g, pl) for pl in places] for g in gens]
+    basis_phi = _selmer_basis(gens, gen_coords, images)
+    dual_images = {pl: _dual_image(img, pl, reps[pl]) for pl, img in images.items()}
+    basis_hat = _selmer_basis(gens, gen_coords, dual_images)
     cassels_ok = len(basis_phi) - len(basis_hat) == sum(len(img) - 1 for img in images.values())
     return Descent(
         curve=E,
@@ -500,7 +507,7 @@ def descend(E: TwoTorsionModel) -> Descent:
         odd_support=odd_support,
         phi=SelmerGroup(basis_phi),
         phi_hat=SelmerGroup(basis_hat),
-        images={pl: _image_classes(img, pl) for pl, img in images.items()},
+        images={pl: _image_classes(img, reps[pl]) for pl, img in images.items()},
         cassels_ok=cassels_ok,
     )
 
@@ -509,7 +516,7 @@ def descend(E: TwoTorsionModel) -> Descent:
 # point search and rank bounds
 # ----------------------------------------------------------------------
 
-_SIEVE_MOD = 720720  # 2^4 * 3^2 * 5 * 7 * 11 * 13
+_SIEVE_MOD = 55440  # 2^4 * 3^2 * 5 * 7 * 11
 
 
 @lru_cache(maxsize=1)
@@ -520,38 +527,51 @@ def _square_mask() -> bytearray:
     return mask
 
 
+def _numerator_candidates(B: int, height_bound: int) -> list[int]:
+    """0 and every u = +-d s^2 with d squarefree, d | B and d s^2 <= height bound."""
+    divisors = [1]
+    m = abs(B)
+    for p in range(2, height_bound + 1):
+        if m % p == 0:  # p is prime: every smaller prime is divided out of m
+            while m % p == 0:
+                m //= p
+            divisors += [d * p for d in divisors if d * p <= height_bound]
+    us = [0]
+    for d in divisors:
+        s = 1
+        while d * s * s <= height_bound:
+            us += [d * s * s, -d * s * s]
+            s += 1
+    return us
+
+
 def point_search(E: TwoTorsionModel, height_bound: int) -> list[AffinePoint]:
     """All points with x = u/v^2 on the integral model, |u|, v <= height bound.
 
     The denominator of x is a square for integral models with rational
     2-torsion, so this shape loses nothing; the search is sound but
-    incomplete.
+    incomplete.  Only numerators u = d s^2 (d signed and squarefree) with
+    d | B are tried: for gcd(u, v) = 1 a point needs d^3 s^4 + A d^2 s^2 v^2
+    + B d v^4 to be a square, and a prime of d not dividing B divides it once.
     """
     A, B, scale = integral_model(E)
     mask = _square_mask()
     found: dict[Fraction, AffinePoint] = {}
     s2 = scale * scale
     s3 = s2 * scale
-    for v in range(1, height_bound + 1):
-        v2 = v * v
-        v4 = v2 * v2
-        Av2 = A * v2
-        Bv4 = B * v4
-        for u in range(-height_bound, height_bound + 1):
-            N = u * (u * u + Av2 * u + Bv4)
-            if N < 0:
-                continue
-            if not mask[N % _SIEVE_MOD]:
-                continue
+    vs = [(v, v * v, v**4) for v in range(1, height_bound + 1)]
+    for u in _numerator_candidates(B, height_bound):
+        u2 = u * u
+        c3, c2, c1 = u2 * u, A * u2, B * u
+        sieved = [(v, N) for v, v2, v4 in vs if (N := c3 + c2 * v2 + c1 * v4) >= 0 and mask[N % _SIEVE_MOD]]
+        for v, N in sieved:
             if math.gcd(u, v) != 1:
                 continue
             w = math.isqrt(N)
             if w * w != N:
                 continue
-            x = Fraction(u, v2) / s2
-            if x in found:
-                continue
-            y = Fraction(w, v2 * v) / s3
+            x = Fraction(u, v * v) / s2
+            y = Fraction(w, v**3) / s3
             P = AffinePoint.of(x, y)
             if on_curve(E, P):
                 found[x] = P

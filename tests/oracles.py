@@ -151,6 +151,20 @@ def _prime_list(m: int) -> list[int]:
     return out
 
 
+def oracle_box_points(A: int, B: int, H: int) -> list[tuple[Fraction, Fraction]]:
+    """(x, y), y >= 0, on y^2 = x^3 + A x^2 + B x with x = u/v^2, gcd(u, v) = 1, |u|, v <= H.
+
+    A plain double loop over the box: no sieve, every u, an exact square test.
+    """
+    pts = []
+    for v in range(1, H + 1):
+        for u in range(-H, H + 1):
+            N = u * (u * u + A * u * v * v + B * v**4)
+            if math.gcd(u, v) == 1 and N >= 0 and math.isqrt(N) ** 2 == N:
+                pts.append((Fraction(u, v * v), Fraction(math.isqrt(N), v**3)))
+    return sorted(pts)
+
+
 def oracle_real_image_contains_minus1(A: int, B: int) -> bool:
     """Does E': y^2 = x^3 -2A x^2 + (A^2-4B)x have a real point with x < 0?
 

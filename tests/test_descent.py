@@ -5,12 +5,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_selmer, oracle_torsor_solvable
+from oracles import oracle_box_points, oracle_selmer, oracle_torsor_solvable
 from twodescent.arith import SquareClassQ, factor, square_class
 from twodescent.curve import TwoTorsionModel, dual_model, integral_model, specialize
 from twodescent.descent import (
     RankStatus,
     Torsor,
+    _coord_representatives,
     _dual_image,
     _image_at_place,
     descend,
@@ -118,8 +119,9 @@ def assert_dual_images_match_sweep(A, B) -> int:
     primes = {2, 3, 5, *factor(B).primes, *factor(A * A - 4 * B).primes}
     places = [REAL] + [Place.prime(p) for p in sorted(primes)]
     for pl in places:
-        derived = _dual_image(_image_at_place(A, B, pl), pl)
-        assert derived == _image_at_place(-2 * A, A * A - 4 * B, pl), (A, B, str(pl))
+        reps = _coord_representatives(pl)
+        derived = _dual_image(_image_at_place(A, B, pl, reps), pl, reps)
+        assert derived == _image_at_place(-2 * A, A * A - 4 * B, pl, reps), (A, B, str(pl))
     return len(places)
 
 
@@ -224,6 +226,71 @@ def test_point_search_rank0_finds_no_infinite_order():
     pts = point_search(Et, 200)
     rs = rank_bounds(descend(Et), pts, point_search(dual_model(Et), 200))
     assert rs.kind == "determined" and rs.value == 0
+
+
+def assert_point_search_matches_box(E, H) -> list:
+    """point_search(E, H) returns exactly the points of a plain box search
+    over |u|, v <= H on the integral model, scaled back to E; returns them."""
+    A, B, u = integral_model(E)
+    expected = [(x / u**2, y / u**3) for x, y in oracle_box_points(A, B, H)]
+    found = [(P.x, P.y) for P in point_search(E, H)]
+    assert found == expected, (E, H)
+    return found
+
+
+def test_point_search_matches_box_on_grid():
+    E = TwoTorsionModel.over_q(0, -25)
+    assert point_search(E, 0) == point_search(E, -1) == []
+    found = []
+    for a in range(-20, 21):
+        for b in range(-20, 21):
+            if b != 0 and a * a != 4 * b:
+                E = TwoTorsionModel.over_q(a, b)
+                for C in (E, dual_model(E)):
+                    for H in (1, 7, 30):
+                        found += assert_point_search_matches_box(C, H)
+    assert len(found) == 17636
+    assert sum(x < 0 for x, _ in found) == 2748
+
+
+def test_point_search_matches_box_on_fibers():
+    found = 0
+    for name in ("rank0", "rank1", "rank2", "rank3", "rank4"):
+        rec = family_by_name(name)
+        bad = {pl.e for pl in rec.expected.all_places if pl.kind == "ft"}
+        for m, n in enumerate_heights(6):
+            if Fraction(m, n) not in bad:
+                Et = specialize(rec.E, Fraction(m, n))
+                for C in (Et, dual_model(Et)):
+                    found += len(assert_point_search_matches_box(C, 32))
+    assert found == 1400
+
+
+DIVISORS_30030 = [d for d in range(1, 78) if 30030 % d == 0]  # the 24 up to 77
+
+
+@st.composite
+def many_divisor_curves(draw):
+    """(a, b, H) with 30030 = 2*3*5*7*11*13 dividing b, so that B has the most
+    squarefree divisors below H; half of the curves carry the point x = d for
+    a signed divisor d of 30030 (b = 30030 k, a = m^2 - d - b/d)."""
+    b = 30030 * draw(st.integers(-20, 20).filter(bool))
+    if draw(st.booleans()):
+        d = draw(st.sampled_from(DIVISORS_30030)) * draw(st.sampled_from([1, -1]))
+        a = draw(st.integers(0, 40)) ** 2 - d - b // d
+    else:
+        a = draw(st.integers(-200, 200))
+    assume(a * a != 4 * b)
+    return a, b, draw(st.integers(1, 64))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(many_divisor_curves())
+def test_point_search_matches_box_when_b_has_many_divisors(abh):
+    a, b, H = abh
+    E = TwoTorsionModel.over_q(a, b)
+    assert_point_search_matches_box(E, H)
+    assert_point_search_matches_box(dual_model(E), H)
 
 
 def test_rank_bounds_statuses():
