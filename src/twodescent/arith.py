@@ -202,12 +202,14 @@ def f2_reduce(v: int, basis) -> int:
 
 
 def f2_echelon(vectors) -> tuple[int, ...]:
-    """Echelon basis of the F_2-span of vectors given as int bitmasks,
-    sorted by decreasing leading bit."""
+    """The reduced echelon basis of the F_2-span of vectors given as int
+    bitmasks, sorted by decreasing leading bit: no vector has the leading bit
+    of another set, so the basis depends on the span alone."""
     basis: list[int] = []
     for v in sorted(vectors, reverse=True):
         v = f2_reduce(v, basis)
         if v:
+            basis = [min(b, b ^ v) for b in basis]
             basis.append(v)
             basis.sort(reverse=True)
     return tuple(basis)
@@ -245,59 +247,70 @@ def sqrt_rational(q: RationalLike) -> Fraction | None:
     return None
 
 
-def is_square_local(q: RationalLike, place: int | str) -> bool:
-    """Is q a square in the completion at `place` (a prime, or REAL_PLACE)?
-
-    Odd p: v_p(q) even and the unit part a quadratic residue mod p.
-    p = 2: v_2(q) even and the unit part congruent to 1 mod 8.
-    Real place: q > 0.
-    """
-    q = Fraction(q)
-    if q == 0:
-        raise ValueError("0 is excluded from local square testing")
+def local_dim(place: int | str) -> int:
+    """The F_2-dimension of Q_v^x/(Q_v^x)^2 at `place` (a prime, or REAL_PLACE)."""
     if place == REAL_PLACE:
-        return q > 0
+        return 1
+    return 3 if int(place) == 2 else 2
+
+
+def local_coords(q: RationalLike, place: int | str) -> int:
+    """The class of q in Q_v^x/(Q_v^x)^2 as an F_2 bitmask; `place` is
+    REAL_PLACE or a prime, which is not checked.
+
+    Real place: bit 0 is the sign.  With q = p^alpha u, u a p-adic unit: at
+    odd p, bit 0 says u is a non-residue and bit 1 that alpha is odd; at 2,
+    bit 0 says u = 3 (mod 4), bit 1 that u = +-3 (mod 8), bit 2 that alpha
+    is odd.
+    """
+    if q == 0:
+        raise ValueError("0 has no local square class")
+    if place == REAL_PLACE:
+        return int(q < 0)
     p = int(place)
-    v = valuation(q, p)
-    if v % 2 != 0:
-        return False
-    u = q / Fraction(p) ** v
-    # unit residue: numerator * inverse(denominator) mod p (or mod 8 at p=2)
+    # n/d and n*d have the same square class; ints carry denominator 1
+    n = q.numerator * q.denominator
+    alpha = int_valuation(n, p)
+    u = n // p**alpha
     if p == 2:
-        r = u.numerator * pow(u.denominator, -1, 8) % 8
-        return r == 1
-    r = u.numerator * pow(u.denominator, -1, p) % p
-    return pow(r, (p - 1) // 2, p) == 1
+        return (u % 4 == 3) | (u % 8 in (3, 5)) << 1 | (alpha & 1) << 2
+    return (pow(u, (p - 1) // 2, p) != 1) | (alpha & 1) << 1
 
 
-def hilbert_symbol(x: RationalLike, y: RationalLike, place: int | str) -> int:
-    """The Hilbert symbol (x, y) at `place` (a prime, or REAL_PLACE), as +1 or -1.
+def local_pairing(x: int, y: int, place: int | str) -> int:
+    """The Hilbert symbol on local coordinates, as 0 for +1 and 1 for -1.
 
     Serre, A Course in Arithmetic, III.1.2: with x = p^alpha u, y = p^beta v,
     (x, y)_p = (-1)^(alpha beta eps(p)) (u|p)^beta (v|p)^alpha at odd p, and
     (x, y)_2 = (-1)^(eps(u) eps(v) + alpha omega(v) + beta omega(u)), where
     eps(u) = (u-1)/2 and omega(u) = (u^2-1)/8 mod 2.
     """
-    if x == 0 or y == 0:
-        raise ValueError("the Hilbert symbol is defined on nonzero rationals")
     if place == REAL_PLACE:
-        return -1 if x < 0 and y < 0 else 1
-    p = int(place)
-    # n/d and n*d have the same square class; ints carry denominator 1
-    x, y = x.numerator * x.denominator, y.numerator * y.denominator
-    alpha, beta = int_valuation(x, p), int_valuation(y, p)
-    u, v = x // p**alpha, y // p**beta
-    if p == 2:
-        eps_u, eps_v = u % 4 == 3, v % 4 == 3
-        omega_u, omega_v = u % 8 in (3, 5), v % 8 in (3, 5)
-        odd = (eps_u and eps_v) ^ (alpha % 2 == 1 and omega_v) ^ (beta % 2 == 1 and omega_u)
-    else:
-        odd = alpha * beta % 2 == 1 and p % 4 == 3
-        if beta % 2 and pow(u, (p - 1) // 2, p) != 1:
-            odd = not odd
-        if alpha % 2 and pow(v, (p - 1) // 2, p) != 1:
-            odd = not odd
-    return -1 if odd else 1
+        return x & y & 1
+    if int(place) == 2:
+        # bits 0, 1, 2: eps(u), omega(u), alpha of x and eps(v), omega(v), beta of y
+        return (x & y ^ x >> 2 & y >> 1 ^ y >> 2 & x >> 1) & 1
+    # bits 0, 1: (u|p) = -1, alpha of x and (v|p) = -1, beta of y; bit 0 of
+    # p >> 1 is eps(p)
+    eps_p = int(place) >> 1
+    return (x >> 1 & y >> 1 & eps_p ^ x & y >> 1 ^ y & x >> 1) & 1
+
+
+def _check_place(place: int | str) -> None:
+    if place != REAL_PLACE and not is_prime(int(place)):
+        raise ValueError(f"{place} is not prime")
+
+
+def is_square_local(q: RationalLike, place: int | str) -> bool:
+    """Is q a square in the completion at `place` (a prime, or REAL_PLACE)?"""
+    _check_place(place)
+    return local_coords(q, place) == 0
+
+
+def hilbert_symbol(x: RationalLike, y: RationalLike, place: int | str) -> int:
+    """The Hilbert symbol (x, y) at `place` (a prime, or REAL_PLACE), as +1 or -1."""
+    _check_place(place)
+    return -1 if local_pairing(local_coords(x, place), local_coords(y, place), place) else 1
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,10 @@ F_p-points by Hasse-Weil and they lift by Hensel.
 
 Only the torsors of (a, b) are swept.  At each tested place the image for
 the dual model (-2a, a^2-4b), which gives Sel_phi-hat(E'/Q), is the
-annihilator of this one under the Hilbert symbol.
+annihilator of this one under the Hilbert symbol.  Square classes at a place
+are the F_2 coordinate vectors of `arith.local_coords`, the Hilbert symbol
+is `arith.local_pairing` on them, and both Selmer groups are kernels read
+off one `arith.f2_echelon` run each.
 """
 
 from __future__ import annotations
@@ -33,9 +36,11 @@ from .arith import (
     f2_reduce,
     f2_span,
     factor,
-    hilbert_symbol,
     horner,
     int_valuation,
+    local_coords,
+    local_dim,
+    local_pairing,
 )
 from .curve import (
     AffinePoint,
@@ -186,8 +191,8 @@ def _yun_odd_part_degree(G, Gd, p) -> int:
     a = modp.pgcd(G, Gd, p)
     if len(a) - 1 == 0:
         return len(G) - 1
-    b = modp._pquo(G, a, p)
-    cpart = modp._pquo(Gd, a, p)
+    b = modp.pdivmod(G, a, p)[0]
+    cpart = modp.pdivmod(Gd, a, p)[0]
     d = [(x - y) % p for x, y in _zip_pad(cpart, modp.pderiv(b, p))]
     modp.ptrim(d)
     deg_odd = 0
@@ -196,8 +201,8 @@ def _yun_odd_part_degree(G, Gd, p) -> int:
         A = modp.pgcd(b, d, p) if d else list(b)
         if i % 2 == 1:
             deg_odd += len(A) - 1
-        b = modp._pquo(b, A, p)
-        d2 = modp._pquo(d, A, p) if d else []
+        b = modp.pdivmod(b, A, p)[0]
+        d2 = modp.pdivmod(d, A, p)[0] if d else []
         d = [(x - y) % p for x, y in _zip_pad(d2, modp.pderiv(b, p))]
         modp.ptrim(d)
         i += 1
@@ -288,55 +293,21 @@ def torsor_solvable_at(tor: Torsor, place: Place) -> bool:
 # ----------------------------------------------------------------------
 
 
-def _local_dim(place: Place) -> int:
-    if place.kind == "real":
-        return 1
-    return 3 if place.p == 2 else 2
-
-
-def _local_coords(cls: SquareClassQ, place: Place) -> int:
-    """Coordinates of a square class in Q_v^x/(Q_v^x)^2 as an F_2 bitmask."""
-    if place.kind == "real":
-        return 1 if cls.sign < 0 else 0
-    p = place.p
-    if p == 2:
-        u = cls.sign
-        for q in cls.support:
-            if q != 2:
-                u = u * q
-        u %= 8
-        alpha = 1 if u in (3, 7) else 0
-        beta = 1 if u in (3, 5) else 0
-        vbit = 1 if 2 in cls.support else 0
-        return alpha | beta << 1 | vbit << 2
-    u = cls.sign
-    for q in cls.support:
-        if q != p:
-            u = u * q
-    chi = 0 if modp.legendre(u, p) == 1 else 1
-    vbit = 1 if p in cls.support else 0
-    return chi | vbit << 1
-
-
-def _place_representatives(place: Place) -> list[SquareClassQ]:
-    """Classes covering Q_v^x/(Q_v^x)^2 exactly once."""
-    if place.kind == "real":
-        return [SquareClassQ(1, ()), SquareClassQ(-1, ())]
-    p = place.p
-    if p == 2:
-        return [
-            SquareClassQ(s, sup)
-            for s in (1, -1)
-            for sup in ((), (5,), (2,), (2, 5))
-        ]
-    u = modp.smallest_nonresidue(p)
-    sups = [(), (u,), (p,), tuple(sorted((u, p)))]
-    return [SquareClassQ(1, s) for s in sups]
+def _key(place: Place) -> int | str:
+    """The place as `arith` names it: a prime, or REAL_PLACE."""
+    return REAL_PLACE if place.kind == "real" else place.p
 
 
 def _coord_representatives(place: Place) -> dict[int, SquareClassQ]:
     """Each element of Q_v^x/(Q_v^x)^2 as its local coordinates -> a representative class."""
-    return {_local_coords(r, place): r for r in _place_representatives(place)}
+    if place.kind == "real":
+        classes = [SquareClassQ(1, ()), SquareClassQ(-1, ())]
+    elif place.p == 2:
+        classes = [SquareClassQ(s, sup) for s in (1, -1) for sup in ((), (5,), (2,), (2, 5))]
+    else:
+        p, u = place.p, modp.smallest_nonresidue(place.p)
+        classes = [SquareClassQ(1, sup) for sup in ((), (u,), (p,), tuple(sorted((u, p))))]
+    return {local_coords(c.value(), _key(place)): c for c in classes}
 
 
 def _subgroup_basis(vecs: set[int], place: Place) -> tuple[int, ...]:
@@ -356,7 +327,7 @@ def _image_at_place(a: int, b: int, place: Place, reps: dict[int, SquareClassQ])
     return _subgroup_basis(vecs, place)
 
 
-def _dual_image(basis, place: Place, reps: dict[int, SquareClassQ]) -> tuple[int, ...]:
+def _dual_image(basis, place: Place) -> tuple[int, ...]:
     """The local image for the dual model (-2a, a^2-4b), from that of (a, b).
 
     The two images are exact annihilators of each other under the Hilbert
@@ -364,20 +335,13 @@ def _dual_image(basis, place: Place, reps: dict[int, SquareClassQ]) -> tuple[int
     Stoll, Trans. AMS 356, 2004): a class lies in one iff it pairs trivially
     with every basis class of the other.
     """
-    key = REAL_PLACE if place.kind == "real" else place.p
-    gens = [reps[v].value() for v in basis]
-    vecs = {v for v, r in reps.items() if all(hilbert_symbol(r.value(), g, key) == 1 for g in gens)}
+    key = _key(place)
+    dim = local_dim(key)
+    vecs = {v for v in range(1 << dim) if not any(local_pairing(v, g, key) for g in basis)}
     dual = _subgroup_basis(vecs, place)
-    if len(basis) + len(dual) != _local_dim(place):
+    if len(basis) + len(dual) != dim:
         raise AssertionError(f"the Hilbert pairing at {place} is degenerate")
     return dual
-
-
-def _quotient_coords(v: int, dim: int, img_basis) -> list[int]:
-    """Bits of v in a complement of the image subgroup (non-pivot coordinates)."""
-    v = f2_reduce(v, img_basis)
-    pivots = {b.bit_length() - 1 for b in img_basis}
-    return [v >> i & 1 for i in range(dim) if i not in pivots]
 
 
 @dataclass(frozen=True)
@@ -409,42 +373,28 @@ def _selmer_basis(gens, gen_coords, images: dict[Place, tuple[int, ...]]) -> tup
     gen_coords[i][j] is the local coordinate vector of gens[i] at the j-th
     place of `images`.  A candidate lies in the Selmer group iff its local
     coordinates fall inside the image subgroup at every tested place, an
-    F_2-linear condition.
+    F_2-linear condition: each generator's row holds its coordinates reduced
+    by the images, above one bit that marks the generator, and the kernel is
+    read off the reduced echelon rows whose reduced coordinates vanish.
     """
-    masks = []
-    for coords in gen_coords:
-        row = []
+    n = len(gens)
+    rows = []
+    for i, coords in enumerate(gen_coords):
+        row = 0
         for v, (pl, img) in zip(coords, images.items()):
-            row += _quotient_coords(v, _local_dim(pl), img)
-        masks.append(sum(bit << i for i, bit in enumerate(row)))
+            row = row << local_dim(_key(pl)) | f2_reduce(v, img)
+        rows.append(row << n | 1 << i)
     basis = []
-    for kmask in _f2_kernel(masks):
+    for kmask in f2_echelon(rows):
+        if kmask >> n:
+            continue
         cls = SquareClassQ(1, ())
-        for i in range(len(gens)):
+        for i in range(n):
             if kmask >> i & 1:
                 cls = cls * gens[i]
         basis.append(cls)
     basis.sort(key=lambda c: (len(c.support), abs(c.value()), c.value()))
     return tuple(basis)
-
-
-def _f2_kernel(rows: list[int]) -> list[int]:
-    """Kernel combinations of the F_2-linear map sending generator i to rows[i]."""
-    n = len(rows)
-    aug = [(rows[i], 1 << i) for i in range(n)]
-    basis: list[tuple[int, int]] = []
-    kernel = []
-    for vec, comb in aug:
-        for bvec, bcomb in basis:
-            if vec ^ bvec < vec:
-                vec ^= bvec
-                comb ^= bcomb
-        if vec:
-            basis.append((vec, comb))
-            basis.sort(reverse=True)
-        else:
-            kernel.append(comb)
-    return kernel
 
 
 def _image_classes(basis, reps: dict[int, SquareClassQ]) -> tuple[SquareClassQ, ...]:
@@ -496,9 +446,9 @@ def descend(E: TwoTorsionModel) -> Descent:
     reps = {pl: _coord_representatives(pl) for pl in places}
     images = {pl: _image_at_place(A, B, pl, reps[pl]) for pl in places}
     gens = [SquareClassQ(-1, ()) if pl.kind == "real" else SquareClassQ(1, (pl.p,)) for pl in places]
-    gen_coords = [[_local_coords(g, pl) for pl in places] for g in gens]
+    gen_coords = [[local_coords(g.value(), _key(pl)) for pl in places] for g in gens]
     basis_phi = _selmer_basis(gens, gen_coords, images)
-    dual_images = {pl: _dual_image(img, pl, reps[pl]) for pl, img in images.items()}
+    dual_images = {pl: _dual_image(img, pl) for pl, img in images.items()}
     basis_hat = _selmer_basis(gens, gen_coords, dual_images)
     cassels_ok = len(basis_phi) - len(basis_hat) == sum(len(img) - 1 for img in images.values())
     return Descent(

@@ -65,19 +65,20 @@ def pmul(f: list[int], g: list[int], p: int) -> list[int]:
     return ptrim(out)
 
 
-def pmod(f: list[int], g: list[int], p: int) -> list[int]:
-    """Remainder of f modulo g (g nonzero) over F_p."""
-    f = [c % p for c in f]
-    ptrim(f)
+def pdivmod(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of f by g (g nonzero) over F_p."""
+    r = ptrim([c % p for c in f])
     dg = len(g) - 1
     inv = pow(g[-1], -1, p)
-    while len(f) - 1 >= dg and f:
-        c = f[-1] * inv % p
-        shift = len(f) - 1 - dg
+    q = [0] * (len(r) - dg)
+    while len(r) > dg:
+        c = r[-1] * inv % p
+        shift = len(r) - 1 - dg
+        q[shift] = c
         for i, b in enumerate(g):
-            f[i + shift] = (f[i + shift] - c * b) % p
-        ptrim(f)
-    return f
+            r[i + shift] = (r[i + shift] - c * b) % p
+        ptrim(r)
+    return ptrim(q), r
 
 
 def pgcd(f: list[int], g: list[int], p: int) -> list[int]:
@@ -85,7 +86,7 @@ def pgcd(f: list[int], g: list[int], p: int) -> list[int]:
     f = ptrim([c % p for c in list(f)])
     g = ptrim([c % p for c in list(g)])
     while g:
-        f, g = g, pmod(f, g, p)
+        f, g = g, pdivmod(f, g, p)[1]
     if f:
         inv = pow(f[-1], -1, p)
         f = [c * inv % p for c in f]
@@ -99,11 +100,11 @@ def pderiv(f: list[int], p: int) -> list[int]:
 def ppow_x(e: int, modulus: list[int], p: int) -> list[int]:
     """X^e mod `modulus` over F_p by square and multiply."""
     result = [1]
-    base = pmod([0, 1], modulus, p)
+    base = pdivmod([0, 1], modulus, p)[1]
     while e:
         if e & 1:
-            result = pmod(pmul(result, base, p), modulus, p)
-        base = pmod(pmul(base, base, p), modulus, p)
+            result = pdivmod(pmul(result, base, p), modulus, p)[1]
+        base = pdivmod(pmul(base, base, p), modulus, p)[1]
         e >>= 1
     return result
 
@@ -152,22 +153,6 @@ def roots_deg_le2(f: list[int], p: int) -> list[int]:
     r1 = (-b + s) * inv % p
     r2 = (-b - s) * inv % p
     return sorted({r1, r2})
-
-
-def _pquo(f: list[int], g: list[int], p: int) -> list[int]:
-    f = [c % p for c in list(f)]
-    ptrim(f)
-    dg = len(g) - 1
-    inv = pow(g[-1], -1, p)
-    out = [0] * (len(f) - dg)
-    while len(f) - 1 >= dg and f:
-        c = f[-1] * inv % p
-        shift = len(f) - 1 - dg
-        out[shift] = c
-        for i, b in enumerate(g):
-            f[i + shift] = (f[i + shift] - c * b) % p
-        ptrim(f)
-    return ptrim(out)
 
 
 def smallest_nonresidue(p: int) -> int:

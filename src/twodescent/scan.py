@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import FactorizationEffortError, factor, valuation
+from .arith import FactorizationEffortError, factor
 from .curve import AffinePoint, TwoTorsionModel, dual_model, j_invariant, on_curve, specialize
 from .descent import RankStatus, SolvabilityPrecisionError, descend, point_search, rank_bounds
 from .family import FamilyRecord, excluded_primes, family_by_name
@@ -98,24 +98,26 @@ def _specialized_points(rec: FamilyRecord, E_t: TwoTorsionModel, t: Fraction, du
 
 
 def _pattern_primes(rec: FamilyRecord, t: Fraction):
-    """(p, class) for odd non-excluded primes with v_p(t - e) = 1, e in B."""
+    """(p, class) for odd non-excluded primes with v_p(t - e) = 1, e in B; the
+    place at infinity is read through its uniformizer 1/T."""
     excl = excluded_primes(rec.name)
     out = []
     for pl in sorted(rec.expected.all_places, key=str):
-        if pl.kind != "ft":
+        if pl.kind == "ft":
+            diff = t - pl.e
+        elif t:
+            diff = 1 / t
+        else:
             continue
-        diff = t - pl.e
         if diff == 0:
             continue
-        for p in factor(diff.numerator).primes:
-            if p == 2 or p in excl:
-                continue
-            if valuation(diff, p) == 1:
+        for p, e in factor(diff.numerator).factors:
+            if e == 1 and p != 2 and p not in excl:
                 out.append((p, rec.expected.class_of(pl)))
     return out
 
 
-def scan_one(name: str, m: int, n: int, search_bound: int = DEFAULT_SEARCH_BOUND) -> ScanResult:
+def scan_one(name: str, m: int, n: int) -> ScanResult:
     """Full descent record for the fiber at t = m/n."""
     rec = family_by_name(name)
     t = Fraction(m, n)
@@ -135,9 +137,8 @@ def scan_one(name: str, m: int, n: int, search_bound: int = DEFAULT_SEARCH_BOUND
 
     pts_e = _specialized_points(rec, E_t, t, dualside=False)
     pts_ep = _specialized_points(rec, E_t, t, dualside=True)
-    if search_bound:
-        pts_e += point_search(E_t, search_bound)
-        pts_ep += point_search(dual_model(E_t), search_bound)
+    pts_e += point_search(E_t, DEFAULT_SEARCH_BOUND)
+    pts_ep += point_search(dual_model(E_t), DEFAULT_SEARCH_BOUND)
     rank = rank_bounds(D, pts_e, pts_ep)
 
     # (1/2)|Im(delta_{E',p})| = c_p(E')/c_p(E) at odd p, as in
@@ -170,22 +171,13 @@ def _worker(args) -> ScanResult:
     return scan_one(*args)
 
 
-def run_scan(
-    family: str,
-    height_bound: int,
-    jobs: int = 1,
-    search_bound: int = DEFAULT_SEARCH_BOUND,
-) -> list[ScanResult]:
+def run_scan(family: str, height_bound: int, jobs: int = 1) -> list[ScanResult]:
     """Descent records for every admissible t of height at most height_bound."""
     rec = family_by_name(family)
     if height_bound < 1 or jobs < 1:
         raise ValueError("bounds and job counts must be positive")
     bad_ts = {pl.e for pl in rec.expected.all_places if pl.kind == "ft"}
-    tasks = [
-        (family, m, n, search_bound)
-        for m, n in enumerate_heights(height_bound)
-        if Fraction(m, n) not in bad_ts
-    ]
+    tasks = [(family, m, n) for m, n in enumerate_heights(height_bound) if Fraction(m, n) not in bad_ts]
     if jobs == 1:
         results = [_worker(task) for task in tasks]
     else:

@@ -11,10 +11,13 @@ from twodescent.arith import (
     hilbert_symbol,
     is_prime,
     is_square_local,
+    local_coords,
+    local_dim,
+    local_pairing,
     square_class,
     valuation,
 )
-from twodescent.descent import _place_representatives
+from twodescent.descent import _coord_representatives
 from twodescent.localdata import REAL, Place
 
 # Serre, A Course in Arithmetic, III.1.2: rows and columns in the order of
@@ -93,6 +96,10 @@ def test_is_square_local_examples():
     assert is_square_local(17, 2) is True
     assert is_square_local(2, 7) is True
     assert is_square_local(-4, "real") is False
+    with pytest.raises(ValueError):
+        is_square_local(0, 3)
+    with pytest.raises(ValueError):
+        is_square_local(3, 15)
 
 
 def test_is_square_local_properties():
@@ -142,11 +149,13 @@ def test_hilbert_symbol_serre_tables():
     assert hilbert_symbol(Fraction(3, 4), Fraction(9, 2), 3) == hilbert_symbol(3, 2, 3) == -1
     with pytest.raises(ValueError):
         hilbert_symbol(0, 3, 3)
+    with pytest.raises(ValueError):
+        hilbert_symbol(2, 3, 6)
 
 
 def test_hilbert_symbol_symmetric_and_bilinear():
     for pl in HILBERT_PLACES:
-        reps = [r.value() for r in _place_representatives(pl)]
+        reps = [r.value() for r in _coord_representatives(pl).values()]
         for x in reps:
             for y in reps:
                 s = hilbert_symbol(x, y, _key(pl))
@@ -179,3 +188,58 @@ def test_hilbert_symbol_product_formula():
             prod *= hilbert_symbol(x, y, p)
         assert prod == 1, (x, y)
         pairs += 1
+
+
+def _random_rational(rng, p):
+    """A signed rational times a random power of p, so that every class at p occurs."""
+    q = Fraction(rng.randint(1, 2000), rng.randint(1, 200)) * rng.choice([1, -1])
+    return q * Fraction(p) ** rng.randint(-3, 3)
+
+
+def test_local_coords_bit_layout():
+    """The documented bits: the sign at the real place; (u|p) = -1 and an odd
+    valuation at odd p; u = 3 (mod 4), u = +-3 (mod 8) and an odd valuation
+    at 2.  Swapping the last two bits at 2 leaves the pairing unchanged, so
+    only this test pins them."""
+    assert [local_coords(x, "real") for x in (5, Fraction(-1, 3))] == [0, 1]
+    assert [local_coords(x, 3) for x in (7, 2, 3, Fraction(-1, 3))] == [0, 0b01, 0b10, 0b11]
+    assert [local_coords(x, 2) for x in (17, -1, 5, 2, Fraction(-5, 2))] == [0, 0b001, 0b010, 0b100, 0b111]
+    with pytest.raises(ValueError):
+        local_coords(0, 5)
+
+
+def test_local_coords_homomorphism_square_invariant_zero_on_squares():
+    """local_coords is a homomorphism Q^x -> F_2^dim that is constant on
+    square classes, reaches every vector once on the representatives, and
+    is zero exactly on the local squares: x > 0 at the real place, else an
+    even valuation and a unit part among the squares mod p (mod 8 at 2),
+    found by enumerating the residues."""
+    rng = random.Random(8)
+    for pl in HILBERT_PLACES:
+        key = _key(pl)
+        assert sorted(_coord_representatives(pl)) == list(range(1 << local_dim(key)))
+        p = 3 if pl.kind == "real" else pl.p  # any base for the powers at the real place
+        m = 8 if p == 2 else p
+        residue_squares = {s * s % m for s in range(m)}
+        for _ in range(300):
+            x, y = _random_rational(rng, p), _random_rational(rng, p)
+            r = Fraction(rng.randint(1, 300), rng.randint(1, 300)) * Fraction(p) ** rng.randint(-2, 2)
+            cx = local_coords(x, key)
+            assert local_coords(x * y, key) == cx ^ local_coords(y, key), (x, y, str(pl))
+            assert local_coords(x * r * r, key) == cx, (x, r, str(pl))
+            if pl.kind == "real":
+                is_square = x > 0
+            else:
+                n = x.numerator * x.denominator
+                v = valuation(n, p)
+                is_square = v % 2 == 0 and n // p**v % m in residue_squares
+            assert (cx == 0) == is_square, (x, str(pl))
+
+
+def test_local_pairing_non_degenerate():
+    """Every nonzero local class pairs to -1 with some class, at every place."""
+    for pl in HILBERT_PLACES:
+        key = _key(pl)
+        vecs = range(1 << local_dim(key))
+        for x in vecs:
+            assert any(local_pairing(x, y, key) for y in vecs) == (x != 0), (x, str(pl))
