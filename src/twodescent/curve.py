@@ -135,11 +135,20 @@ def _coerce_coord(E: TwoTorsionModel, v):
 
 
 def on_curve(E: TwoTorsionModel, P: AffinePoint) -> bool:
-    """Exact check y^2 = x^3 + a x^2 + b x."""
+    """Exact check y^2 = x^3 + a x^2 + b x.
+
+    Over Q it runs on integers: with x = n/d, y = m/e, a = r/s and b = u/w,
+    both sides are multiplied by d^3 e^2 s w.
+    """
     if P.at_infinity:
         return True
     x, y = _coerce_coord(E, P.x), _coerce_coord(E, P.y)
     a, b = E.a, E.b
+    if E.domain == DOMAIN_Q:
+        n, d, m, e = x.numerator, x.denominator, y.numerator, y.denominator
+        r, s, u, w = a.numerator, a.denominator, b.numerator, b.denominator
+        rhs = n * (n * n * s * w + r * n * d * w + u * d * d * s)
+        return m * m * d**3 * s * w == rhs * e * e
     return _is_zero(y * y - (x * x * x + a * x * x + b * x))
 
 

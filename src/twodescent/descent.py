@@ -12,12 +12,15 @@ place; it suffices to test the real place, 2, and the odd primes dividing
 b(a^2-4b): at any other odd prime the torsor has good reduction, so it has
 F_p-points by Hasse-Weil and they lift by Hensel.
 
-Only the torsors of (a, b) are swept.  At each tested place the image for
-the dual model (-2a, a^2-4b), which gives Sel_phi-hat(E'/Q), is the
-annihilator of this one under the Hilbert symbol.  Square classes at a place
-are the F_2 coordinate vectors of `arith.local_coords`, the Hilbert symbol
-is `arith.local_pairing` on them, and both Selmer groups are kernels read
-off one `arith.f2_echelon` run each.
+Only the torsors of (a, b) are tested, and only for the classes that two
+bounds leave open: the image contains [a^2-4b] and pairs trivially with [b].
+Being a subgroup, it also contains the span of the classes found solvable
+and misses each coset of that span through a class found unsolvable.  At
+each tested place the image for the dual model (-2a, a^2-4b), which gives
+Sel_phi-hat(E'/Q), is the annihilator of this one under the Hilbert symbol.
+Square classes at a place are the F_2 coordinate vectors of
+`arith.local_coords`, the Hilbert symbol is `arith.local_pairing` on them,
+and both Selmer groups are kernels read off one `arith.f2_echelon` run each.
 """
 
 from __future__ import annotations
@@ -321,10 +324,24 @@ def _subgroup_basis(vecs: set[int], place: Place) -> tuple[int, ...]:
 def _image_at_place(a: int, b: int, place: Place, reps: dict[int, SquareClassQ]) -> tuple[int, ...]:
     """Im(delta_{E',v}) for the model (a, b), as echelonized local vectors.
 
-    `reps` is `_coord_representatives(place)`.
+    `reps` is `_coord_representatives(place)`.  The image contains [a^2-4b]
+    (z = 0 on its torsor) and pairs trivially with [b], which the dual image
+    contains, so classes pairing to -1 with [b] are skipped.  Since the image
+    is a subgroup, classes in the span of those found solvable, or in a coset
+    of that span through one found unsolvable, are skipped too.
     """
-    vecs = {v for v, rep in reps.items() if torsor_solvable_at(Torsor(rep.value(), a, b), place)}
-    return _subgroup_basis(vecs, place)
+    key = _key(place)
+    cb = local_coords(b, key)
+    inside = f2_echelon([local_coords(a * a - 4 * b, key)])
+    outside: list[int] = []
+    for v in sorted(reps):
+        if local_pairing(v, cb, key) or any(not f2_reduce(v ^ u, inside) for u in (0, *outside)):
+            continue
+        if torsor_solvable_at(Torsor(reps[v].value(), a, b), place):
+            inside = f2_echelon(inside + (v,))
+        else:
+            outside.append(v)
+    return inside
 
 
 def _dual_image(basis, place: Place) -> tuple[int, ...]:

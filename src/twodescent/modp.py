@@ -98,13 +98,29 @@ def pderiv(f: list[int], p: int) -> list[int]:
 
 
 def ppow_x(e: int, modulus: list[int], p: int) -> list[int]:
-    """X^e mod `modulus` over F_p by square and multiply."""
+    """X^e mod `modulus` over F_p by square and multiply.
+
+    The modulus is made monic once, and each product is reduced by it in
+    one pass from the top coefficient down.
+    """
+    inv = pow(modulus[-1], -1, p)
+    low = [c * inv % p for c in modulus[:-1]]  # X^n = -sum low[j] X^j
+    n = len(low)
+
+    def mulmod(f, g):
+        out = pmul(f, g, p)
+        while len(out) > n:
+            c, k = out.pop(), len(out) - n
+            for j, m in enumerate(low):
+                out[k + j] = (out[k + j] - c * m) % p
+        return ptrim(out)
+
     result = [1]
-    base = pdivmod([0, 1], modulus, p)[1]
+    base = mulmod([0, 1], [1])
     while e:
         if e & 1:
-            result = pdivmod(pmul(result, base, p), modulus, p)[1]
-        base = pdivmod(pmul(base, base, p), modulus, p)[1]
+            result = mulmod(result, base)
+        base = mulmod(base, base)
         e >>= 1
     return result
 

@@ -11,6 +11,9 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
+from twodescent.arith import f2_echelon, f2_span
+from twodescent.descent import Torsor, _coord_representatives, torsor_solvable_at
+
 INF = 10**9
 
 
@@ -94,6 +97,17 @@ def oracle_torsor_solvable(d: int, a: Fraction, b: Fraction, place) -> bool:
         return oracle_quartic_real(c4, c2, c0)
     l = math.lcm(c4.denominator, c2.denominator, c0.denominator) ** 2
     return oracle_quartic_qp(int(c4 * l), int(c2 * l), int(c0 * l), place)
+
+
+def oracle_local_image(a: int, b: int, place) -> tuple[int, ...]:
+    """Im(delta_{E',v}) for the model (a, b) by a full sweep: the torsor of
+    every class of Q_v^x/(Q_v^x)^2 is tested, with no bound and no skip.
+    Returns the echelon basis, after asserting the solvable set is a subgroup."""
+    reps = _coord_representatives(place)
+    vecs = {v for v, rep in reps.items() if torsor_solvable_at(Torsor(rep.value(), a, b), place)}
+    basis = f2_echelon(vecs)
+    assert f2_span(basis) == vecs, f"local image at {place} is not a subgroup: {sorted(vecs)}"
+    return basis
 
 
 def squarefree_sign_divisors(n: int) -> list[int]:

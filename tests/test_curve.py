@@ -75,6 +75,27 @@ def test_isogeny_kernel_and_homomorphism():
         assert R == multiply_point(E, P, 2)
 
 
+def test_on_curve_integer_check_matches_fraction_formula():
+    """Over the |a|, |b| <= 10 grid and the dual models, also rescaled to
+    non-integral coefficients (a/4, b/16) with x/4 and y/8, on_curve agrees
+    with the Fraction formula on searched points and on points moved off."""
+    seen = {True: 0, False: 0}
+    for a in range(-10, 11):
+        for b in range(-10, 11):
+            if b == 0 or a * a == 4 * b:
+                continue
+            E0 = TwoTorsionModel.over_q(a, b)
+            for C, s in ((C, s) for C in (E0, dual_model(E0)) for s in (1, 2)):
+                E = TwoTorsionModel.over_q(C.a / s**2, C.b / s**4)
+                pts = [(P.x / s**2, P.y / s**3) for P in point_search(C, 6)]
+                pts += [(x, y + Fraction(1, 3)) for x, y in pts] + [(Fraction(b, 7), Fraction(a, 5))]
+                for x, y in pts:
+                    want = y * y == x**3 + E.a * x * x + E.b * x
+                    assert on_curve(E, AffinePoint.of(x, y)) == want, (E, x, y)
+                    seen[want] += 1
+    assert seen == {True: 3249, False: 4903}
+
+
 def test_isogeny_rejects_off_curve():
     E = TwoTorsionModel.over_q(0, -1)
     with pytest.raises(OffCurveError):

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_box_points, oracle_selmer, oracle_torsor_solvable
+from oracles import oracle_box_points, oracle_local_image, oracle_selmer, oracle_torsor_solvable
+from twodescent import descent
 from twodescent.arith import SquareClassQ, factor, square_class
 from twodescent.curve import TwoTorsionModel, dual_model, integral_model, specialize
 from twodescent.descent import (
@@ -101,6 +102,26 @@ def test_selmer_bases_match_golden_grid():
     assert "".join(_selmer_grid_lines()) == golden.read_text()
 
 
+def test_bounded_sweep_tests_few_torsors(monkeypatch):
+    """On the |a|, |b| <= 15 grid, descend tests 3,439 torsors; the full sweep
+    of 2 + 8 + 4 classes per odd prime of b(a^2-4b) would test 16,008."""
+    calls = 0
+
+    def counted(tor, place):
+        nonlocal calls
+        calls += 1
+        return torsor_solvable_at(tor, place)
+
+    monkeypatch.setattr(descent, "torsor_solvable_at", counted)
+    full = 0
+    for a in range(-15, 16):
+        for b in range(-15, 16):
+            if b != 0 and a * a != 4 * b:
+                full += 10 + 4 * len(descend(TwoTorsionModel.over_q(a, b)).odd_support)
+    assert full == 16008
+    assert calls <= 3439
+
+
 def test_cassels_ratio_on_corpus(small_curve_corpus):
     for E in small_curve_corpus:
         assert descend(E).cassels_ok
@@ -138,15 +159,16 @@ def test_searched_points_pass_local_solvability(small_curve_corpus):
 
 
 def assert_dual_images_match_sweep(A, B) -> int:
-    """At the real place, 2, 3, 5 and the primes of B(A^2-4B), the image
-    derived by Hilbert duality equals a torsor sweep of (-2A, A^2-4B).
+    """At the real place, 2, 3, 5 and the primes of B(A^2-4B), the bounded
+    sweep of (A, B) equals the full sweep of its torsors, and the image
+    derived from it by Hilbert duality equals the full sweep of (-2A, A^2-4B).
     Returns the number of places compared."""
     primes = {2, 3, 5, *factor(B).primes, *factor(A * A - 4 * B).primes}
     places = [REAL] + [Place.prime(p) for p in sorted(primes)]
     for pl in places:
-        reps = _coord_representatives(pl)
-        derived = _dual_image(_image_at_place(A, B, pl, reps), pl)
-        assert derived == _image_at_place(-2 * A, A * A - 4 * B, pl, reps), (A, B, str(pl))
+        image = _image_at_place(A, B, pl, _coord_representatives(pl))
+        assert image == oracle_local_image(A, B, pl), (A, B, str(pl))
+        assert _dual_image(image, pl) == oracle_local_image(-2 * A, A * A - 4 * B, pl), (A, B, str(pl))
     return len(places)
 
 
