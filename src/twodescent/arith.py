@@ -109,10 +109,10 @@ class PrimeFactorization:
     sign: int
     factors: tuple[tuple[int, int], ...]
 
-    def value(self) -> Fraction:
-        v = Fraction(self.sign)
+    def value(self) -> int:
+        v = self.sign
         for p, e in self.factors:
-            v *= Fraction(p) ** e
+            v *= p**e
         return v
 
     @property
@@ -149,20 +149,6 @@ def factor(n: int) -> PrimeFactorization:
     sign = 1 if n > 0 else -1
     fac = _factor_positive(abs(n))
     return PrimeFactorization(sign, tuple(sorted(fac.items())))
-
-
-def factor_rational(q: RationalLike) -> PrimeFactorization:
-    """Factorization of a nonzero rational; denominator primes get negative exponents."""
-    q = Fraction(q)
-    if q == 0:
-        raise ValueError("cannot factor 0")
-    num = factor(q.numerator)
-    den = _factor_positive(q.denominator)
-    merged = dict(num.factors)
-    for p, e in den.items():
-        merged[p] = merged.get(p, 0) - e
-    items = tuple(sorted((p, e) for p, e in merged.items() if e != 0))
-    return PrimeFactorization(num.sign, items)
 
 
 def int_valuation(n: int, p: int) -> int:
@@ -349,6 +335,6 @@ def square_class(q: RationalLike) -> SquareClassQ:
     q = Fraction(q)
     if q == 0:
         raise ValueError("0 has no square class")
-    fac = factor_rational(q)
+    fac = factor(q.numerator * q.denominator)
     support = tuple(p for p, e in fac.factors if e % 2 != 0)
     return SquareClassQ(fac.sign, support)

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import modp
 from .arith import _INF, int_valuation, is_prime, is_square_rational, sqrt_rational
-from .curve import DOMAIN_Q, DOMAIN_QT, TwoTorsionModel, dual_model, integral_model
+from .curve import DOMAIN_Q, DOMAIN_QT, TwoTorsionModel, dual_model
 from .polyq import Poly, UnsupportedClassError, model_discriminant, rational_roots, splits_linearly
 
 GOOD = "good"
@@ -457,9 +457,10 @@ def tate_local(E: TwoTorsionModel, place: Place) -> LocalReduction:
     if E.domain == DOMAIN_Q:
         if place.kind != "prime":
             raise ValueError(f"place {place} is incompatible with a Q-curve")
-        # isomorphic models share their local data, so any integral one will do
-        A, B, _ = integral_model(E)
-        return _tate_core(_QpDVR(place.p), A, B)
+        # isomorphic models share their local data, and _tate_core reduces a
+        # non-minimal model, so clearing denominators will do
+        d = E.a.denominator * E.b.denominator
+        return _tate_core(_QpDVR(place.p), int(E.a * d * d), int(E.b * d**4))
     if place.kind == "ft":
         dvr = _FTDVR()
         return _tate_core(dvr, E.a.shift(place.e), E.b.shift(place.e))

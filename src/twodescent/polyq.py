@@ -6,11 +6,13 @@ zeros trimmed.  The zero polynomial has degree -1 (sentinel).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .arith import SquareClassQ, horner, square_class
+from .arith import _SMALL_PRIMES, SquareClassQ, horner, square_class
+from .modp import pgcd
 
 Coef = Union[int, Fraction]
 
@@ -223,32 +225,39 @@ def eval_at(f: Poly, t: Coef) -> Fraction:
 def rational_roots(f: Poly) -> list[tuple[Fraction, int]]:
     """All rational roots of a nonzero f with multiplicities, ascending.
 
-    Exact: roots are read off the linear factors of f over Q (sympy's
-    exact factorization; the rational-root-theorem divisor enumeration
-    blows up on the large constants that occur here).
+    The squarefree part h (integral, leading coefficient l) has simple roots
+    mod a prime p dividing neither l nor its discriminant; each lifts by
+    Newton's step mod q = p^(2^k).  A rational root r has l*r in Z with
+    |l*r| <= |l| + max|h_i| (Cauchy's bound), so once q exceeds twice that,
+    l*r is the symmetric residue of the lift, checked exactly by h(r) = 0.
     """
-    if f.is_zero:
-        raise ValueError("zero polynomial")
-    if f.degree == 0:
-        return []
     k = f.ord_at_zero()
     out: list[tuple[Fraction, int]] = [(Fraction(0), k)] if k else []
     g = f.shift_down(k)
-    if g.degree == 0:
-        return out
-    if g.degree == 1:
-        out.append((-g[0] / g[1], 1))
-        return sorted(out)
-    from sympy import Poly as SPoly, Rational, Symbol, factor_list
-
-    T = Symbol("T")
-    expr = sum(Rational(c.numerator, c.denominator) * T**i for i, c in enumerate(g.coeffs))
-    _, factors = factor_list(expr, T)
-    for fac, mult in factors:
-        sp = SPoly(fac, T)
-        if sp.degree() == 1:
-            c1, c0 = [Fraction(str(v)) for v in sp.all_coeffs()]
-            out.append((-c0 / c1, int(mult)))
+    h = g // g.gcd(Poly([i * c for i, c in enumerate(g.coeffs)][1:]))
+    den = math.lcm(*(c.denominator for c in h.coeffs))
+    h = [int(c * den) for c in h.coeffs]
+    dh = [i * c for i, c in enumerate(h)][1:]
+    lead, bound = h[-1], 2 * (abs(h[-1]) + max(map(abs, h)))
+    for p in _SMALL_PRIMES:
+        if lead % p and len(pgcd(h, dh, p)) == 1:
+            break
+    else:
+        raise ArithmeticError("no small prime keeps the roots of h distinct")
+    for r in (r for r in range(p) if horner(h, r) % p == 0):
+        q = p
+        while q <= bound:
+            q *= q
+            r = (r - horner(h, r) * pow(horner(dh, r), -1, q)) % q
+        c = lead * r % q
+        root = Fraction(c - q if 2 * c > q else c, lead)
+        if horner(h, root) == 0:
+            m, lin = 0, Poly.monic_linear(root)
+            quo, rem = g.divmod(lin)
+            while rem.is_zero:
+                g, m = quo, m + 1
+                quo, rem = g.divmod(lin)
+            out.append((root, m))
     return sorted(out)
 
 

@@ -193,3 +193,42 @@ def oracle_real_image_contains_minus1(A: int, B: int) -> bool:
         return False
     lo = Fraction(2 * A - math.isqrt(disc) - 2, 2)
     return lo < 0
+
+
+def _divisors(n: int) -> list[int]:
+    n = abs(n)
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return sorted(set(small) | {n // d for d in small})
+
+
+def oracle_rational_roots(coeffs) -> list[tuple[Fraction, int]]:
+    """Rational roots with multiplicities, ascending, of the nonzero
+    polynomial with the given rational coefficients (constant term first).
+
+    Scales to integers and tries every +-(divisor of the constant)/(divisor
+    of the leading coefficient) once the root 0 is divided out; each root's
+    multiplicity comes from repeated synthetic division.  Small
+    coefficients only: the divisor enumeration is exhaustive.
+    """
+    den = math.lcm(*(Fraction(c).denominator for c in coeffs))
+    F = [int(Fraction(c) * den) for c in coeffs]
+    while F[-1] == 0:
+        F.pop()
+    k = next(i for i, c in enumerate(F) if c)
+    out = [(Fraction(0), k)] if k else []
+    F = F[k:]
+    n = len(F) - 1
+    for u in _divisors(F[0]):
+        for v in _divisors(F[-1]):
+            for num in (u, -u) if math.gcd(u, v) == 1 else ():
+                if sum(c * num**i * v ** (n - i) for i, c in enumerate(F)):
+                    continue  # v^n F(num/v) != 0
+                r, m, G = Fraction(num, v), 0, F
+                while len(G) > 1 and peval(G, r) == 0:
+                    acc, quotient = 0, []
+                    for c in reversed(G[1:]):
+                        acc = acc * r + c
+                        quotient.append(acc)
+                    m, G = m + 1, quotient[::-1]
+                out.append((r, m))
+    return sorted(out)

@@ -7,7 +7,6 @@ from twodescent.arith import (
     PrimeFactorization,
     SquareClassQ,
     factor,
-    factor_rational,
     hilbert_symbol,
     is_prime,
     is_square_local,
@@ -88,8 +87,6 @@ def test_factor_roundtrip():
         assert f.value() == n
         assert all(is_prime(p) for p in f.primes)
         assert list(f.primes) == sorted(f.primes)
-    q = Fraction(-84, 550)
-    assert factor_rational(q).value() == q
 
 
 def test_is_square_local_examples():

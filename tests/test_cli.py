@@ -1,5 +1,11 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
+import twodescent
 from twodescent.cli import main
 
 
@@ -61,3 +67,35 @@ def test_scan_subcommand(tmp_path, capsys):
     for line in out_path.read_text().splitlines():
         rec = json.loads(line)
         assert rec["family"] == "rank0"
+
+
+def test_cli_loads_only_the_standard_library():
+    """family verify on every family, and tate at a place T - e and at
+    infinity, import nothing outside the standard library and twodescent
+    (in a fresh interpreter, so that the test suite's own imports do not
+    count)."""
+    script = textwrap.dedent(
+        """
+        import sys
+        before = set(sys.modules)
+        import contextlib, io, json
+        from twodescent.cli import main
+        from twodescent.family import family_by_name
+        with contextlib.redirect_stdout(io.StringIO()):
+            for name in ["rank0", "rank1", "rank2", "rank3", "rank4"]:
+                assert main(["family", "verify", name]) == 0
+            curve = json.dumps(family_by_name("rank4").E.to_json())
+            assert main(["tate", "--curve", curve, "--place", "T-11"]) == 0
+            assert main(["tate", "--curve", curve, "--place", "inf"]) == 0
+        print(" ".join(sorted(set(sys.modules) - before)))
+        """
+    )
+    src = str(Path(twodescent.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    loaded = run.stdout.split()
+    assert "twodescent.polyq" in loaded
+    # multiprocessing registers __main__ again as __mp_main__
+    allowed = sys.stdlib_module_names | {"twodescent", "__mp_main__"}
+    foreign = [m for m in loaded if m.partition(".")[0] not in allowed]
+    assert foreign == [], foreign

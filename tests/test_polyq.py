@@ -1,8 +1,12 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import oracle_rational_roots
 from twodescent.arith import SquareClassQ
 from twodescent.family import builtin_families, family_by_name
 from twodescent.polyq import (
@@ -59,6 +63,34 @@ def test_rational_roots_examples():
     assert rational_roots(T * T + 1) == []
     with pytest.raises(ValueError):
         rational_roots(Poly())
+
+
+@st.composite
+def split_times_irreducible(draw):
+    """(f, splits): a rational content times products of (n T - m)^k with
+    |m| <= 10, 1 <= n <= 5, k <= 3, sometimes times T^k, and sometimes
+    times T^2 + c or T^3 - c with c >= 1, which have no linear factor over Q
+    apart from T - c^(1/3) for a cube c; splits says whether f splits."""
+    f = Poly.const(Fraction(draw(st.integers(-30, 30).filter(bool)), draw(st.integers(1, 12))))
+    for _ in range(draw(st.integers(0, 3))):
+        m, n = draw(st.integers(-10, 10)), draw(st.integers(1, 5))
+        f = f * Poly([-m, n]) ** draw(st.integers(1, 3))
+    f = f * T ** draw(st.sampled_from([0, 0, 1, 2, 3]))
+    extra = draw(st.sampled_from(["", "", "quadratic", "cubic"]))
+    c = draw(st.integers(1, 30))
+    if extra == "quadratic":
+        f = f * (T * T + c)
+    elif extra == "cubic":
+        f = f * (T**3 - c)
+    return f, not extra
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(split_times_irreducible())
+def test_rational_roots_match_divisor_oracle(case):
+    f, splits = case
+    assert rational_roots(f) == oracle_rational_roots(f.coeffs), f
+    assert splits_linearly(f) == splits, f
 
 
 def test_splits_linearly():
@@ -131,3 +163,64 @@ def test_divmod_and_gcd():
     q, r = f.divmod(T - 2)
     assert r.is_zero and q == (T - 1) * (T + 3)
     assert f.gcd((T - 2) * (T + 7)) == T - 2
+
+
+def _golden_root_polys():
+    """(label, f): the discriminant, dual discriminant, b and a^2-4b of each
+    family, each also as f(T + e) at each finite bad place e and reversed
+    (T^deg f(1/T), the view from infinity); 600 seeded products of
+    (T - m/n)^k with |m| <= 10^6 and n <= 10^4, some times T^k, T^2 + c or
+    T^3 - c; and prod (T - r), r = 0..39, whose roots mod p collide for
+    every p <= 37."""
+    out = []
+    for rec in builtin_families():
+        E = rec.E
+        polys = {
+            "disc": model_discriminant(E.a, E.b),
+            "dual-disc": dual_discriminant(E.a, E.b),
+            "b": E.b,
+            "b-dual": E.b_dual,
+        }
+        places = sorted({r for r, _ in rational_roots(polys["disc"])})
+        for name, f in polys.items():
+            out.append((f"{rec.name} {name}", f))
+            for e in places:
+                out.append((f"{rec.name} {name} shifted by {e}", f.shift(e)))
+            out.append((f"{rec.name} {name} reversed", f.reverse_pad(f.degree)))
+    rng = random.Random(20261018)
+    for i in range(600):
+        f = Poly.const(Fraction(rng.choice([-1, 1]) * rng.randint(1, 10**4), rng.randint(1, 10**3)))
+        for _ in range(rng.randint(1, 4)):
+            root = Fraction(rng.randint(-(10**6), 10**6), rng.randint(1, 10**4))
+            f = f * Poly.monic_linear(root) ** rng.randint(1, 3)
+        extra = rng.randrange(4)
+        if extra == 1:
+            f = f * T ** rng.randint(1, 3)
+        elif extra == 2:
+            f = f * (T * T + rng.randint(1, 10**6))
+        elif extra == 3:
+            f = f * (T**3 - rng.randint(2, 10**6))
+        out.append((f"seeded {i}", f))
+    f = Poly.const(1)
+    for r in range(40):
+        f = f * Poly.monic_linear(r)
+    out.append(("prod T-r r=0..39", f))
+    return out
+
+
+def _rational_roots_lines():
+    """One line per polynomial of _golden_root_polys: its label, then its
+    rational roots as root:multiplicity, ascending.
+
+    tests/data/rational-roots.txt holds its output, written while the roots
+    were read off sympy's factorization over Q."""
+    lines = []
+    for label, f in _golden_root_polys():
+        roots = "".join(f" {r}:{m}" for r, m in rational_roots(f))
+        lines.append(f"{label} |{roots}\n")
+    return lines
+
+
+def test_rational_roots_match_golden_file():
+    golden = Path(__file__).parent / "data" / "rational-roots.txt"
+    assert "".join(_rational_roots_lines()) == golden.read_text()
