@@ -301,16 +301,21 @@ def _key(place: Place) -> int | str:
     return REAL_PLACE if place.kind == "real" else place.p
 
 
+# the classes with local coordinates 0, 1, ...: bit 0 is the class of -1 at
+# the real place; bits 0, 1, 2 are those of -1, 5 and 2 at 2, and at odd p
+# bits 0, 1 are those of the least non-residue u (a prime below p) and of p
+_REAL_REPS = {0: SquareClassQ(1, ()), 1: SquareClassQ(-1, ())}
+_TWO_REPS = {c: SquareClassQ(-1 if c & 1 else 1, (2,) * (c >> 2) + (5,) * (c >> 1 & 1)) for c in range(8)}
+
+
 def _coord_representatives(place: Place) -> dict[int, SquareClassQ]:
     """Each element of Q_v^x/(Q_v^x)^2 as its local coordinates -> a representative class."""
     if place.kind == "real":
-        classes = [SquareClassQ(1, ()), SquareClassQ(-1, ())]
-    elif place.p == 2:
-        classes = [SquareClassQ(s, sup) for s in (1, -1) for sup in ((), (5,), (2,), (2, 5))]
-    else:
-        p, u = place.p, modp.smallest_nonresidue(place.p)
-        classes = [SquareClassQ(1, sup) for sup in ((), (u,), (p,), tuple(sorted((u, p))))]
-    return {local_coords(c.value(), _key(place)): c for c in classes}
+        return _REAL_REPS
+    if place.p == 2:
+        return _TWO_REPS
+    p, u = place.p, modp.smallest_nonresidue(place.p)
+    return {0: SquareClassQ(1, ()), 1: SquareClassQ(1, (u,)), 2: SquareClassQ(1, (p,)), 3: SquareClassQ(1, (u, p))}
 
 
 def _subgroup_basis(vecs: set[int], place: Place) -> tuple[int, ...]:
@@ -483,15 +488,23 @@ def descend(E: TwoTorsionModel) -> Descent:
 # point search and rank bounds
 # ----------------------------------------------------------------------
 
-_SIEVE_MOD = 55440  # 2^4 * 3^2 * 5 * 7 * 11
+_SIEVE_MODULI = (16, 9, 5, 7, 11, 13, 17, 19, 23)
 
 
-@lru_cache(maxsize=1)
-def _square_mask() -> bytearray:
-    mask = bytearray(_SIEVE_MOD)
-    for r in range(_SIEVE_MOD):
-        mask[r * r % _SIEVE_MOD] = 1
-    return mask
+@lru_cache(maxsize=None)
+def _square_roots(q: int) -> dict[int, int]:
+    """Each square s mod q -> the bitmask of the v < q with v^2 = s (mod q)."""
+    return {s: sum(1 << v for v in range(q) if v * v % q == s) for s in {v * v % q for v in range(q)}}
+
+
+def _residue_pattern(q: int, r3: int, r2: int, r1: int) -> int:
+    """The v < q, as a bitmask, with r3 + r2 v^2 + r1 v^4 a square mod q."""
+    roots = _square_roots(q)
+    pattern = 0
+    for s, m in roots.items():
+        if (r3 + (r2 + r1 * s) * s) % q in roots:
+            pattern |= m
+    return pattern
 
 
 def _numerator_candidates(B: int, height_bound: int) -> list[int]:
@@ -520,19 +533,31 @@ def point_search(E: TwoTorsionModel, height_bound: int) -> list[AffinePoint]:
     incomplete.  Only numerators u = d s^2 (d signed and squarefree) with
     d | B are tried: for gcd(u, v) = 1 a point needs d^3 s^4 + A d^2 s^2 v^2
     + B d v^4 to be a square, and a prime of d not dividing B divides it once.
+    Each u sieves all v at once: u^3 + A u^2 v^2 + B u v^4 mod q needs only u, v^2 mod q.
     """
     A, B, scale = integral_model(E)
-    mask = _square_mask()
     found: dict[Fraction, AffinePoint] = {}
     s2 = scale * scale
     s3 = s2 * scale
-    vs = [(v, v * v, v**4) for v in range(1, height_bound + 1)]
+    full = (1 << max(height_bound, 0) + 1) - 2  # bit v for each denominator 1 <= v <= H
+    masks: dict[tuple[int, int], int] = {}  # (q, u mod q) -> the v passing mod q
     for u in _numerator_candidates(B, height_bound):
         u2 = u * u
         c3, c2, c1 = u2 * u, A * u2, B * u
-        sieved = [(v, N) for v, v2, v4 in vs if (N := c3 + c2 * v2 + c1 * v4) >= 0 and mask[N % _SIEVE_MOD]]
-        for v, N in sieved:
-            if math.gcd(u, v) != 1:
+        live = full
+        for q in _SIEVE_MODULI:
+            mask = masks.get((q, u % q))
+            if mask is None:
+                repunit = ((1 << q * (height_bound // q + 1)) - 1) // ((1 << q) - 1)
+                mask = masks[q, u % q] = _residue_pattern(q, c3 % q, c2 % q, c1 % q) * repunit & full
+            live &= mask
+            if not live:
+                break
+        while live:
+            v = (live & -live).bit_length() - 1
+            live &= live - 1
+            N = c3 + c2 * v * v + c1 * v**4
+            if math.gcd(u, v) != 1 or N < 0:
                 continue
             w = math.isqrt(N)
             if w * w != N:

@@ -18,6 +18,7 @@ from twodescent.arith import (
 )
 from twodescent.descent import _coord_representatives
 from twodescent.localdata import REAL, Place
+from twodescent.modp import smallest_nonresidue
 
 # Serre, A Course in Arithmetic, III.1.2: rows and columns in the order of
 # the heading, "+" for +1 and "-" for -1
@@ -203,6 +204,20 @@ def test_local_coords_bit_layout():
     assert [local_coords(x, 2) for x in (17, -1, 5, 2, Fraction(-5, 2))] == [0, 0b001, 0b010, 0b100, 0b111]
     with pytest.raises(ValueError):
         local_coords(0, 5)
+
+
+def test_coord_representatives_by_construction():
+    """The representatives built from their definition (1, u, p, u p at odd
+    p with u the least non-residue; constants at 2 and the real place) are
+    keyed by their own local coordinates, for every odd prime below 2000."""
+    places = [REAL, Place.prime(2)] + [Place.prime(p) for p in range(3, 2000, 2) if is_prime(p)]
+    for pl in places:
+        reps = _coord_representatives(pl)
+        assert reps == {local_coords(c.value(), _key(pl)): c for c in reps.values()}, str(pl)
+        assert sorted(reps) == list(range(1 << local_dim(_key(pl)))), str(pl)
+        if pl.kind == "prime" and pl.p != 2:
+            u = smallest_nonresidue(pl.p)
+            assert [c.value() for c in reps.values()] == [1, u, pl.p, u * pl.p], str(pl)
 
 
 def test_local_coords_homomorphism_square_invariant_zero_on_squares():

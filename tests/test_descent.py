@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -11,11 +12,13 @@ from twodescent import descent
 from twodescent.arith import SquareClassQ, factor, square_class
 from twodescent.curve import TwoTorsionModel, dual_model, integral_model, specialize
 from twodescent.descent import (
+    _SIEVE_MODULI,
     RankStatus,
     Torsor,
     _coord_representatives,
     _dual_image,
     _image_at_place,
+    _residue_pattern,
     descend,
     point_search,
     rank_bounds,
@@ -311,6 +314,39 @@ def test_point_search_matches_box_on_fibers():
                 for C in (Et, dual_model(Et)):
                     found += len(assert_point_search_matches_box(C, 32))
     assert found == 1400
+
+
+def test_point_search_matches_box_on_fibers_at_128():
+    """A fixed slice of the height <= 20 fibers, at the rank_search bound."""
+    found = 0
+    for name in ("rank0", "rank1", "rank2", "rank3", "rank4"):
+        rec = family_by_name(name)
+        bad = {pl.e for pl in rec.expected.all_places if pl.kind == "ft"}
+        for m, n in enumerate_heights(20)[7::40]:
+            if Fraction(m, n) not in bad:
+                Et = specialize(rec.E, Fraction(m, n))
+                for C in (Et, dual_model(Et)):
+                    found += len(assert_point_search_matches_box(C, 128))
+    assert found == 573
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(-(10**6), 10**6), st.integers(-(10**6), 10**6).filter(bool))
+def test_point_search_matches_box_on_large_coefficients(a, b):
+    assume(a * a != 4 * b)
+    E = TwoTorsionModel.over_q(a, b)
+    assert_point_search_matches_box(E, 128)
+    assert_point_search_matches_box(dual_model(E), 128)
+
+
+def test_residue_pattern_exhaustive():
+    """Bit v < q of the sieve pattern is set iff r3 + r2 v^2 + r1 v^4 is a
+    square mod q, for every sieve modulus and every residue triple."""
+    for q in _SIEVE_MODULI:
+        squares = {x * x % q for x in range(q)}
+        for r3, r2, r1 in itertools.product(range(q), repeat=3):
+            expected = sum(1 << v for v in range(q) if (r3 + r2 * v * v + r1 * v**4) % q in squares)
+            assert _residue_pattern(q, r3, r2, r1) == expected, (q, r3, r2, r1)
 
 
 DIVISORS_30030 = [d for d in range(1, 78) if 30030 % d == 0]  # the 24 up to 77
