@@ -180,6 +180,21 @@ def horner(coeffs, x):
     return acc
 
 
+def deriv(coeffs):
+    """The derivative of a coefficient list, constant term first."""
+    return [i * c for i, c in enumerate(coeffs)][1:]
+
+
+def taylor_shift(coeffs, c):
+    """The coefficients of F(c + X), where F has the given coefficients."""
+    out = [0] * len(coeffs)
+    for k, a in enumerate(coeffs):
+        if a:
+            for j in range(k + 1):
+                out[j] += a * math.comb(k, j) * c ** (k - j)
+    return out
+
+
 def f2_reduce(v: int, basis) -> int:
     """v reduced by an echelon basis of int bitmasks (decreasing leading bits)."""
     for b in basis:
@@ -207,18 +222,6 @@ def f2_span(basis) -> set[int]:
     for v in basis:
         span |= {s ^ v for s in span}
     return span
-
-
-def is_square_rational(q: RationalLike) -> bool:
-    """Exact test: is q the square of a rational?"""
-    q = Fraction(q)
-    if q < 0:
-        return False
-    if q == 0:
-        return True
-    rn = math.isqrt(q.numerator)
-    rd = math.isqrt(q.denominator)
-    return rn * rn == q.numerator and rd * rd == q.denominator
 
 
 def sqrt_rational(q: RationalLike) -> Fraction | None:

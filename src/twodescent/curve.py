@@ -74,9 +74,6 @@ class TwoTorsionModel:
     def b_dual(self) -> Coefficient:
         return self.a * self.a - 4 * self.b
 
-    def discriminant(self) -> Coefficient:
-        return 16 * self.b_dual * self.b * self.b
-
     def to_json(self) -> dict:
         if self.domain == DOMAIN_Q:
             return {"domain": "Q", "a": rational_to_str(self.a), "b": rational_to_str(self.b)}

@@ -35,6 +35,7 @@ from .arith import (
     _INF,
     REAL_PLACE,
     SquareClassQ,
+    deriv,
     f2_echelon,
     f2_reduce,
     f2_span,
@@ -44,6 +45,7 @@ from .arith import (
     local_coords,
     local_dim,
     local_pairing,
+    taylor_shift,
 )
 from .curve import (
     AffinePoint,
@@ -95,20 +97,6 @@ class Torsor:
 # ----------------------------------------------------------------------
 
 
-def _deriv(F):
-    return [i * c for i, c in enumerate(F)][1:]
-
-
-def _taylor_shift(F, c):
-    """Coefficients of F(c + X)."""
-    out = [0] * len(F)
-    for k, a in enumerate(F):
-        if a:
-            for j in range(k + 1):
-                out[j] += a * math.comb(k, j) * c ** (k - j)
-    return out
-
-
 def _res_exponent(A4: int, A2: int, A0: int, p: int) -> int:
     """v_p of the resultant surrogate 16 A4^2 A0 (A2^2 - 4 A4 A0)^2.
 
@@ -134,7 +122,7 @@ def _z2_branch_solvable(F, c: int, k: int, rho: int, Fd) -> bool:
         if v > 2 * vd:
             return True  # Newton converges to an exact root: a w = 0 point
         # is the class of F(z) pinned on this branch (unit known mod 8)?
-        shifted = _taylor_shift(F, c)
+        shifted = taylor_shift(F, c)
         prec = min(
             (int_valuation(cj, 2) + j * k for j, cj in enumerate(shifted) if j >= 1 and cj != 0),
             default=_INF,
@@ -155,9 +143,9 @@ def _fp_analysis(G, p):
 
     For p below 23 everything is read off a direct sweep of F_p.  For larger
     p: simple/multiple roots come from gcds with X^p - X, and a nonzero
-    square value exists whenever the odd-multiplicity part of G mod p is
-    nonconstant (Weil's character-sum bound, comfortable for p >= 23) or the
-    leading constant of the remaining c * (square) shape is a residue.
+    square value exists whenever G mod p is not a constant times a square
+    (Weil's character-sum bound, comfortable for p >= 23) or that constant,
+    the leading coefficient, is a residue.
     """
     Gbar = [c % p for c in G]
     modp.ptrim(Gbar)
@@ -185,36 +173,25 @@ def _fp_analysis(G, p):
     M = modp.pgcd(R, D, p)
     has_simple = (len(R) - 1) > (len(M) - 1)
     multiple = modp.roots_deg_le2(M, p) if len(M) > 1 else []
-    sqval = _yun_odd_part_degree(Gbar, Gd, p) >= 1 or modp.legendre(Gbar[-1], p) == 1
+    sqval = not _is_scaled_square(Gbar, p) or modp.legendre(Gbar[-1], p) == 1
     return has_simple, multiple, sqval
 
 
-def _yun_odd_part_degree(G, Gd, p) -> int:
-    """Degree of the product of odd-multiplicity squarefree factors of G mod p."""
-    a = modp.pgcd(G, Gd, p)
-    if len(a) - 1 == 0:
-        return len(G) - 1
-    b = modp.pdivmod(G, a, p)[0]
-    cpart = modp.pdivmod(Gd, a, p)[0]
-    d = [(x - y) % p for x, y in _zip_pad(cpart, modp.pderiv(b, p))]
-    modp.ptrim(d)
-    deg_odd = 0
-    i = 1
-    while len(b) - 1 > 0:
-        A = modp.pgcd(b, d, p) if d else list(b)
-        if i % 2 == 1:
-            deg_odd += len(A) - 1
-        b = modp.pdivmod(b, A, p)[0]
-        d2 = modp.pdivmod(d, A, p)[0] if d else []
-        d = [(x - y) % p for x, y in _zip_pad(d2, modp.pderiv(b, p))]
-        modp.ptrim(d)
-        i += 1
-    return deg_odd
-
-
-def _zip_pad(a, b):
-    n = max(len(a), len(b))
-    return zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))
+def _is_scaled_square(G, p) -> bool:
+    """Is G (reduced mod the odd prime p, nonzero, degree <= 4) a constant times a square?"""
+    inv = pow(G[-1], -1, p)
+    g = [c * inv % p for c in G]
+    deg = len(g) - 1
+    if deg % 2:
+        return False
+    if deg == 0:
+        return True
+    half = (p + 1) // 2
+    h = [g[1] * half % p, 1]
+    if deg == 4:
+        h1 = g[3] * half % p
+        h = [(g[2] - h1 * h1) * half % p, h1, 1]
+    return modp.pmul(h, h, p) == g
 
 
 def _zp_branch_solvable(F, c: int, k: int, p: int, rho: int, Fd) -> bool:
@@ -230,7 +207,7 @@ def _zp_branch_solvable(F, c: int, k: int, p: int, rho: int, Fd) -> bool:
             return True
         if k > 2 * rho + 4:
             raise SolvabilityPrecisionError("p-adic refinement exceeded certified depth")
-        G = _taylor_shift(F, c)
+        G = taylor_shift(F, c)
         for j in range(len(G)):
             G[j] *= p ** (j * k)
         nu = min(int_valuation(g, p) for g in G if g != 0)
@@ -258,12 +235,12 @@ def quartic_solvable_qp(A4: int, A2: int, A0: int, p: int) -> bool:
     rho = _res_exponent(A4, A2, A0, p)
     rho_rev = _res_exponent(A0, A2, A4, p)
     if p == 2:
-        if _z2_branch_solvable(F, 0, 0, rho, _deriv(F)):
+        if _z2_branch_solvable(F, 0, 0, rho, deriv(F)):
             return True
-        return _z2_branch_solvable(Frev, 0, 1, rho_rev, _deriv(Frev))
-    if _zp_branch_solvable(F, 0, 0, p, rho, _deriv(F)):
+        return _z2_branch_solvable(Frev, 0, 1, rho_rev, deriv(Frev))
+    if _zp_branch_solvable(F, 0, 0, p, rho, deriv(F)):
         return True
-    return _zp_branch_solvable(Frev, 0, 1, p, rho_rev, _deriv(Frev))
+    return _zp_branch_solvable(Frev, 0, 1, p, rho_rev, deriv(Frev))
 
 
 def quartic_solvable_real(A4: int, A2: int, A0: int) -> bool:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import modp
-from .arith import _INF, int_valuation, is_prime, is_square_rational, sqrt_rational
+from .arith import _INF, int_valuation, is_prime, sqrt_rational
 from .curve import DOMAIN_Q, DOMAIN_QT, TwoTorsionModel, dual_model
 from .polyq import Poly, UnsupportedClassError, model_discriminant, rational_roots, splits_linearly
 
@@ -193,7 +193,7 @@ class _FTDVR:
         return r == 0
 
     def is_square(self, r) -> bool:
-        return is_square_rational(r)
+        return sqrt_rational(r) is not None
 
     def sqrt(self, r):
         return sqrt_rational(r)

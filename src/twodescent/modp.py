@@ -2,12 +2,13 @@
 
 Polynomials over F_p are little-endian int lists with coefficients in
 [0, p).  Degrees stay at most 8 everywhere in this package, so the naive
-algorithms below are the right tool.
+algorithms below are the right tool.  Derivatives come from `arith.deriv`,
+reduced mod p.
 """
 
 from __future__ import annotations
 
-from .arith import horner
+from .arith import deriv, horner
 
 
 def legendre(a: int, p: int) -> int:
@@ -33,9 +34,7 @@ def sqrt_mod(a: int, p: int) -> int | None:
     while q % 2 == 0:
         q //= 2
         s += 1
-    z = 2
-    while legendre(z, p) != -1:
-        z += 1
+    z = smallest_nonresidue(p)
     m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
     while t != 1:
         t2, i = t, 0
@@ -94,7 +93,7 @@ def pgcd(f: list[int], g: list[int], p: int) -> list[int]:
 
 
 def pderiv(f: list[int], p: int) -> list[int]:
-    return ptrim([i * c % p for i, c in enumerate(f)][1:])
+    return ptrim([c % p for c in deriv(f)])
 
 
 def ppow_x(e: int, modulus: list[int], p: int) -> list[int]:
@@ -142,10 +141,7 @@ def count_roots(f: list[int], p: int) -> int:
     f = ptrim([c % p for c in list(f)])
     if not f:
         raise ValueError("zero polynomial")
-    if p <= 64:
-        return sum(1 for r in range(p) if horner(f, r) % p == 0)
-    g = split_part(f, p)
-    return len(g) - 1 if g else 0
+    return len(split_part(f, p)) - 1
 
 
 def roots_deg_le2(f: list[int], p: int) -> list[int]:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .arith import _SMALL_PRIMES, SquareClassQ, horner, square_class
+from .arith import _SMALL_PRIMES, SquareClassQ, deriv, horner, square_class, taylor_shift
 from .modp import pgcd
 
 Coef = Union[int, Fraction]
@@ -158,11 +158,7 @@ class Poly:
 
     def shift(self, c: Coef) -> "Poly":
         """The polynomial f(T + c)."""
-        c = Fraction(c)
-        out = Poly()
-        for coef in reversed(self.coeffs):
-            out = out * Poly([c, 1]) + Poly.const(coef)
-        return out
+        return Poly(taylor_shift(self.coeffs, Fraction(c)))
 
     def reverse_pad(self, k: int) -> "Poly":
         """U^k * f(1/U) as a polynomial in U; requires k >= deg f."""
@@ -234,10 +230,10 @@ def rational_roots(f: Poly) -> list[tuple[Fraction, int]]:
     k = f.ord_at_zero()
     out: list[tuple[Fraction, int]] = [(Fraction(0), k)] if k else []
     g = f.shift_down(k)
-    h = g // g.gcd(Poly([i * c for i, c in enumerate(g.coeffs)][1:]))
+    h = g // g.gcd(Poly(deriv(g.coeffs)))
     den = math.lcm(*(c.denominator for c in h.coeffs))
     h = [int(c * den) for c in h.coeffs]
-    dh = [i * c for i, c in enumerate(h)][1:]
+    dh = deriv(h)
     lead, bound = h[-1], 2 * (abs(h[-1]) + max(map(abs, h)))
     for p in _SMALL_PRIMES:
         if lead % p and len(pgcd(h, dh, p)) == 1:

@@ -1,6 +1,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twodescent.descent import _fp_analysis
 from twodescent.modp import count_roots, split_part
 
 
@@ -23,19 +24,39 @@ def monic_from_roots(roots, p):
     return out
 
 
+def brute_fp_analysis(f, p):
+    """(simple root exists, sorted multiple roots, nonzero square value exists)
+    of f mod p, read off a sweep of F_p."""
+    df = [i * c for i, c in enumerate(f)][1:]
+    roots = brute_roots(f, p)
+    multiple = [r for r in roots if sum(c * r**i for i, c in enumerate(df)) % p == 0]
+    squares = {x * x % p for x in range(1, p)}
+    values = {sum(c * x**i for i, c in enumerate(f)) % p for x in range(p)}
+    return len(multiple) < len(roots), multiple, bool(values & squares)
+
+
 @st.composite
 def polys_mod_p(draw):
-    """(f, p): f reduced mod p with a nonzero top coefficient and degree <= 4;
-    half are c * prod (X - r_i), roots drawn from a few values so that they
-    repeat, times a random factor that fills the degree up to at most 4."""
-    p = draw(st.sampled_from([23, 29, 101, 1009]))
+    """(f, p): f reduced mod p with a nonzero top coefficient and degree <= 4.
+    A third are random; a third are c * prod (X - r_i), roots drawn from a few
+    values so that they repeat, times a random factor that fills the degree
+    up to at most 4; a third are c * h^2 with h monic of degree 1 or 2, which
+    at odd p includes the irreducible X^2 - n for a non-residue n."""
+    p = draw(st.sampled_from([2, 3, 5, 23, 29, 101, 1009]))
     coeff = st.integers(0, p - 1)
-    if draw(st.booleans()):
+    shape = draw(st.sampled_from(["random", "roots", "scaled square"]))
+    if shape == "random":
         f = draw(st.lists(coeff, min_size=1, max_size=5))
-    else:
+    elif shape == "roots":
         roots = draw(st.lists(st.sampled_from([0, 1, 5, 7, p - 1]), min_size=1, max_size=4))
         rest = draw(st.lists(coeff, min_size=1, max_size=5 - len(roots)))
         f = mul(monic_from_roots(roots, p), rest, p)
+    else:
+        non_residues = sorted(set(range(1, p)) - {x * x % p for x in range(p)})
+        h = draw(st.lists(coeff, min_size=1, max_size=2)) + [1]
+        if non_residues and draw(st.booleans()):
+            h = [-draw(st.sampled_from(non_residues)) % p, 0, 1]
+        f = mul([draw(st.integers(1, p - 1))], mul(h, h, p), p)
     while f and f[-1] == 0:
         f.pop()
     f = f or [draw(st.integers(1, p - 1))]
@@ -49,3 +70,5 @@ def test_split_part_and_count_roots_match_brute_force(fp):
     roots = brute_roots(f, p)
     assert split_part(f, p) == monic_from_roots(roots, p), (f, p)
     assert count_roots(f, p) == len(roots), (f, p)
+    if p > 2:
+        assert _fp_analysis(f, p) == brute_fp_analysis(f, p), (f, p)

@@ -43,8 +43,10 @@ def test_eval_is_ring_homomorphism():
         f = rand_poly(rng, rng.randint(0, 4))
         g = rand_poly(rng, rng.randint(0, 4))
         t = Fraction(rng.randint(-20, 20), rng.randint(1, 5))
+        c = Fraction(rng.randint(-20, 20), rng.randint(1, 5))
         assert eval_at(f + g, t) == eval_at(f, t) + eval_at(g, t)
         assert eval_at(f * g, t) == eval_at(f, t) * eval_at(g, t)
+        assert eval_at(f.shift(c), t) == eval_at(f, t + c)
 
 
 def test_rational_roots_examples():
