@@ -6,7 +6,9 @@ quartic torsors, rank certification, and a specialization scanner that
 produces curves of each rank 0..4 from the built-in families.
 """
 
-from .arith import PrimeFactorization, SquareClassQ, factor, is_square_local, square_class, valuation
+from .arith import (
+    FT_INFINITY, REAL, Place, PrimeFactorization, SquareClassQ, factor, is_square_local, square_class, valuation,
+)
 from .curve import (
     AffinePoint,
     TwoTorsionModel,
@@ -37,16 +39,7 @@ from .family import (
     geometric_rank,
     verify_conditions,
 )
-from .localdata import (
-    FT_INFINITY,
-    REAL,
-    KodairaSymbol,
-    LocalReduction,
-    Place,
-    conductor_degree,
-    local_image_order,
-    tate_local,
-)
+from .localdata import KodairaSymbol, LocalReduction, conductor_degree, local_image_order, tate_local
 from .polyq import Poly, SquareClassFT, eval_at, ft_square_class, model_discriminant, rational_roots, splits_linearly
 from .scan import ScanResult, emit_report, run_scan
 

@@ -1,8 +1,14 @@
-"""Exact integer/rational kernel: valuations, factoring, local square tests.
+"""Exact integer/rational kernel: valuations, factoring, places, local square classes.
 
 Rationals are plain ``fractions.Fraction`` values (already canonical:
 gcd-reduced, positive denominator, zero is 0/1), so the module exports
 functions over ``Fraction`` rather than a wrapper type.
+
+`Place` names every place the package computes at: the real place and the
+primes of Q, and the places of Q(T).  At the real place and the primes,
+the local square classes Q_v^x/(Q_v^x)^2 are F_2 bitmasks: `local_coords`
+gives them, `local_reps` inverts it and `local_pairing` is the Hilbert
+symbol on them.  This is the one module that states their bit layout.
 """
 
 from __future__ import annotations
@@ -13,8 +19,6 @@ from fractions import Fraction
 from typing import Union
 
 RationalLike = Union[int, Fraction]
-
-REAL_PLACE = "real"
 
 # Deterministic Miller-Rabin witness set, valid for all n < 3.317e24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -236,16 +240,58 @@ def sqrt_rational(q: RationalLike) -> Fraction | None:
     return None
 
 
-def local_dim(place: int | str) -> int:
-    """The F_2-dimension of Q_v^x/(Q_v^x)^2 at `place` (a prime, or REAL_PLACE)."""
-    if place == REAL_PLACE:
+@dataclass(frozen=True)
+class Place:
+    """A place: finite prime of Q, linear place T - e of Q(T), infinity, or real."""
+
+    kind: str  # "prime" | "ft" | "ft_inf" | "real"
+    p: int | None = None
+    e: Fraction | None = None
+
+    @staticmethod
+    def prime(p: int) -> "Place":
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        return Place("prime", p=p)
+
+    @staticmethod
+    def ft(e) -> "Place":
+        return Place("ft", e=Fraction(e))
+
+    def __str__(self):
+        if self.kind == "prime":
+            return str(self.p)
+        if self.kind == "ft":
+            return f"T-{self.e}" if self.e >= 0 else f"T+{-self.e}"
+        return "inf" if self.kind == "ft_inf" else "real"
+
+
+FT_INFINITY = Place("ft_inf")
+REAL = Place("real")
+
+
+def parse_place(s: str) -> Place:
+    s = s.strip()
+    if s in ("inf", "infinity", "oo"):
+        return FT_INFINITY
+    if s == "real":
+        return REAL
+    if s.startswith("T-"):
+        return Place.ft(Fraction(s[2:]))
+    if s.startswith("T+"):
+        return Place.ft(-Fraction(s[2:]))
+    return Place.prime(int(s))
+
+
+def local_dim(place: Place) -> int:
+    """The F_2-dimension of Q_v^x/(Q_v^x)^2 at the real place or a prime."""
+    if place.kind == "real":
         return 1
-    return 3 if int(place) == 2 else 2
+    return 3 if place.p == 2 else 2
 
 
-def local_coords(q: RationalLike, place: int | str) -> int:
-    """The class of q in Q_v^x/(Q_v^x)^2 as an F_2 bitmask; `place` is
-    REAL_PLACE or a prime, which is not checked.
+def local_coords(q: RationalLike, place: Place) -> int:
+    """The class of q in Q_v^x/(Q_v^x)^2 as an F_2 bitmask, at the real place or a prime.
 
     Real place: bit 0 is the sign.  With q = p^alpha u, u a p-adic unit: at
     odd p, bit 0 says u is a non-residue and bit 1 that alpha is odd; at 2,
@@ -254,9 +300,9 @@ def local_coords(q: RationalLike, place: int | str) -> int:
     """
     if q == 0:
         raise ValueError("0 has no local square class")
-    if place == REAL_PLACE:
+    if place.kind == "real":
         return int(q < 0)
-    p = int(place)
+    p = place.p
     # n/d and n*d have the same square class; ints carry denominator 1
     n = q.numerator * q.denominator
     alpha = int_valuation(n, p)
@@ -266,7 +312,33 @@ def local_coords(q: RationalLike, place: int | str) -> int:
     return (pow(u, (p - 1) // 2, p) != 1) | (alpha & 1) << 1
 
 
-def local_pairing(x: int, y: int, place: int | str) -> int:
+def smallest_nonresidue(p: int) -> int:
+    """Smallest quadratic non-residue of an odd prime."""
+    n = 2
+    while pow(n, (p - 1) // 2, p) == 1:
+        n += 1
+    return n
+
+
+# the squarefree integers with local coordinates 0, 1, ...: -1 at the real
+# place; -1, 5 and 2 at 2 (bits 0, 1, 2)
+_REAL_REPS = {0: 1, 1: -1}
+_TWO_REPS = {c: (-1 if c & 1 else 1) * (5 if c & 2 else 1) * (2 if c & 4 else 1) for c in range(8)}
+
+
+def local_reps(place: Place) -> dict[int, int]:
+    """The inverse of `local_coords` at the real place or a prime: each
+    bitmask -> a squarefree integer in its class.  At odd p these are 1,
+    u, p and u p, with u the least non-residue (a prime below p)."""
+    if place.kind == "real":
+        return _REAL_REPS
+    if place.p == 2:
+        return _TWO_REPS
+    p, u = place.p, smallest_nonresidue(place.p)
+    return {0: 1, 1: u, 2: p, 3: u * p}
+
+
+def local_pairing(x: int, y: int, place: Place) -> int:
     """The Hilbert symbol on local coordinates, as 0 for +1 and 1 for -1.
 
     Serre, A Course in Arithmetic, III.1.2: with x = p^alpha u, y = p^beta v,
@@ -274,31 +346,24 @@ def local_pairing(x: int, y: int, place: int | str) -> int:
     (x, y)_2 = (-1)^(eps(u) eps(v) + alpha omega(v) + beta omega(u)), where
     eps(u) = (u-1)/2 and omega(u) = (u^2-1)/8 mod 2.
     """
-    if place == REAL_PLACE:
+    if place.kind == "real":
         return x & y & 1
-    if int(place) == 2:
+    if place.p == 2:
         # bits 0, 1, 2: eps(u), omega(u), alpha of x and eps(v), omega(v), beta of y
         return (x & y ^ x >> 2 & y >> 1 ^ y >> 2 & x >> 1) & 1
     # bits 0, 1: (u|p) = -1, alpha of x and (v|p) = -1, beta of y; bit 0 of
     # p >> 1 is eps(p)
-    eps_p = int(place) >> 1
+    eps_p = place.p >> 1
     return (x >> 1 & y >> 1 & eps_p ^ x & y >> 1 ^ y & x >> 1) & 1
 
 
-def _check_place(place: int | str) -> None:
-    if place != REAL_PLACE and not is_prime(int(place)):
-        raise ValueError(f"{place} is not prime")
-
-
-def is_square_local(q: RationalLike, place: int | str) -> bool:
-    """Is q a square in the completion at `place` (a prime, or REAL_PLACE)?"""
-    _check_place(place)
+def is_square_local(q: RationalLike, place: Place) -> bool:
+    """Is q a square in the completion at the real place or a prime?"""
     return local_coords(q, place) == 0
 
 
-def hilbert_symbol(x: RationalLike, y: RationalLike, place: int | str) -> int:
-    """The Hilbert symbol (x, y) at `place` (a prime, or REAL_PLACE), as +1 or -1."""
-    _check_place(place)
+def hilbert_symbol(x: RationalLike, y: RationalLike, place: Place) -> int:
+    """The Hilbert symbol (x, y) at the real place or a prime, as +1 or -1."""
     return -1 if local_pairing(local_coords(x, place), local_coords(y, place), place) else 1
 
 

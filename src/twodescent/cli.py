@@ -6,21 +6,81 @@ import argparse
 import json
 import sys
 
-from .curve import AffinePoint, TwoTorsionModel, dual_model
+from .arith import Place, parse_place
+from .curve import DOMAIN_Q, AffinePoint, TwoTorsionModel, dual_model, on_curve
 from .descent import descend, point_search, rank_bounds
 from .family import builtin_families, family_by_name, verify_conditions
-from .localdata import parse_place, tate_local
-from .polyq import rational_from_str
+from .localdata import tate_local
+from .polyq import SingularModelError, rational_from_str
 from .scan import DEFAULT_SEARCH_BOUND, emit_report, run_scan
 
 
-def _load_curve(arg: str) -> TwoTorsionModel:
-    return TwoTorsionModel.from_json(json.loads(arg))
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one line on stderr, with exit status 2."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _curve_arg(s: str) -> TwoTorsionModel:
+    try:
+        return TwoTorsionModel.from_json(json.loads(s))
+    except (ValueError, LookupError, TypeError, SingularModelError) as exc:
+        raise argparse.ArgumentTypeError(f"bad curve {s!r}: {type(exc).__name__} {exc}") from None
+
+
+def _place_arg(s: str) -> Place:
+    try:
+        return parse_place(s)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad place {s!r}: {exc}") from None
+
+
+def _points_arg(s: str) -> tuple[list[AffinePoint], list[AffinePoint]]:
+    try:
+        data = json.loads(s)
+        return tuple(
+            [AffinePoint.of(rational_from_str(item[0]), rational_from_str(item[1])) for item in data.get(side, [])]
+            for side in ("E", "E'")
+        )
+    except (ValueError, LookupError, TypeError, AttributeError) as exc:
+        raise argparse.ArgumentTypeError(f"bad points {s!r}: {type(exc).__name__} {exc}") from None
+
+
+def _positive_int(s: str) -> int:
+    n = int(s)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"{s!r} is not a positive integer")
+    return n
+
+
+def _usage_error(args) -> str | None:
+    """What the parsed arguments contradict, where two arguments or the
+    family registry decide; None for consistent arguments."""
+    cmd = args.command
+    if cmd == "family" and args.action == "verify" and not args.name:
+        return "family verify requires a name"
+    if cmd == "scan" or cmd == "family" and args.action == "verify":
+        name = args.family if cmd == "scan" else args.name
+        names = [rec.name for rec in builtin_families()]
+        return None if name in names else f"unknown family {name!r}: have {names}"
+    if cmd == "family":
+        return None
+    E = args.curve
+    if cmd == "tate":
+        kinds = ("prime",) if E.domain == DOMAIN_Q else ("ft", "ft_inf")
+        return None if args.place.kind in kinds else f"place {args.place} is incompatible with a {E.domain}-curve"
+    if E.domain != DOMAIN_Q:
+        return f"{cmd} takes a curve over Q"
+    for name, curve, points in zip(("E", "E'"), (E, dual_model(E)), getattr(args, "points", None) or ()):
+        for P in points:
+            if not on_curve(curve, P):
+                return f"point {P} is not on {name}"
+    return None
 
 
 def _cmd_tate(args) -> int:
-    E = _load_curve(args.curve)
-    red = tate_local(E, parse_place(args.place))
+    red = tate_local(args.curve, args.place)
     print(json.dumps(red.to_json(), sort_keys=True))
     return 0
 
@@ -30,7 +90,7 @@ def _basis_json(group) -> list[dict]:
 
 
 def _cmd_selmer(args) -> int:
-    D = descend(_load_curve(args.curve))
+    D = descend(args.curve)
     out = {}
     for key, S in (("phi", D.phi), ("phi_hat", D.phi_hat)):
         out[key] = {"dim": S.dim, "basis": _basis_json(S)}
@@ -39,17 +99,11 @@ def _cmd_selmer(args) -> int:
 
 
 def _cmd_rank(args) -> int:
-    E = _load_curve(args.curve)
-    pts_e, pts_ep = [], []
-    if args.points:
-        data = json.loads(args.points)
-        for item in data.get("E", []):
-            pts_e.append(AffinePoint.of(rational_from_str(item[0]), rational_from_str(item[1])))
-        for item in data.get("E'", []):
-            pts_ep.append(AffinePoint.of(rational_from_str(item[0]), rational_from_str(item[1])))
+    E = args.curve
+    pts_e, pts_ep = args.points or ([], [])
     if args.search_bound:
-        pts_e += point_search(E, args.search_bound)
-        pts_ep += point_search(dual_model(E), args.search_bound)
+        pts_e = pts_e + point_search(E, args.search_bound)
+        pts_ep = pts_ep + point_search(dual_model(E), args.search_bound)
     status = rank_bounds(descend(E), pts_e, pts_ep)
     print(json.dumps(status.to_json(), sort_keys=True))
     return 0
@@ -77,21 +131,23 @@ def _cmd_scan(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="twodescent")
+    parser = _Parser(prog="twodescent")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("tate", help="local reduction data at one place")
-    p.add_argument("--curve", required=True, help='curve JSON, e.g. {"domain":"Q","a":"0/1","b":"-1/1"}')
-    p.add_argument("--place", required=True, help='a prime, "T-e", or "inf"')
+    p.add_argument(
+        "--curve", required=True, type=_curve_arg, help='curve JSON, e.g. {"domain":"Q","a":"0/1","b":"-1/1"}'
+    )
+    p.add_argument("--place", required=True, type=_place_arg, help='a prime, "T-e", or "inf"')
     p.set_defaults(func=_cmd_tate)
 
     p = sub.add_parser("selmer", help="phi- and phi-hat-Selmer groups")
-    p.add_argument("--curve", required=True)
+    p.add_argument("--curve", required=True, type=_curve_arg)
     p.set_defaults(func=_cmd_selmer)
 
     p = sub.add_parser("rank", help="rank bounds by 2-isogeny descent")
-    p.add_argument("--curve", required=True)
-    p.add_argument("--points", help='{"E": [["x","y"],...], "E\'": [...]}')
+    p.add_argument("--curve", required=True, type=_curve_arg)
+    p.add_argument("--points", type=_points_arg, help='{"E": [["x","y"],...], "E\'": [...]}')
     p.add_argument("--search-bound", type=int, default=DEFAULT_SEARCH_BOUND)
     p.set_defaults(func=_cmd_rank)
 
@@ -102,14 +158,15 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("scan", help="specialization scan")
     p.add_argument("--family", required=True)
-    p.add_argument("--height", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--height", type=_positive_int, required=True)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_scan)
 
     args = parser.parse_args(argv)
-    if args.command == "family" and args.action == "verify" and not args.name:
-        parser.error("family verify requires a name")
+    error = _usage_error(args)
+    if error:
+        parser.error(error)
     return args.func(args)
 
 

@@ -19,8 +19,11 @@ and misses each coset of that span through a class found unsolvable.  At
 each tested place the image for the dual model (-2a, a^2-4b), which gives
 Sel_phi-hat(E'/Q), is the annihilator of this one under the Hilbert symbol.
 Square classes at a place are the F_2 coordinate vectors of
-`arith.local_coords`, the Hilbert symbol is `arith.local_pairing` on them,
-and both Selmer groups are kernels read off one `arith.f2_echelon` run each.
+`arith.local_coords`, named by the squarefree integers of `arith.local_reps`;
+the Hilbert symbol is `arith.local_pairing` on them, and both Selmer groups
+are kernels read off one `arith.f2_echelon` run each.  Inside the kernel a
+class is a plain integer; `SquareClassQ` objects are built only for the
+Selmer bases and `Descent.local_image`.
 """
 
 from __future__ import annotations
@@ -33,7 +36,8 @@ from functools import lru_cache
 from . import modp
 from .arith import (
     _INF,
-    REAL_PLACE,
+    REAL,
+    Place,
     SquareClassQ,
     deriv,
     f2_echelon,
@@ -45,6 +49,8 @@ from .arith import (
     local_coords,
     local_dim,
     local_pairing,
+    local_reps,
+    square_class,
     taylor_shift,
 )
 from .curve import (
@@ -56,7 +62,6 @@ from .curve import (
     integral_model,
     on_curve,
 )
-from .localdata import REAL, Place
 
 
 class SolvabilityPrecisionError(Exception):
@@ -178,14 +183,12 @@ def _fp_analysis(G, p):
 
 
 def _is_scaled_square(G, p) -> bool:
-    """Is G (reduced mod the odd prime p, nonzero, degree <= 4) a constant times a square?"""
+    """Is G (reduced mod the odd prime p, of degree 1 to 4) a constant times a square?"""
     inv = pow(G[-1], -1, p)
     g = [c * inv % p for c in G]
     deg = len(g) - 1
     if deg % 2:
         return False
-    if deg == 0:
-        return True
     half = (p + 1) // 2
     h = [g[1] * half % p, 1]
     if deg == 4:
@@ -273,53 +276,23 @@ def torsor_solvable_at(tor: Torsor, place: Place) -> bool:
 # ----------------------------------------------------------------------
 
 
-def _key(place: Place) -> int | str:
-    """The place as `arith` names it: a prime, or REAL_PLACE."""
-    return REAL_PLACE if place.kind == "real" else place.p
-
-
-# the classes with local coordinates 0, 1, ...: bit 0 is the class of -1 at
-# the real place; bits 0, 1, 2 are those of -1, 5 and 2 at 2, and at odd p
-# bits 0, 1 are those of the least non-residue u (a prime below p) and of p
-_REAL_REPS = {0: SquareClassQ(1, ()), 1: SquareClassQ(-1, ())}
-_TWO_REPS = {c: SquareClassQ(-1 if c & 1 else 1, (2,) * (c >> 2) + (5,) * (c >> 1 & 1)) for c in range(8)}
-
-
-def _coord_representatives(place: Place) -> dict[int, SquareClassQ]:
-    """Each element of Q_v^x/(Q_v^x)^2 as its local coordinates -> a representative class."""
-    if place.kind == "real":
-        return _REAL_REPS
-    if place.p == 2:
-        return _TWO_REPS
-    p, u = place.p, modp.smallest_nonresidue(place.p)
-    return {0: SquareClassQ(1, ()), 1: SquareClassQ(1, (u,)), 2: SquareClassQ(1, (p,)), 3: SquareClassQ(1, (u, p))}
-
-
-def _subgroup_basis(vecs: set[int], place: Place) -> tuple[int, ...]:
-    """Echelon basis of a local image, which must be a subgroup (0 included)."""
-    basis = f2_echelon(vecs)
-    if f2_span(basis) != vecs:
-        raise AssertionError(f"local image at {place} is not a subgroup: {sorted(vecs)}")
-    return basis
-
-
-def _image_at_place(a: int, b: int, place: Place, reps: dict[int, SquareClassQ]) -> tuple[int, ...]:
+def _image_at_place(a: int, b: int, place: Place) -> tuple[int, ...]:
     """Im(delta_{E',v}) for the model (a, b), as echelonized local vectors.
 
-    `reps` is `_coord_representatives(place)`.  The image contains [a^2-4b]
-    (z = 0 on its torsor) and pairs trivially with [b], which the dual image
-    contains, so classes pairing to -1 with [b] are skipped.  Since the image
-    is a subgroup, classes in the span of those found solvable, or in a coset
-    of that span through one found unsolvable, are skipped too.
+    The image contains [a^2-4b] (z = 0 on its torsor) and pairs trivially
+    with [b], which the dual image contains, so classes pairing to -1 with
+    [b] are skipped.  Since the image is a subgroup, classes in the span of
+    those found solvable, or in a coset of that span through one found
+    unsolvable, are skipped too.
     """
-    key = _key(place)
-    cb = local_coords(b, key)
-    inside = f2_echelon([local_coords(a * a - 4 * b, key)])
+    reps = local_reps(place)
+    cb = local_coords(b, place)
+    inside = f2_echelon([local_coords(a * a - 4 * b, place)])
     outside: list[int] = []
     for v in sorted(reps):
-        if local_pairing(v, cb, key) or any(not f2_reduce(v ^ u, inside) for u in (0, *outside)):
+        if local_pairing(v, cb, place) or any(not f2_reduce(v ^ u, inside) for u in (0, *outside)):
             continue
-        if torsor_solvable_at(Torsor(reps[v].value(), a, b), place):
+        if torsor_solvable_at(Torsor(reps[v], a, b), place):
             inside = f2_echelon(inside + (v,))
         else:
             outside.append(v)
@@ -334,12 +307,11 @@ def _dual_image(basis, place: Place) -> tuple[int, ...]:
     Stoll, Trans. AMS 356, 2004): a class lies in one iff it pairs trivially
     with every basis class of the other.
     """
-    key = _key(place)
-    dim = local_dim(key)
-    vecs = {v for v in range(1 << dim) if not any(local_pairing(v, g, key) for g in basis)}
-    dual = _subgroup_basis(vecs, place)
-    if len(basis) + len(dual) != dim:
-        raise AssertionError(f"the Hilbert pairing at {place} is degenerate")
+    dim = local_dim(place)
+    vecs = {v for v in range(1 << dim) if not any(local_pairing(v, g, place) for g in basis)}
+    dual = f2_echelon(vecs)
+    if f2_span(dual) != vecs or len(basis) + len(dual) != dim:
+        raise AssertionError(f"the Hilbert pairing at {place} is not bilinear and nondegenerate")
     return dual
 
 
@@ -368,37 +340,29 @@ def _selmer_basis(gens, gen_coords, images: dict[Place, tuple[int, ...]]) -> tup
 
     The places are the real place, 2 and the odd primes of b(a^2-4b); per the
     standard descent bound the candidates are the classes supported on -1
-    and those primes, spanned by `gens`, one generator per place.
-    gen_coords[i][j] is the local coordinate vector of gens[i] at the j-th
-    place of `images`.  A candidate lies in the Selmer group iff its local
-    coordinates fall inside the image subgroup at every tested place, an
-    F_2-linear condition: each generator's row holds its coordinates reduced
-    by the images, above one bit that marks the generator, and the kernel is
-    read off the reduced echelon rows whose reduced coordinates vanish.
+    and those primes, spanned by `gens`: -1, then the primes in increasing
+    order.  gen_coords[i][j] is the local coordinate vector of gens[i] at the
+    j-th place of `images`.  A candidate lies in the Selmer group iff its
+    local coordinates fall inside the image subgroup at every tested place,
+    an F_2-linear condition: each generator's row holds its coordinates
+    reduced by the images, above one bit that marks the generator, and the
+    kernel is read off the reduced echelon rows whose reduced coordinates
+    vanish.
     """
     n = len(gens)
     rows = []
     for i, coords in enumerate(gen_coords):
         row = 0
         for v, (pl, img) in zip(coords, images.items()):
-            row = row << local_dim(_key(pl)) | f2_reduce(v, img)
+            row = row << local_dim(pl) | f2_reduce(v, img)
         rows.append(row << n | 1 << i)
-    basis = []
-    for kmask in f2_echelon(rows):
-        if kmask >> n:
-            continue
-        cls = SquareClassQ(1, ())
-        for i in range(n):
-            if kmask >> i & 1:
-                cls = cls * gens[i]
-        basis.append(cls)
+    basis = [
+        SquareClassQ(-1 if kmask & 1 else 1, tuple(gens[i] for i in range(1, n) if kmask >> i & 1))
+        for kmask in f2_echelon(rows)
+        if not kmask >> n
+    ]
     basis.sort(key=lambda c: (len(c.support), abs(c.value()), c.value()))
     return tuple(basis)
-
-
-def _image_classes(basis, reps: dict[int, SquareClassQ]) -> tuple[SquareClassQ, ...]:
-    """The subgroup spanned by echelonized local vectors, as one class per element."""
-    return tuple(reps[v] for v in sorted(f2_span(basis)))
 
 
 @dataclass(frozen=True)
@@ -408,7 +372,7 @@ class Descent:
     One set of local images, at the real place, 2 and the odd primes of
     B(A^2-4B) for the integral model (A, B), gives both Selmer groups and
     the Cassels ratio check.  `images` maps each of those places to
-    Im(delta_{E',v}) as square classes.
+    Im(delta_{E',v}) as the echelon basis of its local coordinates.
     """
 
     curve: TwoTorsionModel
@@ -416,16 +380,17 @@ class Descent:
     odd_support: tuple[int, ...]
     phi: SelmerGroup
     phi_hat: SelmerGroup
-    images: dict[Place, tuple[SquareClassQ, ...]]
+    images: dict[Place, tuple[int, ...]]
     cassels_ok: bool
 
     def local_image(self, place: Place) -> tuple[SquareClassQ, ...]:
-        """Im(delta_{E',place}); a place outside the tested set is computed here."""
-        if place in self.images:
-            return self.images[place]
-        A, B = int(self.integral.a), int(self.integral.b)
-        reps = _coord_representatives(place)
-        return _image_classes(_image_at_place(A, B, place, reps), reps)
+        """Im(delta_{E',place}) as square classes, one per element; a place
+        outside the tested set is computed here."""
+        basis = self.images.get(place)
+        if basis is None:
+            basis = _image_at_place(int(self.integral.a), int(self.integral.b), place)
+        reps = local_reps(place)
+        return tuple(square_class(reps[v]) for v in sorted(f2_span(basis)))
 
 
 def descend(E: TwoTorsionModel) -> Descent:
@@ -442,10 +407,9 @@ def descend(E: TwoTorsionModel) -> Descent:
     primes = factor(B).primes + factor(A * A - 4 * B).primes
     odd_support = tuple(sorted({p for p in primes if p != 2}))
     places = [REAL, Place.prime(2)] + [Place.prime(p) for p in odd_support]
-    reps = {pl: _coord_representatives(pl) for pl in places}
-    images = {pl: _image_at_place(A, B, pl, reps[pl]) for pl in places}
-    gens = [SquareClassQ(-1, ()) if pl.kind == "real" else SquareClassQ(1, (pl.p,)) for pl in places]
-    gen_coords = [[local_coords(g.value(), _key(pl)) for pl in places] for g in gens]
+    images = {pl: _image_at_place(A, B, pl) for pl in places}
+    gens = [-1, 2, *odd_support]
+    gen_coords = [[local_coords(g, pl) for pl in places] for g in gens]
     basis_phi = _selmer_basis(gens, gen_coords, images)
     dual_images = {pl: _dual_image(img, pl) for pl, img in images.items()}
     basis_hat = _selmer_basis(gens, gen_coords, dual_images)
@@ -456,7 +420,7 @@ def descend(E: TwoTorsionModel) -> Descent:
         odd_support=odd_support,
         phi=SelmerGroup(basis_phi),
         phi_hat=SelmerGroup(basis_hat),
-        images={pl: _image_classes(img, reps[pl]) for pl, img in images.items()},
+        images=images,
         cassels_ok=cassels_ok,
     )
 

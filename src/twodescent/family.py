@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 
-from .arith import factor
+from .arith import FT_INFINITY, Place, factor, parse_place
 from .curve import (
     AffinePoint,
     TwoTorsionModel,
@@ -23,7 +23,7 @@ from .curve import (
     dual_model,
     on_curve,
 )
-from .localdata import FT_INFINITY, Place, bad_places_qt, parse_place, tate_local
+from .localdata import bad_places_qt, tate_local
 from .polyq import (
     Poly,
     dual_discriminant,
@@ -145,8 +145,10 @@ def _validate(rec: FamilyRecord):
         raise FamilyValidationError(f"{rec.name}: discriminant mismatch")
     if dual_discriminant(E.a, E.b) != rec.disc_dual_expected:
         raise FamilyValidationError(f"{rec.name}: dual discriminant mismatch")
-    cls = rec.expected
-    r = 2 * len(cls.A) + len(cls.M) + len(cls.M_prime) - 4
+    try:
+        r = geometric_rank(rec.expected)
+    except ValueError as exc:
+        raise FamilyValidationError(f"{rec.name}: {exc}") from None
     if r != rec.target_rank:
         raise FamilyValidationError(f"{rec.name}: target rank inconsistent with classification")
 
@@ -244,7 +246,7 @@ def verify_conditions(rec: FamilyRecord) -> ConditionReport:
     ok_b = bool(cls.M) and bool(cls.M_prime)
     statuses["b"] = (ok_b, None if ok_b else f"M={sorted(map(str, cls.M))} M'={sorted(map(str, cls.M_prime))}")
 
-    def _cd(places, partner, label):
+    def _cd(places, partner):
         for pl in sorted(places, key=str):
             red = tate_local(partner, pl)
             if red.reduction == "split-multiplicative":
@@ -254,8 +256,8 @@ def verify_conditions(rec: FamilyRecord) -> ConditionReport:
             return False, f"at {pl}: partner has {red.kodaira} {red.reduction}"
         return True, None
 
-    statuses["c"] = _cd(cls.M, Edual, "c")
-    statuses["d"] = _cd(cls.M_prime, E, "d")
+    statuses["c"] = _cd(cls.M, Edual)
+    statuses["d"] = _cd(cls.M_prime, E)
 
     ok_e, wit_e = True, None
     for pl in sorted(cls.A, key=str):

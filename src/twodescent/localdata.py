@@ -7,7 +7,8 @@ only tame branches can occur).  Each DVR also answers for its residue
 field: zero and square tests, square roots, division and counting the
 roots of a cubic.  The place at infinity of Q(T) is
 reduced to a linear place by rewriting the model in U = 1/T and
-clearing denominators with x = X/U^2, y = Y/U^3.
+clearing denominators with x = X/U^2, y = Y/U^3.  Places are
+`arith.Place`s.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import modp
-from .arith import _INF, int_valuation, is_prime, sqrt_rational
+from .arith import _INF, FT_INFINITY, Place, int_valuation, sqrt_rational
 from .curve import DOMAIN_Q, DOMAIN_QT, TwoTorsionModel, dual_model
 from .polyq import Poly, UnsupportedClassError, model_discriminant, rational_roots, splits_linearly
 
@@ -28,49 +29,6 @@ ADDITIVE = "additive"
 
 class TateError(Exception):
     """Internal inconsistency while running the reduction algorithm."""
-
-
-@dataclass(frozen=True)
-class Place:
-    """A place: finite prime of Q, linear place T - e of Q(T), infinity, or real."""
-
-    kind: str  # "prime" | "ft" | "ft_inf" | "real"
-    p: int | None = None
-    e: Fraction | None = None
-
-    @staticmethod
-    def prime(p: int) -> "Place":
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        return Place("prime", p=p)
-
-    @staticmethod
-    def ft(e) -> "Place":
-        return Place("ft", e=Fraction(e))
-
-    def __str__(self):
-        if self.kind == "prime":
-            return str(self.p)
-        if self.kind == "ft":
-            return f"T-{self.e}" if self.e >= 0 else f"T+{-self.e}"
-        return "inf" if self.kind == "ft_inf" else "real"
-
-
-FT_INFINITY = Place("ft_inf")
-REAL = Place("real")
-
-
-def parse_place(s: str) -> Place:
-    s = s.strip()
-    if s in ("inf", "infinity", "oo"):
-        return FT_INFINITY
-    if s == "real":
-        return REAL
-    if s.startswith("T-"):
-        return Place.ft(Fraction(s[2:]))
-    if s.startswith("T+"):
-        return Place.ft(-Fraction(s[2:]))
-    return Place.prime(int(s))
 
 
 @dataclass(frozen=True)

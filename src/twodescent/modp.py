@@ -8,7 +8,7 @@ reduced mod p.
 
 from __future__ import annotations
 
-from .arith import deriv, horner
+from .arith import deriv, smallest_nonresidue
 
 
 def legendre(a: int, p: int) -> int:
@@ -145,18 +145,13 @@ def count_roots(f: list[int], p: int) -> int:
 
 
 def roots_deg_le2(f: list[int], p: int) -> list[int]:
-    """All F_p-roots of a polynomial of degree at most 2."""
+    """All F_p-roots of a polynomial of degree 1 or 2, for an odd prime p."""
     f = ptrim([c % p for c in list(f)])
     if not f:
         raise ValueError("zero polynomial")
-    deg = len(f) - 1
-    if deg == 0:
-        return []
-    if deg == 1:
+    if len(f) == 2:
         return [(-f[0]) * pow(f[1], -1, p) % p]
-    c, b, a = f[0], f[1], f[2]
-    if p == 2:
-        return [r for r in (0, 1) if horner(f, r) % p == 0]
+    c, b, a = f
     disc = (b * b - 4 * a * c) % p
     s = sqrt_mod(disc, p)
     if s is None:
@@ -165,11 +160,3 @@ def roots_deg_le2(f: list[int], p: int) -> list[int]:
     r1 = (-b + s) * inv % p
     r2 = (-b - s) * inv % p
     return sorted({r1, r2})
-
-
-def smallest_nonresidue(p: int) -> int:
-    """Smallest quadratic non-residue of an odd prime."""
-    n = 2
-    while legendre(n, p) != -1:
-        n += 1
-    return n

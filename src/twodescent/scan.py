@@ -16,11 +16,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import FactorizationEffortError, factor
+from .arith import FactorizationEffortError, Place, factor
 from .curve import AffinePoint, TwoTorsionModel, dual_model, j_invariant, on_curve, specialize
 from .descent import RankStatus, SolvabilityPrecisionError, descend, point_search, rank_bounds
 from .family import FamilyRecord, excluded_primes, family_by_name
-from .localdata import Place, tate_local
+from .localdata import tate_local
 from .polyq import eval_at, rational_from_str, rational_to_str
 
 DEFAULT_SEARCH_BOUND = 32

@@ -11,8 +11,8 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
-from twodescent.arith import f2_echelon, f2_span
-from twodescent.descent import Torsor, _coord_representatives, torsor_solvable_at
+from twodescent.arith import REAL, Place, f2_echelon, f2_span, local_reps
+from twodescent.descent import Torsor, torsor_solvable_at
 
 INF = 10**9
 
@@ -89,22 +89,22 @@ def oracle_quartic_real(A4: Fraction, A2: Fraction, A0: Fraction) -> bool:
     return any(u >= 0 and A4 * u * u + A2 * u + A0 >= 0 for u in candidates)
 
 
-def oracle_torsor_solvable(d: int, a: Fraction, b: Fraction, place) -> bool:
+def oracle_torsor_solvable(d: int, a: Fraction, b: Fraction, place: Place) -> bool:
     c4 = Fraction(d)
     c2 = -2 * Fraction(a)
     c0 = (Fraction(a) ** 2 - 4 * Fraction(b)) / d
-    if place == "real":
+    if place == REAL:
         return oracle_quartic_real(c4, c2, c0)
     l = math.lcm(c4.denominator, c2.denominator, c0.denominator) ** 2
-    return oracle_quartic_qp(int(c4 * l), int(c2 * l), int(c0 * l), place)
+    return oracle_quartic_qp(int(c4 * l), int(c2 * l), int(c0 * l), place.p)
 
 
-def oracle_local_image(a: int, b: int, place) -> tuple[int, ...]:
+def oracle_local_image(a: int, b: int, place: Place) -> tuple[int, ...]:
     """Im(delta_{E',v}) for the model (a, b) by a full sweep: the torsor of
     every class of Q_v^x/(Q_v^x)^2 is tested, with no bound and no skip.
     Returns the echelon basis, after asserting the solvable set is a subgroup."""
-    reps = _coord_representatives(place)
-    vecs = {v for v, rep in reps.items() if torsor_solvable_at(Torsor(rep.value(), a, b), place)}
+    reps = local_reps(place)
+    vecs = {v for v, rep in reps.items() if torsor_solvable_at(Torsor(rep, a, b), place)}
     basis = f2_echelon(vecs)
     assert f2_span(basis) == vecs, f"local image at {place} is not a subgroup: {sorted(vecs)}"
     return basis
@@ -141,8 +141,8 @@ def oracle_selmer(A: int, B: int) -> list[int]:
     """
     bprime = A * A - 4 * B
     support = 2 * B * bprime
-    places = ["real", 2] + [
-        p for p in sorted(set(_prime_list(abs(support)))) if p % 2 == 1
+    places = [REAL, Place.prime(2)] + [
+        Place.prime(p) for p in sorted(set(_prime_list(abs(support)))) if p % 2 == 1
     ]
     sel = []
     for d in squarefree_sign_divisors(support):

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import oracle_selmer
-from twodescent.arith import factor
+from twodescent.arith import Place, factor
 from twodescent.curve import (
     AffinePoint,
     delta_class,
@@ -30,7 +30,7 @@ from twodescent.family import (
     family_by_name,
     verify_conditions,
 )
-from twodescent.localdata import Place, tate_local
+from twodescent.localdata import tate_local
 from twodescent.polyq import Poly, dual_discriminant, eval_at, model_discriminant
 from twodescent.scan import DEFAULT_SEARCH_BOUND, run_scan
 

@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 from twodescent.arith import (
+    REAL,
+    Place,
     PrimeFactorization,
     SquareClassQ,
     factor,
@@ -13,18 +15,17 @@ from twodescent.arith import (
     local_coords,
     local_dim,
     local_pairing,
+    local_reps,
+    smallest_nonresidue,
     square_class,
     valuation,
 )
-from twodescent.descent import _coord_representatives
-from twodescent.localdata import REAL, Place
-from twodescent.modp import smallest_nonresidue
 
 # Serre, A Course in Arithmetic, III.1.2: rows and columns in the order of
 # the heading, "+" for +1 and "-" for -1
 SERRE_TABLES = {
-    "real": ((1, -1), ("++", "+-")),
-    2: (
+    REAL: ((1, -1), ("++", "+-")),
+    Place.prime(2): (
         (1, 5, -1, -5, 2, 10, -2, -10),
         (
             "++++++++",
@@ -37,14 +38,10 @@ SERRE_TABLES = {
             "+--+-++-",
         ),
     ),
-    3: ((1, 2, 3, 6), ("++++", "++--", "+--+", "+-+-")),
-    5: ((1, 2, 5, 10), ("++++", "++--", "+-+-", "+--+")),
+    Place.prime(3): ((1, 2, 3, 6), ("++++", "++--", "+--+", "+-+-")),
+    Place.prime(5): ((1, 2, 5, 10), ("++++", "++--", "+-+-", "+--+")),
 }
 HILBERT_PLACES = [REAL] + [Place.prime(p) for p in (2, 3, 5, 7, 11, 13, 23, 10007)]
-
-
-def _key(place):
-    return "real" if place.kind == "real" else place.p
 
 
 def test_valuation_examples():
@@ -91,13 +88,13 @@ def test_factor_roundtrip():
 
 
 def test_is_square_local_examples():
-    assert is_square_local(17, 2) is True
-    assert is_square_local(2, 7) is True
-    assert is_square_local(-4, "real") is False
+    assert is_square_local(17, Place.prime(2)) is True
+    assert is_square_local(2, Place.prime(7)) is True
+    assert is_square_local(-4, REAL) is False
     with pytest.raises(ValueError):
-        is_square_local(0, 3)
+        is_square_local(0, Place.prime(3))
     with pytest.raises(ValueError):
-        is_square_local(3, 15)
+        is_square_local(3, Place.prime(15))
 
 
 def test_is_square_local_properties():
@@ -106,11 +103,11 @@ def test_is_square_local_properties():
     for _ in range(50):
         q = Fraction(rng.randint(1, 300), rng.randint(1, 300))
         for p in primes:
-            assert is_square_local(q * q, p)
-        assert is_square_local(q * q, "real")
+            assert is_square_local(q * q, Place.prime(p))
+        assert is_square_local(q * q, REAL)
         for p in primes:
             if p != 2:
-                assert not is_square_local(p * q * q, p)
+                assert not is_square_local(p * q * q, Place.prime(p))
 
 
 def test_square_class_examples():
@@ -141,25 +138,26 @@ def test_hilbert_symbol_serre_tables():
     for place, (reps, rows) in SERRE_TABLES.items():
         for x, row in zip(reps, rows):
             for y, sign in zip(reps, row):
-                assert hilbert_symbol(x, y, place) == (1 if sign == "+" else -1), (x, y, place)
+                assert hilbert_symbol(x, y, place) == (1 if sign == "+" else -1), (x, y, str(place))
     # rationals enter through their square classes
-    assert hilbert_symbol(Fraction(1, 2), 5, 2) == -1
-    assert hilbert_symbol(Fraction(3, 4), Fraction(9, 2), 3) == hilbert_symbol(3, 2, 3) == -1
+    two, three = Place.prime(2), Place.prime(3)
+    assert hilbert_symbol(Fraction(1, 2), 5, two) == -1
+    assert hilbert_symbol(Fraction(3, 4), Fraction(9, 2), three) == hilbert_symbol(3, 2, three) == -1
     with pytest.raises(ValueError):
-        hilbert_symbol(0, 3, 3)
+        hilbert_symbol(0, 3, three)
     with pytest.raises(ValueError):
-        hilbert_symbol(2, 3, 6)
+        hilbert_symbol(2, 3, Place.prime(6))
 
 
 def test_hilbert_symbol_symmetric_and_bilinear():
     for pl in HILBERT_PLACES:
-        reps = [r.value() for r in _coord_representatives(pl).values()]
+        reps = list(local_reps(pl).values())
         for x in reps:
             for y in reps:
-                s = hilbert_symbol(x, y, _key(pl))
-                assert s == hilbert_symbol(y, x, _key(pl)), (x, y, str(pl))
+                s = hilbert_symbol(x, y, pl)
+                assert s == hilbert_symbol(y, x, pl), (x, y, str(pl))
                 for z in reps:
-                    assert hilbert_symbol(x * z, y, _key(pl)) == s * hilbert_symbol(z, y, _key(pl)), (x, y, z, str(pl))
+                    assert hilbert_symbol(x * z, y, pl) == s * hilbert_symbol(z, y, pl), (x, y, z, str(pl))
 
 
 def test_hilbert_symbol_steinberg_relations():
@@ -168,9 +166,9 @@ def test_hilbert_symbol_steinberg_relations():
     for _ in range(300):
         x = Fraction(rng.randint(1, 2000), rng.randint(1, 200)) * rng.choice([1, -1])
         for pl in HILBERT_PLACES:
-            assert hilbert_symbol(x, -x, _key(pl)) == 1, (x, str(pl))
+            assert hilbert_symbol(x, -x, pl) == 1, (x, str(pl))
             if x != 1:
-                assert hilbert_symbol(x, 1 - x, _key(pl)) == 1, (x, str(pl))
+                assert hilbert_symbol(x, 1 - x, pl) == 1, (x, str(pl))
 
 
 def test_hilbert_symbol_product_formula():
@@ -181,9 +179,9 @@ def test_hilbert_symbol_product_formula():
         x, y = (rng.randint(1, 10**5) * rng.choice([1, -1]) for _ in range(2))
         if square_class(x).value() != x or square_class(y).value() != y:
             continue
-        prod = hilbert_symbol(x, y, "real")
+        prod = hilbert_symbol(x, y, REAL)
         for p in set(factor(2 * x * y).primes):
-            prod *= hilbert_symbol(x, y, p)
+            prod *= hilbert_symbol(x, y, Place.prime(p))
         assert prod == 1, (x, y)
         pairs += 1
 
@@ -199,25 +197,28 @@ def test_local_coords_bit_layout():
     valuation at odd p; u = 3 (mod 4), u = +-3 (mod 8) and an odd valuation
     at 2.  Swapping the last two bits at 2 leaves the pairing unchanged, so
     only this test pins them."""
-    assert [local_coords(x, "real") for x in (5, Fraction(-1, 3))] == [0, 1]
-    assert [local_coords(x, 3) for x in (7, 2, 3, Fraction(-1, 3))] == [0, 0b01, 0b10, 0b11]
-    assert [local_coords(x, 2) for x in (17, -1, 5, 2, Fraction(-5, 2))] == [0, 0b001, 0b010, 0b100, 0b111]
+    assert [local_coords(x, REAL) for x in (5, Fraction(-1, 3))] == [0, 1]
+    three, two = Place.prime(3), Place.prime(2)
+    assert [local_coords(x, three) for x in (7, 2, 3, Fraction(-1, 3))] == [0, 0b01, 0b10, 0b11]
+    assert [local_coords(x, two) for x in (17, -1, 5, 2, Fraction(-5, 2))] == [0, 0b001, 0b010, 0b100, 0b111]
     with pytest.raises(ValueError):
-        local_coords(0, 5)
+        local_coords(0, Place.prime(5))
 
 
-def test_coord_representatives_by_construction():
+def test_local_reps_by_construction():
     """The representatives built from their definition (1, u, p, u p at odd
     p with u the least non-residue; constants at 2 and the real place) are
-    keyed by their own local coordinates, for every odd prime below 2000."""
+    squarefree and keyed by their own local coordinates, for every prime
+    below 2000 and the real place."""
     places = [REAL, Place.prime(2)] + [Place.prime(p) for p in range(3, 2000, 2) if is_prime(p)]
     for pl in places:
-        reps = _coord_representatives(pl)
-        assert reps == {local_coords(c.value(), _key(pl)): c for c in reps.values()}, str(pl)
-        assert sorted(reps) == list(range(1 << local_dim(_key(pl)))), str(pl)
+        reps = local_reps(pl)
+        assert reps == {local_coords(c, pl): c for c in reps.values()}, str(pl)
+        assert sorted(reps) == list(range(1 << local_dim(pl))), str(pl)
+        assert all(square_class(c).value() == c for c in reps.values()), str(pl)
         if pl.kind == "prime" and pl.p != 2:
             u = smallest_nonresidue(pl.p)
-            assert [c.value() for c in reps.values()] == [1, u, pl.p, u * pl.p], str(pl)
+            assert list(reps.values()) == [1, u, pl.p, u * pl.p], str(pl)
 
 
 def test_local_coords_homomorphism_square_invariant_zero_on_squares():
@@ -228,17 +229,16 @@ def test_local_coords_homomorphism_square_invariant_zero_on_squares():
     found by enumerating the residues."""
     rng = random.Random(8)
     for pl in HILBERT_PLACES:
-        key = _key(pl)
-        assert sorted(_coord_representatives(pl)) == list(range(1 << local_dim(key)))
+        assert sorted(local_reps(pl)) == list(range(1 << local_dim(pl)))
         p = 3 if pl.kind == "real" else pl.p  # any base for the powers at the real place
         m = 8 if p == 2 else p
         residue_squares = {s * s % m for s in range(m)}
         for _ in range(300):
             x, y = _random_rational(rng, p), _random_rational(rng, p)
             r = Fraction(rng.randint(1, 300), rng.randint(1, 300)) * Fraction(p) ** rng.randint(-2, 2)
-            cx = local_coords(x, key)
-            assert local_coords(x * y, key) == cx ^ local_coords(y, key), (x, y, str(pl))
-            assert local_coords(x * r * r, key) == cx, (x, r, str(pl))
+            cx = local_coords(x, pl)
+            assert local_coords(x * y, pl) == cx ^ local_coords(y, pl), (x, y, str(pl))
+            assert local_coords(x * r * r, pl) == cx, (x, r, str(pl))
             if pl.kind == "real":
                 is_square = x > 0
             else:
@@ -251,7 +251,6 @@ def test_local_coords_homomorphism_square_invariant_zero_on_squares():
 def test_local_pairing_non_degenerate():
     """Every nonzero local class pairs to -1 with some class, at every place."""
     for pl in HILBERT_PLACES:
-        key = _key(pl)
-        vecs = range(1 << local_dim(key))
+        vecs = range(1 << local_dim(pl))
         for x in vecs:
-            assert any(local_pairing(x, y, key) for y in vecs) == (x != 0), (x, str(pl))
+            assert any(local_pairing(x, y, pl) for y in vecs) == (x != 0), (x, str(pl))

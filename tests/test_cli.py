@@ -5,6 +5,8 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 import twodescent
 from twodescent.cli import main
 
@@ -67,6 +69,53 @@ def test_scan_subcommand(tmp_path, capsys):
     for line in out_path.read_text().splitlines():
         rec = json.loads(line)
         assert rec["family"] == "rank0"
+
+
+CURVE = '{"domain":"Q","a":"0/1","b":"-25/1"}'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tate", "--curve", CURVE, "--place", "15"],
+        ["tate", "--curve", CURVE, "--place", "real"],
+        ["selmer", "--curve", "{not json"],
+        ["selmer", "--curve", '{"domain":"Q","a":"0/1"}'],
+        ["selmer", "--curve", '{"domain":"Q","a":"0/1","b":"0/1"}'],
+        ["selmer", "--curve", '{"domain":"QT","a":["2/1"],"b":["0/1","1/1"]}'],
+        ["rank", "--curve", CURVE, "--points", '{"E": [["1/1","1/1"]]}'],
+        ["rank", "--curve", CURVE, "--points", '{"E\'": [["5/1","-24/1"]]}'],
+        ["scan", "--family", "rank0", "--height", "0", "--out", os.devnull],
+        ["scan", "--family", "rank0", "--height", "3", "--jobs", "0", "--out", os.devnull],
+        ["scan", "--family", "nosuch", "--height", "3", "--out", os.devnull],
+        ["family", "verify", "nosuch"],
+        ["family", "verify"],
+    ],
+    ids=[
+        "tate-place-not-prime",
+        "tate-place-not-on-Q",
+        "curve-malformed",
+        "curve-missing-key",
+        "curve-singular",
+        "selmer-curve-over-QT",
+        "rank-point-off-E",
+        "rank-point-off-E-dual",
+        "scan-height-0",
+        "scan-jobs-0",
+        "scan-unknown-family",
+        "family-verify-unknown",
+        "family-verify-no-name",
+    ],
+)
+def test_input_errors_exit_with_status_2(argv, capsys):
+    """Bad input is a usage error: exit status 2 and one line on stderr,
+    not a traceback."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "error: " in captured.err, captured.err
 
 
 def test_cli_loads_only_the_standard_library():

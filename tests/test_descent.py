@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 
 from oracles import oracle_box_points, oracle_local_image, oracle_selmer, oracle_torsor_solvable
 from twodescent import descent
-from twodescent.arith import SquareClassQ, factor, square_class
+from twodescent.arith import REAL, Place, SquareClassQ, factor, local_reps, square_class
 from twodescent.curve import TwoTorsionModel, dual_model, integral_model, specialize
 from twodescent.descent import (
     _SIEVE_MODULI,
     RankStatus,
     Torsor,
-    _coord_representatives,
     _dual_image,
     _image_at_place,
     _residue_pattern,
@@ -25,7 +24,7 @@ from twodescent.descent import (
     torsor_solvable_at,
 )
 from twodescent.family import family_by_name
-from twodescent.localdata import REAL, Place, local_image_order
+from twodescent.localdata import local_image_order
 from twodescent.scan import enumerate_heights
 
 
@@ -58,7 +57,18 @@ def test_trivial_and_bdual_classes_always_solvable():
             assert all(torsor_solvable_at(tor, pl) for pl in places)
 
 
+def _deep_shape(p, k, m, h, on_b):
+    """(a, b) = (h, p^k m), or (2h, h^2 - p^k m), where a^2 - 4b = 4 p^k m."""
+    c = p**k * m
+    return (h, c) if on_b else (2 * h, h * h - c)
+
+
 def test_torsor_solvability_matches_oracle():
+    """torsor_solvable_at agrees with the oracle's flat residue sweep: at the
+    real place, 2, 3, 5 and 7 on small curves, and at p for every class on
+    curves of the deep_curves shapes, with 2^k for 4 <= k <= 10 (the deep
+    2-adic refinement) or p^k for p in {23, 29, 31} and k <= 3 (the gcd and
+    Weil-bound path of _fp_analysis)."""
     rng = random.Random(42)
     for _ in range(120):
         a, b = rng.randint(-12, 12), rng.randint(-12, 12)
@@ -66,10 +76,21 @@ def test_torsor_solvability_matches_oracle():
             continue
         d = rng.choice([1, -1, 2, -2, 3, 5, -5, 6, 7, -7, 10, 15, -15])
         tor = Torsor(d, a, b)
-        for pl, okey in ((REAL, "real"), (Place.prime(2), 2), (Place.prime(3), 3), (Place.prime(5), 5), (Place.prime(7), 7)):
+        for pl in (REAL, Place.prime(2), Place.prime(3), Place.prime(5), Place.prime(7)):
             got = torsor_solvable_at(tor, pl)
-            want = oracle_torsor_solvable(d, Fraction(a), Fraction(b), okey)
+            want = oracle_torsor_solvable(d, Fraction(a), Fraction(b), pl)
             assert got == want, (a, b, d, str(pl))
+    for p, ks, count in ((2, range(4, 11), 40), (23, range(1, 4), 14), (29, range(1, 4), 14), (31, range(1, 4), 14)):
+        pl = Place.prime(p)
+        while count:
+            m, h = rng.randint(-40, 40), rng.randint(-40, 40)
+            a, b = _deep_shape(p, rng.choice(ks), m, h, rng.random() < 0.5)
+            if m % p == 0 or b == 0 or a * a == 4 * b:
+                continue
+            count -= 1
+            for d in local_reps(pl).values():
+                got = torsor_solvable_at(Torsor(d, a, b), pl)
+                assert got == oracle_torsor_solvable(d, Fraction(a), Fraction(b), pl), (a, b, d, p)
 
 
 def test_selmer_matches_bruteforce_oracle(small_curve_corpus):
@@ -169,7 +190,7 @@ def assert_dual_images_match_sweep(A, B) -> int:
     primes = {2, 3, 5, *factor(B).primes, *factor(A * A - 4 * B).primes}
     places = [REAL] + [Place.prime(p) for p in sorted(primes)]
     for pl in places:
-        image = _image_at_place(A, B, pl, _coord_representatives(pl))
+        image = _image_at_place(A, B, pl)
         assert image == oracle_local_image(A, B, pl), (A, B, str(pl))
         assert _dual_image(image, pl) == oracle_local_image(-2 * A, A * A - 4 * B, pl), (A, B, str(pl))
     return len(places)
@@ -205,12 +226,8 @@ def deep_curves(draw):
     refinement)."""
     p = draw(st.sampled_from([2, 23, 29, 31, 37, 43, 97, 101, 1009]))
     k = draw(st.integers(4, 20) if p == 2 else st.integers(1, 4))
-    c = p**k * draw(st.integers(-40, 40).filter(bool))
-    h = draw(st.integers(-40, 40))
-    if draw(st.booleans()):
-        a, b = h, c  # p^k | b
-    else:
-        a, b = 2 * h, h * h - c  # a^2 - 4b = 4c
+    m = draw(st.integers(-40, 40).filter(bool))
+    a, b = _deep_shape(p, k, m, draw(st.integers(-40, 40)), draw(st.booleans()))
     assume(b != 0 and a * a != 4 * b)
     return a, b
 

@@ -4,9 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from twodescent.curve import TwoTorsionModel, delta_class, delta_span_dim
+from twodescent.arith import FT_INFINITY, Place
+from twodescent.curve import AffinePoint, TwoTorsionModel, delta_class, delta_span_dim
 from twodescent.family import (
+    FamilyValidationError,
     PlaceClassification,
+    _validate,
     admissible_divisor_sets,
     builtin_families,
     classify_places,
@@ -15,7 +18,7 @@ from twodescent.family import (
     geometric_rank,
     verify_conditions,
 )
-from twodescent.localdata import FT_INFINITY, Place, conductor_degree
+from twodescent.localdata import conductor_degree
 from twodescent.polyq import Poly
 
 T = Poly.x()
@@ -74,6 +77,25 @@ def test_mutated_fixture_fails_condition_f():
     report = verify_conditions(broken)
     ok, witness = report.statuses["f"]
     assert not ok and "2 < 3" in witness
+
+
+@pytest.mark.parametrize(
+    "defect, message",
+    [
+        (lambda rec: {"points_e": rec.points_e + (AffinePoint.of(Poly.const(1), Poly.const(1)),)}, "not on E"),
+        (lambda rec: {"disc_expected": rec.disc_expected * Poly.const(2)}, "discriminant mismatch"),
+        (lambda rec: {"target_rank": rec.target_rank + 1}, "target rank inconsistent"),
+        (lambda rec: {"expected": PlaceClassification(places(1), frozenset(), frozenset())}, "negative rank"),
+    ],
+    ids=["point-off-E", "wrong-discriminant", "target-rank", "negative-rank"],
+)
+def test_validate_rejects_malformed_fixtures(defect, message):
+    """Each fixture defect that the load-time check exists for raises
+    FamilyValidationError, a rank read off a malformed classification too."""
+    rec = family_by_name("rank2")
+    _validate(rec)
+    with pytest.raises(FamilyValidationError, match=message):
+        _validate(replace(rec, **defect(rec)))
 
 
 def test_geometric_rank():

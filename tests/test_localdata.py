@@ -4,19 +4,11 @@ from pathlib import Path
 
 import pytest
 
-from twodescent.arith import factor
+from twodescent.arith import FT_INFINITY, Place, factor, parse_place
 from twodescent.curve import TwoTorsionModel, dual_model, integral_model, specialize
 from twodescent.descent import descend
 from twodescent.family import builtin_families, excluded_primes, family_by_name
-from twodescent.localdata import (
-    FT_INFINITY,
-    KodairaSymbol,
-    Place,
-    conductor_degree,
-    local_image_order,
-    parse_place,
-    tate_local,
-)
+from twodescent.localdata import KodairaSymbol, conductor_degree, local_image_order, tate_local
 from twodescent.polyq import Poly
 
 T = Poly.x()

@@ -4,9 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from twodescent.arith import valuation
+from twodescent.arith import FT_INFINITY, valuation
 from twodescent.family import excluded_primes, family_by_name
-from twodescent.localdata import FT_INFINITY
 from twodescent.scan import ScanResult, emit_report, enumerate_heights, run_scan, scan_one
 
 
