@@ -283,8 +283,14 @@ def parse_place(s: str) -> Place:
     return Place.prime(int(s))
 
 
+def _require_q_place(place: Place) -> None:
+    if place.kind not in ("real", "prime"):
+        raise ValueError(f"local square classes are defined at the real place or a prime of Q, not {place}")
+
+
 def local_dim(place: Place) -> int:
     """The F_2-dimension of Q_v^x/(Q_v^x)^2 at the real place or a prime."""
+    _require_q_place(place)
     if place.kind == "real":
         return 1
     return 3 if place.p == 2 else 2
@@ -330,6 +336,7 @@ def local_reps(place: Place) -> dict[int, int]:
     """The inverse of `local_coords` at the real place or a prime: each
     bitmask -> a squarefree integer in its class.  At odd p these are 1,
     u, p and u p, with u the least non-residue (a prime below p)."""
+    _require_q_place(place)
     if place.kind == "real":
         return _REAL_REPS
     if place.p == 2:
@@ -359,11 +366,13 @@ def local_pairing(x: int, y: int, place: Place) -> int:
 
 def is_square_local(q: RationalLike, place: Place) -> bool:
     """Is q a square in the completion at the real place or a prime?"""
+    _require_q_place(place)
     return local_coords(q, place) == 0
 
 
 def hilbert_symbol(x: RationalLike, y: RationalLike, place: Place) -> int:
     """The Hilbert symbol (x, y) at the real place or a prime, as +1 or -1."""
+    _require_q_place(place)
     return -1 if local_pairing(local_coords(x, place), local_coords(y, place), place) else 1
 
 

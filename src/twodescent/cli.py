@@ -8,7 +8,7 @@ import sys
 
 from .arith import Place, parse_place
 from .curve import DOMAIN_Q, AffinePoint, TwoTorsionModel, dual_model, on_curve
-from .descent import descend, point_search, rank_bounds
+from .descent import descend, rank_bounds
 from .family import builtin_families, family_by_name, verify_conditions
 from .localdata import tate_local
 from .polyq import SingularModelError, rational_from_str
@@ -51,6 +51,13 @@ def _positive_int(s: str) -> int:
     n = int(s)
     if n < 1:
         raise argparse.ArgumentTypeError(f"{s!r} is not a positive integer")
+    return n
+
+
+def _nonnegative_int(s: str) -> int:
+    n = int(s)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"{s!r} is not a non-negative integer")
     return n
 
 
@@ -99,12 +106,8 @@ def _cmd_selmer(args) -> int:
 
 
 def _cmd_rank(args) -> int:
-    E = args.curve
     pts_e, pts_ep = args.points or ([], [])
-    if args.search_bound:
-        pts_e = pts_e + point_search(E, args.search_bound)
-        pts_ep = pts_ep + point_search(dual_model(E), args.search_bound)
-    status = rank_bounds(descend(E), pts_e, pts_ep)
+    status = rank_bounds(descend(args.curve), pts_e, pts_ep, args.search_bound)
     print(json.dumps(status.to_json(), sort_keys=True))
     return 0
 
@@ -148,7 +151,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("rank", help="rank bounds by 2-isogeny descent")
     p.add_argument("--curve", required=True, type=_curve_arg)
     p.add_argument("--points", type=_points_arg, help='{"E": [["x","y"],...], "E\'": [...]}')
-    p.add_argument("--search-bound", type=int, default=DEFAULT_SEARCH_BOUND)
+    p.add_argument("--search-bound", type=_nonnegative_int, default=DEFAULT_SEARCH_BOUND)
     p.set_defaults(func=_cmd_rank)
 
     p = sub.add_parser("family", help="built-in family registry")

@@ -350,11 +350,12 @@ def _selmer_basis(gens, gen_coords, images: dict[Place, tuple[int, ...]]) -> tup
     vanish.
     """
     n = len(gens)
+    layout = [(local_dim(pl), img) for pl, img in images.items()]
     rows = []
     for i, coords in enumerate(gen_coords):
         row = 0
-        for v, (pl, img) in zip(coords, images.items()):
-            row = row << local_dim(pl) | f2_reduce(v, img)
+        for v, (dim, img) in zip(coords, layout):
+            row = row << dim | f2_reduce(v, img)
         rows.append(row << n | 1 << i)
     basis = [
         SquareClassQ(-1 if kmask & 1 else 1, tuple(gens[i] for i in range(1, n) if kmask >> i & 1))
@@ -539,23 +540,35 @@ class RankStatus:
         return {"kind": "bounded", "lo": self.lo, "hi": self.hi}
 
 
-def rank_bounds(descent: Descent, points_e=(), points_eprime=()) -> RankStatus:
+def rank_bounds(descent: Descent, points_e=(), points_eprime=(), search_bound: int = 0) -> RankStatus:
     """Rank bounds from delta images of known points and Selmer dimensions.
 
     The points lie on descent.curve and its dual model.
     lower = dim<delta_E(points)> + dim<delta_E'(points')> - 2,
     upper = dim Sel_phi-hat + dim Sel_phi - 2 (both clamped at 0).
+    A side whose span of (0,0) and the given points is still below its
+    Selmer dimension (E against Sel_phi-hat, E' against Sel_phi) also gets
+    the points of `point_search(curve, search_bound)`; a filled side is not
+    searched, since a further point can only leave its span as it is.
+    search_bound 0 searches nothing.
     """
+    if search_bound < 0:
+        raise ValueError(f"search bound {search_bound} is negative")
     E = descent.curve
-    Edual = dual_model(E)
-    selmer_phi, selmer_phihat = descent.phi, descent.phi_hat
     zero = AffinePoint.of(Fraction(0), Fraction(0))
-    cls_e = [delta_class(E, zero)] + [delta_class(E, P) for P in points_e]
-    cls_ep = [delta_class(Edual, zero)] + [delta_class(Edual, P) for P in points_eprime]
-    d1 = delta_span_dim(cls_e)
-    d2 = delta_span_dim(cls_ep)
-    if d1 > selmer_phihat.dim or d2 > selmer_phi.dim:
-        raise AssertionError("delta image escaped its Selmer group: descent bug")
-    lo = max(d1 + d2 - 2, 0)
-    hi = max(selmer_phihat.dim + selmer_phi.dim - 2, lo)
+    dims = []
+    for curve, points, selmer in (
+        (E, points_e, descent.phi_hat),
+        (dual_model(E), points_eprime, descent.phi),
+    ):
+        classes = [delta_class(curve, P) for P in (zero, *points)]
+        d = delta_span_dim(classes)
+        if search_bound and d < selmer.dim:
+            classes += [delta_class(curve, P) for P in point_search(curve, search_bound)]
+            d = delta_span_dim(classes)
+        if d > selmer.dim:
+            raise AssertionError("delta image escaped its Selmer group: descent bug")
+        dims.append(d)
+    lo = max(sum(dims) - 2, 0)
+    hi = max(descent.phi_hat.dim + descent.phi.dim - 2, lo)
     return RankStatus.from_bounds(lo, hi)

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .arith import FactorizationEffortError, Place, factor
 from .curve import AffinePoint, TwoTorsionModel, dual_model, j_invariant, on_curve, specialize
-from .descent import RankStatus, SolvabilityPrecisionError, descend, point_search, rank_bounds
+from .descent import RankStatus, SolvabilityPrecisionError, descend, rank_bounds
 from .family import FamilyRecord, excluded_primes, family_by_name
 from .localdata import tate_local
 from .polyq import eval_at, rational_from_str, rational_to_str
@@ -137,9 +137,7 @@ def scan_one(name: str, m: int, n: int) -> ScanResult:
 
     pts_e = _specialized_points(rec, E_t, t, dualside=False)
     pts_ep = _specialized_points(rec, E_t, t, dualside=True)
-    pts_e += point_search(E_t, DEFAULT_SEARCH_BOUND)
-    pts_ep += point_search(dual_model(E_t), DEFAULT_SEARCH_BOUND)
-    rank = rank_bounds(D, pts_e, pts_ep)
+    rank = rank_bounds(D, pts_e, pts_ep, DEFAULT_SEARCH_BOUND)
 
     # (1/2)|Im(delta_{E',p})| = c_p(E')/c_p(E) at odd p, as in
     # localdata.local_image_order

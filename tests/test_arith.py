@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from twodescent.arith import (
+    FT_INFINITY,
     REAL,
     Place,
     PrimeFactorization,
@@ -254,3 +255,18 @@ def test_local_pairing_non_degenerate():
         vecs = range(1 << local_dim(pl))
         for x in vecs:
             assert any(local_pairing(x, y, pl) for y in vecs) == (x != 0), (x, str(pl))
+
+
+@pytest.mark.parametrize("place", [FT_INFINITY, Place.ft(1), Place.ft(Fraction(-2, 3))], ids=str)
+def test_local_square_classes_reject_function_field_places(place):
+    """The local square classes are those of Q_v: a place of Q(T) is a
+    ValueError that names it, not a wrong dimension or a TypeError."""
+    calls = [
+        lambda: local_dim(place),
+        lambda: local_reps(place),
+        lambda: is_square_local(2, place),
+        lambda: hilbert_symbol(2, 3, place),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=str(place).replace("+", r"\+")):
+            call()

@@ -85,6 +85,7 @@ CURVE = '{"domain":"Q","a":"0/1","b":"-25/1"}'
         ["selmer", "--curve", '{"domain":"QT","a":["2/1"],"b":["0/1","1/1"]}'],
         ["rank", "--curve", CURVE, "--points", '{"E": [["1/1","1/1"]]}'],
         ["rank", "--curve", CURVE, "--points", '{"E\'": [["5/1","-24/1"]]}'],
+        ["rank", "--curve", CURVE, "--search-bound", "-1"],
         ["scan", "--family", "rank0", "--height", "0", "--out", os.devnull],
         ["scan", "--family", "rank0", "--height", "3", "--jobs", "0", "--out", os.devnull],
         ["scan", "--family", "nosuch", "--height", "3", "--out", os.devnull],
@@ -100,6 +101,7 @@ CURVE = '{"domain":"Q","a":"0/1","b":"-25/1"}'
         "selmer-curve-over-QT",
         "rank-point-off-E",
         "rank-point-off-E-dual",
+        "rank-search-bound-negative",
         "scan-height-0",
         "scan-jobs-0",
         "scan-unknown-family",

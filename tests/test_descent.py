@@ -25,7 +25,7 @@ from twodescent.descent import (
 )
 from twodescent.family import family_by_name
 from twodescent.localdata import local_image_order
-from twodescent.scan import enumerate_heights
+from twodescent.scan import _specialized_points, enumerate_heights
 
 
 def selmer_values(S):
@@ -421,6 +421,64 @@ def test_rank_bounds_monotone_in_search_bound():
     assert los == sorted(los)
     # Selmer dims are independent of the search bound
     assert descend(E).phi.dim == D.phi.dim
+
+
+def assert_search_skip_changes_nothing(D, pts, ptsd, H):
+    """rank_bounds searching only the sides its points leave open equals
+    rank_bounds given both sides' full search."""
+    E, Ed = D.curve, dual_model(D.curve)
+    full = rank_bounds(D, pts + point_search(E, H), ptsd + point_search(Ed, H))
+    assert rank_bounds(D, pts, ptsd, H) == full, (E, H)
+
+
+def test_rank_bounds_search_skip_on_family_fibers():
+    """Every fiber of height <= 6 in the five families, with its specialized
+    generic points, at the scan's search bound 32."""
+    checked = 0
+    for name in ("rank0", "rank1", "rank2", "rank3", "rank4"):
+        rec = family_by_name(name)
+        bad_ts = {pl.e for pl in rec.expected.all_places if pl.kind == "ft"}
+        for m, n in enumerate_heights(6):
+            t = Fraction(m, n)
+            if t in bad_ts:
+                continue
+            Et = specialize(rec.E, t)
+            pts = _specialized_points(rec, Et, t, dualside=False)
+            ptsd = _specialized_points(rec, Et, t, dualside=True)
+            assert_search_skip_changes_nothing(descend(Et), pts, ptsd, 32)
+            checked += 1
+    assert checked > 200
+
+
+def test_rank_bounds_search_skip_on_seeded_curves():
+    rng = random.Random(14)
+    for _ in range(40):
+        a, b = rng.randint(-60, 60), rng.randint(-60, 60)
+        if b == 0 or a * a == 4 * b:
+            continue
+        assert_search_skip_changes_nothing(descend(TwoTorsionModel.over_q(a, b)), [], [], 128)
+
+
+def test_rank_bounds_searches_only_open_sides(monkeypatch):
+    """y^2 = x^3 + 2x has Selmer dims (1, 1), both filled by (0,0): no search.
+    On y^2 = x^3 - x, (0,0) fills the E side only; the dual y^2 = x^3 + 4x
+    needs its 4-torsion point (2, 4), so that side alone is searched.
+    y^2 = x^3 - 25x stays bounded without points, so it is searched."""
+    calls = []
+
+    def counted(E, H):
+        calls.append(E)
+        return point_search(E, H)
+
+    monkeypatch.setattr(descent, "point_search", counted)
+    assert rank_bounds(descend(TwoTorsionModel.over_q(0, 2)), search_bound=32) == RankStatus("determined", 0, 0)
+    assert calls == []
+    assert rank_bounds(descend(TwoTorsionModel.over_q(0, -1)), search_bound=32) == RankStatus("determined", 0, 0)
+    assert calls == [TwoTorsionModel.over_q(0, 4)]
+    assert rank_bounds(descend(TwoTorsionModel.over_q(0, -25)), search_bound=32) == RankStatus("determined", 1, 1)
+    assert len(calls) > 1
+    with pytest.raises(ValueError):
+        rank_bounds(descend(TwoTorsionModel.over_q(0, -25)), search_bound=-1)
 
 
 def test_selmer_pair_shares_support():
