@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+from pathlib import Path
 
 from .arith import Place, parse_place
 from .curve import DOMAIN_Q, AffinePoint, TwoTorsionModel, dual_model, on_curve
@@ -25,7 +27,7 @@ class _Parser(argparse.ArgumentParser):
 def _curve_arg(s: str) -> TwoTorsionModel:
     try:
         return TwoTorsionModel.from_json(json.loads(s))
-    except (ValueError, LookupError, TypeError, SingularModelError) as exc:
+    except (ValueError, LookupError, TypeError, ZeroDivisionError, SingularModelError) as exc:
         raise argparse.ArgumentTypeError(f"bad curve {s!r}: {type(exc).__name__} {exc}") from None
 
 
@@ -43,7 +45,7 @@ def _points_arg(s: str) -> tuple[list[AffinePoint], list[AffinePoint]]:
             [AffinePoint.of(rational_from_str(item[0]), rational_from_str(item[1])) for item in data.get(side, [])]
             for side in ("E", "E'")
         )
-    except (ValueError, LookupError, TypeError, AttributeError) as exc:
+    except (ValueError, LookupError, TypeError, ZeroDivisionError, AttributeError) as exc:
         raise argparse.ArgumentTypeError(f"bad points {s!r}: {type(exc).__name__} {exc}") from None
 
 
@@ -62,11 +64,14 @@ def _nonnegative_int(s: str) -> int:
 
 
 def _usage_error(args) -> str | None:
-    """What the parsed arguments contradict, where two arguments or the
-    family registry decide; None for consistent arguments."""
+    """What the parsed arguments contradict, where two arguments, the
+    family registry or the file system decide; None for consistent
+    arguments."""
     cmd = args.command
     if cmd == "family" and args.action == "verify" and not args.name:
         return "family verify requires a name"
+    if cmd == "scan" and not (out_dir := Path(args.out).parent).is_dir():
+        return f"--out {args.out!r}: {str(out_dir)!r} is not a directory"
     if cmd == "scan" or cmd == "family" and args.action == "verify":
         name = args.family if cmd == "scan" else args.name
         names = [rec.name for rec in builtin_families()]
@@ -133,7 +138,12 @@ def _cmd_scan(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> _Parser:
+    """The one parser of the process, built on first use.
+
+    Reusable: ``parse_args`` returns a fresh namespace on every call, and
+    the ``type=`` converters keep no state."""
     parser = _Parser(prog="twodescent")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -165,7 +175,11 @@ def main(argv=None) -> int:
     p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_scan)
+    return parser
 
+
+def main(argv=None) -> int:
+    parser = _parser()
     args = parser.parse_args(argv)
     error = _usage_error(args)
     if error:

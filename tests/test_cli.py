@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import twodescent
+from twodescent import cli
 from twodescent.cli import main
 
 
@@ -82,13 +83,17 @@ CURVE = '{"domain":"Q","a":"0/1","b":"-25/1"}'
         ["selmer", "--curve", "{not json"],
         ["selmer", "--curve", '{"domain":"Q","a":"0/1"}'],
         ["selmer", "--curve", '{"domain":"Q","a":"0/1","b":"0/1"}'],
+        ["selmer", "--curve", '{"domain":"Q","a":"0/1","b":"0/0"}'],
+        ["selmer", "--curve", '{"domain":"QT","a":["2/1"],"b":["0/1","1/0"]}'],
         ["selmer", "--curve", '{"domain":"QT","a":["2/1"],"b":["0/1","1/1"]}'],
         ["rank", "--curve", CURVE, "--points", '{"E": [["1/1","1/1"]]}'],
         ["rank", "--curve", CURVE, "--points", '{"E\'": [["5/1","-24/1"]]}'],
+        ["rank", "--curve", CURVE, "--points", '{"E": [["1/0","2"]]}'],
         ["rank", "--curve", CURVE, "--search-bound", "-1"],
         ["scan", "--family", "rank0", "--height", "0", "--out", os.devnull],
         ["scan", "--family", "rank0", "--height", "3", "--jobs", "0", "--out", os.devnull],
         ["scan", "--family", "nosuch", "--height", "3", "--out", os.devnull],
+        ["scan", "--family", "rank0", "--height", "2", "--out", os.path.join(os.devnull, "x.jsonl")],
         ["family", "verify", "nosuch"],
         ["family", "verify"],
     ],
@@ -98,13 +103,17 @@ CURVE = '{"domain":"Q","a":"0/1","b":"-25/1"}'
         "curve-malformed",
         "curve-missing-key",
         "curve-singular",
+        "curve-zero-denominator",
+        "curve-qt-zero-denominator",
         "selmer-curve-over-QT",
         "rank-point-off-E",
         "rank-point-off-E-dual",
+        "rank-points-zero-denominator",
         "rank-search-bound-negative",
         "scan-height-0",
         "scan-jobs-0",
         "scan-unknown-family",
+        "scan-out-dir-missing",
         "family-verify-unknown",
         "family-verify-no-name",
     ],
@@ -118,6 +127,42 @@ def test_input_errors_exit_with_status_2(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and "error: " in captured.err, captured.err
+
+
+def _src_env() -> dict:
+    """The environment of a fresh interpreter that imports this checkout's twodescent."""
+    src = str(Path(twodescent.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
+def test_reused_parser_keeps_no_state_between_calls(capsys):
+    """main reuses one parser; each call in one process prints what the
+    same argv prints in a fresh interpreter, whatever ran before it."""
+    assert cli._parser() is cli._parser()
+    pts = json.dumps({"E": [["-4/1", "6/1"], ["45/1", "300/1"]], "E'": [["5/1", "25/1"]]})
+    sequence = [
+        ["rank", "--curve", CURVE, "--points", pts, "--search-bound", "0"],
+        ["rank", "--curve", CURVE, "--search-bound", "0"],
+        ["rank", "--curve", CURVE, "--search-bound", "-1"],
+        ["selmer", "--curve", CURVE],
+        ["family", "list"],
+        ["rank", "--curve", CURVE],
+    ]
+    outs = []
+    for argv in sequence:
+        try:
+            status = main(argv)
+        except SystemExit as exc:
+            status = exc.code
+        got = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "twodescent.cli", *argv], env=_src_env(), capture_output=True, text=True
+        )
+        assert (status, got.out, got.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        outs.append(got.out)
+    # the points of the first call do not reach the second
+    assert json.loads(outs[0])["kind"] == "determined"
+    assert json.loads(outs[1])["kind"] == "bounded"
 
 
 def test_cli_loads_only_the_standard_library():
@@ -141,9 +186,7 @@ def test_cli_loads_only_the_standard_library():
         print(" ".join(sorted(set(sys.modules) - before)))
         """
     )
-    src = str(Path(twodescent.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    run = subprocess.run([sys.executable, "-c", script], env=_src_env(), capture_output=True, text=True, check=True)
     loaded = run.stdout.split()
     assert "twodescent.polyq" in loaded
     # multiprocessing registers __main__ again as __mp_main__
