@@ -70,6 +70,8 @@ def _usage_error(args) -> str | None:
     cmd = args.command
     if cmd == "family" and args.action == "verify" and not args.name:
         return "family verify requires a name"
+    if cmd == "scan" and Path(args.out).is_dir():
+        return f"--out {args.out!r} is a directory, not a file"
     if cmd == "scan" and not (out_dir := Path(args.out).parent).is_dir():
         return f"--out {args.out!r}: {str(out_dir)!r} is not a directory"
     if cmd == "scan" or cmd == "family" and args.action == "verify":

@@ -2,9 +2,11 @@
 
 The scan enumerates all t = m/n of bounded height rather than selecting t
 by prime constellations: the selection argument proves existence, while
-enumeration finds witnesses at desk scale.  Tasks are ordered by
-(height, t) and worker processes return results in task order, so two runs
-with identical parameters produce byte-identical output.
+enumeration finds witnesses at desk scale.  A task is the group of fibers
+t = +-m/n that share (|m|, n); in an even family E_t and E_-t are one curve,
+and its descent and Tate runs are computed once per task.  Results are put
+in (height, t) order, so two runs with identical parameters produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from fractions import Fraction
 
 from .arith import FactorizationEffortError, Place, factor
 from .curve import AffinePoint, TwoTorsionModel, dual_model, j_invariant, on_curve, specialize
-from .descent import RankStatus, SolvabilityPrecisionError, descend, rank_bounds
+from .descent import Descent, RankStatus, SolvabilityPrecisionError, descend, rank_bounds
 from .family import FamilyRecord, excluded_primes, family_by_name
-from .localdata import tate_local
+from .localdata import LocalReduction, tate_local
 from .polyq import eval_at, rational_from_str, rational_to_str
 
 DEFAULT_SEARCH_BOUND = 32
@@ -72,6 +74,10 @@ class ScanResult:
         )
 
 
+def _height_order(t: Fraction) -> tuple[int, Fraction]:
+    return max(abs(t.numerator), t.denominator), t
+
+
 def enumerate_heights(height_bound: int) -> list[tuple[int, int]]:
     """Coprime pairs (m, n), |m| <= H, 1 <= n <= H, ordered by (height, value)."""
     pairs = []
@@ -79,7 +85,7 @@ def enumerate_heights(height_bound: int) -> list[tuple[int, int]]:
         for m in range(-height_bound, height_bound + 1):
             if math.gcd(m, n) == 1:
                 pairs.append((m, n))
-    pairs.sort(key=lambda mn: (max(abs(mn[0]), mn[1]), Fraction(mn[0], mn[1])))
+    pairs.sort(key=lambda mn: _height_order(Fraction(*mn)))
     return pairs
 
 
@@ -117,23 +123,55 @@ def _pattern_primes(rec: FamilyRecord, t: Fraction):
     return out
 
 
-def scan_one(name: str, m: int, n: int) -> ScanResult:
-    """Full descent record for the fiber at t = m/n."""
+class _CurveRuns:
+    """What a fiber's record takes from its curve E_t alone: the descent,
+    j and the Tate runs on the integral model and its dual, each run made
+    on first use."""
+
+    def __init__(self, D: Descent):
+        self.descent = D
+        self.j = j_invariant(D.integral)
+        self._models = (D.integral, dual_model(D.integral))
+        self._runs: tuple[dict[int, LocalReduction], ...] = ({}, {})
+
+    def tate(self, p: int, dual: bool = False) -> LocalReduction:
+        runs = self._runs[dual]
+        if p not in runs:
+            runs[p] = tate_local(self._models[dual], Place.prime(p))
+        return runs[p]
+
+
+def _curve_runs(E_t: TwoTorsionModel) -> _CurveRuns | str:
+    """The runs of E_t, or why its fibers are skipped."""
+    try:
+        return _CurveRuns(descend(E_t))
+    except FactorizationEffortError as exc:
+        return f"factorization: {exc}"
+    except SolvabilityPrecisionError as exc:
+        return f"local solvability: {exc}"
+
+
+def scan_one(name: str, m: int, n: int, memo: dict | None = None) -> ScanResult:
+    """Full descent record for the fiber at t = m/n.
+
+    `memo` maps a specialized curve (a, b) to its runs; fibers that pass
+    one memo and specialize to the same curve share the descent and Tate
+    runs.  The record is the same with or without it."""
     rec = family_by_name(name)
     t = Fraction(m, n)
     E_t = specialize(rec.E, t)
-    try:
-        D = descend(E_t)
-    except FactorizationEffortError as exc:
-        return ScanResult(name, t, skipped=f"factorization: {exc}")
-    except SolvabilityPrecisionError as exc:
-        return ScanResult(name, t, skipped=f"local solvability: {exc}")
-    E_int = D.integral
+    memo = {} if memo is None else memo
+    key = (E_t.a, E_t.b)
+    if key not in memo:
+        memo[key] = _curve_runs(E_t)
+    curve = memo[key]
+    if isinstance(curve, str):
+        return ScanResult(name, t, skipped=curve)
+    D = curve.descent
 
-    # one Tate run per prime on E_int, shared by the bad-prime list and the
-    # Tamagawa-pattern check below
-    red_e = {p: tate_local(E_int, Place.prime(p)) for p in (2,) + D.odd_support}
-    bad = [p for p, red in red_e.items() if not red.kodaira.is_good]
+    # one Tate run per prime on the integral model, shared by the bad-prime
+    # list, the Tamagawa-pattern check below and the fibers of one curve
+    bad = [p for p in (2,) + D.odd_support if not curve.tate(p).kodaira.is_good]
 
     pts_e = _specialized_points(rec, E_t, t, dualside=False)
     pts_ep = _specialized_points(rec, E_t, t, dualside=True)
@@ -142,14 +180,10 @@ def scan_one(name: str, m: int, n: int) -> ScanResult:
     # (1/2)|Im(delta_{E',p})| = c_p(E')/c_p(E) at odd p, as in
     # localdata.local_image_order
     expected_order = {"M": Fraction(1, 2), "M'": Fraction(2), "A": Fraction(1)}
-    E_dual = dual_model(E_int)
-    tamagawa_ok = True
-    for p, klass in _pattern_primes(rec, t):
-        place = Place.prime(p)
-        c_e = (red_e.get(p) or tate_local(E_int, place)).tamagawa
-        if Fraction(tate_local(E_dual, place).tamagawa, c_e) != expected_order[klass]:
-            tamagawa_ok = False
-            break
+    tamagawa_ok = all(
+        Fraction(curve.tate(p, dual=True).tamagawa, curve.tate(p).tamagawa) == expected_order[klass]
+        for p, klass in _pattern_primes(rec, t)
+    )
     checks = {
         "cassels_ratio": "pass" if D.cassels_ok else "fail",
         "tamagawa_pattern": "pass" if tamagawa_ok else "fail",
@@ -160,13 +194,16 @@ def scan_one(name: str, m: int, n: int) -> ScanResult:
         bad_primes=tuple(bad),
         selmer_dims=(D.phi_hat.dim, D.phi.dim),
         rank=rank,
-        j=j_invariant(E_int),
+        j=curve.j,
         checks=checks,
     )
 
 
-def _worker(args) -> ScanResult:
-    return scan_one(*args)
+def _worker(args) -> list[ScanResult]:
+    """The records of one task's fibers, which share one memo."""
+    family, fibers = args
+    memo: dict = {}
+    return [scan_one(family, m, n, memo) for m, n in fibers]
 
 
 def run_scan(family: str, height_bound: int, jobs: int = 1) -> list[ScanResult]:
@@ -175,13 +212,18 @@ def run_scan(family: str, height_bound: int, jobs: int = 1) -> list[ScanResult]:
     if height_bound < 1 or jobs < 1:
         raise ValueError("bounds and job counts must be positive")
     bad_ts = {pl.e for pl in rec.expected.all_places if pl.kind == "ft"}
-    tasks = [(family, m, n) for m, n in enumerate_heights(height_bound) if Fraction(m, n) not in bad_ts]
+    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for m, n in enumerate_heights(height_bound):
+        if Fraction(m, n) not in bad_ts:
+            groups.setdefault((abs(m), n), []).append((m, n))
+    tasks = [(family, fibers) for fibers in groups.values()]
     if jobs == 1:
-        results = [_worker(task) for task in tasks]
+        done = list(map(_worker, tasks))
     else:
+        # a chunk of 16 tasks holds about 32 fibers
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_worker, tasks, chunksize=32))
-    return results
+            done = list(pool.map(_worker, tasks, chunksize=16))
+    return sorted((r for records in done for r in records), key=lambda r: _height_order(r.t))
 
 
 def emit_report(results: list[ScanResult], out: str) -> dict:

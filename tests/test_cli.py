@@ -94,6 +94,7 @@ CURVE = '{"domain":"Q","a":"0/1","b":"-25/1"}'
         ["scan", "--family", "rank0", "--height", "3", "--jobs", "0", "--out", os.devnull],
         ["scan", "--family", "nosuch", "--height", "3", "--out", os.devnull],
         ["scan", "--family", "rank0", "--height", "2", "--out", os.path.join(os.devnull, "x.jsonl")],
+        ["scan", "--family", "rank0", "--height", "2", "--out", os.curdir],
         ["family", "verify", "nosuch"],
         ["family", "verify"],
     ],
@@ -114,6 +115,7 @@ CURVE = '{"domain":"Q","a":"0/1","b":"-25/1"}'
         "scan-jobs-0",
         "scan-unknown-family",
         "scan-out-dir-missing",
+        "scan-out-is-a-directory",
         "family-verify-unknown",
         "family-verify-no-name",
     ],

@@ -4,7 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from twodescent.arith import FT_INFINITY, valuation
+from twodescent import scan
+from twodescent.arith import FT_INFINITY, FactorizationEffortError, valuation
+from twodescent.curve import specialize
 from twodescent.family import excluded_primes, family_by_name
 from twodescent.scan import ScanResult, emit_report, enumerate_heights, run_scan, scan_one
 
@@ -67,6 +69,13 @@ def test_scan_matches_golden_records(tmp_path):
 def test_parallel_matches_serial(tmp_path):
     serial = run_scan("rank0", 4, jobs=1)
     parallel = run_scan("rank0", 4, jobs=2)
+    assert [r.to_json() for r in serial] == [r.to_json() for r in parallel]
+    # an even family at a height where t and -t lie more than 32 fibers
+    # apart in (height, t) order, and one task holds both
+    serial = run_scan("rank3", 8, jobs=1)
+    index = {r.t: i for i, r in enumerate(serial)}
+    assert any(t > 0 and -t in index and index[t] // 32 != index[-t] // 32 for t in index)
+    parallel = run_scan("rank3", 8, jobs=2)
     assert [r.to_json() for r in serial] == [r.to_json() for r in parallel]
 
 
@@ -155,3 +164,68 @@ def test_determined_zero_record_agrees_with_bruteforce_descent():
     # and no point of infinite order below an exhaustive small bound
     for P in point_search(Et, 120) + point_search(dual_model(Et), 120):
         assert P.y == 0 or P.x == 0
+
+
+def _count_calls(monkeypatch, name: str) -> list:
+    """Record the arguments of every call to scan.<name>."""
+    calls, real = [], getattr(scan, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(scan, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("family, fibers, curves", [("rank0", 45, 45), ("rank3", 45, 23)])
+def test_one_descent_per_distinct_curve(monkeypatch, family, fibers, curves):
+    """rank3 is even in T, so t and -t give one curve and one descent;
+    rank0 is not, and each fiber gets its own."""
+    descents = _count_calls(monkeypatch, "descend")
+    tates = _count_calls(monkeypatch, "tate_local")
+    results = run_scan(family, 6)
+    rec = family_by_name(family)
+    assert len(results) == fibers
+    assert len({specialize(rec.E, r.t) for r in results}) == curves
+    assert len(descents) == curves
+    # no Tate run repeats a (model, place)
+    assert len(tates) == len(set(tates))
+
+
+@pytest.mark.parametrize("family", ["rank3", "rank4"])
+def test_scan_one_matches_run_scan_on_both_signs(family):
+    """A record made alone equals the one made in a task beside its -t
+    twin, and the twins agree on everything that depends on E_t alone."""
+    batch = {r.t: r for r in run_scan(family, 4)}
+    pairs = [t for t in batch if t > 0 and -t in batch]
+    assert pairs
+    for t in pairs:
+        for s in (t, -t):
+            assert scan_one(family, s.numerator, s.denominator).to_json() == batch[s].to_json()
+        plus, minus = batch[t], batch[-t]
+        assert (plus.bad_primes, plus.selmer_dims, plus.j) == (minus.bad_primes, minus.selmer_dims, minus.j)
+
+
+def test_skipped_curve_skips_both_signs(monkeypatch):
+    """A curve whose descent gives up skips both of its fibers with the
+    record scan_one gives, and is descended once per task."""
+    rec = family_by_name("rank3")
+    t = Fraction(3)
+    target = specialize(rec.E, t)
+    real, calls = scan.descend, []
+
+    def descend(E):
+        if E == target:
+            calls.append(E)
+            raise FactorizationEffortError("effort cap")
+        return real(E)
+
+    monkeypatch.setattr(scan, "descend", descend)
+    batch = {r.t: r for r in run_scan("rank3", 3)}
+    assert len(calls) == 1
+    for s in (t, -t):
+        alone = scan_one("rank3", s.numerator, s.denominator)
+        assert alone == ScanResult("rank3", s, skipped="factorization: effort cap")
+        assert batch[s] == alone
+    assert not any(r.skipped for r in batch.values() if abs(r.t) != t)
