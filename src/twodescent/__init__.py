@@ -23,7 +23,6 @@ from .descent import (
     Descent,
     RankStatus,
     SelmerGroup,
-    Torsor,
     descend,
     point_search,
     rank_bounds,

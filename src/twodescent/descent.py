@@ -7,10 +7,12 @@ delta_{E',v} exactly when the quartic torsor
     w^2 = d z^4 - 2a z^2 + (a^2 - 4b)/d
 
 has a point over the completion at v (z = 0, z = infinity and w = 0 points
-included).  Sel_phi(E/Q) is the set of classes passing this test at every
-place; it suffices to test the real place, 2, and the odd primes dividing
-b(a^2-4b): at any other odd prime the torsor has good reduction, so it has
-F_p-points by Hasse-Weil and they lift by Hensel.
+included).  `torsor_solvable_at(d, a, b, v)` is that test, on plain
+integers; its answer depends only on the square class of d.  Sel_phi(E/Q)
+is the set of classes passing this test at every place; it suffices to
+test the real place, 2, and the odd primes dividing b(a^2-4b): at any
+other odd prime the torsor has good reduction, so it has F_p-points by
+Hasse-Weil and they lift by Hensel.
 
 Only the torsors of (a, b) are tested, and only for the classes that two
 bounds leave open: the image contains [a^2-4b] and pairs trivially with [b].
@@ -66,35 +68,6 @@ from .curve import (
 
 class SolvabilityPrecisionError(Exception):
     """The p-adic search exceeded its certified depth (should not occur)."""
-
-
-@dataclass(frozen=True)
-class Torsor:
-    """The quartic w^2 = d z^4 - 2a z^2 + (a^2-4b)/d attached to the class d."""
-
-    d: int
-    a: int
-    b: int
-
-    def __post_init__(self):
-        if not all(isinstance(x, int) for x in (self.d, self.a, self.b)):
-            raise TypeError("d, a and b must be ints")
-        if self.d == 0:
-            raise ValueError("d must be nonzero")
-        fac = factor(self.d)
-        if any(e != 1 for _, e in fac.factors):
-            raise ValueError("d must be squarefree")
-
-    def cleared_coefficients(self) -> tuple[int, int, int]:
-        """(A4, A2, A0) with the torsor scaled to w^2 = A4 z^4 + A2 z^2 + A0, integral.
-
-        The scaling is by l^2 with l = |d| / gcd(d, a^2-4b), the least l that
-        clears the denominator of (a^2-4b)/d.
-        """
-        d, bdual = self.d, self.a * self.a - 4 * self.b
-        g = math.gcd(d, bdual)
-        l2 = (abs(d) // g) ** 2
-        return d * l2, -2 * self.a * l2, (bdual // g) * (d // g)
 
 
 # ----------------------------------------------------------------------
@@ -257,15 +230,26 @@ def quartic_solvable_real(A4: int, A2: int, A0: int) -> bool:
     return A2 * A2 >= 4 * A4 * A0
 
 
-def torsor_solvable_at(tor: Torsor, place: Place) -> bool:
-    """Local solvability of the torsor at a finite prime or the real place.
+def torsor_solvable_at(d: int, a: int, b: int, place: Place) -> bool:
+    """Does w^2 = d z^4 - 2a z^2 + (a^2-4b)/d have a point over the completion
+    at a finite prime or the real place?
 
-    Both tests run on the cleared coefficients: the scaling by a square
-    changes neither the signs nor the square classes of the values.
+    The answer depends only on the square class of d: z = Z/k, w = W/k carry
+    the torsor of d k^2 onto that of d.  Both tests run on the coefficients
+    scaled by l^2, l = |d| / gcd(d, a^2-4b), which clears the denominator of
+    (a^2-4b)/d; the scaling by a square changes neither the signs nor the
+    square classes of the values.
     """
+    if not all(isinstance(x, int) for x in (d, a, b)):
+        raise TypeError("d, a and b must be ints")
+    if d == 0:
+        raise ValueError("d must be nonzero")
     if place.kind not in ("real", "prime"):
         raise ValueError(f"torsors are tested at primes or the real place, not {place}")
-    A4, A2, A0 = tor.cleared_coefficients()
+    bdual = a * a - 4 * b
+    g = math.gcd(d, bdual)
+    l2 = (abs(d) // g) ** 2
+    A4, A2, A0 = d * l2, -2 * a * l2, (bdual // g) * (d // g)
     if place.kind == "real":
         return quartic_solvable_real(A4, A2, A0)
     return quartic_solvable_qp(A4, A2, A0, place.p)
@@ -292,7 +276,7 @@ def _image_at_place(a: int, b: int, place: Place) -> tuple[int, ...]:
     for v in sorted(reps):
         if local_pairing(v, cb, place) or any(not f2_reduce(v ^ u, inside) for u in (0, *outside)):
             continue
-        if torsor_solvable_at(Torsor(reps[v], a, b), place):
+        if torsor_solvable_at(reps[v], a, b, place):
             inside = f2_echelon(inside + (v,))
         else:
             outside.append(v)
@@ -514,30 +498,46 @@ def point_search(E: TwoTorsionModel, height_bound: int) -> list[AffinePoint]:
 
 @dataclass(frozen=True)
 class RankStatus:
-    """Either an exact rank or a nontrivial interval [lo, hi]."""
+    """The rank as the interval [lo, hi]; it is determined when lo == hi."""
 
-    kind: str  # "determined" | "bounded"
     lo: int
     hi: int
 
-    @staticmethod
-    def from_bounds(lo: int, hi: int) -> "RankStatus":
-        if lo == hi:
-            return RankStatus("determined", lo, hi)
-        if lo > hi:
+    def __post_init__(self):
+        if self.lo > self.hi:
             raise ValueError("lower bound exceeds upper bound")
-        return RankStatus("bounded", lo, hi)
+
+    @property
+    def kind(self) -> str:
+        return "determined" if self.lo == self.hi else "bounded"
 
     @property
     def value(self) -> int:
-        if self.kind != "determined":
+        if self.lo != self.hi:
             raise ValueError("rank not determined")
         return self.lo
 
     def to_json(self) -> dict:
-        if self.kind == "determined":
+        if self.lo == self.hi:
             return {"kind": "determined", "value": self.lo}
         return {"kind": "bounded", "lo": self.lo, "hi": self.hi}
+
+    @staticmethod
+    def from_json(data: dict) -> "RankStatus":
+        """The status that `to_json` wrote as `data`.
+
+        A record that `to_json` cannot have written raises ValueError: a
+        missing or non-integer bound, an unknown key, or a kind that
+        disagrees with the bounds, such as a "bounded" record with lo == hi.
+        """
+        try:
+            lo, hi = (data["value"],) * 2 if data["kind"] == "determined" else (data["lo"], data["hi"])
+            rank = RankStatus(lo, hi)
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed rank record {data!r}") from exc
+        if type(lo) is not int or type(hi) is not int or rank.to_json() != data:
+            raise ValueError(f"rank record {data!r} is not one that to_json writes")
+        return rank
 
 
 def rank_bounds(descent: Descent, points_e=(), points_eprime=(), search_bound: int = 0) -> RankStatus:
@@ -571,4 +571,4 @@ def rank_bounds(descent: Descent, points_e=(), points_eprime=(), search_bound: i
         dims.append(d)
     lo = max(sum(dims) - 2, 0)
     hi = max(descent.phi_hat.dim + descent.phi.dim - 2, lo)
-    return RankStatus.from_bounds(lo, hi)
+    return RankStatus(lo, hi)

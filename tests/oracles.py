@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from twodescent.arith import REAL, Place, f2_echelon, f2_span, local_reps
-from twodescent.descent import Torsor, torsor_solvable_at
+from twodescent.descent import torsor_solvable_at
 
 INF = 10**9
 
@@ -104,7 +104,7 @@ def oracle_local_image(a: int, b: int, place: Place) -> tuple[int, ...]:
     every class of Q_v^x/(Q_v^x)^2 is tested, with no bound and no skip.
     Returns the echelon basis, after asserting the solvable set is a subgroup."""
     reps = local_reps(place)
-    vecs = {v for v, rep in reps.items() if torsor_solvable_at(Torsor(rep, a, b), place)}
+    vecs = {v for v, rep in reps.items() if torsor_solvable_at(rep, a, b, place)}
     basis = f2_echelon(vecs)
     assert f2_span(basis) == vecs, f"local image at {place} is not a subgroup: {sorted(vecs)}"
     return basis

@@ -14,7 +14,6 @@ from twodescent.curve import TwoTorsionModel, dual_model, integral_model, specia
 from twodescent.descent import (
     _SIEVE_MODULI,
     RankStatus,
-    Torsor,
     _dual_image,
     _image_at_place,
     _residue_pattern,
@@ -33,13 +32,17 @@ def selmer_values(S):
 
 
 def test_torsor_validation():
-    with pytest.raises(ValueError):
-        Torsor(0, 1, 1)
-    with pytest.raises(ValueError):
-        Torsor(12, 1, 1)  # not squarefree
+    for place in (REAL, Place.prime(3)):
+        with pytest.raises(ValueError):
+            torsor_solvable_at(0, 1, 1, place)
     with pytest.raises(TypeError):
-        Torsor(1, Fraction(1, 2), 1)  # coefficients of an integral model only
-    Torsor(-6, 2, 3)
+        torsor_solvable_at(1, Fraction(1, 2), 1, REAL)  # coefficients of an integral model only
+    with pytest.raises(TypeError):
+        torsor_solvable_at(1.0, 1, 1, Place.prime(2))
+    with pytest.raises(ValueError):
+        torsor_solvable_at(1, 1, 1, Place.ft(1))
+    assert torsor_solvable_at(-6, 2, 3, REAL)
+    assert torsor_solvable_at(12, 1, 1, Place.prime(3))  # d need not be squarefree
 
 
 def test_trivial_and_bdual_classes_always_solvable():
@@ -53,8 +56,7 @@ def test_trivial_and_bdual_classes_always_solvable():
         d_bd = square_class(bdual).value()
         places = [REAL, Place.prime(2), Place.prime(3), Place.prime(5)]
         for d in (d_triv, d_bd):
-            tor = Torsor(d, a, b)
-            assert all(torsor_solvable_at(tor, pl) for pl in places)
+            assert all(torsor_solvable_at(d, a, b, pl) for pl in places)
 
 
 def _deep_shape(p, k, m, h, on_b):
@@ -75,9 +77,8 @@ def test_torsor_solvability_matches_oracle():
         if b == 0 or a * a == 4 * b:
             continue
         d = rng.choice([1, -1, 2, -2, 3, 5, -5, 6, 7, -7, 10, 15, -15])
-        tor = Torsor(d, a, b)
         for pl in (REAL, Place.prime(2), Place.prime(3), Place.prime(5), Place.prime(7)):
-            got = torsor_solvable_at(tor, pl)
+            got = torsor_solvable_at(d, a, b, pl)
             want = oracle_torsor_solvable(d, Fraction(a), Fraction(b), pl)
             assert got == want, (a, b, d, str(pl))
     for p, ks, count in ((2, range(4, 11), 40), (23, range(1, 4), 14), (29, range(1, 4), 14), (31, range(1, 4), 14)):
@@ -89,8 +90,32 @@ def test_torsor_solvability_matches_oracle():
                 continue
             count -= 1
             for d in local_reps(pl).values():
-                got = torsor_solvable_at(Torsor(d, a, b), pl)
+                got = torsor_solvable_at(d, a, b, pl)
                 assert got == oracle_torsor_solvable(d, Fraction(a), Fraction(b), pl), (a, b, d, p)
+
+
+@st.composite
+def square_class_multiples(draw):
+    """(d, k, a, b, place) with d, k nonzero and (a, b) of a _deep_shape at the
+    place's prime (2 at the real place); k is often a multiple of that prime,
+    so d k^2 moves the valuation of d."""
+    place = draw(st.sampled_from([REAL, *map(Place.prime, (2, 3, 5, 7, 23, 29, 31))]))
+    p = 2 if place == REAL else place.p
+    e = draw(st.integers(4, 10) if p == 2 else st.integers(1, 3))
+    m = draw(st.integers(-40, 40).filter(lambda m: m % p))
+    a, b = _deep_shape(p, e, m, draw(st.integers(-40, 40)), draw(st.booleans()))
+    assume(b != 0 and a * a != 4 * b)
+    d = draw(st.integers(-60, 60).filter(bool))
+    k = draw(st.integers(1, 12)) * draw(st.sampled_from([1, p, p * p]))
+    return d, k, a, b, place
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(square_class_multiples())
+def test_torsor_depends_only_on_square_class(case):
+    """The torsors of d and d k^2 are isomorphic over Q (z = Z/k, w = W/k)."""
+    d, k, a, b, place = case
+    assert torsor_solvable_at(d, a, b, place) == torsor_solvable_at(d * k * k, a, b, place), case
 
 
 def test_selmer_matches_bruteforce_oracle(small_curve_corpus):
@@ -131,10 +156,10 @@ def test_bounded_sweep_tests_few_torsors(monkeypatch):
     of 2 + 8 + 4 classes per odd prime of b(a^2-4b) would test 16,008."""
     calls = 0
 
-    def counted(tor, place):
+    def counted(d, a, b, place):
         nonlocal calls
         calls += 1
-        return torsor_solvable_at(tor, place)
+        return torsor_solvable_at(d, a, b, place)
 
     monkeypatch.setattr(descent, "torsor_solvable_at", counted)
     full = 0
@@ -395,9 +420,9 @@ def test_point_search_matches_box_when_b_has_many_divisors(abh):
 
 def test_rank_bounds_statuses():
     with pytest.raises(ValueError):
-        RankStatus.from_bounds(2, 1)
-    assert RankStatus.from_bounds(1, 1).kind == "determined"
-    assert RankStatus.from_bounds(0, 2).kind == "bounded"
+        RankStatus(2, 1)
+    assert RankStatus(1, 1).kind == "determined"
+    assert RankStatus(0, 2).kind == "bounded"
 
     # Sel dims (1,1) and only 2-torsion: determined 0
     E = TwoTorsionModel.over_q(0, -1)
@@ -408,6 +433,25 @@ def test_rank_bounds_statuses():
     E2 = TwoTorsionModel.over_q(0, -25)
     rs2 = rank_bounds(descend(E2))
     assert rs2.kind == "bounded" and rs2.lo < rs2.hi
+
+
+def test_rank_status_json_is_strict():
+    for rank in (RankStatus(0, 0), RankStatus(1, 1), RankStatus(0, 2)):
+        assert RankStatus.from_json(rank.to_json()) == rank
+    for data in (
+        {"kind": "bounded", "lo": 1, "hi": 1},  # kind disagrees with the bounds
+        {"kind": "determined", "lo": 0, "hi": 2},
+        {"kind": "bounded", "lo": 2, "hi": 1},
+        {"kind": "bounded", "lo": 0},  # a bound is missing
+        {"kind": "determined"},
+        {"lo": 0, "hi": 2},
+        {"kind": "determined", "value": 1, "lo": 1},
+        {"kind": "determined", "value": "1"},
+        {"kind": "bounded", "lo": 0, "hi": 2.0},
+        {"kind": "exact", "lo": 0, "hi": 2},
+    ):
+        with pytest.raises(ValueError):
+            RankStatus.from_json(data)
 
 
 def test_rank_bounds_monotone_in_search_bound():
@@ -443,8 +487,8 @@ def test_rank_bounds_search_skip_on_family_fibers():
             if t in bad_ts:
                 continue
             Et = specialize(rec.E, t)
-            pts = _specialized_points(rec, Et, t, dualside=False)
-            ptsd = _specialized_points(rec, Et, t, dualside=True)
+            pts = _specialized_points(rec, t, dualside=False)
+            ptsd = _specialized_points(rec, t, dualside=True)
             assert_search_skip_changes_nothing(descend(Et), pts, ptsd, 32)
             checked += 1
     assert checked > 200
@@ -471,11 +515,11 @@ def test_rank_bounds_searches_only_open_sides(monkeypatch):
         return point_search(E, H)
 
     monkeypatch.setattr(descent, "point_search", counted)
-    assert rank_bounds(descend(TwoTorsionModel.over_q(0, 2)), search_bound=32) == RankStatus("determined", 0, 0)
+    assert rank_bounds(descend(TwoTorsionModel.over_q(0, 2)), search_bound=32) == RankStatus(0, 0)
     assert calls == []
-    assert rank_bounds(descend(TwoTorsionModel.over_q(0, -1)), search_bound=32) == RankStatus("determined", 0, 0)
+    assert rank_bounds(descend(TwoTorsionModel.over_q(0, -1)), search_bound=32) == RankStatus(0, 0)
     assert calls == [TwoTorsionModel.over_q(0, 4)]
-    assert rank_bounds(descend(TwoTorsionModel.over_q(0, -25)), search_bound=32) == RankStatus("determined", 1, 1)
+    assert rank_bounds(descend(TwoTorsionModel.over_q(0, -25)), search_bound=32) == RankStatus(1, 1)
     assert len(calls) > 1
     with pytest.raises(ValueError):
         rank_bounds(descend(TwoTorsionModel.over_q(0, -25)), search_bound=-1)

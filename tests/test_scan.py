@@ -66,6 +66,17 @@ def test_scan_matches_golden_records(tmp_path):
     assert out.read_bytes() == golden.read_bytes()
 
 
+def test_golden_records_parse_and_write_back(tmp_path):
+    """Every stored record, 56 of them bounded, parses through
+    ScanResult.from_json, and emit_report writes them back byte for byte."""
+    golden = Path(__file__).parent / "data" / "scan-h6.records"
+    results = [ScanResult.from_json(json.loads(line)) for line in golden.read_text().splitlines()]
+    assert sum(r.rank.kind == "bounded" for r in results) == 56
+    out = tmp_path / "h6.records"
+    emit_report(results, str(out))
+    assert out.read_bytes() == golden.read_bytes()
+
+
 def test_parallel_matches_serial(tmp_path):
     serial = run_scan("rank0", 4, jobs=1)
     parallel = run_scan("rank0", 4, jobs=2)
