@@ -75,9 +75,11 @@ def _usage_error(args) -> str | None:
     if cmd == "scan" and not (out_dir := Path(args.out).parent).is_dir():
         return f"--out {args.out!r}: {str(out_dir)!r} is not a directory"
     if cmd == "scan" or cmd == "family" and args.action == "verify":
-        name = args.family if cmd == "scan" else args.name
-        names = [rec.name for rec in builtin_families()]
-        return None if name in names else f"unknown family {name!r}: have {names}"
+        try:
+            family_by_name(args.family if cmd == "scan" else args.name)
+        except KeyError as exc:
+            return exc.args[0]
+        return None
     if cmd == "family":
         return None
     E = args.curve

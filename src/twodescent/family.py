@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 
 from .arith import FT_INFINITY, Place, factor, parse_place
@@ -26,7 +26,6 @@ from .curve import (
 from .localdata import bad_places_qt, tate_local
 from .polyq import (
     Poly,
-    dual_discriminant,
     eval_at,
     ft_square_class,
     model_discriminant,
@@ -90,6 +89,28 @@ class FamilyRecord:
     def dual(self) -> TwoTorsionModel:
         return dual_model(self.E)
 
+    @cached_property
+    def pattern_forms(self) -> tuple[tuple[int, int, Fraction], ...]:
+        """(alpha, beta, order) per bad place: at t = m/n its form alpha*m + beta*n
+        is s*m - r*n for e = r/s (s > 0) and n at infinity, and order is
+        c_p(E')/c_p(E) at a prime p that divides it once (local_image_order)."""
+        order = {"M": Fraction(1, 2), "M'": Fraction(2), "A": Fraction(1)}
+        forms = []
+        for pl in sorted(self.expected.all_places, key=str):
+            alpha, beta = (pl.e.denominator, -pl.e.numerator) if pl.kind == "ft" else (0, 1)
+            forms.append((alpha, beta, order[self.expected.class_of(pl)]))
+        return tuple(forms)
+
+    def pattern_primes(self, m: int, n: int) -> list[tuple[int, Fraction]]:
+        """(p, order) at t = m/n in lowest terms for the odd non-excluded primes
+        p dividing a nonzero form once; p does not divide s, so v_p(form) = v_p(t - e)."""
+        excl = excluded_primes(self.name)
+        out = []
+        for alpha, beta, order in self.pattern_forms:
+            if value := alpha * m + beta * n:
+                out += [(p, order) for p, e in factor(value).factors if e == 1 and p != 2 and p not in excl]
+        return out
+
 
 @dataclass(frozen=True)
 class ConditionReport:
@@ -143,7 +164,7 @@ def _validate(rec: FamilyRecord):
             raise FamilyValidationError(f"{rec.name}: point {Q} not on E'")
     if model_discriminant(E.a, E.b) != rec.disc_expected:
         raise FamilyValidationError(f"{rec.name}: discriminant mismatch")
-    if dual_discriminant(E.a, E.b) != rec.disc_dual_expected:
+    if model_discriminant(Edual.a, Edual.b) != rec.disc_dual_expected:
         raise FamilyValidationError(f"{rec.name}: dual discriminant mismatch")
     try:
         r = geometric_rank(rec.expected)

@@ -152,10 +152,7 @@ class Poly:
     def __mod__(self, other) -> "Poly":
         return self.divmod(_as_poly(other))[1]
 
-    # -- evaluation / helpers --------------------------------------------
-    def __call__(self, t: Coef) -> Fraction:
-        return eval_at(self, t)
-
+    # -- helpers ---------------------------------------------------------
     def shift(self, c: Coef) -> "Poly":
         """The polynomial f(T + c)."""
         return Poly(taylor_shift(self.coeffs, Fraction(c)))
@@ -276,15 +273,6 @@ def model_discriminant(a, b) -> Poly:
     return 16 * bprime * b * b
 
 
-def dual_discriminant(a, b) -> Poly:
-    """Discriminant of the 2-isogenous model (-2a, a^2-4b): 256 b (a^2-4b)^2."""
-    a, b = _as_poly(a), _as_poly(b)
-    bprime = a * a - 4 * b
-    if b.is_zero or bprime.is_zero:
-        raise SingularModelError("b = 0 or a^2 = 4b: singular model")
-    return 256 * b * bprime * bprime
-
-
 @dataclass(frozen=True)
 class SquareClassFT:
     """Element of Q(T)^x/(Q(T)^x)^2 supported on linear places.
@@ -390,12 +378,6 @@ class RatFn:
 
     def __rtruediv__(self, other):
         return _as_ratfn(other) / self
-
-    def __call__(self, t: Coef) -> Fraction:
-        d = eval_at(self.den, t)
-        if d == 0:
-            raise ZeroDivisionError(f"pole at {t}")
-        return eval_at(self.num, t) / d
 
     def __repr__(self):
         return f"RatFn({self.num!r}, {self.den!r})"

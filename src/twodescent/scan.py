@@ -6,7 +6,8 @@ enumeration finds witnesses at desk scale.  A task is the group of fibers
 t = +-m/n that share (|m|, n); in an even family E_t and E_-t are one curve,
 and its descent and Tate runs are computed once per task.  Results are put
 in (height, t) order, so two runs with identical parameters produce
-byte-identical output.
+byte-identical output.  The family's bad-place forms drop each t = e and give
+the pattern primes whose c_p(E')/c_p(E) `tamagawa_pattern` checks.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import FactorizationEffortError, Place, factor
+from .arith import FactorizationEffortError, Place
 from .curve import AffinePoint, TwoTorsionModel, dual_model, j_invariant, specialize
 from .descent import Descent, RankStatus, SolvabilityPrecisionError, descend, rank_bounds
-from .family import FamilyRecord, excluded_primes, family_by_name
+from .family import FamilyRecord, family_by_name
 from .localdata import LocalReduction, tate_local
 from .polyq import eval_at, rational_from_str, rational_to_str
 
@@ -54,18 +55,30 @@ class ScanResult:
 
     @staticmethod
     def from_json(data: dict) -> "ScanResult":
-        t = rational_from_str(data["t"])
-        if "skipped" in data:
-            return ScanResult(data["family"], t, skipped=data["skipped"])
-        return ScanResult(
-            data["family"],
-            t,
-            bad_primes=tuple(data["bad_primes"]),
-            selmer_dims=tuple(data["selmer_dims"]),
-            rank=RankStatus.from_json(data["rank"]),
-            j=rational_from_str(data["j"]),
-            checks=data["checks"],
+        """The record that `to_json` wrote as `data`.  Anything else raises
+        ValueError: a missing or unknown key, a value of the wrong type or
+        length, or a rational not written as "num/den" in lowest terms."""
+        try:
+            t = rational_from_str(data["t"])
+            if "skipped" in data:
+                r = ScanResult(data["family"], t, skipped=data["skipped"])
+            else:
+                r = ScanResult(
+                    data["family"], t, tuple(data["bad_primes"]), tuple(data["selmer_dims"]),
+                    RankStatus.from_json(data["rank"]), rational_from_str(data["j"]), data["checks"],
+                )
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"malformed scan record {data!r}") from exc
+        ok = type(r.skipped) is str if r.skipped is not None else (
+            len(r.selmer_dims) == 2
+            and all(type(v) is int for v in r.bad_primes + r.selmer_dims)
+            and type(r.checks) is dict
+            and r.checks.keys() == {"cassels_ratio", "tamagawa_pattern"}
+            and all(v in ("pass", "fail") for v in r.checks.values())
         )
+        if type(r.family) is not str or not ok or r.to_json() != data:
+            raise ValueError(f"scan record {data!r} is not one that to_json writes")
+        return r
 
 
 def _height_order(t: Fraction) -> tuple[int, Fraction]:
@@ -88,26 +101,6 @@ def _specialized_points(rec: FamilyRecord, t: Fraction, dualside: bool) -> list[
     checks that they lie on E_t (or its dual)."""
     src = rec.points_eprime if dualside else rec.points_e
     return [AffinePoint.of(eval_at(P.x, t), eval_at(P.y, t)) for P in src]
-
-
-def _pattern_primes(rec: FamilyRecord, t: Fraction):
-    """(p, class) for odd non-excluded primes with v_p(t - e) = 1, e in B; the
-    place at infinity is read through its uniformizer 1/T."""
-    excl = excluded_primes(rec.name)
-    out = []
-    for pl in sorted(rec.expected.all_places, key=str):
-        if pl.kind == "ft":
-            diff = t - pl.e
-        elif t:
-            diff = 1 / t
-        else:
-            continue
-        if diff == 0:
-            continue
-        for p, e in factor(diff.numerator).factors:
-            if e == 1 and p != 2 and p not in excl:
-                out.append((p, rec.expected.class_of(pl)))
-    return out
 
 
 class _CurveRuns:
@@ -164,12 +157,9 @@ def scan_one(name: str, m: int, n: int, memo: dict | None = None) -> ScanResult:
     pts_ep = _specialized_points(rec, t, dualside=True)
     rank = rank_bounds(D, pts_e, pts_ep, DEFAULT_SEARCH_BOUND)
 
-    # (1/2)|Im(delta_{E',p})| = c_p(E')/c_p(E) at odd p, as in
-    # localdata.local_image_order
-    expected_order = {"M": Fraction(1, 2), "M'": Fraction(2), "A": Fraction(1)}
     tamagawa_ok = all(
-        Fraction(curve.tate(p, dual=True).tamagawa, curve.tate(p).tamagawa) == expected_order[klass]
-        for p, klass in _pattern_primes(rec, t)
+        Fraction(curve.tate(p, dual=True).tamagawa, curve.tate(p).tamagawa) == order
+        for p, order in rec.pattern_primes(t.numerator, t.denominator)
     )
     checks = {
         "cassels_ratio": "pass" if D.cassels_ok else "fail",
@@ -198,10 +188,10 @@ def run_scan(family: str, height_bound: int, jobs: int = 1) -> list[ScanResult]:
     rec = family_by_name(family)
     if height_bound < 1 or jobs < 1:
         raise ValueError("bounds and job counts must be positive")
-    bad_ts = {pl.e for pl in rec.expected.all_places if pl.kind == "ft"}
     groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for m, n in enumerate_heights(height_bound):
-        if Fraction(m, n) not in bad_ts:
+        # a finite bad place's form vanishes exactly at t = e
+        if all(alpha * m + beta * n for alpha, beta, _ in rec.pattern_forms):
             groups.setdefault((abs(m), n), []).append((m, n))
     tasks = [(family, fibers) for fibers in groups.values()]
     if jobs == 1:

@@ -8,7 +8,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from twodescent.curve import TwoTorsionModel
+from oracles import oracle_selmer
+from twodescent.curve import TwoTorsionModel, integral_model
 
 
 def random_small_curves(count: int, coeff_bound: int, seed: int) -> list[TwoTorsionModel]:
@@ -27,3 +28,15 @@ def random_small_curves(count: int, coeff_bound: int, seed: int) -> list[TwoTors
 @pytest.fixture(scope="session")
 def small_curve_corpus():
     return random_small_curves(30, 20, seed=20260810)
+
+
+@pytest.fixture(scope="session")
+def oracle_selmer_corpus(small_curve_corpus):
+    """(E, A, B, Sel of (A, B), Sel of (-2A, A^2-4B)) for each corpus curve,
+    on its integral model (A, B), from the brute-force oracle; the oracle is
+    the slowest part of the suite, so it runs once per session."""
+    out = []
+    for E in small_curve_corpus:
+        A, B, _ = integral_model(E)
+        out.append((E, A, B, oracle_selmer(A, B), oracle_selmer(-2 * A, A * A - 4 * B)))
+    return out

@@ -12,14 +12,12 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import oracle_selmer
 from twodescent.arith import Place, factor
 from twodescent.curve import (
     AffinePoint,
     delta_class,
     delta_span_dim,
     dual_model,
-    integral_model,
     specialize,
 )
 from twodescent.descent import descend, point_search
@@ -31,7 +29,7 @@ from twodescent.family import (
     verify_conditions,
 )
 from twodescent.localdata import tate_local
-from twodescent.polyq import Poly, dual_discriminant, eval_at, model_discriminant
+from twodescent.polyq import Poly, eval_at, model_discriminant
 from twodescent.scan import DEFAULT_SEARCH_BOUND, run_scan
 
 ACCEPT_HEIGHT = int(os.environ.get("TWODESCENT_ACCEPT_HEIGHT", "50"))
@@ -76,7 +74,7 @@ def test_criterion_2_discriminant_identities():
     """Computed Delta and Delta' equal the printed polynomials exactly."""
     for rec in builtin_families():
         assert model_discriminant(rec.E.a, rec.E.b) == rec.disc_expected, rec.name
-        assert dual_discriminant(rec.E.a, rec.E.b) == rec.disc_dual_expected, rec.name
+        assert model_discriminant(rec.dual.a, rec.dual.b) == rec.disc_dual_expected, rec.name
     _report("criterion-2 discriminant-identities", True, "5 families, exact equality")
 
 
@@ -239,16 +237,15 @@ def test_criterion_5_no_misdetermined_patterned_fibers(full_scans):
     assert examined >= 50, examined
 
 
-def test_criterion_6_oracle_equivalence(small_curve_corpus):
+def test_criterion_6_oracle_equivalence(oracle_selmer_corpus):
     """Both Selmer groups of descend equal the exhaustive brute-force oracle
     on 30 random small curves; the Cassels ratio check passes on all of them."""
-    for E in small_curve_corpus:
-        A, B, _ = integral_model(E)
+    for E, A, B, oracle_phi, oracle_hat in oracle_selmer_corpus:
         D = descend(E)
         fast_phi = sorted((c.value() for c in D.phi.elements()), key=lambda x: (abs(x), x))
-        assert fast_phi == oracle_selmer(A, B), (A, B)
+        assert fast_phi == oracle_phi, (A, B)
         fast_hat = sorted((c.value() for c in D.phi_hat.elements()), key=lambda x: (abs(x), x))
-        assert fast_hat == oracle_selmer(-2 * A, A * A - 4 * B), (A, B)
+        assert fast_hat == oracle_hat, (A, B)
         assert D.cassels_ok, (A, B)
     _report("criterion-6 oracle-equivalence", True, "30 curves, both contexts + Cassels")
 

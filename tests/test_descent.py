@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_box_points, oracle_local_image, oracle_selmer, oracle_torsor_solvable
+from oracles import oracle_box_points, oracle_local_image, oracle_torsor_solvable
 from twodescent import descent
 from twodescent.arith import REAL, Place, SquareClassQ, factor, local_reps, square_class
 from twodescent.curve import TwoTorsionModel, dual_model, integral_model, specialize
@@ -118,13 +118,12 @@ def test_torsor_depends_only_on_square_class(case):
     assert torsor_solvable_at(d, a, b, place) == torsor_solvable_at(d * k * k, a, b, place), case
 
 
-def test_selmer_matches_bruteforce_oracle(small_curve_corpus):
+def test_selmer_matches_bruteforce_oracle(oracle_selmer_corpus):
     """Criterion-6 style: exhaustive oracle agreement on the 30-curve corpus."""
-    for E in small_curve_corpus:
-        A, B, _ = integral_model(E)
+    for E, A, B, oracle_phi, oracle_hat in oracle_selmer_corpus:
         D = descend(E)
-        assert selmer_values(D.phi) == oracle_selmer(A, B), (A, B)
-        assert selmer_values(D.phi_hat) == oracle_selmer(-2 * A, A * A - 4 * B), (A, B)
+        assert selmer_values(D.phi) == oracle_phi, (A, B)
+        assert selmer_values(D.phi_hat) == oracle_hat, (A, B)
 
 
 def _selmer_grid_lines():

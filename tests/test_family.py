@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from twodescent.arith import FT_INFINITY, Place
+from twodescent.arith import FT_INFINITY, Place, factor, valuation
 from twodescent.curve import AffinePoint, TwoTorsionModel, delta_class, delta_span_dim
 from twodescent.family import (
     FamilyValidationError,
@@ -20,6 +20,7 @@ from twodescent.family import (
 )
 from twodescent.localdata import conductor_degree
 from twodescent.polyq import Poly
+from twodescent.scan import enumerate_heights
 
 T = Poly.x()
 
@@ -163,6 +164,36 @@ def test_classification_translation_stability():
 def test_excluded_primes_contents():
     assert {2, 3} <= set(excluded_primes("rank0"))
     assert {2, 3, 5, 7, 11, 13} == set(excluded_primes("rank4"))
+
+
+def _reference_pattern_primes(rec, t):
+    """(p, c_p(E')/c_p(E)) from v_p(t - e) = 1 at odd non-excluded p for each
+    bad place e, read through 1/t at infinity; the order follows the class of
+    e: 1/2 on M, 2 on M', 1 on A."""
+    order = {"M": Fraction(1, 2), "M'": Fraction(2), "A": Fraction(1)}
+    excl = excluded_primes(rec.name)
+    out = []
+    for pl in rec.expected.all_places:
+        diff = t - pl.e if pl.kind == "ft" else (1 / t if t else 0)
+        if diff == 0:
+            continue
+        for p in factor(diff.numerator).primes:
+            if p != 2 and p not in excl and valuation(diff, p) == 1:
+                out.append((p, order[rec.expected.class_of(pl)]))
+    return sorted(out)
+
+
+def test_pattern_primes_match_fraction_reference():
+    """The integer forms give the primes and orders of v_p(t - e) = 1 on
+    every t of height <= 50, bad points included, in all five families."""
+    pairs = enumerate_heights(50)
+    hits = 0
+    for rec in builtin_families():
+        for m, n in pairs:
+            got = rec.pattern_primes(m, n)
+            assert sorted(got) == _reference_pattern_primes(rec, Fraction(m, n)), (rec.name, m, n)
+            hits += len(got)
+    assert hits > 10_000, hits
 
 
 def test_classify_rejects_isotrivial():

@@ -13,7 +13,6 @@ from twodescent.polyq import (
     Poly,
     SingularModelError,
     UnsupportedClassError,
-    dual_discriminant,
     eval_at,
     ft_square_class,
     model_discriminant,
@@ -118,7 +117,7 @@ def test_discriminants_match_printed_polynomials():
     # reproduce them exactly for every family
     for rec in builtin_families():
         assert model_discriminant(rec.E.a, rec.E.b) == rec.disc_expected
-        assert dual_discriminant(rec.E.a, rec.E.b) == rec.disc_dual_expected
+        assert model_discriminant(rec.dual.a, rec.dual.b) == rec.disc_dual_expected
 
 
 def test_ft_square_class_examples():
@@ -179,7 +178,7 @@ def _golden_root_polys():
         E = rec.E
         polys = {
             "disc": model_discriminant(E.a, E.b),
-            "dual-disc": dual_discriminant(E.a, E.b),
+            "dual-disc": model_discriminant(rec.dual.a, rec.dual.b),
             "b": E.b,
             "b-dual": E.b_dual,
         }

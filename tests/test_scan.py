@@ -77,6 +77,53 @@ def test_golden_records_parse_and_write_back(tmp_path):
     assert out.read_bytes() == golden.read_bytes()
 
 
+_RECORD = {
+    "family": "rank0",
+    "t": "1/1",
+    "bad_primes": [2],
+    "selmer_dims": [1, 1],
+    "rank": {"kind": "determined", "value": 0},
+    "j": "1/1",
+    "checks": {"cassels_ratio": "pass", "tamagawa_pattern": "pass"},
+}
+
+
+def _record_with(**change):
+    """_RECORD with the given values; None drops the key."""
+    return {k: v for k, v in {**_RECORD, **change}.items() if v is not None}
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        _record_with(bad_primes=None),
+        _record_with(selmer_dims=[1, 1, 5]),
+        _record_with(selmer_dims=[1, True]),
+        _record_with(bad_primes=[2.0]),
+        _record_with(checks="x"),
+        _record_with(checks=["cassels_ratio", "tamagawa_pattern"]),
+        _record_with(checks={"cassels_ratio": "pass"}),
+        _record_with(checks={"cassels_ratio": "pass", "tamagawa_pattern": "maybe"}),
+        _record_with(checks={1: "pass", "tamagawa_pattern": []}),
+        _record_with(t="0.5"),
+        _record_with(t="2/4"),
+        _record_with(t=1),
+        _record_with(j=None),
+        _record_with(rank={"kind": "bounded", "lo": 1, "hi": 1}),
+        _record_with(family=0),
+        _record_with(extra=1),
+        _record_with(skipped="factorization: cap"),
+        {"family": "rank0", "t": "1/1", "skipped": 3},
+        [],
+    ],
+)
+def test_scan_result_from_json_is_strict(data):
+    """A record that to_json cannot have written raises ValueError."""
+    assert ScanResult.from_json(_RECORD).to_json() == _RECORD
+    with pytest.raises(ValueError):
+        ScanResult.from_json(data)
+
+
 def test_parallel_matches_serial(tmp_path):
     serial = run_scan("rank0", 4, jobs=1)
     parallel = run_scan("rank0", 4, jobs=2)
