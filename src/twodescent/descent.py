@@ -14,6 +14,14 @@ test the real place, 2, and the odd primes dividing b(a^2-4b): at any
 other odd prime the torsor has good reduction, so it has F_p-points by
 Hasse-Weil and they lift by Hensel.
 
+At an odd prime the test refines residue classes z = c (mod p^k) and reads
+each level off the F_p data of the reduced quartic: its simple roots, its
+multiple roots and whether it takes a nonzero square value.  Before the
+refinement moves z off 0 that quartic is even in z, so at p >= 23 its roots
+come from the quadratic in z^2 (Cremona, Algorithms for Modular Elliptic
+Curves, 3.5-3.6) by Legendre symbols and Tonelli-Shanks roots, with no
+powering of X modulo the quartic; a sweep of F_p serves the primes below 23.
+
 Only the torsors of (a, b) are tested, and only for the classes that two
 bounds leave open: the image contains [a^2-4b] and pairs trivially with [b].
 Being a subgroup, it also contains the span of the classes found solvable
@@ -119,19 +127,21 @@ def _z2_branch_solvable(F, c: int, k: int, rho: int, Fd) -> bool:
 def _fp_analysis(G, p):
     """(simple_root_exists, multiple_roots, nonzero_square_value_exists) of G mod p.
 
-    For p below 23 everything is read off a direct sweep of F_p.  For larger
-    p: simple/multiple roots come from gcds with X^p - X, and a nonzero
-    square value exists whenever G mod p is not a constant times a square
-    (Weil's character-sum bound, comfortable for p >= 23) or that constant,
-    the leading coefficient, is a residue.
+    The multiple roots come back sorted.  For p below 23 everything is read
+    off a direct sweep of F_p.  For larger p a nonzero square value exists
+    whenever G mod p is not a constant times a square (Weil's character-sum
+    bound, comfortable for p >= 23) or that constant, the leading
+    coefficient, is a residue; the roots come from `_even_roots` when G mod
+    p is even in X, as every torsor quartic is before refinement moves z off
+    0, and from `_gcd_roots` otherwise.
     """
     Gbar = [c % p for c in G]
     modp.ptrim(Gbar)
     assert Gbar, "content was not extracted"
     if len(Gbar) == 1:
         return False, [], modp.legendre(Gbar[0], p) == 1
-    Gd = modp.pderiv(Gbar, p)
     if p < 23:
+        Gd = modp.pderiv(Gbar, p)
         simple, multiple, sqval = False, [], False
         for s in range(p):
             gv = horner(Gbar, s) % p
@@ -143,16 +153,48 @@ def _fp_analysis(G, p):
             elif modp.legendre(gv, p) == 1:
                 sqval = True
         return simple, multiple, sqval
+    simple, multiple = _gcd_roots(Gbar, p) if any(Gbar[1::2]) else _even_roots(Gbar, p)
+    sqval = not _is_scaled_square(Gbar, p) or modp.legendre(Gbar[-1], p) == 1
+    return simple, multiple, sqval
+
+
+def _gcd_roots(G, p) -> tuple[bool, list[int]]:
+    """(simple_root_exists, sorted multiple roots) of G (reduced mod the prime
+    p > 4, of degree 1 to 4), from gcds with X^p - X and G'."""
+    Gd = modp.pderiv(G, p)
     if not Gd:
         # needs p | every exponent: impossible for degree <= 4 < p
         raise AssertionError("vanishing derivative at large p")
-    R = modp.split_part(Gbar, p)  # product of (X - r) over F_p-roots
-    D = modp.pgcd(Gbar, Gd, p)
-    M = modp.pgcd(R, D, p)
-    has_simple = (len(R) - 1) > (len(M) - 1)
+    R = modp.split_part(G, p)  # product of (X - r) over F_p-roots
+    M = modp.pgcd(R, modp.pgcd(G, Gd, p), p)
     multiple = modp.roots_deg_le2(M, p) if len(M) > 1 else []
-    sqval = not _is_scaled_square(Gbar, p) or modp.legendre(Gbar[-1], p) == 1
-    return has_simple, multiple, sqval
+    return len(R) > len(M), multiple
+
+
+def _even_roots(G, p) -> tuple[bool, list[int]]:
+    """`_gcd_roots` for G(X) = h(X^2) (reduced mod the odd prime p, of degree 2
+    or 4), read off the roots y of h(Y) = c0 + c2 Y + c4 Y^2.
+
+    G' = 2X h'(X^2), so a root x != 0 of G is simple exactly when x^2 is a
+    simple root of h, and x = 0 is a root, always multiple, when c0 = 0.  A
+    double root y != 0 of h gives the multiple roots +-sqrt(y) when y is a
+    square.
+    """
+    h = G[::2]
+    ys = modp.roots_deg_le2(h, p)
+    double = len(h) == 3 and len(ys) == 1
+    multiple = {0} if h[0] == 0 else set()
+    simple = False
+    for y in ys:
+        if y == 0:
+            continue
+        if double:
+            s = modp.sqrt_mod(y, p)
+            if s is not None:
+                multiple |= {s, p - s}
+        elif modp.legendre(y, p) == 1:
+            simple = True
+    return simple, sorted(multiple)
 
 
 def _is_scaled_square(G, p) -> bool:
@@ -183,7 +225,7 @@ def _zp_branch_solvable(F, c: int, k: int, p: int, rho: int, Fd) -> bool:
             return True
         if k > 2 * rho + 4:
             raise SolvabilityPrecisionError("p-adic refinement exceeded certified depth")
-        G = taylor_shift(F, c)
+        G = taylor_shift(F, c) if c else list(F)
         for j in range(len(G)):
             G[j] *= p ** (j * k)
         nu = min(int_valuation(g, p) for g in G if g != 0)
@@ -391,7 +433,8 @@ def descend(E: TwoTorsionModel) -> Descent:
     A, B, _ = integral_model(E)
     primes = factor(B).primes + factor(A * A - 4 * B).primes
     odd_support = tuple(sorted({p for p in primes if p != 2}))
-    places = [REAL, Place.prime(2)] + [Place.prime(p) for p in odd_support]
+    # factor has proven these primes; Place.prime would test them again
+    places = [REAL] + [Place("prime", p=p) for p in (2, *odd_support)]
     images = {pl: _image_at_place(A, B, pl) for pl in places}
     gens = [-1, 2, *odd_support]
     gen_coords = [[local_coords(g, pl) for pl in places] for g in gens]
@@ -434,7 +477,7 @@ def _residue_pattern(q: int, r3: int, r2: int, r1: int) -> int:
 
 
 def _numerator_candidates(B: int, height_bound: int) -> list[int]:
-    """0 and every u = +-d s^2 with d squarefree, d | B and d s^2 <= height bound."""
+    """Every u = +-d s^2 with d squarefree, d | B and d s^2 <= height bound."""
     divisors = [1]
     m = abs(B)
     for p in range(2, height_bound + 1):
@@ -442,7 +485,7 @@ def _numerator_candidates(B: int, height_bound: int) -> list[int]:
             while m % p == 0:
                 m //= p
             divisors += [d * p for d in divisors if d * p <= height_bound]
-    us = [0]
+    us = []
     for d in divisors:
         s = 1
         while d * s * s <= height_bound:
@@ -459,13 +502,19 @@ def point_search(E: TwoTorsionModel, height_bound: int) -> list[AffinePoint]:
     incomplete.  Only numerators u = d s^2 (d signed and squarefree) with
     d | B are tried: for gcd(u, v) = 1 a point needs d^3 s^4 + A d^2 s^2 v^2
     + B d v^4 to be a square, and a prime of d not dividing B divides it once.
-    Each u sieves all v at once: u^3 + A u^2 v^2 + B u v^4 mod q needs only u, v^2 mod q.
+    Each u != 0 sieves all v at once: u^3 + A u^2 v^2 + B u v^4 mod q needs
+    only u, v^2 mod q.  u = 0 gives only the 2-torsion point (0, 0), at v = 1.
     """
     A, B, scale = integral_model(E)
-    found: dict[Fraction, AffinePoint] = {}
+    if height_bound < 1:
+        return []
+    zero = AffinePoint.of(Fraction(0), Fraction(0))
+    found: dict[Fraction, AffinePoint] = {zero.x: zero} if on_curve(E, zero) else {}
     s2 = scale * scale
     s3 = s2 * scale
-    full = (1 << max(height_bound, 0) + 1) - 2  # bit v for each denominator 1 <= v <= H
+    full = (1 << height_bound + 1) - 2  # bit v for each denominator 1 <= v <= H
+    # bits 0, q, 2q, ... past H: a q-bit pattern times it repeats over [0, H]
+    repunits = {q: ((1 << q * (height_bound // q + 1)) - 1) // ((1 << q) - 1) for q in _SIEVE_MODULI}
     masks: dict[tuple[int, int], int] = {}  # (q, u mod q) -> the v passing mod q
     for u in _numerator_candidates(B, height_bound):
         u2 = u * u
@@ -474,8 +523,7 @@ def point_search(E: TwoTorsionModel, height_bound: int) -> list[AffinePoint]:
         for q in _SIEVE_MODULI:
             mask = masks.get((q, u % q))
             if mask is None:
-                repunit = ((1 << q * (height_bound // q + 1)) - 1) // ((1 << q) - 1)
-                mask = masks[q, u % q] = _residue_pattern(q, c3 % q, c2 % q, c1 % q) * repunit & full
+                mask = masks[q, u % q] = _residue_pattern(q, c3 % q, c2 % q, c1 % q) * repunits[q] & full
             live &= mask
             if not live:
                 break

@@ -117,7 +117,8 @@ class _CurveRuns:
     def tate(self, p: int, dual: bool = False) -> LocalReduction:
         runs = self._runs[dual]
         if p not in runs:
-            runs[p] = tate_local(self._models[dual], Place.prime(p))
+            # p is 2 or came out of factor, so it is prime: no second test
+            runs[p] = tate_local(self._models[dual], Place("prime", p=p))
         return runs[p]
 
 

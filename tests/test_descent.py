@@ -344,6 +344,19 @@ def test_point_search_matches_box_on_grid():
     assert sum(x < 0 for x, _ in found) == 2748
 
 
+def test_point_search_matches_box_at_bounds_0_and_1():
+    """At bound 1 the search returns (0, 0), which it emits without sieving
+    u = 0, and the points with u = +-1, v = 1; at bound 0 it returns none."""
+    found = []
+    for a, b in ((0, -25), (0, 1), (-1, -2), (3, 2), (-2 * 999_999, 999_999**2 - 4), (10**6, -(10**6))):
+        E = TwoTorsionModel.over_q(a, b)
+        for C in (E, dual_model(E)):
+            assert assert_point_search_matches_box(C, 0) == []
+            found += assert_point_search_matches_box(C, 1)
+    assert found.count((0, 0)) == 12
+    assert len(found) > 12
+
+
 def test_point_search_matches_box_on_fibers():
     found = 0
     for name in ("rank0", "rank1", "rank2", "rank3", "rank4"):

@@ -1,7 +1,12 @@
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twodescent.descent import _fp_analysis
+from twodescent import descent, modp
+from twodescent.arith import smallest_nonresidue
+from twodescent.curve import TwoTorsionModel
+from twodescent.descent import _even_roots, _fp_analysis, _gcd_roots, descend
 from twodescent.modp import count_roots, split_part
 
 
@@ -36,27 +41,56 @@ def brute_fp_analysis(f, p):
 
 
 @st.composite
+def even_polys(draw, p):
+    """f(X) = h(X^2) mod p, f not constant, h = c0 + c2 Y + c4 Y^2 of one of
+    four shapes: c0 = 0 (X^2 divides f), c4 = 0 (degree 2), c (Y - y)^2 (a
+    double root of h) or c (Y - n)(Y - y) with n a non-residue, whose square
+    roots are not in F_p.  y is drawn from a few values so that it is often
+    0, a residue or a non-residue."""
+    coeff = st.integers(0, p - 1)
+    unit = st.integers(1, p - 1)
+    y = draw(st.sampled_from([0, 1, 4, p - 1]) | coeff)
+    shape = draw(st.sampled_from(["c0 = 0", "c4 = 0", "double root", "non-residue root"][: 3 if p == 2 else 4]))
+    if shape == "c0 = 0":
+        h = [0, draw(coeff), draw(coeff)]
+    elif shape == "c4 = 0":
+        h = [draw(coeff), draw(unit)]
+    elif shape == "double root":
+        h = mul([draw(unit)], mul([-y % p, 1], [-y % p, 1], p), p)
+    else:
+        n = smallest_nonresidue(p) * draw(unit) ** 2 % p
+        h = mul([draw(unit)], mul([-n % p, 1], [-y % p, 1], p), p)
+    f = [c for hc in h for c in (hc, 0)][:-1]
+    while f and f[-1] == 0:
+        f.pop()
+    return f if len(f) > 1 else [0, 0, 1]
+
+
+@st.composite
 def polys_mod_p(draw):
     """(f, p): f reduced mod p with a nonzero top coefficient and degree <= 4.
-    A third are random; a third are c * prod (X - r_i), roots drawn from a few
-    values so that they repeat, times a random factor that fills the degree
-    up to at most 4; a third are c * h^2 with h monic of degree 1 or 2, which
-    at odd p includes the irreducible X^2 - n for a non-residue n."""
+    A quarter are random; a quarter are c * prod (X - r_i), roots drawn from a
+    few values so that they repeat, times a random factor that fills the
+    degree up to at most 4; a quarter are c * h^2 with h monic of degree 1 or
+    2, which at odd p includes the irreducible X^2 - n for a non-residue n;
+    a quarter are even in X (`even_polys`)."""
     p = draw(st.sampled_from([2, 3, 5, 23, 29, 101, 1009]))
     coeff = st.integers(0, p - 1)
-    shape = draw(st.sampled_from(["random", "roots", "scaled square"]))
+    shape = draw(st.sampled_from(["random", "roots", "scaled square", "even"]))
     if shape == "random":
         f = draw(st.lists(coeff, min_size=1, max_size=5))
     elif shape == "roots":
         roots = draw(st.lists(st.sampled_from([0, 1, 5, 7, p - 1]), min_size=1, max_size=4))
         rest = draw(st.lists(coeff, min_size=1, max_size=5 - len(roots)))
         f = mul(monic_from_roots(roots, p), rest, p)
-    else:
+    elif shape == "scaled square":
         non_residues = sorted(set(range(1, p)) - {x * x % p for x in range(p)})
         h = draw(st.lists(coeff, min_size=1, max_size=2)) + [1]
         if non_residues and draw(st.booleans()):
             h = [-draw(st.sampled_from(non_residues)) % p, 0, 1]
         f = mul([draw(st.integers(1, p - 1))], mul(h, h, p), p)
+    else:
+        f = draw(even_polys(p))
     while f and f[-1] == 0:
         f.pop()
     f = f or [draw(st.integers(1, p - 1))]
@@ -72,3 +106,42 @@ def test_split_part_and_count_roots_match_brute_force(fp):
     assert count_roots(f, p) == len(roots), (f, p)
     if p > 2:
         assert _fp_analysis(f, p) == brute_fp_analysis(f, p), (f, p)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.sampled_from([1_000_003, 2**40 + 15]).flatmap(lambda p: st.tuples(even_polys(p), st.just(p))))
+def test_even_roots_match_gcd_roots_at_large_primes(fp):
+    """Where a sweep of F_p is out of reach, the roots read off h(Y) equal
+    those of the gcd path, multiple roots in the same sorted order."""
+    f, p = fp
+    assert _even_roots(f, p) == _gcd_roots(f, p), (f, p)
+
+
+def test_even_quartics_at_large_primes_skip_split_part(monkeypatch):
+    """Every torsor quartic is even in z before refinement moves z off 0;
+    at p >= 23 none of the even ones reaches split_part, and an odd one
+    still does."""
+    split_args, even_calls = [], []
+    real_split, real_fp = modp.split_part, descent._fp_analysis
+
+    def split_part_spy(f, p):
+        split_args.append(list(f))
+        return real_split(f, p)
+
+    def fp_analysis_spy(G, p):
+        if p >= 23 and not any(c % p for c in G[1::2]):
+            even_calls.append((G, p))
+        return real_fp(G, p)
+
+    monkeypatch.setattr(modp, "split_part", split_part_spy)
+    monkeypatch.setattr(descent, "_fp_analysis", fp_analysis_spy)
+    rng = random.Random(19)
+    for _ in range(60):
+        a, b = rng.randint(-(10**6), 10**6), rng.randint(1, 10**6) * rng.choice([1, -1])
+        if a * a != 4 * b:
+            descend(TwoTorsionModel.over_q(a, b))
+    assert len(even_calls) >= 100, len(even_calls)
+    assert all(any(f[1::2]) for f in split_args), split_args
+    calls = len(split_args)
+    _fp_analysis([1, 1, 0, 0, 1], 1009)
+    assert len(split_args) == calls + 1
