@@ -38,14 +38,23 @@ def _place_arg(s: str) -> Place:
         raise argparse.ArgumentTypeError(f"bad place {s!r}: {exc}") from None
 
 
+def _is_point_list(items) -> bool:
+    """Whether items is a list of [x, y] pairs of strings."""
+    return isinstance(items, list) and all(
+        isinstance(item, list) and len(item) == 2 and all(isinstance(c, str) for c in item) for item in items
+    )
+
+
 def _points_arg(s: str) -> tuple[list[AffinePoint], list[AffinePoint]]:
     try:
         data = json.loads(s)
-        return tuple(
-            [AffinePoint.of(rational_from_str(item[0]), rational_from_str(item[1])) for item in data.get(side, [])]
-            for side in ("E", "E'")
-        )
-    except (ValueError, LookupError, TypeError, ZeroDivisionError, AttributeError) as exc:
+        if not isinstance(data, dict) or not data.keys() <= {"E", "E'"}:
+            raise ValueError("expected an object whose keys are among \"E\" and \"E'\"")
+        sides = [data.get(side, []) for side in ("E", "E'")]
+        if not all(map(_is_point_list, sides)):
+            raise ValueError("expected lists of [x, y] pairs of rational strings")
+        return tuple([AffinePoint.of(rational_from_str(x), rational_from_str(y)) for x, y in items] for items in sides)
+    except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"bad points {s!r}: {type(exc).__name__} {exc}") from None
 
 

@@ -34,11 +34,19 @@ the Hilbert symbol is `arith.local_pairing` on them, and both Selmer groups
 are kernels read off one `arith.f2_echelon` run each.  Inside the kernel a
 class is a plain integer; `SquareClassQ` objects are built only for the
 Selmer bases and `Descent.local_image`.
+
+`point_search` sieves the denominators v of x = u/v^2 by residue patterns:
+whether u^3 + A u^2 v^2 + B u v^4 can be a square mod q depends only on
+(u^3, A u^2, B u mod q) and v mod q.  The pattern of each residue triple is
+a pure function of it, so one table per sieve modulus q (q^3 entries, 131 KB
+for the nine moduli) serves every search in the process; an entry is
+computed on its first read, so importing the module fills none.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -459,6 +467,10 @@ def descend(E: TwoTorsionModel) -> Descent:
 
 _SIEVE_MODULI = (16, 9, 5, 7, 11, 13, 17, 19, 23)
 
+# q -> its residue table: the pattern of the residue triple (r3, r2, r1) at
+# index (r3 q + r2) q + r1, or -1 until the first read computes it
+_PATTERNS = {q: array("i", [-1]) * q**3 for q in _SIEVE_MODULI}
+
 
 @lru_cache(maxsize=None)
 def _square_roots(q: int) -> dict[int, int]:
@@ -467,12 +479,19 @@ def _square_roots(q: int) -> dict[int, int]:
 
 
 def _residue_pattern(q: int, r3: int, r2: int, r1: int) -> int:
-    """The v < q, as a bitmask, with r3 + r2 v^2 + r1 v^4 a square mod q."""
-    roots = _square_roots(q)
-    pattern = 0
-    for s, m in roots.items():
-        if (r3 + (r2 + r1 * s) * s) % q in roots:
-            pattern |= m
+    """The v < q, as a bitmask, with r3 + r2 v^2 + r1 v^4 a square mod q.
+
+    Read from the residue table of q, which stores it on the first read."""
+    table = _PATTERNS[q]
+    i = (r3 * q + r2) * q + r1
+    pattern = table[i]
+    if pattern < 0:
+        roots = _square_roots(q)
+        pattern = 0
+        for s, m in roots.items():
+            if (r3 + (r2 + r1 * s) * s) % q in roots:
+                pattern |= m
+        table[i] = pattern
     return pattern
 
 
@@ -504,6 +523,8 @@ def point_search(E: TwoTorsionModel, height_bound: int) -> list[AffinePoint]:
     + B d v^4 to be a square, and a prime of d not dividing B divides it once.
     Each u != 0 sieves all v at once: u^3 + A u^2 v^2 + B u v^4 mod q needs
     only u, v^2 mod q.  u = 0 gives only the 2-torsion point (0, 0), at v = 1.
+    The patterns come from the residue tables shared by every search
+    (`_residue_pattern`); a call expands each to an H-bit mask once per u mod q.
     """
     A, B, scale = integral_model(E)
     if height_bound < 1:
@@ -513,17 +534,17 @@ def point_search(E: TwoTorsionModel, height_bound: int) -> list[AffinePoint]:
     s2 = scale * scale
     s3 = s2 * scale
     full = (1 << height_bound + 1) - 2  # bit v for each denominator 1 <= v <= H
-    # bits 0, q, 2q, ... past H: a q-bit pattern times it repeats over [0, H]
-    repunits = {q: ((1 << q * (height_bound // q + 1)) - 1) // ((1 << q) - 1) for q in _SIEVE_MODULI}
-    masks: dict[tuple[int, int], int] = {}  # (q, u mod q) -> the v passing mod q
+    # per modulus q: a q-bit pattern times its repunit repeats over bits 0..H,
+    # and the masks over v of each u mod q, filled as the numerators reach them
+    sieves = [(q, ((1 << q * (height_bound // q + 1)) - 1) // ((1 << q) - 1), [None] * q) for q in _SIEVE_MODULI]
     for u in _numerator_candidates(B, height_bound):
         u2 = u * u
         c3, c2, c1 = u2 * u, A * u2, B * u
         live = full
-        for q in _SIEVE_MODULI:
-            mask = masks.get((q, u % q))
+        for q, repunit, masks in sieves:
+            mask = masks[u % q]
             if mask is None:
-                mask = masks[q, u % q] = _residue_pattern(q, c3 % q, c2 % q, c1 % q) * repunits[q] & full
+                mask = masks[u % q] = _residue_pattern(q, c3 % q, c2 % q, c1 % q) * repunit & full
             live &= mask
             if not live:
                 break

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import twodescent
-from twodescent import cli
+from twodescent import cli, descent
 from twodescent.cli import main
 
 
@@ -131,6 +131,41 @@ def test_input_errors_exit_with_status_2(argv, capsys):
     assert captured.err.count("\n") == 1 and "error: " in captured.err, captured.err
 
 
+@pytest.mark.parametrize(
+    "points",
+    [
+        '{"Ep": [["-4/1","6/1"]]}',
+        '{"E": [["-4/1","6/1"]], "E\'\'": []}',
+        '{"E": [["-4/1","6/1","1/1"]]}',
+        '{"E": [["-4/1"]]}',
+        '{"E": ["-4/1"]}',
+        '{"E": [[-4, 6]]}',
+        '{"E": "-4/1,6/1"}',
+        '[["-4/1","6/1"]]',
+    ],
+    ids=[
+        "unknown-key",
+        "unknown-key-beside-E",
+        "three-coordinates",
+        "one-coordinate",
+        "item-not-a-list",
+        "coordinates-not-strings",
+        "side-not-a-list",
+        "not-an-object",
+    ],
+)
+def test_malformed_points_exit_with_status_2(points, capsys):
+    """--points takes the keys "E" and "E'" only, each a list of [x, y]
+    pairs of rational strings; anything else is a usage error, not a point
+    dropped or cut short.  (-4, 6) is on E, so no input here fails later."""
+    with pytest.raises(SystemExit) as exc:
+        main(["rank", "--curve", CURVE, "--points", points, "--search-bound", "0"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "bad points" in captured.err, captured.err
+
+
 def _src_env() -> dict:
     """The environment of a fresh interpreter that imports this checkout's twodescent."""
     src = str(Path(twodescent.__file__).parents[1])
@@ -195,3 +230,29 @@ def test_cli_loads_only_the_standard_library():
     allowed = sys.stdlib_module_names | {"twodescent", "__mp_main__"}
     foreign = [m for m in loaded if m.partition(".")[0] not in allowed]
     assert foreign == [], foreign
+
+
+def test_sieve_tables_fill_on_demand():
+    """Importing twodescent fills no entry of the point-search residue
+    tables, and a rank call at search bound 1 fills at most q entries per
+    modulus q (in a fresh interpreter, so that earlier tests do not count)."""
+    script = textwrap.dedent(
+        """
+        import contextlib, io, json
+        import twodescent
+        from twodescent import descent
+        from twodescent.cli import main
+        def filled():
+            return [sum(x >= 0 for x in table) for table in descent._PATTERNS.values()]
+        at_import = filled()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["rank", "--curve", '{"domain":"Q","a":"0/1","b":"-25/1"}', "--search-bound", "1"]) == 0
+        print(json.dumps([list(descent._PATTERNS), at_import, filled()]))
+        """
+    )
+    run = subprocess.run([sys.executable, "-c", script], env=_src_env(), capture_output=True, text=True, check=True)
+    moduli, at_import, after_rank = json.loads(run.stdout)
+    assert moduli == list(descent._SIEVE_MODULI)
+    assert at_import == [0] * len(moduli)
+    assert all(n <= q for q, n in zip(moduli, after_rank)), after_rank
+    assert sum(after_rank) > 0

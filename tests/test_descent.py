@@ -1,5 +1,6 @@
 import itertools
 import random
+from array import array
 from fractions import Fraction
 from pathlib import Path
 
@@ -393,14 +394,39 @@ def test_point_search_matches_box_on_large_coefficients(a, b):
     assert_point_search_matches_box(dual_model(E), 128)
 
 
-def test_residue_pattern_exhaustive():
+def fresh_patterns() -> dict[int, array]:
+    """Residue tables of the sieve moduli with no entry filled yet."""
+    return {q: array("i", [-1]) * len(table) for q, table in descent._PATTERNS.items()}
+
+
+def test_residue_pattern_exhaustive(monkeypatch):
     """Bit v < q of the sieve pattern is set iff r3 + r2 v^2 + r1 v^4 is a
-    square mod q, for every sieve modulus and every residue triple."""
+    square mod q, for every sieve modulus and every residue triple: the
+    first read fills the entry of a fresh table, the second reads it back."""
+    monkeypatch.setattr(descent, "_PATTERNS", fresh_patterns())
     for q in _SIEVE_MODULI:
         squares = {x * x % q for x in range(q)}
         for r3, r2, r1 in itertools.product(range(q), repeat=3):
             expected = sum(1 << v for v in range(q) if (r3 + r2 * v * v + r1 * v**4) % q in squares)
             assert _residue_pattern(q, r3, r2, r1) == expected, (q, r3, r2, r1)
+            assert _residue_pattern(q, r3, r2, r1) == expected, (q, r3, r2, r1)
+        assert -1 not in descent._PATTERNS[q]
+
+
+def test_point_search_does_not_depend_on_call_order(monkeypatch):
+    """Every search in a process reads the same residue tables: fresh
+    tables filled in forward and in reverse call order give the same lists."""
+    calls = [(TwoTorsionModel.over_q(0, -25), 64), (TwoTorsionModel.over_q(10**6 - 3, -(10**6) + 7), 128)]
+    for name in ("rank0", "rank1", "rank2", "rank3", "rank4"):
+        for t in (Fraction(3), Fraction(-7, 5), Fraction(13, 4)):
+            Et = specialize(family_by_name(name).E, t)
+            calls += [(Et, 32), (dual_model(Et), 128)]
+    runs = []
+    for order in (calls, calls[::-1]):
+        monkeypatch.setattr(descent, "_PATTERNS", fresh_patterns())
+        runs.append([point_search(C, H) for C, H in order])
+    assert runs[0] == runs[1][::-1]
+    assert sum(map(len, runs[0])) == 133
 
 
 DIVISORS_30030 = [d for d in range(1, 78) if 30030 % d == 0]  # the 24 up to 77
