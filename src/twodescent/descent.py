@@ -35,6 +35,13 @@ are kernels read off one `arith.f2_echelon` run each.  Inside the kernel a
 class is a plain integer; `SquareClassQ` objects are built only for the
 Selmer bases and `Descent.local_image`.
 
+On local coordinates the Hilbert symbol depends only on the place class:
+real, 2, or p mod 4 at an odd prime p (Serre, A Course in Arithmetic,
+III.1.2).  So the dual images, the quotient maps by the images and the
+classes pairing trivially with [b] are per-class tables, each entry
+computed once per process on first use.  The generator coordinates take
+one Legendre symbol per pair of odd primes and reciprocity for the other.
+
 `point_search` sieves the denominators v of x = u/v^2 by residue patterns:
 whether u^3 + A u^2 v^2 + B u v^4 can be a square mod q depends only on
 (u^3, A u^2, B u mod q) and v mod q.  The pattern of each residue triple is
@@ -310,43 +317,85 @@ def torsor_solvable_at(d: int, a: int, b: int, place: Place) -> bool:
 # ----------------------------------------------------------------------
 
 
-def _image_at_place(a: int, b: int, place: Place) -> tuple[int, ...]:
-    """Im(delta_{E',v}) for the model (a, b), as echelonized local vectors.
-
-    The image contains [a^2-4b] (z = 0 on its torsor) and pairs trivially
-    with [b], which the dual image contains, so classes pairing to -1 with
-    [b] are skipped.  Since the image is a subgroup, classes in the span of
-    those found solvable, or in a coset of that span through one found
-    unsolvable, are skipped too.
-    """
-    reps = local_reps(place)
-    cb = local_coords(b, place)
-    inside = f2_echelon([local_coords(a * a - 4 * b, place)])
-    outside: list[int] = []
-    for v in sorted(reps):
-        if local_pairing(v, cb, place) or any(not f2_reduce(v ^ u, inside) for u in (0, *outside)):
-            continue
-        if torsor_solvable_at(reps[v], a, b, place):
-            inside = f2_echelon(inside + (v,))
-        else:
-            outside.append(v)
-    return inside
+_P1, _P3 = Place("prime", p=5), Place("prime", p=3)
 
 
-def _dual_image(basis, place: Place) -> tuple[int, ...]:
-    """The local image for the dual model (-2a, a^2-4b), from that of (a, b).
+def _place_class(place: Place) -> Place:
+    """The real place, 2, or 5 or 3 standing in for an odd prime p = 1 or 3
+    (mod 4): the key of the tables below, which depend on nothing else."""
+    if place.kind == "real" or place.p == 2:
+        return place
+    return _P3 if place.p & 2 else _P1
+
+
+@lru_cache(maxsize=None)
+def _pairs_trivially(y: int, cls: Place) -> tuple[int, ...]:
+    """The local classes v, in increasing order, with (v, y) = 1 at class cls."""
+    return tuple(v for v in range(1 << local_dim(cls)) if not local_pairing(v, y, cls))
+
+
+@lru_cache(maxsize=None)
+def _quotient(image: tuple[int, ...], cls: Place) -> tuple[int, ...]:
+    """The quotient map v -> f2_reduce(v, image) at class cls; 0 exactly on the image."""
+    return tuple(f2_reduce(v, image) for v in range(1 << local_dim(cls)))
+
+
+@lru_cache(maxsize=None)
+def _dual_image(basis: tuple[int, ...], cls: Place) -> tuple[int, ...]:
+    """The local image for the dual model (-2a, a^2-4b) at class cls, from that of (a, b).
 
     The two images are exact annihilators of each other under the Hilbert
     symbol (Cassels, Arithmetic on curves of genus 1 VIII, 1965; Schaefer and
     Stoll, Trans. AMS 356, 2004): a class lies in one iff it pairs trivially
     with every basis class of the other.
     """
-    dim = local_dim(place)
-    vecs = {v for v in range(1 << dim) if not any(local_pairing(v, g, place) for g in basis)}
+    dim = local_dim(cls)
+    vecs = {v for v in range(1 << dim) if not any(local_pairing(v, g, cls) for g in basis)}
     dual = f2_echelon(vecs)
     if f2_span(dual) != vecs or len(basis) + len(dual) != dim:
-        raise AssertionError(f"the Hilbert pairing at {place} is not bilinear and nondegenerate")
+        raise AssertionError(f"the Hilbert pairing at {cls} is not bilinear and nondegenerate")
     return dual
+
+
+def _image_at_place(a: int, b: int, place: Place) -> tuple[int, ...]:
+    """Im(delta_{E',v}) for the model (a, b), as echelonized local vectors.
+
+    The image contains [a^2-4b] (z = 0 on its torsor) and pairs trivially
+    with [b], which the dual image contains, so only the classes pairing
+    trivially with [b] are candidates.  Since the image is a subgroup, a
+    candidate in the span of those found solvable, or in a coset of that
+    span through one found unsolvable, is skipped too.
+    """
+    c = local_coords(a * a - 4 * b, place)
+    inside, span = ((c,) if c else ()), {0, c}
+    outside: list[int] = []
+    reps = None
+    for v in _pairs_trivially(local_coords(b, place), _place_class(place)):
+        if v in span or any(v ^ u in span for u in outside):
+            continue
+        reps = reps or local_reps(place)
+        if torsor_solvable_at(reps[v], a, b, place):
+            inside = f2_echelon(inside + (v,))
+            span |= {s ^ v for s in span}
+        else:
+            outside.append(v)
+    return inside
+
+
+def _gen_coords(odd_support: tuple[int, ...]) -> list[list[int]]:
+    """rows[i][j] = local_coords(g_i, v_j) for g = -1, 2, *odd_support and
+    v = real, 2, *odd_support.  For odd primes p < q one pow gives (q|p), and
+    reciprocity gives (p|q), which differs exactly when p = q = 3 (mod 4)."""
+    minus = [q >> 1 & 1 for q in odd_support]  # (-1|q) = -1 iff q = 3 (mod 4)
+    two = [int(q % 8 in (3, 5)) for q in odd_support]  # (2|q) = -1 iff q = +-3 (mod 8)
+    rows = [[1, 1, *minus], [0, 4, *two]] + [[0, m | t << 1] for m, t in zip(minus, two)]
+    for i, p in enumerate(odd_support):
+        rows[2 + i].append(2)
+        for j in range(i + 1, len(odd_support)):
+            qp = int(pow(odd_support[j] % p, p >> 1, p) != 1)
+            rows[2 + i].append(qp ^ minus[i] & minus[j])
+            rows[2 + j].append(qp)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -369,27 +418,27 @@ class SelmerGroup:
         return cls in set(self.elements())
 
 
-def _selmer_basis(gens, gen_coords, images: dict[Place, tuple[int, ...]]) -> tuple[SquareClassQ, ...]:
+def _selmer_basis(gens, gen_coords, classes, images) -> tuple[SquareClassQ, ...]:
     """The Selmer basis cut out by echelonized local images at the tested places.
 
-    The places are the real place, 2 and the odd primes of b(a^2-4b); per the
-    standard descent bound the candidates are the classes supported on -1
-    and those primes, spanned by `gens`: -1, then the primes in increasing
-    order.  gen_coords[i][j] is the local coordinate vector of gens[i] at the
-    j-th place of `images`.  A candidate lies in the Selmer group iff its
-    local coordinates fall inside the image subgroup at every tested place,
-    an F_2-linear condition: each generator's row holds its coordinates
-    reduced by the images, above one bit that marks the generator, and the
-    kernel is read off the reduced echelon rows whose reduced coordinates
-    vanish.
+    The places are the real place, 2 and the odd primes of b(a^2-4b), of the
+    given classes; per the standard descent bound the candidates are the
+    classes supported on -1 and those primes, spanned by `gens`: -1, then
+    the primes in increasing order.  gen_coords[i][j] is the local
+    coordinate vector of gens[i] at the j-th place.  A candidate lies in the
+    Selmer group iff its local coordinates fall inside the image subgroup at
+    every tested place, an F_2-linear condition: each generator's row holds
+    its coordinates mapped to the quotients by the images, above one bit
+    that marks the generator, and the kernel is read off the reduced echelon
+    rows whose quotient coordinates vanish.
     """
     n = len(gens)
-    layout = [(local_dim(pl), img) for pl, img in images.items()]
+    layout = [(local_dim(cls), _quotient(img, cls)) for cls, img in zip(classes, images)]
     rows = []
     for i, coords in enumerate(gen_coords):
         row = 0
-        for v, (dim, img) in zip(coords, layout):
-            row = row << dim | f2_reduce(v, img)
+        for v, (dim, quotient) in zip(coords, layout):
+            row = row << dim | quotient[v]
         rows.append(row << n | 1 << i)
     basis = [
         SquareClassQ(-1 if kmask & 1 else 1, tuple(gens[i] for i in range(1, n) if kmask >> i & 1))
@@ -444,11 +493,12 @@ def descend(E: TwoTorsionModel) -> Descent:
     # factor has proven these primes; Place.prime would test them again
     places = [REAL] + [Place("prime", p=p) for p in (2, *odd_support)]
     images = {pl: _image_at_place(A, B, pl) for pl in places}
+    classes = [_place_class(pl) for pl in places]
     gens = [-1, 2, *odd_support]
-    gen_coords = [[local_coords(g, pl) for pl in places] for g in gens]
-    basis_phi = _selmer_basis(gens, gen_coords, images)
-    dual_images = {pl: _dual_image(img, pl) for pl, img in images.items()}
-    basis_hat = _selmer_basis(gens, gen_coords, dual_images)
+    gen_coords = _gen_coords(odd_support)
+    basis_phi = _selmer_basis(gens, gen_coords, classes, images.values())
+    dual_images = [_dual_image(img, cls) for cls, img in zip(classes, images.values())]
+    basis_hat = _selmer_basis(gens, gen_coords, classes, dual_images)
     cassels_ok = len(basis_phi) - len(basis_hat) == sum(len(img) - 1 for img in images.values())
     return Descent(
         curve=E,
@@ -609,7 +659,7 @@ class RankStatus:
         return rank
 
 
-def rank_bounds(descent: Descent, points_e=(), points_eprime=(), search_bound: int = 0) -> RankStatus:
+def rank_bounds(descent: Descent, points_e=(), points_eprime=(), search_bound: int = 0, searched=None) -> RankStatus:
     """Rank bounds from delta images of known points and Selmer dimensions.
 
     The points lie on descent.curve and its dual model.
@@ -619,10 +669,12 @@ def rank_bounds(descent: Descent, points_e=(), points_eprime=(), search_bound: i
     Selmer dimension (E against Sel_phi-hat, E' against Sel_phi) also gets
     the points of `point_search(curve, search_bound)`; a filled side is not
     searched, since a further point can only leave its span as it is.
-    search_bound 0 searches nothing.
+    search_bound 0 searches nothing.  Calls that pass one dict `searched`,
+    filled with (curve, bound) -> result on use, search each curve once.
     """
     if search_bound < 0:
         raise ValueError(f"search bound {search_bound} is negative")
+    searched = {} if searched is None else searched
     E = descent.curve
     zero = AffinePoint.of(Fraction(0), Fraction(0))
     dims = []
@@ -633,7 +685,9 @@ def rank_bounds(descent: Descent, points_e=(), points_eprime=(), search_bound: i
         classes = [delta_class(curve, P) for P in (zero, *points)]
         d = delta_span_dim(classes)
         if search_bound and d < selmer.dim:
-            classes += [delta_class(curve, P) for P in point_search(curve, search_bound)]
+            if (curve, search_bound) not in searched:
+                searched[curve, search_bound] = point_search(curve, search_bound)
+            classes += [delta_class(curve, P) for P in searched[curve, search_bound]]
             d = delta_span_dim(classes)
         if d > selmer.dim:
             raise AssertionError("delta image escaped its Selmer group: descent bug")

@@ -4,10 +4,10 @@ The scan enumerates all t = m/n of bounded height rather than selecting t
 by prime constellations: the selection argument proves existence, while
 enumeration finds witnesses at desk scale.  A task is the group of fibers
 t = +-m/n that share (|m|, n); in an even family E_t and E_-t are one curve,
-and its descent and Tate runs are computed once per task.  Results are put
-in (height, t) order, so two runs with identical parameters produce
-byte-identical output.  The family's bad-place forms drop each t = e and give
-the pattern primes whose c_p(E')/c_p(E) `tamagawa_pattern` checks.
+and its descent, Tate runs and point searches are made once per task.
+Results are put in (height, t) order, so two runs with identical parameters
+produce byte-identical output.  The family's bad-place forms drop each t = e
+and give the pattern primes whose c_p(E')/c_p(E) `tamagawa_pattern` checks.
 """
 
 from __future__ import annotations
@@ -105,12 +105,13 @@ def _specialized_points(rec: FamilyRecord, t: Fraction, dualside: bool) -> list[
 
 class _CurveRuns:
     """What a fiber's record takes from its curve E_t alone: the descent,
-    j and the Tate runs on the integral model and its dual, each run made
-    on first use."""
+    j, the Tate runs on the integral model and its dual and the point
+    searches of `rank_bounds`, each run made on first use."""
 
     def __init__(self, D: Descent):
         self.descent = D
         self.j = j_invariant(D.integral)
+        self.searched: dict = {}
         self._models = (D.integral, dual_model(D.integral))
         self._runs: tuple[dict[int, LocalReduction], ...] = ({}, {})
 
@@ -136,8 +137,8 @@ def scan_one(name: str, m: int, n: int, memo: dict | None = None) -> ScanResult:
     """Full descent record for the fiber at t = m/n.
 
     `memo` maps a specialized curve (a, b) to its runs; fibers that pass
-    one memo and specialize to the same curve share the descent and Tate
-    runs.  The record is the same with or without it."""
+    one memo and specialize to the same curve share the descent, Tate runs
+    and point searches.  The record is the same with or without it."""
     rec = family_by_name(name)
     t = Fraction(m, n)
     E_t = specialize(rec.E, t)
@@ -156,7 +157,7 @@ def scan_one(name: str, m: int, n: int, memo: dict | None = None) -> ScanResult:
 
     pts_e = _specialized_points(rec, t, dualside=False)
     pts_ep = _specialized_points(rec, t, dualside=True)
-    rank = rank_bounds(D, pts_e, pts_ep, DEFAULT_SEARCH_BOUND)
+    rank = rank_bounds(D, pts_e, pts_ep, DEFAULT_SEARCH_BOUND, curve.searched)
 
     tamagawa_ok = all(
         Fraction(curve.tate(p, dual=True).tamagawa, curve.tate(p).tamagawa) == order

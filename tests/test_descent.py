@@ -10,13 +10,30 @@ from hypothesis import strategies as st
 
 from oracles import oracle_box_points, oracle_local_image, oracle_torsor_solvable
 from twodescent import descent
-from twodescent.arith import REAL, Place, SquareClassQ, factor, local_reps, square_class
+from twodescent.arith import (
+    REAL,
+    Place,
+    SquareClassQ,
+    f2_echelon,
+    f2_reduce,
+    factor,
+    is_prime,
+    local_coords,
+    local_dim,
+    local_pairing,
+    local_reps,
+    square_class,
+)
 from twodescent.curve import TwoTorsionModel, dual_model, integral_model, specialize
 from twodescent.descent import (
     _SIEVE_MODULI,
     RankStatus,
     _dual_image,
+    _gen_coords,
     _image_at_place,
+    _pairs_trivially,
+    _place_class,
+    _quotient,
     _residue_pattern,
     descend,
     point_search,
@@ -127,28 +144,48 @@ def test_selmer_matches_bruteforce_oracle(oracle_selmer_corpus):
         assert selmer_values(D.phi_hat) == oracle_hat, (A, B)
 
 
-def _selmer_grid_lines():
-    """One line per curve with |a|, |b| <= 15: a, b, then the basis of
-    Sel_phi and of Sel_phi-hat as squarefree integers.
-
-    tests/data/selmer-bases.txt holds its output, written before the local
-    square classes moved into arith and the Selmer kernel onto f2_echelon."""
+def _selmer_lines(curves):
+    """One line per curve (a, b): a, b, then the basis of Sel_phi and of
+    Sel_phi-hat as squarefree integers."""
     lines = []
-    for a in range(-15, 16):
-        for b in range(-15, 16):
-            if b != 0 and a * a != 4 * b:
-                D = descend(TwoTorsionModel.over_q(a, b))
-                phi = " ".join(str(c) for c in D.phi.basis)
-                hat = " ".join(str(c) for c in D.phi_hat.basis)
-                lines.append(f"{a} {b} | {phi} | {hat}\n")
+    for a, b in curves:
+        D = descend(TwoTorsionModel.over_q(a, b))
+        phi = " ".join(str(c) for c in D.phi.basis)
+        hat = " ".join(str(c) for c in D.phi_hat.basis)
+        lines.append(f"{a} {b} | {phi} | {hat}\n")
     return lines
 
 
 def test_selmer_bases_match_golden_grid():
     """Both Selmer bases, element for element and in order, equal the stored
-    table (924 curves)."""
+    table for the 924 curves with |a|, |b| <= 15.
+
+    tests/data/selmer-bases.txt was written before the local square classes
+    moved into arith and the Selmer kernel onto f2_echelon."""
+    grid = [(a, b) for a in range(-15, 16) for b in range(-15, 16) if b != 0 and a * a != 4 * b]
     golden = Path(__file__).parent / "data" / "selmer-bases.txt"
-    assert "".join(_selmer_grid_lines()) == golden.read_text()
+    assert "".join(_selmer_lines(grid)) == golden.read_text()
+
+
+def _large_curves(count=300, bound=10**6):
+    rng = random.Random("selmer-bases-large")
+    out = []
+    while len(out) < count:
+        a, b = rng.randint(-bound, bound), rng.randint(-bound, bound)
+        if b != 0 and a * a != 4 * b:
+            out.append((a, b))
+    return out
+
+
+def test_selmer_bases_match_golden_large():
+    """The same for 300 seeded curves with |a|, |b| <= 10^6, whose supports
+    reach the primes where quadratic reciprocity and the p >= 23 torsor
+    path decide the basis.
+
+    tests/data/selmer-bases-large.txt was written before the descent's F_2
+    bookkeeping moved onto per-place-class tables."""
+    golden = Path(__file__).parent / "data" / "selmer-bases-large.txt"
+    assert "".join(_selmer_lines(_large_curves())) == golden.read_text()
 
 
 def test_bounded_sweep_tests_few_torsors(monkeypatch):
@@ -217,7 +254,8 @@ def assert_dual_images_match_sweep(A, B) -> int:
     for pl in places:
         image = _image_at_place(A, B, pl)
         assert image == oracle_local_image(A, B, pl), (A, B, str(pl))
-        assert _dual_image(image, pl) == oracle_local_image(-2 * A, A * A - 4 * B, pl), (A, B, str(pl))
+        dual = _dual_image(image, _place_class(pl))
+        assert dual == oracle_local_image(-2 * A, A * A - 4 * B, pl), (A, B, str(pl))
     return len(places)
 
 
@@ -261,6 +299,43 @@ def deep_curves(draw):
 @given(deep_curves())
 def test_dual_images_match_sweep_on_deep_valuations(ab):
     assert_dual_images_match_sweep(*ab)
+
+
+def _primes_above_million():
+    """The least prime above 10^6 in each class 1, 3, 5, 7 (mod 8)."""
+    return [next(p for p in itertools.count(10**6 + r, 8) if is_prime(p)) for r in (1, 3, 5, 7)]
+
+
+def test_gen_coords_table_matches_local_coords():
+    """Every (generator, place) entry of the reciprocity table equals
+    local_coords, on seeded supports of primes below 3,000 and above 10^6
+    in every class mod 8, and on the support of all the large ones."""
+    small = [p for p in range(3, 3000) if is_prime(p)]
+    large = _primes_above_million()
+    rng = random.Random(21)
+    supports = [large, sorted(large + small[:4])]
+    supports += [sorted(rng.sample(small + large, rng.randint(0, 9))) for _ in range(300)]
+    for support in supports:
+        gens = [-1, 2, *support]
+        places = [REAL] + [Place.prime(p) for p in (2, *support)]
+        assert _gen_coords(tuple(support)) == [[local_coords(g, pl) for pl in places] for g in gens], support
+
+
+def test_class_tables_match_actual_places():
+    """Each table entry, looked up through the place class, equals
+    local_pairing, f2_reduce and the annihilator computed at the place
+    itself, for every class y and every subspace of local classes."""
+    odd = [5, 13, 3, 7, 23, 29, *_primes_above_million()]
+    for pl in [REAL, Place.prime(2)] + [Place.prime(p) for p in odd]:
+        cls, size = _place_class(pl), 1 << local_dim(pl)
+        for y in range(size):
+            assert _pairs_trivially(y, cls) == tuple(v for v in range(size) if not local_pairing(v, y, pl))
+        subspaces = {f2_echelon(vs) for r in range(4) for vs in itertools.combinations(range(1, size), r)}
+        assert len(subspaces) == {2: 2, 4: 5, 8: 16}[size]
+        for S in subspaces:
+            assert _quotient(S, cls) == tuple(f2_reduce(v, S) for v in range(size))
+            annihilator = {v for v in range(size) if not any(local_pairing(v, g, pl) for g in S)}
+            assert _dual_image(S, cls) == f2_echelon(annihilator), (str(pl), S)
 
 
 def test_local_image_is_group_of_size_1_2_4_or_8(small_curve_corpus):
@@ -559,6 +634,11 @@ def test_rank_bounds_searches_only_open_sides(monkeypatch):
     assert calls == [TwoTorsionModel.over_q(0, 4)]
     assert rank_bounds(descend(TwoTorsionModel.over_q(0, -25)), search_bound=32) == RankStatus(1, 1)
     assert len(calls) > 1
+    # calls that share a `searched` dict search each (curve, bound) once
+    D, searched, before = descend(TwoTorsionModel.over_q(0, -25)), {}, len(calls)
+    for _ in range(2):
+        assert rank_bounds(D, search_bound=32, searched=searched) == RankStatus(1, 1)
+    assert len(calls) - before == len(searched) == 2
     with pytest.raises(ValueError):
         rank_bounds(descend(TwoTorsionModel.over_q(0, -25)), search_bound=-1)
 

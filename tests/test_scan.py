@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from twodescent import scan
+from twodescent import descent, scan
 from twodescent.arith import FT_INFINITY, FactorizationEffortError, valuation
 from twodescent.curve import specialize
 from twodescent.family import excluded_primes, family_by_name
@@ -224,15 +224,15 @@ def test_determined_zero_record_agrees_with_bruteforce_descent():
         assert P.y == 0 or P.x == 0
 
 
-def _count_calls(monkeypatch, name: str) -> list:
-    """Record the arguments of every call to scan.<name>."""
-    calls, real = [], getattr(scan, name)
+def _count_calls(monkeypatch, name: str, module=scan) -> list:
+    """Record the arguments of every call to <module>.<name>."""
+    calls, real = [], getattr(module, name)
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(scan, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -242,13 +242,15 @@ def test_one_descent_per_distinct_curve(monkeypatch, family, fibers, curves):
     rank0 is not, and each fiber gets its own."""
     descents = _count_calls(monkeypatch, "descend")
     tates = _count_calls(monkeypatch, "tate_local")
+    searches = _count_calls(monkeypatch, "point_search", descent)
     results = run_scan(family, 6)
     rec = family_by_name(family)
     assert len(results) == fibers
     assert len({specialize(rec.E, r.t) for r in results}) == curves
     assert len(descents) == curves
-    # no Tate run repeats a (model, place)
+    # no Tate run repeats a (model, place), and no point search a (curve, bound)
     assert len(tates) == len(set(tates))
+    assert searches and len(searches) == len(set(searches))
 
 
 @pytest.mark.parametrize("family", ["rank3", "rank4"])
