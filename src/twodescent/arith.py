@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
 RationalLike = Union[int, Fraction]
@@ -318,8 +319,13 @@ def local_coords(q: RationalLike, place: Place) -> int:
     return (pow(u, (p - 1) // 2, p) != 1) | (alpha & 1) << 1
 
 
+@lru_cache(maxsize=64)
 def smallest_nonresidue(p: int) -> int:
-    """Smallest quadratic non-residue of an odd prime."""
+    """Smallest quadratic non-residue of an odd prime.
+
+    `local_reps` and the Tonelli-Shanks roots of the torsor tests at p both
+    read it, so a descent computes it once per tested place.  The cache is
+    bounded: nearly every curve brings new large primes."""
     n = 2
     while pow(n, (p - 1) // 2, p) == 1:
         n += 1

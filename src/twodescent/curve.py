@@ -52,7 +52,9 @@ class TwoTorsionModel:
             a, b = Fraction(self.a), Fraction(self.b)
             object.__setattr__(self, "a", a)
             object.__setattr__(self, "b", b)
-            if b == 0 or a * a - 4 * b == 0:
+            # a^2 = 4b on numerators and denominators: n^2 e = 4 m d^2 for a = n/d, b = m/e
+            n, d, m, e = a.numerator, a.denominator, b.numerator, b.denominator
+            if m == 0 or n * n * e == 4 * m * d * d:
                 raise SingularModelError("b = 0 or a^2 = 4b")
         else:
             a = self.a if isinstance(self.a, Poly) else Poly.const(self.a)
@@ -64,7 +66,7 @@ class TwoTorsionModel:
 
     @staticmethod
     def over_q(a, b) -> "TwoTorsionModel":
-        return TwoTorsionModel(Fraction(a), Fraction(b), DOMAIN_Q)
+        return TwoTorsionModel(a, b, DOMAIN_Q)
 
     @staticmethod
     def over_qt(a, b) -> "TwoTorsionModel":

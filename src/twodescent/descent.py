@@ -42,12 +42,22 @@ classes pairing trivially with [b] are per-class tables, each entry
 computed once per process on first use.  The generator coordinates take
 one Legendre symbol per pair of odd primes and reciprocity for the other.
 
-`point_search` sieves the denominators v of x = u/v^2 by residue patterns:
-whether u^3 + A u^2 v^2 + B u v^4 can be a square mod q depends only on
-(u^3, A u^2, B u mod q) and v mod q.  The pattern of each residue triple is
-a pure function of it, so one table per sieve modulus q (q^3 entries, 131 KB
-for the nine moduli) serves every search in the process; an entry is
+`point_search` searches x = d s^2/v^2 on the integral model (A, B) as the
+2-coverings w^2 = d s^4 + A s^2 v^2 + (B/d) v^4, one for each signed
+squarefree d | B with |d| <= H (Cremona, 3.5-3.6; Stoll's ratpoints).  For
+each s the denominators v <= H are an H-bit mask: the v with gcd(d s, v) = 1,
+then those for which the quartic's own triple (d s^4, A s^2, B/d) mod q
+leaves a square, for each sieve modulus q, then the exact checks.  A
+covering with d < 0, B/d < 0 and A <= 0 or A^2 < 4 d (B/d) is negative on
+R^2 minus 0 and is skipped.  The pattern of each residue triple is a pure
+function of it, so one table per sieve modulus q (q^3 entries: 32,760 for
+the nine moduli, 131 KB) serves every search in the process; an entry is
 computed on its first read, so importing the module fills none.
+
+`rank_bounds` reads each point's class as an F_2 vector over the
+generators -1, 2 and the odd support (the sign and the parities of
+v_p(num den)), with no factoring, and checks that it lies in the Selmer
+group of its side.
 """
 
 from __future__ import annotations
@@ -80,9 +90,8 @@ from .arith import (
 )
 from .curve import (
     AffinePoint,
+    OffCurveError,
     TwoTorsionModel,
-    delta_class,
-    delta_span_dim,
     dual_model,
     integral_model,
     on_curve,
@@ -545,22 +554,66 @@ def _residue_pattern(q: int, r3: int, r2: int, r1: int) -> int:
     return pattern
 
 
-def _numerator_candidates(B: int, height_bound: int) -> list[int]:
-    """Every u = +-d s^2 with d squarefree, d | B and d s^2 <= height bound."""
-    divisors = [1]
-    m = abs(B)
-    for p in range(2, height_bound + 1):
-        if m % p == 0:  # p is prime: every smaller prime is divided out of m
-            while m % p == 0:
-                m //= p
-            divisors += [d * p for d in divisors if d * p <= height_bound]
-    us = []
-    for d in divisors:
-        s = 1
-        while d * s * s <= height_bound:
-            us += [d * s * s, -d * s * s]
-            s += 1
-    return us
+@lru_cache(maxsize=8)
+def _repunits(v_max: int) -> tuple[tuple[int, int], ...]:
+    """(q, sum of 2^(k q) over k) per sieve modulus: a q-bit pattern times
+    its repunit repeats over bits 0..v_max."""
+    return tuple((q, ((1 << q * (v_max // q + 1)) - 1) // ((1 << q) - 1)) for q in _SIEVE_MODULI)
+
+
+@lru_cache(maxsize=1024)
+def _coprime_mask(n: int, v_max: int) -> int:
+    """The 1 <= v <= v_max with gcd(n, v) = 1 (n > 0), as a bitmask over v."""
+    live = (1 << v_max + 1) - 2
+    p = 2
+    while n > 1:
+        if p * p > n:
+            p = n  # what is left is prime
+        if n % p == 0:
+            while n % p == 0:
+                n //= p
+            # bits 0, p, 2p, ... up to v_max, bit 0 taken back out
+            live &= ~(((1 << p * (v_max // p + 1)) - 1) // ((1 << p) - 1) - 1)
+        p += 1
+    return live
+
+
+def _covering_points(A: int, B: int, d: int, s_max: int, v_max: int) -> list[tuple[int, int, int]]:
+    """The (s, v, w) with 1 <= s <= s_max, 1 <= v <= v_max, gcd(d s, v) = 1
+    and w >= 0, w^2 = d s^4 + A s^2 v^2 + (B/d) v^4: the points of the
+    2-covering of d (d | B) in that box.
+
+    For each s the v pass a coprime mask, then one residue pattern per
+    sieve modulus q of the triple (d s^4, A s^2, B/d mod q), then the exact
+    checks.  A covering with d < 0, B/d < 0 and (A <= 0 or A^2 < 4 d (B/d))
+    is negative on R^2 minus 0, so it has none; at A^2 = 4 d (B/d) it
+    vanishes on a line.
+    """
+    e = B // d
+    if d < 0 and e < 0 and (A <= 0 or A * A < 4 * d * e):
+        return []
+    sieve = [(q, repunit, e % q) for q, repunit in _repunits(v_max)]
+    coprime_d = _coprime_mask(abs(d), v_max)
+    out = []
+    for s in range(1, s_max + 1):
+        s2 = s * s
+        c4, c2 = d * s2 * s2, A * s2
+        live = coprime_d & _coprime_mask(s, v_max)
+        for q, repunit, r1 in sieve:
+            live &= _residue_pattern(q, c4 % q, c2 % q, r1) * repunit
+            if not live:
+                break
+        while live:
+            v = (live & -live).bit_length() - 1
+            live &= live - 1
+            v2 = v * v
+            N = c4 + (c2 + e * v2) * v2
+            if N < 0:
+                continue
+            w = math.isqrt(N)
+            if w * w == N:
+                out.append((s, v, w))
+    return out
 
 
 def point_search(E: TwoTorsionModel, height_bound: int) -> list[AffinePoint]:
@@ -568,13 +621,13 @@ def point_search(E: TwoTorsionModel, height_bound: int) -> list[AffinePoint]:
 
     The denominator of x is a square for integral models with rational
     2-torsion, so this shape loses nothing; the search is sound but
-    incomplete.  Only numerators u = d s^2 (d signed and squarefree) with
-    d | B are tried: for gcd(u, v) = 1 a point needs d^3 s^4 + A d^2 s^2 v^2
-    + B d v^4 to be a square, and a prime of d not dividing B divides it once.
-    Each u != 0 sieves all v at once: u^3 + A u^2 v^2 + B u v^4 mod q needs
-    only u, v^2 mod q.  u = 0 gives only the 2-torsion point (0, 0), at v = 1.
-    The patterns come from the residue tables shared by every search
-    (`_residue_pattern`); a call expands each to an H-bit mask once per u mod q.
+    incomplete.  Write u = d s^2 with d signed and squarefree and
+    gcd(u, v) = 1.  At a prime of d not dividing B, u^3 + A u^2 v^2 + B u v^4
+    has odd valuation; for d | B it is (d s)^2 (d s^4 + A s^2 v^2 + (B/d) v^4).
+    So only d | B with |d| <= H are tried, each on its 2-covering
+    (`_covering_points`) with s <= sqrt(H/|d|) and v <= H, and a hit w gives
+    x = d s^2/v^2, y = |d| s w/v^3.  u = 0 gives only the 2-torsion point
+    (0, 0).
     """
     A, B, scale = integral_model(E)
     if height_bound < 1:
@@ -583,33 +636,17 @@ def point_search(E: TwoTorsionModel, height_bound: int) -> list[AffinePoint]:
     found: dict[Fraction, AffinePoint] = {zero.x: zero} if on_curve(E, zero) else {}
     s2 = scale * scale
     s3 = s2 * scale
-    full = (1 << height_bound + 1) - 2  # bit v for each denominator 1 <= v <= H
-    # per modulus q: a q-bit pattern times its repunit repeats over bits 0..H,
-    # and the masks over v of each u mod q, filled as the numerators reach them
-    sieves = [(q, ((1 << q * (height_bound // q + 1)) - 1) // ((1 << q) - 1), [None] * q) for q in _SIEVE_MODULI]
-    for u in _numerator_candidates(B, height_bound):
-        u2 = u * u
-        c3, c2, c1 = u2 * u, A * u2, B * u
-        live = full
-        for q, repunit, masks in sieves:
-            mask = masks[u % q]
-            if mask is None:
-                mask = masks[u % q] = _residue_pattern(q, c3 % q, c2 % q, c1 % q) * repunit & full
-            live &= mask
-            if not live:
-                break
-        while live:
-            v = (live & -live).bit_length() - 1
-            live &= live - 1
-            N = c3 + c2 * v * v + c1 * v**4
-            if math.gcd(u, v) != 1 or N < 0:
-                continue
-            w = math.isqrt(N)
-            if w * w != N:
-                continue
-            x = Fraction(u, v * v) / s2
-            y = Fraction(w, v**3) / s3
-            P = AffinePoint.of(x, y)
+    divisors = [1]
+    m = abs(B)
+    for p in range(2, min(height_bound, m) + 1):
+        if m % p == 0:  # p is prime: every smaller prime is divided out of m
+            while m % p == 0:
+                m //= p
+            divisors += [d * p for d in divisors if d * p <= height_bound]
+    for d in divisors + [-d for d in divisors]:
+        for s, v, w in _covering_points(A, B, d, math.isqrt(height_bound // abs(d)), height_bound):
+            x = Fraction(d * s * s, v * v) / s2
+            P = AffinePoint.of(x, Fraction(abs(d) * s * w, v**3) / s3)
             if on_curve(E, P):
                 found[x] = P
     return [found[x] for x in sorted(found)]
@@ -659,6 +696,34 @@ class RankStatus:
         return rank
 
 
+def _class_vector(q, gens) -> int:
+    """The square class of the nonzero rational q as an F_2 vector over
+    gens = (-1, 2, odd primes): bit 0 is the sign, bit i the parity of
+    v_p(num * den) for p = gens[i].  What is left of num * den must be a
+    square; a class off the generators means a descent bug, and raises.
+    """
+    n = q.numerator * q.denominator
+    vec = int(n < 0)
+    n = abs(n)
+    for i in range(1, len(gens)):
+        p = gens[i]
+        if n % p == 0:
+            k = int_valuation(n, p)
+            n //= p**k
+            vec |= (k & 1) << i
+    if math.isqrt(n) ** 2 != n:
+        raise AssertionError(f"the class of {q} is not supported on the descent's primes: descent bug")
+    return vec
+
+
+def _point_vector(curve: TwoTorsionModel, P: AffinePoint, gens) -> int:
+    """The delta class of P as a `_class_vector`: O -> 0, (0,0) -> [b], else [x]."""
+    if P.at_infinity:
+        return 0
+    x = Fraction(P.x)
+    return _class_vector(curve.b if x == 0 else x, gens)
+
+
 def rank_bounds(descent: Descent, points_e=(), points_eprime=(), search_bound: int = 0, searched=None) -> RankStatus:
     """Rank bounds from delta images of known points and Selmer dimensions.
 
@@ -671,25 +736,33 @@ def rank_bounds(descent: Descent, points_e=(), points_eprime=(), search_bound: i
     searched, since a further point can only leave its span as it is.
     search_bound 0 searches nothing.  Calls that pass one dict `searched`,
     filled with (curve, bound) -> result on use, search each curve once.
+
+    Classes are F_2 vectors over the descent's generators -1, 2 and the odd
+    support (`_class_vector`), and every point's class must lie in its
+    side's Selmer group; a given point off its curve raises OffCurveError.
     """
     if search_bound < 0:
         raise ValueError(f"search bound {search_bound} is negative")
     searched = {} if searched is None else searched
     E = descent.curve
-    zero = AffinePoint.of(Fraction(0), Fraction(0))
+    gens = (-1, 2, *descent.odd_support)
     dims = []
     for curve, points, selmer in (
         (E, points_e, descent.phi_hat),
         (dual_model(E), points_eprime, descent.phi),
     ):
-        classes = [delta_class(curve, P) for P in (zero, *points)]
-        d = delta_span_dim(classes)
+        for P in points:
+            if not on_curve(curve, P):
+                raise OffCurveError(f"point {P} is not on the curve")
+        vecs = [_class_vector(curve.b, gens)] + [_point_vector(curve, P, gens) for P in points]
+        d = len(f2_echelon(vecs))
         if search_bound and d < selmer.dim:
             if (curve, search_bound) not in searched:
                 searched[curve, search_bound] = point_search(curve, search_bound)
-            classes += [delta_class(curve, P) for P in searched[curve, search_bound]]
-            d = delta_span_dim(classes)
-        if d > selmer.dim:
+            vecs += [_point_vector(curve, P, gens) for P in searched[curve, search_bound]]
+            d = len(f2_echelon(vecs))
+        basis = f2_echelon(_class_vector(c.value(), gens) for c in selmer.basis)
+        if any(f2_reduce(v, basis) for v in vecs):
             raise AssertionError("delta image escaped its Selmer group: descent bug")
         dims.append(d)
     lo = max(sum(dims) - 2, 0)

@@ -179,6 +179,21 @@ def oracle_box_points(A: int, B: int, H: int) -> list[tuple[Fraction, Fraction]]
     return sorted(pts)
 
 
+def oracle_covering_points(A: int, B: int, d: int, s_max: int, v_max: int) -> list[tuple[int, int, int]]:
+    """(s, v, w), w >= 0, with w^2 = d s^4 + A s^2 v^2 + (B/d) v^4, gcd(d s, v) = 1,
+    1 <= s <= s_max and 1 <= v <= v_max, in increasing (s, v) order.
+
+    A plain double loop: no sieve, no coprime mask, no sign shortcut.
+    """
+    pts = []
+    for s in range(1, s_max + 1):
+        for v in range(1, v_max + 1):
+            N = d * s**4 + A * s * s * v * v + B // d * v**4
+            if math.gcd(d * s, v) == 1 and N >= 0 and math.isqrt(N) ** 2 == N:
+                pts.append((s, v, math.isqrt(N)))
+    return pts
+
+
 def oracle_real_image_contains_minus1(A: int, B: int) -> bool:
     """Does E': y^2 = x^3 -2A x^2 + (A^2-4B)x have a real point with x < 0?
 

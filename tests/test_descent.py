@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import math
 import random
 from array import array
 from fractions import Fraction
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_box_points, oracle_local_image, oracle_torsor_solvable
+from oracles import oracle_box_points, oracle_covering_points, oracle_local_image, oracle_torsor_solvable
 from twodescent import descent
 from twodescent.arith import (
     REAL,
@@ -24,15 +26,29 @@ from twodescent.arith import (
     local_reps,
     square_class,
 )
-from twodescent.curve import TwoTorsionModel, dual_model, integral_model, specialize
+from twodescent.curve import (
+    AffinePoint,
+    OffCurveError,
+    TwoTorsionModel,
+    delta_class,
+    delta_span_dim,
+    dual_model,
+    integral_model,
+    specialize,
+)
 from twodescent.descent import (
     _SIEVE_MODULI,
     RankStatus,
+    SelmerGroup,
+    _class_vector,
+    _coprime_mask,
+    _covering_points,
     _dual_image,
     _gen_coords,
     _image_at_place,
     _pairs_trivially,
     _place_class,
+    _point_vector,
     _quotient,
     _residue_pattern,
     descend,
@@ -446,17 +462,25 @@ def test_point_search_matches_box_on_fibers():
     assert found == 1400
 
 
-def test_point_search_matches_box_on_fibers_at_128():
-    """A fixed slice of the height <= 20 fibers, at the rank_search bound."""
-    found = 0
+def fiber_slice_at_128() -> list[TwoTorsionModel]:
+    """A fixed slice of the height <= 20 fibers of the five families, the
+    corpus of the searches at the rank_search bound 128."""
+    fibers = []
     for name in ("rank0", "rank1", "rank2", "rank3", "rank4"):
         rec = family_by_name(name)
         bad = {pl.e for pl in rec.expected.all_places if pl.kind == "ft"}
         for m, n in enumerate_heights(20)[7::40]:
             if Fraction(m, n) not in bad:
-                Et = specialize(rec.E, Fraction(m, n))
-                for C in (Et, dual_model(Et)):
-                    found += len(assert_point_search_matches_box(C, 128))
+                fibers.append(specialize(rec.E, Fraction(m, n)))
+    return fibers
+
+
+def test_point_search_matches_box_on_fibers_at_128():
+    """A fixed slice of the height <= 20 fibers, at the rank_search bound."""
+    found = 0
+    for Et in fiber_slice_at_128():
+        for C in (Et, dual_model(Et)):
+            found += len(assert_point_search_matches_box(C, 128))
     assert found == 573
 
 
@@ -525,6 +549,97 @@ def many_divisor_curves(draw):
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(many_divisor_curves())
 def test_point_search_matches_box_when_b_has_many_divisors(abh):
+    a, b, H = abh
+    E = TwoTorsionModel.over_q(a, b)
+    assert_point_search_matches_box(E, H)
+    assert_point_search_matches_box(dual_model(E), H)
+
+
+SIEVE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)  # the primes of _SIEVE_MODULI
+
+
+def test_coprime_mask_matches_gcd():
+    for v_max in (1, 2, 23, 128):
+        for n in range(1, 400):
+            expected = sum(1 << v for v in range(1, v_max + 1) if math.gcd(n, v) == 1)
+            assert _coprime_mask(n, v_max) == expected, (n, v_max)
+
+
+def assert_covering_points_match_loop(A, B, d, s_max, v_max) -> list:
+    found = _covering_points(A, B, d, s_max, v_max)
+    assert found == oracle_covering_points(A, B, d, s_max, v_max), (A, B, d, s_max, v_max)
+    return found
+
+
+def test_covering_points_when_a_sieve_prime_divides_d():
+    """d = +-p k for every prime p of a sieve modulus: the triple (d s^4, A s^2,
+    B/d) is not 0 mod p, and the coprime mask drops the v divisible by p."""
+    hits = {p: 0 for p in SIEVE_PRIMES}
+    for p in SIEVE_PRIMES:
+        for d in (p, -p, 3 * p, -2 * p):
+            for A in range(-6, 7):
+                for e in (-7, -4, -2, -1, 1, 3, 4, 9):
+                    hits[p] += len(assert_covering_points_match_loop(A, d * e, d, 4, 40))
+    assert all(hits.values()), hits
+
+
+@st.composite
+def coverings(draw):
+    """(A, B, d, s_max, v_max): d a multiple of a sieve prime, B = d e, and
+    one of three kinds: a planted point (s0, 1, w0) whose multiples (k s0, k)
+    also solve the quartic, so the gcd condition decides them; a covering
+    with d < 0 and B/d < 0 on either side of the definite boundary; or a
+    random one."""
+    d = draw(st.sampled_from(SIEVE_PRIMES)) * draw(st.integers(1, 6)) * draw(st.sampled_from([1, -1]))
+    kind = draw(st.sampled_from(["planted", "negative", "random"]))
+    if kind == "planted":
+        s0, w0, A = draw(st.integers(1, 3)), draw(st.integers(0, 60)), draw(st.integers(-50, 50))
+        e = w0 * w0 - d * s0**4 - A * s0 * s0
+        assume(e != 0)
+    elif kind == "negative":
+        d, e, A = -abs(d), -draw(st.integers(1, 40)), draw(st.integers(-40, 80))
+    else:
+        e, A = draw(st.integers(-500, 500).filter(bool)), draw(st.integers(-500, 500))
+    return A, d * e, d, draw(st.integers(1, 8)), draw(st.integers(1, 48))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(coverings())
+def test_covering_points_match_naive_loop(cov):
+    assert_covering_points_match_loop(*cov)
+
+
+def test_covering_points_at_the_definite_boundary():
+    """d < 0, B/d < 0 and A^2 = 4 d (B/d): the quartic is -|d| (S^2 - r V^2)^2,
+    negative except on a line, and its w = 0 points are found (the model
+    y^2 = x (x + A/2)^2 is singular, so only the covering is tested)."""
+    for A, d, e, expected in (
+        (2, -1, -1, [(1, 1, 0)]),
+        (4, -2, -2, [(1, 1, 0)]),
+        (8, -4, -4, [(1, 1, 0)]),
+        (8, -1, -16, [(2, 1, 0)]),
+        (6, -9, -1, []),  # S^2 = V^2 / 3 has no rational point
+    ):
+        assert A * A == 4 * d * e
+        assert assert_covering_points_match_loop(A, d * e, d, 4, 16) == expected
+    # just inside the definite region there is nothing, just outside there is
+    assert assert_covering_points_match_loop(1, 1, -1, 4, 16) == []
+    assert assert_covering_points_match_loop(3, 1, -1, 4, 16) != []
+
+
+@st.composite
+def curves_with_sieve_primes_in_b(draw):
+    """(a, b, H): b divisible by two sieve primes, so that coverings d with a
+    sieve prime are searched; H in {0, 1, 2, 128}."""
+    b = draw(st.sampled_from(SIEVE_PRIMES)) * draw(st.sampled_from(SIEVE_PRIMES)) * draw(st.integers(-300, 300).filter(bool))
+    a = draw(st.integers(-300, 300))
+    assume(a * a != 4 * b)
+    return a, b, draw(st.sampled_from([0, 1, 2, 128]))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(curves_with_sieve_primes_in_b())
+def test_point_search_matches_box_at_small_and_bench_bounds(abh):
     a, b, H = abh
     E = TwoTorsionModel.over_q(a, b)
     assert_point_search_matches_box(E, H)
@@ -641,6 +756,66 @@ def test_rank_bounds_searches_only_open_sides(monkeypatch):
     assert len(calls) - before == len(searched) == 2
     with pytest.raises(ValueError):
         rank_bounds(descend(TwoTorsionModel.over_q(0, -25)), search_bound=-1)
+
+
+def test_class_vectors_match_delta_class_on_fibers_at_128():
+    """On every point of the fibers-at-128 corpus, and on (0, 0), the class
+    vector over the descent's generators names the class of `delta_class`,
+    and both give the same span dimension on each side."""
+    points = 0
+    for Et in fiber_slice_at_128():
+        gens = (-1, 2, *descend(Et).odd_support)
+        for C in (Et, dual_model(Et)):
+            pts = [AffinePoint.of(Fraction(0), Fraction(0))] + point_search(C, 128)
+            vecs = [_point_vector(C, P, gens) for P in pts]
+            classes = [delta_class(C, P) for P in pts]
+            for v, c in zip(vecs, classes):
+                assert math.prod(g for i, g in enumerate(gens) if v >> i & 1) == c.value(), (C, v, c)
+            assert len(f2_echelon(vecs)) == delta_span_dim(classes), C
+            points += len(pts)
+    assert points > 573
+
+
+def test_rank_bounds_catches_a_class_outside_selmer():
+    """A Descent of y^2 = x^3 - 25x whose Sel_phi-hat basis <-1, 5> is
+    replaced by <-1, 2>: the point (5, 0) has class 5, outside it, while the
+    span of (0,0) and (5, 0), <-1, 5>, has dimension 2, the Selmer dimension.
+    A dimension check passes it; the membership check raises."""
+    E = TwoTorsionModel.over_q(0, -25)
+    D = descend(E)
+    P = AffinePoint.of(Fraction(5), Fraction(0))
+    assert [c.value() for c in D.phi_hat.basis] == [-1, 5]
+    assert rank_bounds(D, [P]) == RankStatus(0, 1)
+    bad = dataclasses.replace(D, phi_hat=SelmerGroup((SquareClassQ(-1, ()), SquareClassQ(1, (2,)))))
+    zero = AffinePoint.of(Fraction(0), Fraction(0))
+    assert delta_span_dim([delta_class(E, zero), delta_class(E, P)]) <= bad.phi_hat.dim
+    with pytest.raises(AssertionError, match="escaped its Selmer group"):
+        rank_bounds(bad, [P])
+    # a searched point is held to the same test: (-5, 0) and (5, 0) are in the search
+    with pytest.raises(AssertionError, match="escaped its Selmer group"):
+        rank_bounds(bad, search_bound=8)
+
+
+def test_class_vector_needs_a_square_cofactor():
+    gens = (-1, 2, 5)
+    assert _class_vector(Fraction(-45, 4), gens) == 0b101  # -1 * 5 times the square 9/4
+    assert _class_vector(Fraction(81 * 5, 16 * 49), gens) == 0b100
+    for q in (Fraction(3), Fraction(12), Fraction(-5, 7), Fraction(5, 6)):
+        with pytest.raises(AssertionError, match="not supported on the descent's primes"):
+            _class_vector(q, gens)
+    # an on-curve point whose class needs a prime the descent was told to drop
+    D = descend(TwoTorsionModel.over_q(0, -25))
+    P = AffinePoint.of(Fraction(5), Fraction(0))
+    with pytest.raises(AssertionError, match="not supported on the descent's primes"):
+        rank_bounds(dataclasses.replace(D, odd_support=()), [P])
+
+
+def test_rank_bounds_rejects_a_point_off_its_curve():
+    D = descend(TwoTorsionModel.over_q(0, -25))
+    with pytest.raises(OffCurveError):
+        rank_bounds(D, [AffinePoint.of(Fraction(5), Fraction(1))])
+    with pytest.raises(OffCurveError):
+        rank_bounds(D, (), [AffinePoint.of(Fraction(-4), Fraction(6))])
 
 
 def test_selmer_pair_shares_support():
