@@ -97,10 +97,12 @@ def _usage_error(args) -> str | None:
         return None if args.place.kind in kinds else f"place {args.place} is incompatible with a {E.domain}-curve"
     if E.domain != DOMAIN_Q:
         return f"{cmd} takes a curve over Q"
-    for name, curve, points in zip(("E", "E'"), (E, dual_model(E)), getattr(args, "points", None) or ()):
-        for P in points:
-            if not on_curve(curve, P):
-                return f"point {P} is not on {name}"
+    points = getattr(args, "points", None)
+    if points:
+        for name, curve, pts in zip(("E", "E'"), (E, dual_model(E)), points):
+            for P in pts:
+                if not on_curve(curve, P):
+                    return f"point {P} is not on {name}"
     return None
 
 

@@ -7,11 +7,12 @@ leaves the polynomial ring.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .arith import SquareClassQ, f2_echelon, factor, int_valuation, square_class
+from .arith import SquareClassQ, f2_echelon, factor, horner, square_class
 from .polyq import (
     Poly,
     RatFn,
@@ -127,7 +128,7 @@ def _coerce_coord(E: TwoTorsionModel, v):
     if E.domain == DOMAIN_Q:
         if isinstance(v, (Poly, RatFn)):
             raise TypeError("function-field coordinate on a Q-curve")
-        return Fraction(v)
+        return v if type(v) is Fraction else Fraction(v)
     if isinstance(v, RatFn):
         return v
     return RatFn(v if isinstance(v, Poly) else Poly.const(v))
@@ -273,6 +274,26 @@ def specialize(E: TwoTorsionModel, t) -> TwoTorsionModel:
     return TwoTorsionModel.over_q(a, b)
 
 
+def _reduced_model(A: int, B: int, u: int, primes) -> tuple[int, int, Fraction]:
+    """The integer model (A, B) = (u^2 a, u^4 b) brought to the one that
+    `integral_model` returns, given the primes of the integer u > 0.
+
+    Each of those primes leaves u while p^2 | A and p^4 | B, but never below
+    p^0: that is the least scaling making the model integral.  Then every
+    p <= 13 is divided out while p^2 | A and p^4 | B, below p^0 too.
+    """
+    for p in primes:
+        p2, p4 = p * p, p**4
+        while u % p == 0 and A % p2 == 0 and B % p4 == 0:
+            A, B, u = A // p2, B // p4, u // p
+    den = 1
+    for p in (2, 3, 5, 7, 11, 13):
+        p2, p4 = p * p, p**4
+        while A % p2 == 0 and B % p4 == 0:
+            A, B, den = A // p2, B // p4, den * p
+    return A, B, Fraction(u, den)
+
+
 def integral_model(E: TwoTorsionModel) -> tuple[int, int, Fraction]:
     """Integer model (A, B) = (u^2 a, u^4 b) with the scaling u, mildly reduced.
 
@@ -282,19 +303,72 @@ def integral_model(E: TwoTorsionModel) -> tuple[int, int, Fraction]:
     if E.domain != DOMAIN_Q:
         raise ValueError("integral_model expects a Q-curve")
     a, b = E.a, E.b
-    u = 1
-    for p in factor(a.denominator * b.denominator).primes:
-        va = int_valuation(a.denominator, p)
-        vb = int_valuation(b.denominator, p)
-        k = max(-(-va // 2), -(-vb // 4))
-        u *= p**k
-    A, B = int(a * u * u), int(b * u**4)
-    for p in (2, 3, 5, 7, 11, 13):
-        while A % (p * p) == 0 and B % (p**4) == 0:
-            A //= p * p
-            B //= p**4
-            u = Fraction(u, p)
-    return A, B, Fraction(u)
+    # u = d clears both denominators; _reduced_model takes its primes back out
+    d = a.denominator * b.denominator
+    A, B = a.numerator * (d * d // a.denominator), b.numerator * (d**4 // b.denominator)
+    return _reduced_model(A, B, d, factor(d).primes if d > 1 else ())
+
+
+def _integer_form(f: Poly, degree: int) -> tuple[int, tuple[int, ...]]:
+    """(D, c) with D f(T) = c_0 + c_1 T + ... + c_degree T^degree, all integers."""
+    D = math.lcm(*(c.denominator for c in f.coeffs))
+    return D, tuple(int(c * D) for c in f.coeffs) + (0,) * (degree + 1 - len(f.coeffs))
+
+
+def _form_value(coeffs: tuple[int, ...], m: int, n: int) -> int:
+    """n^d f(m/n) for the integer coefficients of f, of degree d."""
+    d = len(coeffs) - 1
+    return horner([c * n ** (d - i) for i, c in enumerate(coeffs)], m)
+
+
+class IntegerFibers:
+    """The fibers of a Q(T)-model E and of points on E and its dual, on integers.
+
+    a(T) and b(T) are cleared once to integer forms of degrees 2k and 4k,
+    c^2 a and c^4 b, so that at t = m/n the model scaled by u0 = c n^k is
+    A0 = (c n^k)^2 a(t), B0 = (c n^k)^4 b(t), with no Fraction.  `model`
+    reduces it to exactly `integral_model(specialize(E, t))`, and `points`
+    moves each point's coordinates, cleared once too, onto that model and
+    its dual by x -> u^2 x, y -> u^3 y.
+    """
+
+    def __init__(self, E: TwoTorsionModel, points_e=(), points_eprime=()):
+        if E.domain != DOMAIN_QT:
+            raise ValueError("IntegerFibers expects a Q(T)-curve")
+        self._k = k = max(-(-E.a.degree // 2), -(-E.b.degree // 4))
+        da, a = _integer_form(E.a, 2 * k)
+        db, b = _integer_form(E.b, 4 * k)
+        self._c = c = math.lcm(da, db)
+        self._a = tuple(x * (c * c // da) for x in a)
+        self._b = tuple(x * (c**4 // db) for x in b)
+        self._points = tuple(
+            tuple((_integer_form(P.x, max(P.x.degree, 0)), _integer_form(P.y, max(P.y.degree, 0))) for P in pts)
+            for pts in (points_e, points_eprime)
+        )
+
+    def model(self, m: int, n: int) -> tuple[int, int, Fraction]:
+        """(A, B, u) of `integral_model(specialize(E, m/n))`, for n > 0 and
+        gcd(m, n) = 1; a singular fiber raises SingularSpecializationError."""
+        A, B = _form_value(self._a, m, n), _form_value(self._b, m, n)
+        if B == 0 or A * A == 4 * B:
+            raise SingularSpecializationError(f"t = {Fraction(m, n)} is a root of the discriminant")
+        u = self._c * n**self._k
+        return _reduced_model(A, B, u, factor(u).primes)
+
+    def points(self, m: int, n: int, u: Fraction) -> tuple[list[AffinePoint], list[AffinePoint]]:
+        """The points at t = m/n on the model scaled by u and on its dual,
+        one Fraction per coordinate."""
+        r, s = u.numerator, u.denominator
+        return tuple(
+            [
+                AffinePoint.of(
+                    Fraction(r * r * _form_value(X, m, n), s * s * dx * n ** (len(X) - 1)),
+                    Fraction(r**3 * _form_value(Y, m, n), s**3 * dy * n ** (len(Y) - 1)),
+                )
+                for (dx, X), (dy, Y) in pts
+            ]
+            for pts in self._points
+        )
 
 
 def delta_span_dim(classes) -> int:

@@ -66,7 +66,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import modp
 from .arith import (
@@ -476,6 +476,11 @@ class Descent:
     images: dict[Place, tuple[int, ...]]
     cassels_ok: bool
 
+    @cached_property
+    def dual(self) -> TwoTorsionModel:
+        """dual_model(curve), built on first use."""
+        return dual_model(self.curve)
+
     def local_image(self, place: Place) -> tuple[SquareClassQ, ...]:
         """Im(delta_{E',place}) as square classes, one per element; a place
         outside the tested set is computed here."""
@@ -496,7 +501,7 @@ def descend(E: TwoTorsionModel) -> Descent:
     The Cassels check compares the global Selmer sizes with the local ones:
     |Sel_phi|/|Sel_phi-hat| = prod_v |Im(delta_{E',v})|/2.
     """
-    A, B, _ = integral_model(E)
+    A, B, u = integral_model(E)
     primes = factor(B).primes + factor(A * A - 4 * B).primes
     odd_support = tuple(sorted({p for p in primes if p != 2}))
     # factor has proven these primes; Place.prime would test them again
@@ -511,7 +516,7 @@ def descend(E: TwoTorsionModel) -> Descent:
     cassels_ok = len(basis_phi) - len(basis_hat) == sum(len(img) - 1 for img in images.values())
     return Descent(
         curve=E,
-        integral=TwoTorsionModel.over_q(A, B),
+        integral=E if u == 1 else TwoTorsionModel.over_q(A, B),
         odd_support=odd_support,
         phi=SelmerGroup(basis_phi),
         phi_hat=SelmerGroup(basis_hat),
@@ -626,16 +631,14 @@ def point_search(E: TwoTorsionModel, height_bound: int) -> list[AffinePoint]:
     has odd valuation; for d | B it is (d s)^2 (d s^4 + A s^2 v^2 + (B/d) v^4).
     So only d | B with |d| <= H are tried, each on its 2-covering
     (`_covering_points`) with s <= sqrt(H/|d|) and v <= H, and a hit w gives
-    x = d s^2/v^2, y = |d| s w/v^3.  u = 0 gives only the 2-torsion point
-    (0, 0).
+    x = d s^2/v^2, y = |d| s w/v^3, in lowest terms and distinct for distinct
+    (d, s, v).  u = 0 gives only the 2-torsion point (0, 0).
     """
     A, B, scale = integral_model(E)
     if height_bound < 1:
         return []
-    zero = AffinePoint.of(Fraction(0), Fraction(0))
-    found: dict[Fraction, AffinePoint] = {zero.x: zero} if on_curve(E, zero) else {}
-    s2 = scale * scale
-    s3 = s2 * scale
+    r, q = scale.numerator, scale.denominator
+    hits = [(0, 0, 1)]
     divisors = [1]
     m = abs(B)
     for p in range(2, min(height_bound, m) + 1):
@@ -645,11 +648,10 @@ def point_search(E: TwoTorsionModel, height_bound: int) -> list[AffinePoint]:
             divisors += [d * p for d in divisors if d * p <= height_bound]
     for d in divisors + [-d for d in divisors]:
         for s, v, w in _covering_points(A, B, d, math.isqrt(height_bound // abs(d)), height_bound):
-            x = Fraction(d * s * s, v * v) / s2
-            P = AffinePoint.of(x, Fraction(abs(d) * s * w, v**3) / s3)
-            if on_curve(E, P):
-                found[x] = P
-    return [found[x] for x in sorted(found)]
+            hits.append((d * s * s, abs(d) * s * w, v))
+    # (X/v^2, Y/v^3) on (A, B) is (X q^2/(v r)^2, Y q^3/(v r)^3) on E, scale = r/q
+    points = [AffinePoint.of(Fraction(X * q * q, (v * r) ** 2), Fraction(Y * q**3, (v * r) ** 3)) for X, Y, v in hits]
+    return sorted((P for P in points if on_curve(E, P)), key=lambda P: P.x)
 
 
 @dataclass(frozen=True)
@@ -734,8 +736,9 @@ def rank_bounds(descent: Descent, points_e=(), points_eprime=(), search_bound: i
     Selmer dimension (E against Sel_phi-hat, E' against Sel_phi) also gets
     the points of `point_search(curve, search_bound)`; a filled side is not
     searched, since a further point can only leave its span as it is.
-    search_bound 0 searches nothing.  Calls that pass one dict `searched`,
-    filled with (curve, bound) -> result on use, search each curve once.
+    search_bound 0 searches nothing.  Calls on one descent that pass one
+    dict `searched`, filled with (side, bound) -> result on use (side 0 is
+    E, 1 its dual), search each side once.
 
     Classes are F_2 vectors over the descent's generators -1, 2 and the odd
     support (`_class_vector`), and every point's class must lie in its
@@ -744,12 +747,11 @@ def rank_bounds(descent: Descent, points_e=(), points_eprime=(), search_bound: i
     if search_bound < 0:
         raise ValueError(f"search bound {search_bound} is negative")
     searched = {} if searched is None else searched
-    E = descent.curve
     gens = (-1, 2, *descent.odd_support)
     dims = []
-    for curve, points, selmer in (
-        (E, points_e, descent.phi_hat),
-        (dual_model(E), points_eprime, descent.phi),
+    for side, curve, points, selmer in (
+        (0, descent.curve, points_e, descent.phi_hat),
+        (1, descent.dual, points_eprime, descent.phi),
     ):
         for P in points:
             if not on_curve(curve, P):
@@ -757,9 +759,9 @@ def rank_bounds(descent: Descent, points_e=(), points_eprime=(), search_bound: i
         vecs = [_class_vector(curve.b, gens)] + [_point_vector(curve, P, gens) for P in points]
         d = len(f2_echelon(vecs))
         if search_bound and d < selmer.dim:
-            if (curve, search_bound) not in searched:
-                searched[curve, search_bound] = point_search(curve, search_bound)
-            vecs += [_point_vector(curve, P, gens) for P in searched[curve, search_bound]]
+            if (side, search_bound) not in searched:
+                searched[side, search_bound] = point_search(curve, search_bound)
+            vecs += [_point_vector(curve, P, gens) for P in searched[side, search_bound]]
             d = len(f2_echelon(vecs))
         basis = f2_echelon(_class_vector(c.value(), gens) for c in selmer.basis)
         if any(f2_reduce(v, basis) for v in vecs):

@@ -17,6 +17,7 @@ from importlib import resources
 from .arith import FT_INFINITY, Place, factor, parse_place
 from .curve import (
     AffinePoint,
+    IntegerFibers,
     TwoTorsionModel,
     delta_class,
     delta_span_dim,
@@ -88,6 +89,12 @@ class FamilyRecord:
     @property
     def dual(self) -> TwoTorsionModel:
         return dual_model(self.E)
+
+    @cached_property
+    def fibers(self) -> IntegerFibers:
+        """E and the generic points on E and E' as integer binary forms,
+        cleared on first use: the scan builds each fiber from these."""
+        return IntegerFibers(self.E, self.points_e, self.points_eprime)
 
     @cached_property
     def pattern_forms(self) -> tuple[tuple[int, int, Fraction], ...]:

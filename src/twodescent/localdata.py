@@ -417,8 +417,9 @@ def tate_local(E: TwoTorsionModel, place: Place) -> LocalReduction:
             raise ValueError(f"place {place} is incompatible with a Q-curve")
         # isomorphic models share their local data, and _tate_core reduces a
         # non-minimal model, so clearing denominators will do
-        d = E.a.denominator * E.b.denominator
-        return _tate_core(_QpDVR(place.p), int(E.a * d * d), int(E.b * d**4))
+        a, b = E.a, E.b
+        d = a.denominator * b.denominator
+        return _tate_core(_QpDVR(place.p), a.numerator * (d * d // a.denominator), b.numerator * (d**4 // b.denominator))
     if place.kind == "ft":
         dvr = _FTDVR()
         return _tate_core(dvr, E.a.shift(place.e), E.b.shift(place.e))

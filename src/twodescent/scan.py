@@ -2,12 +2,17 @@
 
 The scan enumerates all t = m/n of bounded height rather than selecting t
 by prime constellations: the selection argument proves existence, while
-enumeration finds witnesses at desk scale.  A task is the group of fibers
-t = +-m/n that share (|m|, n); in an even family E_t and E_-t are one curve,
-and its descent, Tate runs and point searches are made once per task.
-Results are put in (height, t) order, so two runs with identical parameters
-produce byte-identical output.  The family's bad-place forms drop each t = e
-and give the pattern primes whose c_p(E')/c_p(E) `tamagawa_pattern` checks.
+enumeration finds witnesses at desk scale.  Each fiber is built from the
+family's integer binary forms (`FamilyRecord.fibers`): the integral model
+(A, B) of E_t, its j and the generic points moved onto it, with no Fraction
+arithmetic.  A task is the group of fibers t = +-m/n that share (|m|, n); a
+memo keyed by (A, B) makes the descent, Tate runs and point searches once
+per curve in a task (in an even family E_t and E_-t are one curve).  An odd
+support prime where the model is visibly minimal (v_p(c4) < 4 or
+v_p(disc) < 12) is bad with no Tate run.  Results are put in (height, t)
+order, so two runs with identical parameters produce byte-identical output.
+The family's bad-place forms drop each t = e and give the pattern primes
+whose c_p(E')/c_p(E) `tamagawa_pattern` checks.
 """
 
 from __future__ import annotations
@@ -18,13 +23,14 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .arith import FactorizationEffortError, Place
-from .curve import AffinePoint, TwoTorsionModel, dual_model, j_invariant, specialize
-from .descent import Descent, RankStatus, SolvabilityPrecisionError, descend, rank_bounds
-from .family import FamilyRecord, family_by_name
+from .curve import TwoTorsionModel
+from .descent import RankStatus, SolvabilityPrecisionError, descend, rank_bounds
+from .family import family_by_name
 from .localdata import LocalReduction, tate_local
-from .polyq import eval_at, rational_from_str, rational_to_str
+from .polyq import rational_from_str, rational_to_str
 
 DEFAULT_SEARCH_BOUND = 32
 
@@ -96,24 +102,19 @@ def enumerate_heights(height_bound: int) -> list[tuple[int, int]]:
     return pairs
 
 
-def _specialized_points(rec: FamilyRecord, t: Fraction, dualside: bool) -> list[AffinePoint]:
-    """The family's generic points on E (or E') at T = t; `rank_bounds`
-    checks that they lie on E_t (or its dual)."""
-    src = rec.points_eprime if dualside else rec.points_e
-    return [AffinePoint.of(eval_at(P.x, t), eval_at(P.y, t)) for P in src]
-
-
 class _CurveRuns:
-    """What a fiber's record takes from its curve E_t alone: the descent,
-    j, the Tate runs on the integral model and its dual and the point
-    searches of `rank_bounds`, each run made on first use."""
+    """What a fiber's record takes from its integral model (A, B) alone:
+    the descent, j, the Tate runs on the model and its dual, the bad primes
+    and the point searches of `rank_bounds`, each made on first use."""
 
-    def __init__(self, D: Descent):
-        self.descent = D
-        self.j = j_invariant(D.integral)
+    def __init__(self, A: int, B: int):
+        self.descent = D = descend(TwoTorsionModel.over_q(A, B))
+        self.j = Fraction(256 * (A * A - 3 * B) ** 3, B * B * (A * A - 4 * B))
         self.searched: dict = {}
-        self._models = (D.integral, dual_model(D.integral))
+        self._models = (D.curve, D.dual)
         self._runs: tuple[dict[int, LocalReduction], ...] = ({}, {})
+        # c4 and the discriminant of the model
+        self._c4, self._disc = 16 * (A * A - 3 * B), 16 * B * B * (A * A - 4 * B)
 
     def tate(self, p: int, dual: bool = False) -> LocalReduction:
         runs = self._runs[dual]
@@ -122,11 +123,27 @@ class _CurveRuns:
             runs[p] = tate_local(self._models[dual], Place("prime", p=p))
         return runs[p]
 
+    @cached_property
+    def bad_primes(self) -> tuple[int, ...]:
+        """2 and the odd support primes where the model has bad reduction.
 
-def _curve_runs(E_t: TwoTorsionModel) -> _CurveRuns | str:
-    """The runs of E_t, or why its fibers are skipped."""
+        An odd support prime divides the discriminant, so it is bad wherever
+        the model is minimal, which v_p(c4) < 4 or v_p(disc) < 12 shows
+        (Silverman, AEC VII.1).  Tate decides 2, the primes it has already
+        run on and those the test leaves in doubt."""
+        runs = self._runs[0]
+        return tuple(
+            p
+            for p in (2,) + self.descent.odd_support
+            if (p not in runs and p != 2 and (self._c4 % p**4 or self._disc % p**12))
+            or not self.tate(p).kodaira.is_good
+        )
+
+
+def _curve_runs(A: int, B: int) -> _CurveRuns | str:
+    """The runs of the model (A, B), or why its fibers are skipped."""
     try:
-        return _CurveRuns(descend(E_t))
+        return _CurveRuns(A, B)
     except FactorizationEffortError as exc:
         return f"factorization: {exc}"
     except SolvabilityPrecisionError as exc:
@@ -136,33 +153,31 @@ def _curve_runs(E_t: TwoTorsionModel) -> _CurveRuns | str:
 def scan_one(name: str, m: int, n: int, memo: dict | None = None) -> ScanResult:
     """Full descent record for the fiber at t = m/n.
 
-    `memo` maps a specialized curve (a, b) to its runs; fibers that pass
-    one memo and specialize to the same curve share the descent, Tate runs
-    and point searches.  The record is the same with or without it."""
+    The fiber is built on integers as the model (A, B) of
+    `integral_model(specialize(E, t))` with the generic points moved onto
+    it.  `memo` maps (A, B) to its runs; fibers that pass one memo and
+    share that model share the descent, Tate runs and point searches.  The
+    record is the same with or without it."""
     rec = family_by_name(name)
     t = Fraction(m, n)
-    E_t = specialize(rec.E, t)
+    m, n = t.numerator, t.denominator
+    A, B, u = rec.fibers.model(m, n)
     memo = {} if memo is None else memo
-    key = (E_t.a, E_t.b)
-    if key not in memo:
-        memo[key] = _curve_runs(E_t)
-    curve = memo[key]
+    if (A, B) not in memo:
+        memo[A, B] = _curve_runs(A, B)
+    curve = memo[A, B]
     if isinstance(curve, str):
         return ScanResult(name, t, skipped=curve)
     D = curve.descent
 
-    # one Tate run per prime on the integral model, shared by the bad-prime
-    # list, the Tamagawa-pattern check below and the fibers of one curve
-    bad = [p for p in (2,) + D.odd_support if not curve.tate(p).kodaira.is_good]
-
-    pts_e = _specialized_points(rec, t, dualside=False)
-    pts_ep = _specialized_points(rec, t, dualside=True)
-    rank = rank_bounds(D, pts_e, pts_ep, DEFAULT_SEARCH_BOUND, curve.searched)
-
+    # one Tate run per (model, prime), shared by the Tamagawa-pattern check,
+    # the bad-prime list after it and the fibers of one curve
     tamagawa_ok = all(
         Fraction(curve.tate(p, dual=True).tamagawa, curve.tate(p).tamagawa) == order
-        for p, order in rec.pattern_primes(t.numerator, t.denominator)
+        for p, order in rec.pattern_primes(m, n)
     )
+    pts_e, pts_ep = rec.fibers.points(m, n, u)
+    rank = rank_bounds(D, pts_e, pts_ep, DEFAULT_SEARCH_BOUND, curve.searched)
     checks = {
         "cassels_ratio": "pass" if D.cassels_ok else "fail",
         "tamagawa_pattern": "pass" if tamagawa_ok else "fail",
@@ -170,7 +185,7 @@ def scan_one(name: str, m: int, n: int, memo: dict | None = None) -> ScanResult:
     return ScanResult(
         name,
         t,
-        bad_primes=tuple(bad),
+        bad_primes=curve.bad_primes,
         selmer_dims=(D.phi_hat.dim, D.phi.dim),
         rank=rank,
         j=curve.j,

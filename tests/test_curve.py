@@ -1,11 +1,14 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from twodescent.arith import factor, int_valuation
 from twodescent.curve import (
     INFINITY,
     AffinePoint,
+    IntegerFibers,
     OffCurveError,
     SingularSpecializationError,
     TwoTorsionModel,
@@ -226,3 +229,92 @@ def test_integral_model_scaling():
     A, B, u = integral_model(E)
     assert (A, B) == (259, -7000)
     assert Fraction(A) == E.a * u * u and Fraction(B) == E.b * u**4
+
+
+def _integral_model_reference(E):
+    """integral_model as the per-prime exponents it stands for: u has
+    p^max(ceil(va/2), ceil(vb/4)) for the denominator valuations va, vb,
+    then each p <= 13 leaves while p^2 | A and p^4 | B."""
+    a, b = E.a, E.b
+    u = Fraction(1)
+    for p in factor(a.denominator * b.denominator).primes:
+        va, vb = int_valuation(a.denominator, p), int_valuation(b.denominator, p)
+        u *= p ** max(-(-va // 2), -(-vb // 4))
+    A, B = a * u * u, b * u**4
+    for p in (2, 3, 5, 7, 11, 13):
+        while (A / p**2).denominator == 1 and (B / p**4).denominator == 1:
+            A, B, u = A / p**2, B / p**4, u / p
+    return int(A), int(B), u
+
+
+def test_integral_model_matches_per_prime_exponents():
+    rng = random.Random(23)
+    primes = (2, 3, 5, 7, 13, 17, 19, 101)
+    for _ in range(400):
+        den_a = math.prod(rng.choice(primes) ** rng.randint(0, 5) for _ in range(2))
+        den_b = math.prod(rng.choice(primes) ** rng.randint(0, 9) for _ in range(2))
+        a = Fraction(rng.randint(-10**6, 10**6) * rng.choice(primes) ** rng.randint(0, 6), den_a)
+        b = Fraction(rng.randint(1, 10**6) * rng.choice((1, -1)) * rng.choice(primes) ** rng.randint(0, 12), den_b)
+        if a * a == 4 * b:
+            continue
+        E = TwoTorsionModel.over_q(a, b)
+        assert integral_model(E) == _integral_model_reference(E), E
+
+
+def test_integer_fibers_match_integral_model_on_family_fibers():
+    """On every t of height <= 20 in the five families the integer fiber is
+    integral_model(specialize(E, t)), a singular t raises in both, and the
+    points are the generic points at t moved by x -> u^2 x, y -> u^3 y,
+    on the integral model and on its dual."""
+    checked = singular = 0
+    for rec in builtin_families():
+        for m in range(-20, 21):
+            for n in range(1, 21):
+                if math.gcd(m, n) != 1:
+                    continue
+                t = Fraction(m, n)
+                try:
+                    want = integral_model(specialize(rec.E, t))
+                except SingularSpecializationError:
+                    with pytest.raises(SingularSpecializationError):
+                        rec.fibers.model(m, n)
+                    singular += 1
+                    continue
+                A, B, u = rec.fibers.model(m, n)
+                assert (A, B, u) == want, (rec.name, t)
+                E = TwoTorsionModel.over_q(A, B)
+                for curve, generic, moved in zip((E, dual_model(E)), (rec.points_e, rec.points_eprime), rec.fibers.points(m, n, u)):
+                    assert len(moved) == len(generic)
+                    for P, Q in zip(generic, moved):
+                        assert (Q.x, Q.y) == (u * u * eval_at(P.x, t), u**3 * eval_at(P.y, t))
+                        assert on_curve(curve, Q)
+                checked += 1
+    assert checked > 2000 and singular >= 12
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        # at t = m/17 both a(t) and b(t) are integral at 17 with room to spare,
+        # so 17 leaves u = 17 n^k only down to 17^0
+        (17**4 * T * T, 17**8 * T**4 + Poly.const(17**4)),
+        # fractional coefficients, cleared by c = lcm(6, 20)
+        (T * Fraction(1, 3) + Poly.const(Fraction(1, 2)), T * T * Fraction(1, 5) - Poly.const(Fraction(7, 4))),
+        # a = 0 and b of degree 1, so k = 1 comes from b alone
+        (Poly(), T * 1250 + Poly.const(3)),
+    ],
+)
+def test_integer_fibers_match_integral_model_on_hand_built_curves(a, b):
+    E = TwoTorsionModel.over_qt(a, b)
+    fibers = IntegerFibers(E)
+    for m in range(-40, 41):
+        for n in (1, 2, 3, 5, 17, 34, 289, 4913):
+            if math.gcd(m, n) != 1:
+                continue
+            try:
+                want = integral_model(specialize(E, Fraction(m, n)))
+            except SingularSpecializationError:
+                with pytest.raises(SingularSpecializationError):
+                    fibers.model(m, n)
+                continue
+            assert fibers.model(m, n) == want, (m, n)

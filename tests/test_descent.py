@@ -58,7 +58,8 @@ from twodescent.descent import (
 )
 from twodescent.family import family_by_name
 from twodescent.localdata import local_image_order
-from twodescent.scan import _specialized_points, enumerate_heights
+from twodescent.polyq import eval_at
+from twodescent.scan import enumerate_heights
 
 
 def selmer_values(S):
@@ -715,8 +716,8 @@ def test_rank_bounds_search_skip_on_family_fibers():
             if t in bad_ts:
                 continue
             Et = specialize(rec.E, t)
-            pts = _specialized_points(rec, t, dualside=False)
-            ptsd = _specialized_points(rec, t, dualside=True)
+            pts = [AffinePoint.of(eval_at(P.x, t), eval_at(P.y, t)) for P in rec.points_e]
+            ptsd = [AffinePoint.of(eval_at(P.x, t), eval_at(P.y, t)) for P in rec.points_eprime]
             assert_search_skip_changes_nothing(descend(Et), pts, ptsd, 32)
             checked += 1
     assert checked > 200

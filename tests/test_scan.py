@@ -5,9 +5,10 @@ from pathlib import Path
 import pytest
 
 from twodescent import descent, scan
-from twodescent.arith import FT_INFINITY, FactorizationEffortError, valuation
-from twodescent.curve import specialize
+from twodescent.arith import FT_INFINITY, FactorizationEffortError, Place, valuation
+from twodescent.curve import TwoTorsionModel, integral_model, specialize
 from twodescent.family import excluded_primes, family_by_name
+from twodescent.localdata import tate_local
 from twodescent.scan import ScanResult, emit_report, enumerate_heights, run_scan, scan_one
 
 
@@ -269,10 +270,12 @@ def test_scan_one_matches_run_scan_on_both_signs(family):
 
 def test_skipped_curve_skips_both_signs(monkeypatch):
     """A curve whose descent gives up skips both of its fibers with the
-    record scan_one gives, and is descended once per task."""
+    record scan_one gives, and is descended once per task, on its integral
+    model."""
     rec = family_by_name("rank3")
     t = Fraction(3)
-    target = specialize(rec.E, t)
+    A, B, _ = integral_model(specialize(rec.E, t))
+    target = TwoTorsionModel.over_q(A, B)
     real, calls = scan.descend, []
 
     def descend(E):
@@ -289,3 +292,45 @@ def test_skipped_curve_skips_both_signs(monkeypatch):
         assert alone == ScanResult("rank3", s, skipped="factorization: effort cap")
         assert batch[s] == alone
     assert not any(r.skipped for r in batch.values() if abs(r.t) != t)
+
+
+def _tate_bad_primes(runs) -> tuple[int, ...]:
+    """The bad-prime list with a Tate run at every prime."""
+    E = runs.descent.curve
+    return tuple(p for p in (2,) + runs.descent.odd_support if not tate_local(E, Place("prime", p=p)).kodaira.is_good)
+
+
+def test_bad_primes_match_tate_on_family_fibers():
+    """On every integral model of a fiber of height <= 20 in the five
+    families, the bad-prime list with the minimality test equals the one
+    Tate gives at every prime."""
+    models = set()
+    for name in ("rank0", "rank1", "rank2", "rank3", "rank4"):
+        rec = family_by_name(name)
+        for m, n in enumerate_heights(20):
+            if all(alpha * m + beta * n for alpha, beta, _ in rec.pattern_forms):
+                models.add(rec.fibers.model(m, n)[:2])
+    for A, B in models:
+        runs = scan._CurveRuns(A, B)
+        assert runs.bad_primes == _tate_bad_primes(runs), (A, B)
+    assert len(models) > 2000
+
+
+@pytest.mark.parametrize(
+    "A, B, tate_primes",
+    [
+        # 17^2 | A, 17^4 | B: integral_model keeps 17, where the model is not
+        # minimal; Tate finds y^2 = x^3 + x^2 + 2x good there.  7 is settled by v_7(disc) = 1
+        (17**2, 2 * 17**4, {2, 17}),
+        # c4 = 16 (A^2 - 3B) = 0, so v_3(c4) >= 4; v_3(disc) = 3 < 12 settles 3
+        (3, 3, {2}),
+        # v_17(disc) = 12, v_17(c4) = 0 < 4 settles 17
+        (1, 17**6, {2}),
+    ],
+)
+def test_bad_primes_run_tate_only_where_minimality_is_in_doubt(monkeypatch, A, B, tate_primes):
+    tates = _count_calls(monkeypatch, "tate_local")
+    runs = scan._CurveRuns(A, B)
+    bad = runs.bad_primes
+    assert {place.p for _, place in tates} == tate_primes
+    assert bad == _tate_bad_primes(runs)
