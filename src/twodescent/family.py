@@ -100,7 +100,8 @@ class FamilyRecord:
     def pattern_forms(self) -> tuple[tuple[int, int, Fraction], ...]:
         """(alpha, beta, order) per bad place: at t = m/n its form alpha*m + beta*n
         is s*m - r*n for e = r/s (s > 0) and n at infinity, and order is
-        c_p(E')/c_p(E) at a prime p that divides it once (local_image_order)."""
+        c_p(E')/c_p(E) at a prime p that divides it once, which the scan
+        reads off the descent's local image (scan.tamagawa_ratio)."""
         order = {"M": Fraction(1, 2), "M'": Fraction(2), "A": Fraction(1)}
         forms = []
         for pl in sorted(self.expected.all_places, key=str):

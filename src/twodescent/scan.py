@@ -7,12 +7,13 @@ family's integer binary forms (`FamilyRecord.fibers`): the integral model
 (A, B) of E_t, its j and the generic points moved onto it, with no Fraction
 arithmetic.  A task is the group of fibers t = +-m/n that share (|m|, n); a
 memo keyed by (A, B) makes the descent, Tate runs and point searches once
-per curve in a task (in an even family E_t and E_-t are one curve).  An odd
-support prime where the model is visibly minimal (v_p(c4) < 4 or
-v_p(disc) < 12) is bad with no Tate run.  Results are put in (height, t)
+per curve in a task (in an even family E_t and E_-t are one curve).  A
+support prime, 2 included, where the model is visibly minimal (v_p(c4) < 4
+or v_p(disc) < 12) is bad with no Tate run.  Results are put in (height, t)
 order, so two runs with identical parameters produce byte-identical output.
 The family's bad-place forms drop each t = e and give the pattern primes
-whose c_p(E')/c_p(E) `tamagawa_pattern` checks.
+whose c_p(E')/c_p(E) `tamagawa_pattern` checks; `tamagawa_ratio` reads it
+off the descent's local image at p, with no Tate run.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from functools import cached_property
 
 from .arith import FactorizationEffortError, Place
 from .curve import TwoTorsionModel
-from .descent import RankStatus, SolvabilityPrecisionError, descend, rank_bounds
+from .descent import Descent, RankStatus, SolvabilityPrecisionError, descend, rank_bounds
 from .family import family_by_name
-from .localdata import LocalReduction, tate_local
+from .localdata import tate_local
 from .polyq import rational_from_str, rational_to_str
 
 DEFAULT_SEARCH_BOUND = 32
@@ -104,40 +105,44 @@ def enumerate_heights(height_bound: int) -> list[tuple[int, int]]:
 
 class _CurveRuns:
     """What a fiber's record takes from its integral model (A, B) alone:
-    the descent, j, the Tate runs on the model and its dual, the bad primes
-    and the point searches of `rank_bounds`, each made on first use."""
+    the descent, j, the bad primes and the point searches of `rank_bounds`,
+    each made on first use."""
 
     def __init__(self, A: int, B: int):
-        self.descent = D = descend(TwoTorsionModel.over_q(A, B))
+        self.descent = descend(TwoTorsionModel.over_q(A, B))
         self.j = Fraction(256 * (A * A - 3 * B) ** 3, B * B * (A * A - 4 * B))
         self.searched: dict = {}
-        self._models = (D.curve, D.dual)
-        self._runs: tuple[dict[int, LocalReduction], ...] = ({}, {})
         # c4 and the discriminant of the model
         self._c4, self._disc = 16 * (A * A - 3 * B), 16 * B * B * (A * A - 4 * B)
-
-    def tate(self, p: int, dual: bool = False) -> LocalReduction:
-        runs = self._runs[dual]
-        if p not in runs:
-            # p is 2 or came out of factor, so it is prime: no second test
-            runs[p] = tate_local(self._models[dual], Place("prime", p=p))
-        return runs[p]
 
     @cached_property
     def bad_primes(self) -> tuple[int, ...]:
         """2 and the odd support primes where the model has bad reduction.
 
-        An odd support prime divides the discriminant, so it is bad wherever
-        the model is minimal, which v_p(c4) < 4 or v_p(disc) < 12 shows
-        (Silverman, AEC VII.1).  Tate decides 2, the primes it has already
-        run on and those the test leaves in doubt."""
-        runs = self._runs[0]
+        Each of them divides the discriminant (v_2(disc) >= 4), so it is bad
+        wherever the model is minimal, which v_p(c4) < 4 or v_p(disc) < 12
+        shows (Silverman, AEC VII.1); v_2(c4) >= 4 always, so only the
+        second settles 2.  Tate runs, once per prime, where minimality is
+        in doubt."""
+        D = self.descent
         return tuple(
             p
-            for p in (2,) + self.descent.odd_support
-            if (p not in runs and p != 2 and (self._c4 % p**4 or self._disc % p**12))
-            or not self.tate(p).kodaira.is_good
+            for p in (2,) + D.odd_support
+            # p is 2 or came out of factor, so it is prime: no second test
+            if self._c4 % p**4 or self._disc % p**12 or not tate_local(D.curve, Place("prime", p=p)).kodaira.is_good
         )
+
+
+def tamagawa_ratio(D: Descent, p: int) -> Fraction:
+    """c_p(E')/c_p(E) at an odd prime p, read off the descent.
+
+    phi has degree 2, so it is an isomorphism on the formal groups at odd
+    p, and Schaefer's index formula (J. Number Theory 56 (1996), Lemma 3.8)
+    gives |Im(delta_{E',p})|/2; `localdata.local_image_order` is the same
+    ratio from two Tate runs.  A p outside the odd support divides no
+    B(A^2-4B), so E and E' are both good there and the ratio is 1."""
+    basis = D.images.get(Place("prime", p=p))
+    return Fraction(1) if basis is None else Fraction(2) ** (len(basis) - 1)
 
 
 def _curve_runs(A: int, B: int) -> _CurveRuns | str:
@@ -170,12 +175,7 @@ def scan_one(name: str, m: int, n: int, memo: dict | None = None) -> ScanResult:
         return ScanResult(name, t, skipped=curve)
     D = curve.descent
 
-    # one Tate run per (model, prime), shared by the Tamagawa-pattern check,
-    # the bad-prime list after it and the fibers of one curve
-    tamagawa_ok = all(
-        Fraction(curve.tate(p, dual=True).tamagawa, curve.tate(p).tamagawa) == order
-        for p, order in rec.pattern_primes(m, n)
-    )
+    tamagawa_ok = all(tamagawa_ratio(D, p) == order for p, order in rec.pattern_primes(m, n))
     pts_e, pts_ep = rec.fibers.points(m, n, u)
     rank = rank_bounds(D, pts_e, pts_ep, DEFAULT_SEARCH_BOUND, curve.searched)
     checks = {
