@@ -14,6 +14,18 @@ test the real place, 2, and the odd primes dividing b(a^2-4b): at any
 other odd prime the torsor has good reduction, so it has F_p-points by
 Hasse-Weil and they lift by Hensel.
 
+At an odd p dividing b(a^2-4b) but not a, c4 = 16(a^2-3b) is a p-unit and
+p divides exactly one of b and a^2-4b, so the reduction is multiplicative
+and the image is read off the node, with no torsor test.  Where p | b, E'
+reduces to y^2 = x (x - a)^2: a point on the identity component has
+class 1 and one off it has x = a (mod p), class [a], so the image is the
+unit classes when a is a non-residue and v_p(b) is even (a nonsplit I_e
+has two components over Q_p exactly for even e; Silverman, Advanced
+Topics, IV.9) and trivial otherwise.  Where p | a^2-4b it is the
+annihilator of that image for the dual model (-2a, a^2-4b): all four
+classes when (-2a|p) = 1 or v_p(a^2-4b) is odd, the unit classes
+otherwise.
+
 At an odd prime the test refines residue classes z = c (mod p^k) and reads
 each level off the F_p data of the reduced quartic: its simple roots, its
 multiple roots and whether it takes a nonzero square value.  Before the
@@ -22,12 +34,13 @@ come from the quadratic in z^2 (Cremona, Algorithms for Modular Elliptic
 Curves, 3.5-3.6) by Legendre symbols and Tonelli-Shanks roots, with no
 powering of X modulo the quartic; a sweep of F_p serves the primes below 23.
 
-Only the torsors of (a, b) are tested, and only for the classes that two
-bounds leave open: the image contains [a^2-4b] and pairs trivially with [b].
-Being a subgroup, it also contains the span of the classes found solvable
-and misses each coset of that span through a class found unsolvable.  At
-each tested place the image for the dual model (-2a, a^2-4b), which gives
-Sel_phi-hat(E'/Q), is the annihilator of this one under the Hilbert symbol.
+Elsewhere only the torsors of (a, b) are tested, and only for the classes
+that two bounds leave open: the image contains [a^2-4b] and pairs trivially
+with [b].  Being a subgroup, it also contains the span of the classes found
+solvable and misses each coset of that span through a class found
+unsolvable.  At each tested place the image for the dual model
+(-2a, a^2-4b), which gives Sel_phi-hat(E'/Q), is the annihilator of this
+one under the Hilbert symbol.
 Square classes at a place are the F_2 coordinate vectors of
 `arith.local_coords`, named by the squarefree integers of `arith.local_reps`;
 the Hilbert symbol is `arith.local_pairing` on them, and both Selmer groups
@@ -366,16 +379,44 @@ def _dual_image(basis: tuple[int, ...], cls: Place) -> tuple[int, ...]:
     return dual
 
 
+def _node_image(a: int, b: int, p: int) -> tuple[int, ...]:
+    """Im(delta_{E',p}) for the model (a, b) at an odd prime p with p | b and
+    p not dividing a (see `_image_at_place`): (1,), the unit classes, when a
+    is a non-residue mod p and v_p(b) is even, and () otherwise."""
+    return (1,) if int_valuation(b, p) % 2 == 0 and pow(a % p, p >> 1, p) != 1 else ()
+
+
 def _image_at_place(a: int, b: int, place: Place) -> tuple[int, ...]:
     """Im(delta_{E',v}) for the model (a, b), as echelonized local vectors.
 
-    The image contains [a^2-4b] (z = 0 on its torsor) and pairs trivially
-    with [b], which the dual image contains, so only the classes pairing
-    trivially with [b] are candidates.  Since the image is a subgroup, a
-    candidate in the span of those found solvable, or in a coset of that
-    span through one found unsolvable, is skipped too.
+    At an odd p dividing b(a^2-4b) but not a, c4 is a p-unit, so the
+    reduction is multiplicative, and the image is read off the node with no
+    torsor test.  Where p | b, E' reduces to y^2 = x (x - a)^2 with
+    v_p(disc E') = v_p(b).  A point on the identity component has class 1;
+    a point off it has x = a (mod p), class [a], which is trivial when the
+    reduction is split, (a|p) = 1.  A nonsplit I_e has such points exactly
+    for even e: its component group over Q_p has order 2 then and 1 for odd
+    e (Silverman, Advanced Topics, IV.9).  So the image is the unit classes
+    when (a|p) = -1 and v_p(b) is even, and trivial otherwise
+    (`_node_image`).  Where p | a^2-4b it is the annihilator of that image
+    for the dual model (-2a, a^2-4b): all four classes when (-2a|p) = 1 or
+    v_p(a^2-4b) is odd, the unit classes otherwise.
+
+    Elsewhere the torsors are swept.  The image contains [a^2-4b] (z = 0 on
+    its torsor) and pairs trivially with [b], which the dual image contains,
+    so only the classes pairing trivially with [b] are candidates.  Since
+    the image is a subgroup, a candidate in the span of those found
+    solvable, or in a coset of that span through one found unsolvable, is
+    skipped too.
     """
-    c = local_coords(a * a - 4 * b, place)
+    bdual = a * a - 4 * b
+    if place.kind == "prime" and place.p != 2 and a % place.p:
+        p = place.p
+        if b % p == 0:
+            return _node_image(a, b, p)
+        if bdual % p == 0:
+            return _dual_image(_node_image(-2 * a, bdual, p), _place_class(place))
+    c = local_coords(bdual, place)
     inside, span = ((c,) if c else ()), {0, c}
     outside: list[int] = []
     reps = None
@@ -494,8 +535,10 @@ class Descent:
 def descend(E: TwoTorsionModel) -> Descent:
     """Sel_phi(E/Q), Sel_phi-hat(E'/Q), the local images and the Cassels check.
 
-    Torsors are swept for the integral model (A, B) only; the images for
-    (-2A, A^2-4B) follow by Hilbert duality at each tested place.  B is
+    Torsors are swept for the integral model (A, B) only, and not at the
+    odd primes of multiplicative reduction, where the image is read off the
+    node; the images for (-2A, A^2-4B) follow by Hilbert duality at each
+    tested place.  B is
     factored before A^2-4B, so a FactorizationEffortError (whose message
     lands in skipped scan records) names the first of the two that resists.
     The Cassels check compares the global Selmer sizes with the local ones:

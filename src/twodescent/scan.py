@@ -140,7 +140,11 @@ def tamagawa_ratio(D: Descent, p: int) -> Fraction:
     p, and Schaefer's index formula (J. Number Theory 56 (1996), Lemma 3.8)
     gives |Im(delta_{E',p})|/2; `localdata.local_image_order` is the same
     ratio from two Tate runs.  A p outside the odd support divides no
-    B(A^2-4B), so E and E' are both good there and the ratio is 1."""
+    B(A^2-4B), so E and E' are both good there and the ratio is 1.  At a
+    pattern prime not dividing A the reduction is multiplicative and the
+    descent reads the image off the node with no torsor test, so there the
+    ratio comes from that closed form; `test_scan` compares it with Tate
+    at every pattern prime of height <= 20."""
     basis = D.images.get(Place("prime", p=p))
     return Fraction(1) if basis is None else Fraction(2) ** (len(basis) - 1)
 

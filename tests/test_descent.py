@@ -19,11 +19,13 @@ from twodescent.arith import (
     f2_echelon,
     f2_reduce,
     factor,
+    int_valuation,
     is_prime,
     local_coords,
     local_dim,
     local_pairing,
     local_reps,
+    smallest_nonresidue,
     square_class,
 )
 from twodescent.curve import (
@@ -206,13 +208,17 @@ def test_selmer_bases_match_golden_large():
 
 
 def test_bounded_sweep_tests_few_torsors(monkeypatch):
-    """On the |a|, |b| <= 15 grid, descend tests 3,439 torsors; the full sweep
-    of 2 + 8 + 4 classes per odd prime of b(a^2-4b) would test 16,008."""
+    """On the |a|, |b| <= 15 grid, descend tests 1,837 torsors; the full sweep
+    of 2 + 8 + 4 classes per odd prime of b(a^2-4b) would test 16,008.  None
+    is tested at an odd prime of b(a^2-4b) that does not divide a, where the
+    image is read off the node."""
     calls = 0
 
     def counted(d, a, b, place):
         nonlocal calls
         calls += 1
+        p = place.p if place.kind == "prime" else 2  # the real place is swept too
+        assert p == 2 or a % p == 0 or b * (a * a - 4 * b) % p, (d, a, b, p)
         return torsor_solvable_at(d, a, b, place)
 
     monkeypatch.setattr(descent, "torsor_solvable_at", counted)
@@ -222,7 +228,7 @@ def test_bounded_sweep_tests_few_torsors(monkeypatch):
             if b != 0 and a * a != 4 * b:
                 full += 10 + 4 * len(descend(TwoTorsionModel.over_q(a, b)).odd_support)
     assert full == 16008
-    assert calls <= 3439
+    assert calls <= 1837, calls
 
 
 def test_cassels_ratio_on_corpus(small_curve_corpus):
@@ -316,6 +322,53 @@ def deep_curves(draw):
 @given(deep_curves())
 def test_dual_images_match_sweep_on_deep_valuations(ab):
     assert_dual_images_match_sweep(*ab)
+
+
+def _node_case(a, b, p):
+    """(p | b, split, v_p even) at an odd prime p of b(a^2-4b) not dividing a:
+    the reduction is multiplicative, split when a (p | b) or -2a (p | a^2-4b)
+    is a residue mod p, and v_p is that of b or of a^2-4b."""
+    c, e = (a, b) if b % p == 0 else (-2 * a, a * a - 4 * b)
+    return b % p == 0, pow(c % p, p >> 1, p) == 1, int_valuation(e, p) % 2 == 0
+
+
+def assert_node_images_match_sweep(a, b) -> set:
+    """At every odd prime p not dividing a, among those of b(a^2-4b) and 3, 5
+    and 7, the image equals the full sweep of the torsors: read off the node
+    where p | b(a^2-4b), swept where E has good reduction.  Returns the
+    (p, case) pairs reached at the multiplicative primes."""
+    support = {*factor(b).primes, *factor(a * a - 4 * b).primes}
+    reached = set()
+    for p in sorted(support | {3, 5, 7}):
+        if p == 2 or a % p == 0:
+            continue
+        assert _image_at_place(a, b, Place.prime(p)) == oracle_local_image(a, b, Place.prime(p)), (a, b, p)
+        if p in support:
+            reached.add((p, _node_case(a, b, p)))
+    return reached
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(-(10**6), 10**6), st.integers(-(10**6), 10**6).filter(bool))
+def test_node_images_match_sweep_on_large_coefficients(a, b):
+    assume(a * a != 4 * b)
+    assert_node_images_match_sweep(a, b)
+
+
+def test_node_images_match_sweep_in_all_eight_cases():
+    """At p in {3, 5, 7, 23, 29, 43} and v_p = k from 1 to 7, the curves
+    `_deep_shape(p, k, m, h, on_b)` with h = +-1 or +-(a non-residue mod p):
+    each of the 8 cases (p | b or p | a^2-4b, split or not, v_p even or odd)
+    is reached at each p."""
+    primes = (3, 5, 7, 23, 29, 43)
+    reached = set()
+    for p in primes:
+        n = smallest_nonresidue(p)
+        for k, m, h, on_b in itertools.product(range(1, 8), (1, -1, 2), (1, -1, n, -n), (True, False)):
+            reached |= assert_node_images_match_sweep(*_deep_shape(p, k, m, h, on_b))
+    cases = set(itertools.product((True, False), repeat=3))
+    for p in primes:
+        assert {case for q, case in reached if q == p} == cases, p
 
 
 def _primes_above_million():
