@@ -22,7 +22,6 @@ from .curve import (
 from .descent import (
     Descent,
     RankStatus,
-    SelmerGroup,
     descend,
     point_search,
     rank_bounds,

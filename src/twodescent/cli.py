@@ -8,9 +8,9 @@ import json
 import sys
 from pathlib import Path
 
-from .arith import Place, parse_place
+from .arith import FactorizationEffortError, Place, parse_place
 from .curve import DOMAIN_Q, AffinePoint, TwoTorsionModel, dual_model, on_curve
-from .descent import descend, rank_bounds
+from .descent import Descent, SolvabilityPrecisionError, descend, rank_bounds
 from .family import builtin_families, family_by_name, verify_conditions
 from .localdata import tate_local
 from .polyq import SingularModelError, rational_from_str
@@ -112,22 +112,37 @@ def _cmd_tate(args) -> int:
     return 0
 
 
-def _basis_json(group) -> list[dict]:
-    return [{"sign": c.sign, "support": list(c.support)} for c in group.basis]
+def _descend(curve: TwoTorsionModel) -> Descent | None:
+    """descend(curve), or None after one stderr line saying why it failed,
+    with the reason the scan writes into skipped records."""
+    try:
+        return descend(curve)
+    except FactorizationEffortError as exc:
+        reason = f"factorization: {exc}"
+    except SolvabilityPrecisionError as exc:
+        reason = f"local solvability: {exc}"
+    print(f"twodescent: error: {reason}", file=sys.stderr)
+    return None
 
 
 def _cmd_selmer(args) -> int:
-    D = descend(args.curve)
+    D = _descend(args.curve)
+    if D is None:
+        return 1
     out = {}
     for key, S in (("phi", D.phi), ("phi_hat", D.phi_hat)):
-        out[key] = {"dim": S.dim, "basis": _basis_json(S)}
+        classes = [{"sign": c.sign, "support": list(c.support)} for c in D.classes(S)]
+        out[key] = {"dim": len(S), "basis": classes}
     print(json.dumps(out, sort_keys=True))
     return 0
 
 
 def _cmd_rank(args) -> int:
     pts_e, pts_ep = args.points or ([], [])
-    status = rank_bounds(descend(args.curve), pts_e, pts_ep, args.search_bound)
+    D = _descend(args.curve)
+    if D is None:
+        return 1
+    status = rank_bounds(D, pts_e, pts_ep, args.search_bound)
     print(json.dumps(status.to_json(), sort_keys=True))
     return 0
 

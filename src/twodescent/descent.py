@@ -44,9 +44,9 @@ one under the Hilbert symbol.
 Square classes at a place are the F_2 coordinate vectors of
 `arith.local_coords`, named by the squarefree integers of `arith.local_reps`;
 the Hilbert symbol is `arith.local_pairing` on them, and both Selmer groups
-are kernels read off one `arith.f2_echelon` run each.  Inside the kernel a
-class is a plain integer; `SquareClassQ` objects are built only for the
-Selmer bases and `Descent.local_image`.
+are kernels read off one `arith.f2_echelon` run each, as bitmasks over
+`Descent.gens`.  `SquareClassQ` objects are built only for output, by
+`Descent.classes` and `Descent.local_image`.
 
 On local coordinates the Hilbert symbol depends only on the place class:
 real, 2, or p mod 4 at an odd prime p (Serre, A Course in Arithmetic,
@@ -67,10 +67,9 @@ function of it, so one table per sieve modulus q (q^3 entries: 32,760 for
 the nine moduli, 131 KB) serves every search in the process; an entry is
 computed on its first read, so importing the module fills none.
 
-`rank_bounds` reads each point's class as an F_2 vector over the
-generators -1, 2 and the odd support (the sign and the parities of
-v_p(num den)), with no factoring, and checks that it lies in the Selmer
-group of its side.
+`rank_bounds` reads each point's class as a mask over the same generators
+(the sign and the parities of v_p(num den)), with no factoring, and checks
+that the Selmer basis of its side reduces it to 0.
 """
 
 from __future__ import annotations
@@ -448,41 +447,20 @@ def _gen_coords(odd_support: tuple[int, ...]) -> list[list[int]]:
     return rows
 
 
-@dataclass(frozen=True)
-class SelmerGroup:
-    """A phi- or phi-hat-Selmer group with an explicit F_2 basis."""
-
-    basis: tuple[SquareClassQ, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def elements(self) -> list[SquareClassQ]:
-        out = [SquareClassQ(1, ())]
-        for g in self.basis:
-            out += [c * g for c in out]
-        return sorted(set(out), key=lambda c: (len(c.support), abs(c.value()), c.value()))
-
-    def contains(self, cls: SquareClassQ) -> bool:
-        return cls in set(self.elements())
-
-
-def _selmer_basis(gens, gen_coords, classes, images) -> tuple[SquareClassQ, ...]:
+def _selmer_basis(gen_coords, classes, images) -> tuple[int, ...]:
     """The Selmer basis cut out by echelonized local images at the tested places.
 
     The places are the real place, 2 and the odd primes of b(a^2-4b), of the
     given classes; per the standard descent bound the candidates are the
-    classes supported on -1 and those primes, spanned by `gens`: -1, then
-    the primes in increasing order.  gen_coords[i][j] is the local
-    coordinate vector of gens[i] at the j-th place.  A candidate lies in the
-    Selmer group iff its local coordinates fall inside the image subgroup at
-    every tested place, an F_2-linear condition: each generator's row holds
-    its coordinates mapped to the quotients by the images, above one bit
-    that marks the generator, and the kernel is read off the reduced echelon
-    rows whose quotient coordinates vanish.
+    classes supported on -1 and those primes, spanned by `Descent.gens`, and
+    gen_coords[i][j] is the local coordinates of gens[i] at the j-th place.
+    A candidate lies in the Selmer group iff its local coordinates fall
+    inside the image subgroup at every tested place, an F_2-linear
+    condition: each generator's row holds its coordinates mapped to the
+    quotients by the images, above one bit that marks the generator, and the
+    kernel masks are the reduced echelon rows whose quotient bits vanish.
     """
-    n = len(gens)
+    n = len(gen_coords)
     layout = [(local_dim(cls), _quotient(img, cls)) for cls, img in zip(classes, images)]
     rows = []
     for i, coords in enumerate(gen_coords):
@@ -490,13 +468,7 @@ def _selmer_basis(gens, gen_coords, classes, images) -> tuple[SquareClassQ, ...]
         for v, (dim, quotient) in zip(coords, layout):
             row = row << dim | quotient[v]
         rows.append(row << n | 1 << i)
-    basis = [
-        SquareClassQ(-1 if kmask & 1 else 1, tuple(gens[i] for i in range(1, n) if kmask >> i & 1))
-        for kmask in f2_echelon(rows)
-        if not kmask >> n
-    ]
-    basis.sort(key=lambda c: (len(c.support), abs(c.value()), c.value()))
-    return tuple(basis)
+    return tuple(kmask for kmask in f2_echelon(rows) if not kmask >> n)
 
 
 @dataclass(frozen=True)
@@ -507,20 +479,35 @@ class Descent:
     B(A^2-4B) for the integral model (A, B), gives both Selmer groups and
     the Cassels ratio check.  `images` maps each of those places to
     Im(delta_{E',v}) as the echelon basis of its local coordinates.
+
+    `phi` and `phi_hat` are the Selmer bases as echelon F_2 bitmasks over
+    `gens`, bit 0 the sign and bit i gens[i]; their lengths are the Selmer
+    dimensions, and `classes` turns a basis into square classes for output.
     """
 
     curve: TwoTorsionModel
     integral: TwoTorsionModel  # the model (A, B) with A, B integers
     odd_support: tuple[int, ...]
-    phi: SelmerGroup
-    phi_hat: SelmerGroup
+    phi: tuple[int, ...]
+    phi_hat: tuple[int, ...]
     images: dict[Place, tuple[int, ...]]
     cassels_ok: bool
+
+    @property
+    def gens(self) -> tuple[int, ...]:
+        """The generators -1, 2 and the odd support of the class masks."""
+        return (-1, 2, *self.odd_support)
 
     @cached_property
     def dual(self) -> TwoTorsionModel:
         """dual_model(curve), built on first use."""
         return dual_model(self.curve)
+
+    def classes(self, basis) -> tuple[SquareClassQ, ...]:
+        """The masks of basis as square classes, by support size, |value|, then value."""
+        primes = self.gens[1:]
+        out = [SquareClassQ(-1 if m & 1 else 1, tuple(p for i, p in enumerate(primes, 1) if m >> i & 1)) for m in basis]
+        return tuple(sorted(out, key=lambda c: (len(c.support), abs(c.value()), c.value())))
 
     def local_image(self, place: Place) -> tuple[SquareClassQ, ...]:
         """Im(delta_{E',place}) as square classes, one per element; a place
@@ -551,18 +538,17 @@ def descend(E: TwoTorsionModel) -> Descent:
     places = [REAL] + [Place("prime", p=p) for p in (2, *odd_support)]
     images = {pl: _image_at_place(A, B, pl) for pl in places}
     classes = [_place_class(pl) for pl in places]
-    gens = [-1, 2, *odd_support]
     gen_coords = _gen_coords(odd_support)
-    basis_phi = _selmer_basis(gens, gen_coords, classes, images.values())
+    basis_phi = _selmer_basis(gen_coords, classes, images.values())
     dual_images = [_dual_image(img, cls) for cls, img in zip(classes, images.values())]
-    basis_hat = _selmer_basis(gens, gen_coords, classes, dual_images)
+    basis_hat = _selmer_basis(gen_coords, classes, dual_images)
     cassels_ok = len(basis_phi) - len(basis_hat) == sum(len(img) - 1 for img in images.values())
     return Descent(
         curve=E,
         integral=E if u == 1 else TwoTorsionModel.over_q(A, B),
         odd_support=odd_support,
-        phi=SelmerGroup(basis_phi),
-        phi_hat=SelmerGroup(basis_hat),
+        phi=basis_phi,
+        phi_hat=basis_hat,
         images=images,
         cassels_ok=cassels_ok,
     )
@@ -784,15 +770,15 @@ def rank_bounds(descent: Descent, points_e=(), points_eprime=(), search_bound: i
     E, 1 its dual), search each side once.
 
     Classes are F_2 vectors over the descent's generators -1, 2 and the odd
-    support (`_class_vector`), and every point's class must lie in its
-    side's Selmer group; a given point off its curve raises OffCurveError.
+    support (`_class_vector`); the Selmer basis of its side must reduce each
+    point's class to 0, and a given point off its curve raises OffCurveError.
     """
     if search_bound < 0:
         raise ValueError(f"search bound {search_bound} is negative")
     searched = {} if searched is None else searched
-    gens = (-1, 2, *descent.odd_support)
+    gens = descent.gens
     dims = []
-    for side, curve, points, selmer in (
+    for side, curve, points, basis in (
         (0, descent.curve, points_e, descent.phi_hat),
         (1, descent.dual, points_eprime, descent.phi),
     ):
@@ -801,15 +787,14 @@ def rank_bounds(descent: Descent, points_e=(), points_eprime=(), search_bound: i
                 raise OffCurveError(f"point {P} is not on the curve")
         vecs = [_class_vector(curve.b, gens)] + [_point_vector(curve, P, gens) for P in points]
         d = len(f2_echelon(vecs))
-        if search_bound and d < selmer.dim:
+        if search_bound and d < len(basis):
             if (side, search_bound) not in searched:
                 searched[side, search_bound] = point_search(curve, search_bound)
             vecs += [_point_vector(curve, P, gens) for P in searched[side, search_bound]]
             d = len(f2_echelon(vecs))
-        basis = f2_echelon(_class_vector(c.value(), gens) for c in selmer.basis)
         if any(f2_reduce(v, basis) for v in vecs):
             raise AssertionError("delta image escaped its Selmer group: descent bug")
         dims.append(d)
     lo = max(sum(dims) - 2, 0)
-    hi = max(descent.phi_hat.dim + descent.phi.dim - 2, lo)
+    hi = max(len(descent.phi_hat) + len(descent.phi) - 2, lo)
     return RankStatus(lo, hi)

@@ -190,7 +190,7 @@ def scan_one(name: str, m: int, n: int, memo: dict | None = None) -> ScanResult:
         name,
         t,
         bad_primes=curve.bad_primes,
-        selmer_dims=(D.phi_hat.dim, D.phi.dim),
+        selmer_dims=(len(D.phi_hat), len(D.phi)),
         rank=rank,
         j=curve.j,
         checks=checks,

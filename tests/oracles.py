@@ -151,6 +151,13 @@ def oracle_selmer(A: int, B: int) -> list[int]:
     return sorted(sel, key=lambda x: (abs(x), x))
 
 
+def selmer_values(D, basis) -> list[int]:
+    """The squarefree integers of the F_2 span of the Selmer basis masks over
+    D.gens, by |value|, then value: each mask multiplied out, no factoring."""
+    values = (math.prod(g for i, g in enumerate(D.gens) if m >> i & 1) for m in f2_span(basis))
+    return sorted(values, key=lambda x: (abs(x), x))
+
+
 def _prime_list(m: int) -> list[int]:
     out = []
     f = 2

@@ -8,8 +8,10 @@ from pathlib import Path
 import pytest
 
 import twodescent
-from twodescent import cli, descent
+from twodescent import cli, descent, scan
+from twodescent.arith import FactorizationEffortError
 from twodescent.cli import main
+from twodescent.descent import SolvabilityPrecisionError
 
 
 def test_family_list(capsys):
@@ -164,6 +166,69 @@ def test_malformed_points_exit_with_status_2(points, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and "bad points" in captured.err, captured.err
+
+
+@pytest.mark.parametrize(
+    "error, prefix",
+    [
+        (FactorizationEffortError("rho effort cap hit on 91"), "factorization"),
+        (SolvabilityPrecisionError("refinement too deep"), "local solvability"),
+    ],
+    ids=["factorization", "local-solvability"],
+)
+@pytest.mark.parametrize("command", [["selmer"], ["rank", "--search-bound", "32"]], ids=["selmer", "rank"])
+def test_descent_failure_exits_with_status_1(error, prefix, command, monkeypatch, capsys):
+    """A valid curve whose descent cannot finish prints nothing on stdout
+    and one stderr line holding the reason the scan writes into a skipped
+    record, and exits with status 1: the input is not at fault."""
+
+    def failing(curve):
+        raise error
+
+    monkeypatch.setattr(cli, "descend", failing)
+    monkeypatch.setattr(scan, "descend", failing)
+    reason = scan._curve_runs(0, -25)
+    assert reason == f"{prefix}: {error}"
+    assert main([command[0], "--curve", CURVE, *command[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"twodescent: error: {reason}\n"
+
+
+def _q_curve(a: str, b: str) -> str:
+    return f'{{"domain":"Q","a":"{a}","b":"{b}"}}'
+
+
+# the argument lists with which the bare-install step of
+# .github/workflows/tests.yml writes each golden file of tests/data
+GOLDEN_CLI = {
+    "selmer-cli.jsonl": [
+        ["selmer", "--curve", _q_curve(f"{a}/1", f"{b}/1")]
+        for a, b in [(452799, -76686), (-986562, 731629), (-593705, -937932)]
+    ],
+    "selmer-mult-cli.jsonl": [
+        ["selmer", "--curve", _q_curve(f"{a}/1", f"{b}/1")]
+        for a, b in [(1, 7569), (1, 87), (2, 7569), (2, 87), (-2, -7568), (-2, -86), (-4, -7565), (-4, -83)]
+    ],
+    "rank-cli.jsonl": [
+        ["rank", "--curve", _q_curve(a, b), "--search-bound", "128"]
+        for a, b in [("2/1", "-2/13"), ("1100/7", "-1980/49"), ("285/2", "-3591/16"), ("0/1", "-25/1")]
+    ],
+    "tate-cli.jsonl": [
+        ["tate", "--curve", _q_curve(f"{a}/1", f"{b}/1"), "--place", p]
+        for a, b, p in [(-10, -39, "2"), (-12, -60, "2"), (289, 167042, "17")]
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CLI))
+def test_cli_output_matches_golden_file(name, capsys):
+    """The CI's golden CLI cases, run in-process: stdout equals the stored
+    file byte for byte, so the JSON key and basis order is pinned here too."""
+    for argv in GOLDEN_CLI[name]:
+        assert main(argv) == 0, argv
+    golden = Path(__file__).parent / "data" / name
+    assert capsys.readouterr().out.encode() == golden.read_bytes()
 
 
 def _src_env() -> dict:
