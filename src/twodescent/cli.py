@@ -8,9 +8,9 @@ import json
 import sys
 from pathlib import Path
 
-from .arith import FactorizationEffortError, Place, parse_place
+from .arith import Place, parse_place
 from .curve import DOMAIN_Q, AffinePoint, TwoTorsionModel, dual_model, on_curve
-from .descent import Descent, SolvabilityPrecisionError, descend, rank_bounds
+from .descent import Descent, descend, rank_bounds, run_or_reason
 from .family import builtin_families, family_by_name, verify_conditions
 from .localdata import tate_local
 from .polyq import SingularModelError, rational_from_str
@@ -115,14 +115,11 @@ def _cmd_tate(args) -> int:
 def _descend(curve: TwoTorsionModel) -> Descent | None:
     """descend(curve), or None after one stderr line saying why it failed,
     with the reason the scan writes into skipped records."""
-    try:
-        return descend(curve)
-    except FactorizationEffortError as exc:
-        reason = f"factorization: {exc}"
-    except SolvabilityPrecisionError as exc:
-        reason = f"local solvability: {exc}"
-    print(f"twodescent: error: {reason}", file=sys.stderr)
-    return None
+    D = run_or_reason(descend, curve)
+    if isinstance(D, str):
+        print(f"twodescent: error: {D}", file=sys.stderr)
+        return None
+    return D
 
 
 def _cmd_selmer(args) -> int:

@@ -1,8 +1,9 @@
 """Weierstrass models y^2 = x^3 + a x^2 + b x with marked 2-torsion (0,0).
 
-Curves live over Q (coefficients Fraction) or Q(T) (coefficients Poly);
-point coordinates over Q(T) are rational functions, since the group law
-leaves the polynomial ring.
+Curves live over Q (coefficients Fraction) or Q(T) (coefficients Poly).
+Point coordinates over Q(T) are polynomials, as the families' generic
+points have them; there only the on-curve check and the connecting class
+are taken.  The group law and the isogenies run over Q only, on fibers.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from typing import Union
 from .arith import SquareClassQ, f2_echelon, factor, horner, square_class
 from .polyq import (
     Poly,
-    RatFn,
     SingularModelError,
     SquareClassFT,
     eval_at,
@@ -107,7 +107,7 @@ class AffinePoint:
 
     @property
     def is_two_torsion_origin(self) -> bool:
-        return not self.at_infinity and _is_zero(self.y) and _is_zero(self.x)
+        return not self.at_infinity and not self.y and not self.x
 
     def __str__(self):
         return "O" if self.at_infinity else f"({self.x}, {self.y})"
@@ -116,22 +116,12 @@ class AffinePoint:
 INFINITY = AffinePoint.infinity()
 
 
-def _is_zero(v) -> bool:
-    if isinstance(v, RatFn):
-        return v.is_zero
-    if isinstance(v, Poly):
-        return v.is_zero
-    return v == 0
-
-
 def _coerce_coord(E: TwoTorsionModel, v):
     if E.domain == DOMAIN_Q:
-        if isinstance(v, (Poly, RatFn)):
+        if isinstance(v, Poly):
             raise TypeError("function-field coordinate on a Q-curve")
         return v if type(v) is Fraction else Fraction(v)
-    if isinstance(v, RatFn):
-        return v
-    return RatFn(v if isinstance(v, Poly) else Poly.const(v))
+    return v if isinstance(v, Poly) else Poly.const(v)
 
 
 def on_curve(E: TwoTorsionModel, P: AffinePoint) -> bool:
@@ -149,7 +139,7 @@ def on_curve(E: TwoTorsionModel, P: AffinePoint) -> bool:
         r, s, u, w = a.numerator, a.denominator, b.numerator, b.denominator
         rhs = n * (n * n * s * w + r * n * d * w + u * d * d * s)
         return m * m * d**3 * s * w == rhs * e * e
-    return _is_zero(y * y - (x * x * x + a * x * x + b * x))
+    return not y * y - (x * x * x + a * x * x + b * x)
 
 
 def _require_on_curve(E: TwoTorsionModel, P: AffinePoint):
@@ -166,14 +156,14 @@ def apply_isogeny(E: TwoTorsionModel, P: AffinePoint) -> AffinePoint:
     """The degree-2 isogeny (x, y) -> (y^2/x^2, y(b - x^2)/x^2) onto dual_model(E).
 
     The kernel {O, (0,0)} maps to the point at infinity; the rational-map
-    formula is undefined there and is special-cased.
+    formula is undefined there, and (0,0) is the one point with x = 0.
     """
+    if E.domain != DOMAIN_Q:
+        raise ValueError("apply_isogeny runs over Q only")
     _require_on_curve(E, P)
     if P.at_infinity or P.is_two_torsion_origin:
         return INFINITY
     x, y = _coerce_coord(E, P.x), _coerce_coord(E, P.y)
-    if _is_zero(x):
-        return INFINITY
     xx = x * x
     return AffinePoint.of(y * y / xx, y * (E.b - xx) / xx)
 
@@ -200,6 +190,8 @@ def negate(P: AffinePoint) -> AffinePoint:
 
 def add_points(E: TwoTorsionModel, P: AffinePoint, Q: AffinePoint) -> AffinePoint:
     """Chord-tangent addition."""
+    if E.domain != DOMAIN_Q:
+        raise ValueError("add_points runs over Q only")
     _require_on_curve(E, P)
     _require_on_curve(E, Q)
     if P.at_infinity:
@@ -209,8 +201,8 @@ def add_points(E: TwoTorsionModel, P: AffinePoint, Q: AffinePoint) -> AffinePoin
     x1, y1 = _coerce_coord(E, P.x), _coerce_coord(E, P.y)
     x2, y2 = _coerce_coord(E, Q.x), _coerce_coord(E, Q.y)
     a, b = E.a, E.b
-    if _is_zero(x1 - x2):
-        if _is_zero(y1 + y2):
+    if x1 == x2:
+        if not y1 + y2:
             return INFINITY
         lam = (3 * x1 * x1 + 2 * a * x1 + b) / (2 * y1)
     else:
@@ -249,10 +241,7 @@ def delta_class(E: TwoTorsionModel, P: AffinePoint):
     if P.at_infinity:
         return ft_square_class(Poly.const(1))
     x = _coerce_coord(E, P.x)
-    if x.is_zero:
-        return ft_square_class(E.b)
-    # num/den differ from the class of x by the square den^2
-    return ft_square_class(x.num * x.den)
+    return ft_square_class(E.b) if not x else ft_square_class(x)
 
 
 def j_invariant(E: TwoTorsionModel) -> Fraction:

@@ -28,11 +28,9 @@ otherwise.
 
 At an odd prime the test refines residue classes z = c (mod p^k) and reads
 each level off the F_p data of the reduced quartic: its simple roots, its
-multiple roots and whether it takes a nonzero square value.  Before the
-refinement moves z off 0 that quartic is even in z, so at p >= 23 its roots
-come from the quadratic in z^2 (Cremona, Algorithms for Modular Elliptic
-Curves, 3.5-3.6) by Legendre symbols and Tonelli-Shanks roots, with no
-powering of X modulo the quartic; a sweep of F_p serves the primes below 23.
+multiple roots and whether it takes a nonzero square value.  A sweep of
+F_p gives them below p = 23; at p >= 23 the roots come from gcds with
+X^p - X and the derivative, and Weil's bound settles the square value.
 
 Elsewhere only the torsors of (a, b) are tested, and only for the classes
 that two bounds leave open: the image contains [a^2-4b] and pairs trivially
@@ -84,6 +82,7 @@ from . import modp
 from .arith import (
     _INF,
     REAL,
+    FactorizationEffortError,
     Place,
     SquareClassQ,
     deriv,
@@ -112,6 +111,18 @@ from .curve import (
 
 class SolvabilityPrecisionError(Exception):
     """The p-adic search exceeded its certified depth (should not occur)."""
+
+
+def run_or_reason(run, *args):
+    """run(*args), or the one-line reason it failed where factoring or a
+    local solvability test gave up: what a scan writes into a skipped
+    record and the CLI prints."""
+    try:
+        return run(*args)
+    except FactorizationEffortError as exc:
+        return f"factorization: {exc}"
+    except SolvabilityPrecisionError as exc:
+        return f"local solvability: {exc}"
 
 
 # ----------------------------------------------------------------------
@@ -167,9 +178,7 @@ def _fp_analysis(G, p):
     off a direct sweep of F_p.  For larger p a nonzero square value exists
     whenever G mod p is not a constant times a square (Weil's character-sum
     bound, comfortable for p >= 23) or that constant, the leading
-    coefficient, is a residue; the roots come from `_even_roots` when G mod
-    p is even in X, as every torsor quartic is before refinement moves z off
-    0, and from `_gcd_roots` otherwise.
+    coefficient, is a residue; the roots come from `_gcd_roots`.
     """
     Gbar = [c % p for c in G]
     modp.ptrim(Gbar)
@@ -189,7 +198,7 @@ def _fp_analysis(G, p):
             elif modp.legendre(gv, p) == 1:
                 sqval = True
         return simple, multiple, sqval
-    simple, multiple = _gcd_roots(Gbar, p) if any(Gbar[1::2]) else _even_roots(Gbar, p)
+    simple, multiple = _gcd_roots(Gbar, p)
     sqval = not _is_scaled_square(Gbar, p) or modp.legendre(Gbar[-1], p) == 1
     return simple, multiple, sqval
 
@@ -205,32 +214,6 @@ def _gcd_roots(G, p) -> tuple[bool, list[int]]:
     M = modp.pgcd(R, modp.pgcd(G, Gd, p), p)
     multiple = modp.roots_deg_le2(M, p) if len(M) > 1 else []
     return len(R) > len(M), multiple
-
-
-def _even_roots(G, p) -> tuple[bool, list[int]]:
-    """`_gcd_roots` for G(X) = h(X^2) (reduced mod the odd prime p, of degree 2
-    or 4), read off the roots y of h(Y) = c0 + c2 Y + c4 Y^2.
-
-    G' = 2X h'(X^2), so a root x != 0 of G is simple exactly when x^2 is a
-    simple root of h, and x = 0 is a root, always multiple, when c0 = 0.  A
-    double root y != 0 of h gives the multiple roots +-sqrt(y) when y is a
-    square.
-    """
-    h = G[::2]
-    ys = modp.roots_deg_le2(h, p)
-    double = len(h) == 3 and len(ys) == 1
-    multiple = {0} if h[0] == 0 else set()
-    simple = False
-    for y in ys:
-        if y == 0:
-            continue
-        if double:
-            s = modp.sqrt_mod(y, p)
-            if s is not None:
-                multiple |= {s, p - s}
-        elif modp.legendre(y, p) == 1:
-            simple = True
-    return simple, sorted(multiple)
 
 
 def _is_scaled_square(G, p) -> bool:

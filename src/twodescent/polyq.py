@@ -207,9 +207,6 @@ def _as_poly(v) -> Poly:
     raise TypeError(f"cannot coerce {type(v)} to Poly")
 
 
-ONE = Poly.const(1)
-
-
 def eval_at(f: Poly, t: Coef) -> Fraction:
     """Exact Horner evaluation f(t)."""
     return Fraction(horner(f.coeffs, Fraction(t)))
@@ -292,10 +289,6 @@ class SquareClassFT:
     def is_identity(self) -> bool:
         return self.constant.is_identity and not self.roots
 
-    def __mul__(self, other: "SquareClassFT") -> "SquareClassFT":
-        roots = tuple(sorted(set(self.roots) ^ set(other.roots)))
-        return SquareClassFT(self.constant * other.constant, roots)
-
     def __str__(self) -> str:
         parts = [str(self.constant.value())] if not self.constant.is_identity or not self.roots else []
         if self.constant.is_identity and not self.roots:
@@ -319,74 +312,6 @@ def ft_square_class(f: Poly) -> SquareClassFT:
         raise UnsupportedClassError("polynomial has a nonlinear irreducible factor")
     odd = tuple(r for r, m in roots if m % 2 == 1)
     return SquareClassFT(square_class(f.leading), odd)
-
-
-class RatFn:
-    """Rational function over Q, normalized with monic denominator."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=ONE):
-        num, den = _as_poly(num), _as_poly(den)
-        if den.is_zero:
-            raise ZeroDivisionError("zero denominator")
-        g = num.gcd(den)
-        if not g.is_zero and g.degree > 0:
-            num, den = num // g, den // g
-        if not den.is_zero and den.leading != 1:
-            lc = den.leading
-            num, den = num * Poly.const(1 / lc), den * Poly.const(1 / lc)
-        self.num, self.den = num, den
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    def __eq__(self, other) -> bool:
-        other = _as_ratfn(other)
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __add__(self, other):
-        other = _as_ratfn(other)
-        return RatFn(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatFn(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-_as_ratfn(other))
-
-    def __rsub__(self, other):
-        return _as_ratfn(other) + (-self)
-
-    def __mul__(self, other):
-        other = _as_ratfn(other)
-        return RatFn(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _as_ratfn(other)
-        if other.is_zero:
-            raise ZeroDivisionError
-        return RatFn(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        return _as_ratfn(other) / self
-
-    def __repr__(self):
-        return f"RatFn({self.num!r}, {self.den!r})"
-
-
-def _as_ratfn(v) -> RatFn:
-    if isinstance(v, RatFn):
-        return v
-    return RatFn(_as_poly(v))
 
 
 # -- JSON wire format: polynomials as arrays of "num/den", constant first --

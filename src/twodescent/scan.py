@@ -26,9 +26,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .arith import FactorizationEffortError, Place
+from .arith import Place
 from .curve import TwoTorsionModel
-from .descent import Descent, RankStatus, SolvabilityPrecisionError, descend, rank_bounds
+from .descent import Descent, RankStatus, descend, rank_bounds, run_or_reason
 from .family import family_by_name
 from .localdata import tate_local
 from .polyq import rational_from_str, rational_to_str
@@ -151,12 +151,7 @@ def tamagawa_ratio(D: Descent, p: int) -> Fraction:
 
 def _curve_runs(A: int, B: int) -> _CurveRuns | str:
     """The runs of the model (A, B), or why its fibers are skipped."""
-    try:
-        return _CurveRuns(A, B)
-    except FactorizationEffortError as exc:
-        return f"factorization: {exc}"
-    except SolvabilityPrecisionError as exc:
-        return f"local solvability: {exc}"
+    return run_or_reason(_CurveRuns, A, B)
 
 
 def scan_one(name: str, m: int, n: int, memo: dict | None = None) -> ScanResult:

@@ -13,6 +13,7 @@ from itertools import combinations
 
 from twodescent.arith import REAL, Place, f2_echelon, f2_span, local_reps
 from twodescent.descent import torsor_solvable_at
+from twodescent.polyq import SquareClassFT
 
 INF = 10**9
 
@@ -156,6 +157,12 @@ def selmer_values(D, basis) -> list[int]:
     D.gens, by |value|, then value: each mask multiplied out, no factoring."""
     values = (math.prod(g for i, g in enumerate(D.gens) if m >> i & 1) for m in f2_span(basis))
     return sorted(values, key=lambda x: (abs(x), x))
+
+
+def ft_class_product(c: SquareClassFT, d: SquareClassFT) -> SquareClassFT:
+    """The product of two Q(T) square classes: the constants' classes
+    multiply and the roots add mod 2."""
+    return SquareClassFT(c.constant * d.constant, tuple(sorted(set(c.roots) ^ set(d.roots))))
 
 
 def _prime_list(m: int) -> list[int]:

@@ -218,6 +218,7 @@ GOLDEN_CLI = {
         ["tate", "--curve", _q_curve(f"{a}/1", f"{b}/1"), "--place", p]
         for a, b, p in [(-10, -39, "2"), (-12, -60, "2"), (289, 167042, "17")]
     ],
+    "family-cli.jsonl": [["family", "list"]] + [["family", "verify", f"rank{r}"] for r in range(5)],
 }
 
 

@@ -1,11 +1,8 @@
-import random
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twodescent import descent, modp
-from twodescent.arith import Place, factor, local_reps, smallest_nonresidue
-from twodescent.descent import _even_roots, _fp_analysis, _gcd_roots, torsor_solvable_at
+from twodescent.arith import smallest_nonresidue
+from twodescent.descent import _fp_analysis
 from twodescent.modp import count_roots, split_part
 
 
@@ -105,48 +102,3 @@ def test_split_part_and_count_roots_match_brute_force(fp):
     assert count_roots(f, p) == len(roots), (f, p)
     if p > 2:
         assert _fp_analysis(f, p) == brute_fp_analysis(f, p), (f, p)
-
-
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(st.sampled_from([1_000_003, 2**40 + 15]).flatmap(lambda p: st.tuples(even_polys(p), st.just(p))))
-def test_even_roots_match_gcd_roots_at_large_primes(fp):
-    """Where a sweep of F_p is out of reach, the roots read off h(Y) equal
-    those of the gcd path, multiple roots in the same sorted order."""
-    f, p = fp
-    assert _even_roots(f, p) == _gcd_roots(f, p), (f, p)
-
-
-def test_even_quartics_at_large_primes_skip_split_part(monkeypatch):
-    """Every torsor quartic is even in z before refinement moves z off 0;
-    at p >= 23 none of the even ones reaches split_part, and an odd one
-    still does.  The torsors of every local class are tested directly at
-    the odd primes of b(a^2-4b): at most of them p does not divide a, and
-    there the descent reads the image off the node and tests none."""
-    split_args, even_calls = [], []
-    real_split, real_fp = modp.split_part, descent._fp_analysis
-
-    def split_part_spy(f, p):
-        split_args.append(list(f))
-        return real_split(f, p)
-
-    def fp_analysis_spy(G, p):
-        if p >= 23 and not any(c % p for c in G[1::2]):
-            even_calls.append((G, p))
-        return real_fp(G, p)
-
-    monkeypatch.setattr(modp, "split_part", split_part_spy)
-    monkeypatch.setattr(descent, "_fp_analysis", fp_analysis_spy)
-    rng = random.Random(19)
-    for _ in range(60):
-        a, b = rng.randint(-(10**6), 10**6), rng.randint(1, 10**6) * rng.choice([1, -1])
-        if a * a == 4 * b:
-            continue
-        for p in set(factor(b).primes + factor(a * a - 4 * b).primes) - {2}:
-            place = Place.prime(p)
-            for d in local_reps(place).values():
-                torsor_solvable_at(d, a, b, place)
-    assert len(even_calls) >= 100, len(even_calls)
-    assert all(any(f[1::2]) for f in split_args), split_args
-    calls = len(split_args)
-    _fp_analysis([1, 1, 0, 0, 1], 1009)
-    assert len(split_args) == calls + 1

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_rational_roots
+from oracles import ft_class_product, oracle_rational_roots
 from twodescent.arith import SquareClassQ
 from twodescent.family import builtin_families, family_by_name
 from twodescent.polyq import (
@@ -147,10 +147,20 @@ def test_ft_square_class_mod_squares():
 
 
 def test_ft_class_group_law():
-    a = ft_square_class(2 * (T - 1))
-    b = ft_square_class(3 * (T - 1) * (T + 4))
-    ab = a * b
-    assert ab == ft_square_class(6 * (T + 4))
+    """The class of f g is the product of the classes of f and g: the
+    constants' classes multiply and the odd roots add mod 2."""
+    assert ft_square_class(2 * (T - 1) * 3 * (T - 1) * (T + 4)) == ft_square_class(6 * (T + 4))
+    rng = random.Random(12)
+
+    def split_poly():
+        f = Poly.const(rng.choice([1, -1]) * rng.randint(1, 30))
+        for _ in range(rng.randint(0, 3)):
+            f = f * Poly.monic_linear(rng.randint(-6, 6))
+        return f
+
+    for _ in range(100):
+        f, g = split_poly(), split_poly()
+        assert ft_square_class(f * g) == ft_class_product(ft_square_class(f), ft_square_class(g)), (f, g)
 
 
 def test_poly_json_roundtrip():
