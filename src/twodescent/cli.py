@@ -6,10 +6,11 @@ import argparse
 import functools
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from .arith import Place, parse_place
-from .curve import DOMAIN_Q, AffinePoint, TwoTorsionModel, dual_model, on_curve
+from .curve import DOMAIN_Q, AffinePoint, TwoTorsionModel, dual_model, integral_model, on_curve
 from .descent import Descent, descend, rank_bounds, run_or_reason
 from .family import builtin_families, family_by_name, verify_conditions
 from .localdata import tate_local
@@ -112,20 +113,26 @@ def _cmd_tate(args) -> int:
     return 0
 
 
-def _descend(curve: TwoTorsionModel) -> Descent | None:
-    """descend(curve), or None after one stderr line saying why it failed,
-    with the reason the scan writes into skipped records."""
-    D = run_or_reason(descend, curve)
-    if isinstance(D, str):
-        print(f"twodescent: error: {D}", file=sys.stderr)
+def _descend(curve: TwoTorsionModel) -> tuple[Descent, Fraction] | None:
+    """(descend(A, B), u) on the integral model (A, B, u) of curve, or None
+    after one stderr line saying why it failed, with the reason the scan
+    writes into skipped records."""
+
+    def run():
+        A, B, u = integral_model(curve)  # factors the denominators, so it can give up too
+        return descend(A, B), u
+
+    out = run_or_reason(run)
+    if isinstance(out, str):
+        print(f"twodescent: error: {out}", file=sys.stderr)
         return None
-    return D
+    return out
 
 
 def _cmd_selmer(args) -> int:
-    D = _descend(args.curve)
-    if D is None:
+    if (descended := _descend(args.curve)) is None:
         return 1
+    D = descended[0]
     out = {}
     for key, S in (("phi", D.phi), ("phi_hat", D.phi_hat)):
         classes = [{"sign": c.sign, "support": list(c.support)} for c in D.classes(S)]
@@ -135,10 +142,11 @@ def _cmd_selmer(args) -> int:
 
 
 def _cmd_rank(args) -> int:
-    pts_e, pts_ep = args.points or ([], [])
-    D = _descend(args.curve)
-    if D is None:
+    if (descended := _descend(args.curve)) is None:
         return 1
+    D, u = descended
+    # x -> u^2 x, y -> u^3 y moves E and E' onto the integral sides (A, B) and (-2A, A^2-4B)
+    pts_e, pts_ep = ([AffinePoint.of(P.x * u * u, P.y * u**3) for P in pts] for pts in args.points or ([], []))
     status = rank_bounds(D, pts_e, pts_ep, args.search_bound)
     print(json.dumps(status.to_json(), sort_keys=True))
     return 0

@@ -124,21 +124,23 @@ def _coerce_coord(E: TwoTorsionModel, v):
     return v if isinstance(v, Poly) else Poly.const(v)
 
 
-def on_curve(E: TwoTorsionModel, P: AffinePoint) -> bool:
-    """Exact check y^2 = x^3 + a x^2 + b x.
+def on_model(a, b, x, y) -> bool:
+    """Exact check y^2 = x^3 + a x^2 + b x on ints or Fractions, run on integers:
+    with x = n/d, y = m/e, a = r/s and b = u/w, both sides times d^3 e^2 s w."""
+    n, d, m, e = x.numerator, x.denominator, y.numerator, y.denominator
+    r, s, u, w = a.numerator, a.denominator, b.numerator, b.denominator
+    rhs = n * (n * n * s * w + r * n * d * w + u * d * d * s)
+    return m * m * d**3 * s * w == rhs * e * e
 
-    Over Q it runs on integers: with x = n/d, y = m/e, a = r/s and b = u/w,
-    both sides are multiplied by d^3 e^2 s w.
-    """
+
+def on_curve(E: TwoTorsionModel, P: AffinePoint) -> bool:
+    """Exact check y^2 = x^3 + a x^2 + b x; over Q by `on_model`."""
     if P.at_infinity:
         return True
     x, y = _coerce_coord(E, P.x), _coerce_coord(E, P.y)
     a, b = E.a, E.b
     if E.domain == DOMAIN_Q:
-        n, d, m, e = x.numerator, x.denominator, y.numerator, y.denominator
-        r, s, u, w = a.numerator, a.denominator, b.numerator, b.denominator
-        rhs = n * (n * n * s * w + r * n * d * w + u * d * d * s)
-        return m * m * d**3 * s * w == rhs * e * e
+        return on_model(a, b, x, y)
     return not y * y - (x * x * x + a * x * x + b * x)
 
 
@@ -318,7 +320,8 @@ class IntegerFibers:
     A0 = (c n^k)^2 a(t), B0 = (c n^k)^4 b(t), with no Fraction.  `model`
     reduces it to exactly `integral_model(specialize(E, t))`, and `points`
     moves each point's coordinates, cleared once too, onto that model and
-    its dual by x -> u^2 x, y -> u^3 y.
+    its dual (-2A, A^2-4B), the two sides of `rank_bounds`, by x -> u^2 x,
+    y -> u^3 y.
     """
 
     def __init__(self, E: TwoTorsionModel, points_e=(), points_eprime=()):

@@ -14,17 +14,8 @@ test the real place, 2, and the odd primes dividing b(a^2-4b): at any
 other odd prime the torsor has good reduction, so it has F_p-points by
 Hasse-Weil and they lift by Hensel.
 
-At an odd p dividing b(a^2-4b) but not a, c4 = 16(a^2-3b) is a p-unit and
-p divides exactly one of b and a^2-4b, so the reduction is multiplicative
-and the image is read off the node, with no torsor test.  Where p | b, E'
-reduces to y^2 = x (x - a)^2: a point on the identity component has
-class 1 and one off it has x = a (mod p), class [a], so the image is the
-unit classes when a is a non-residue and v_p(b) is even (a nonsplit I_e
-has two components over Q_p exactly for even e; Silverman, Advanced
-Topics, IV.9) and trivial otherwise.  Where p | a^2-4b it is the
-annihilator of that image for the dual model (-2a, a^2-4b): all four
-classes when (-2a|p) = 1 or v_p(a^2-4b) is odd, the unit classes
-otherwise.
+At an odd p dividing b(a^2-4b) but not a the reduction is multiplicative,
+and `_image_at_place` reads the image off the node, with no torsor test.
 
 At an odd prime the test refines residue classes z = c (mod p^k) and reads
 each level off the F_p data of the reduced quartic: its simple roots, its
@@ -33,12 +24,9 @@ F_p gives them below p = 23; at p >= 23 the roots come from gcds with
 X^p - X and the derivative, and Weil's bound settles the square value.
 
 Elsewhere only the torsors of (a, b) are tested, and only for the classes
-that two bounds leave open: the image contains [a^2-4b] and pairs trivially
-with [b].  Being a subgroup, it also contains the span of the classes found
-solvable and misses each coset of that span through a class found
-unsolvable.  At each tested place the image for the dual model
-(-2a, a^2-4b), which gives Sel_phi-hat(E'/Q), is the annihilator of this
-one under the Hilbert symbol.
+that the bounds of `_image_at_place` leave open.  At each tested place the
+image for the dual model (-2a, a^2-4b), which gives Sel_phi-hat(E'/Q), is
+the annihilator of this one under the Hilbert symbol.
 Square classes at a place are the F_2 coordinate vectors of
 `arith.local_coords`, named by the squarefree integers of `arith.local_reps`;
 the Hilbert symbol is `arith.local_pairing` on them, and both Selmer groups
@@ -53,9 +41,11 @@ classes pairing trivially with [b] are per-class tables, each entry
 computed once per process on first use.  The generator coordinates take
 one Legendre symbol per pair of odd primes and reciprocity for the other.
 
-`point_search` searches x = d s^2/v^2 on the integral model (A, B) as the
-2-coverings w^2 = d s^4 + A s^2 v^2 + (B/d) v^4, one for each signed
-squarefree d | B with |d| <= H (Cremona, 3.5-3.6; Stoll's ratpoints).  For
+The layer runs on the integral model (A, B) as ints: `descend(A, B)` is
+its entry point, and a curve over Q enters through `curve.integral_model`.
+`point_search(A, B, H)` searches x = d s^2/v^2 as the 2-coverings
+w^2 = d s^4 + A s^2 v^2 + (B/d) v^4, one for each signed squarefree d | B
+with |d| <= H (Cremona, 3.5-3.6; Stoll's ratpoints).  For
 each s the denominators v <= H are an H-bit mask: the v with gcd(d s, v) = 1,
 then those for which the quartic's own triple (d s^4, A s^2, B/d) mod q
 leaves a square, for each sieve modulus q, then the exact checks.  A
@@ -65,18 +55,19 @@ function of it, so one table per sieve modulus q (q^3 entries: 32,760 for
 the nine moduli, 131 KB) serves every search in the process; an entry is
 computed on its first read, so importing the module fills none.
 
-`rank_bounds` reads each point's class as a mask over the same generators
-(the sign and the parities of v_p(num den)), with no factoring, and checks
-that the Selmer basis of its side reduces it to 0.
+`rank_bounds` runs over the sides E = (A, B) and E' = (-2A, A^2-4B).  It
+reads each point's class as a mask over the same generators (the sign and
+the parities of v_p(num den)), with no factoring, and checks that the
+Selmer basis of its side reduces it to 0.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from . import modp
 from .arith import (
@@ -99,14 +90,8 @@ from .arith import (
     square_class,
     taylor_shift,
 )
-from .curve import (
-    AffinePoint,
-    OffCurveError,
-    TwoTorsionModel,
-    dual_model,
-    integral_model,
-    on_curve,
-)
+from .curve import AffinePoint, OffCurveError, _reduced_model, on_model
+from .polyq import SingularModelError
 
 
 class SolvabilityPrecisionError(Exception):
@@ -456,35 +441,33 @@ def _selmer_basis(gen_coords, classes, images) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Descent:
-    """The descent by the marked 2-isogeny phi: E -> E' of a curve E over Q.
+    """The descent by the 2-isogeny phi: E -> E' of E = (A, B) onto
+    E' = (-2A, A^2-4B), on ints.
 
     One set of local images, at the real place, 2 and the odd primes of
-    B(A^2-4B) for the integral model (A, B), gives both Selmer groups and
-    the Cassels ratio check.  `images` maps each of those places to
-    Im(delta_{E',v}) as the echelon basis of its local coordinates.
+    B(A^2-4B), gives both Selmer groups and the Cassels ratio check.
+    `images` maps each of those places to Im(delta_{E',v}) as the echelon
+    basis of its local coordinates.
 
     `phi` and `phi_hat` are the Selmer bases as echelon F_2 bitmasks over
     `gens`, bit 0 the sign and bit i gens[i]; their lengths are the Selmer
     dimensions, and `classes` turns a basis into square classes for output.
+    `searches` keeps the point searches of `rank_bounds` by (side, bound).
     """
 
-    curve: TwoTorsionModel
-    integral: TwoTorsionModel  # the model (A, B) with A, B integers
+    A: int
+    B: int
     odd_support: tuple[int, ...]
     phi: tuple[int, ...]
     phi_hat: tuple[int, ...]
     images: dict[Place, tuple[int, ...]]
     cassels_ok: bool
+    searches: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def gens(self) -> tuple[int, ...]:
         """The generators -1, 2 and the odd support of the class masks."""
         return (-1, 2, *self.odd_support)
-
-    @cached_property
-    def dual(self) -> TwoTorsionModel:
-        """dual_model(curve), built on first use."""
-        return dual_model(self.curve)
 
     def classes(self, basis) -> tuple[SquareClassQ, ...]:
         """The masks of basis as square classes, by support size, |value|, then value."""
@@ -497,24 +480,32 @@ class Descent:
         outside the tested set is computed here."""
         basis = self.images.get(place)
         if basis is None:
-            basis = _image_at_place(int(self.integral.a), int(self.integral.b), place)
+            basis = _image_at_place(self.A, self.B, place)
         reps = local_reps(place)
         return tuple(square_class(reps[v]) for v in sorted(f2_span(basis)))
 
 
-def descend(E: TwoTorsionModel) -> Descent:
-    """Sel_phi(E/Q), Sel_phi-hat(E'/Q), the local images and the Cassels check.
+def _check_model(A, B):
+    """TypeError unless A and B are ints, SingularModelError if B = 0 or A^2 = 4B."""
+    if not (isinstance(A, int) and isinstance(B, int)):
+        raise TypeError("A and B must be ints")
+    if B == 0 or A * A == 4 * B:
+        raise SingularModelError("B = 0 or A^2 = 4B")
 
-    Torsors are swept for the integral model (A, B) only, and not at the
-    odd primes of multiplicative reduction, where the image is read off the
-    node; the images for (-2A, A^2-4B) follow by Hilbert duality at each
-    tested place.  B is
-    factored before A^2-4B, so a FactorizationEffortError (whose message
-    lands in skipped scan records) names the first of the two that resists.
-    The Cassels check compares the global Selmer sizes with the local ones:
-    |Sel_phi|/|Sel_phi-hat| = prod_v |Im(delta_{E',v})|/2.
+
+def descend(A: int, B: int) -> Descent:
+    """Sel_phi(E/Q), Sel_phi-hat(E'/Q), the local images and the Cassels
+    check for E: y^2 = x^3 + A x^2 + B x, A and B ints.
+
+    Torsors are swept for (A, B) only, and not at the odd primes of
+    multiplicative reduction, where the image is read off the node; the
+    images for (-2A, A^2-4B) follow by Hilbert duality at each tested
+    place.  B is factored before A^2-4B, so a FactorizationEffortError
+    (whose message lands in skipped scan records) names the first of the
+    two that resists.  The Cassels check compares the global Selmer sizes
+    with the local ones: |Sel_phi|/|Sel_phi-hat| = prod_v |Im(delta_{E',v})|/2.
     """
-    A, B, u = integral_model(E)
+    _check_model(A, B)
     primes = factor(B).primes + factor(A * A - 4 * B).primes
     odd_support = tuple(sorted({p for p in primes if p != 2}))
     # factor has proven these primes; Place.prime would test them again
@@ -526,15 +517,7 @@ def descend(E: TwoTorsionModel) -> Descent:
     dual_images = [_dual_image(img, cls) for cls, img in zip(classes, images.values())]
     basis_hat = _selmer_basis(gen_coords, classes, dual_images)
     cassels_ok = len(basis_phi) - len(basis_hat) == sum(len(img) - 1 for img in images.values())
-    return Descent(
-        curve=E,
-        integral=E if u == 1 else TwoTorsionModel.over_q(A, B),
-        odd_support=odd_support,
-        phi=basis_phi,
-        phi_hat=basis_hat,
-        images=images,
-        cassels_ok=cassels_ok,
-    )
+    return Descent(A, B, odd_support, basis_phi, basis_hat, images, cassels_ok)
 
 
 # ----------------------------------------------------------------------
@@ -633,11 +616,14 @@ def _covering_points(A: int, B: int, d: int, s_max: int, v_max: int) -> list[tup
     return out
 
 
-def point_search(E: TwoTorsionModel, height_bound: int) -> list[AffinePoint]:
-    """All points with x = u/v^2 on the integral model, |u|, v <= height bound.
+def point_search(A: int, B: int, height_bound: int) -> list[AffinePoint]:
+    """The points of y^2 = x^3 + A x^2 + B x (A, B integers) whose x is u/v^2
+    with |u|, v <= height bound on the reduced model, sorted by x.
 
-    The denominator of x is a square for integral models with rational
-    2-torsion, so this shape loses nothing; the search is sound but
+    The reduced model divides each p <= 13 out of (A, B) while p^2 | A and
+    p^4 | B, as `curve.integral_model` does; the points are moved back from
+    it.  The denominator of x is a square for integral models with
+    rational 2-torsion, so this shape loses nothing; the search is sound but
     incomplete.  Write u = d s^2 with d signed and squarefree and
     gcd(u, v) = 1.  At a prime of d not dividing B, u^3 + A u^2 v^2 + B u v^4
     has odd valuation; for d | B it is (d s)^2 (d s^4 + A s^2 v^2 + (B/d) v^4).
@@ -646,10 +632,12 @@ def point_search(E: TwoTorsionModel, height_bound: int) -> list[AffinePoint]:
     x = d s^2/v^2, y = |d| s w/v^3, in lowest terms and distinct for distinct
     (d, s, v).  u = 0 gives only the 2-torsion point (0, 0).
     """
-    A, B, scale = integral_model(E)
+    _check_model(A, B)
     if height_bound < 1:
         return []
-    r, q = scale.numerator, scale.denominator
+    A0, B0 = A, B
+    A, B, scale = _reduced_model(A, B, 1, ())
+    q = scale.denominator
     hits = [(0, 0, 1)]
     divisors = [1]
     m = abs(B)
@@ -661,9 +649,9 @@ def point_search(E: TwoTorsionModel, height_bound: int) -> list[AffinePoint]:
     for d in divisors + [-d for d in divisors]:
         for s, v, w in _covering_points(A, B, d, math.isqrt(height_bound // abs(d)), height_bound):
             hits.append((d * s * s, abs(d) * s * w, v))
-    # (X/v^2, Y/v^3) on (A, B) is (X q^2/(v r)^2, Y q^3/(v r)^3) on E, scale = r/q
-    points = [AffinePoint.of(Fraction(X * q * q, (v * r) ** 2), Fraction(Y * q**3, (v * r) ** 3)) for X, Y, v in hits]
-    return sorted((P for P in points if on_curve(E, P)), key=lambda P: P.x)
+    # (X/v^2, Y/v^3) on (A, B) is (X q^2/v^2, Y q^3/v^3) on (A0, B0) = (q^2 A, q^4 B)
+    points = [AffinePoint.of(Fraction(X * q * q, v * v), Fraction(Y * q**3, v**3)) for X, Y, v in hits]
+    return sorted((P for P in points if on_model(A0, B0, P.x, P.y)), key=lambda P: P.x)
 
 
 @dataclass(frozen=True)
@@ -730,50 +718,48 @@ def _class_vector(q, gens) -> int:
     return vec
 
 
-def _point_vector(curve: TwoTorsionModel, P: AffinePoint, gens) -> int:
-    """The delta class of P as a `_class_vector`: O -> 0, (0,0) -> [b], else [x]."""
+def _point_vector(b: int, P: AffinePoint, gens) -> int:
+    """The delta class of P on a model with coefficient b, as a
+    `_class_vector`: O -> 0, (0,0) -> [b], else [x]."""
     if P.at_infinity:
         return 0
-    x = Fraction(P.x)
-    return _class_vector(curve.b if x == 0 else x, gens)
+    return _class_vector(b if P.x == 0 else P.x, gens)
 
 
-def rank_bounds(descent: Descent, points_e=(), points_eprime=(), search_bound: int = 0, searched=None) -> RankStatus:
+def rank_bounds(descent: Descent, points_e=(), points_eprime=(), search_bound: int = 0) -> RankStatus:
     """Rank bounds from delta images of known points and Selmer dimensions.
 
-    The points lie on descent.curve and its dual model.
+    The points lie on the descent's sides E = (A, B) and E' = (-2A, A^2-4B).
     lower = dim<delta_E(points)> + dim<delta_E'(points')> - 2,
     upper = dim Sel_phi-hat + dim Sel_phi - 2 (both clamped at 0).
     A side whose span of (0,0) and the given points is still below its
     Selmer dimension (E against Sel_phi-hat, E' against Sel_phi) also gets
-    the points of `point_search(curve, search_bound)`; a filled side is not
-    searched, since a further point can only leave its span as it is.
-    search_bound 0 searches nothing.  Calls on one descent that pass one
-    dict `searched`, filled with (side, bound) -> result on use (side 0 is
-    E, 1 its dual), search each side once.
+    the points of `point_search` on it at search_bound (0 searches
+    nothing), kept in `descent.searches` under (side, bound), side 0 being
+    E; a filled side is not searched, since a further point can only leave
+    its span as it is.
 
     Classes are F_2 vectors over the descent's generators -1, 2 and the odd
     support (`_class_vector`); the Selmer basis of its side must reduce each
-    point's class to 0, and a given point off its curve raises OffCurveError.
+    point's class to 0, and a given point off its side raises OffCurveError.
     """
     if search_bound < 0:
         raise ValueError(f"search bound {search_bound} is negative")
-    searched = {} if searched is None else searched
-    gens = descent.gens
+    A, B, gens, searches = descent.A, descent.B, descent.gens, descent.searches
     dims = []
-    for side, curve, points, basis in (
-        (0, descent.curve, points_e, descent.phi_hat),
-        (1, descent.dual, points_eprime, descent.phi),
+    for side, a, b, points, basis in (
+        (0, A, B, points_e, descent.phi_hat),
+        (1, -2 * A, A * A - 4 * B, points_eprime, descent.phi),
     ):
         for P in points:
-            if not on_curve(curve, P):
+            if not (P.at_infinity or on_model(a, b, P.x, P.y)):
                 raise OffCurveError(f"point {P} is not on the curve")
-        vecs = [_class_vector(curve.b, gens)] + [_point_vector(curve, P, gens) for P in points]
+        vecs = [_class_vector(b, gens)] + [_point_vector(b, P, gens) for P in points]
         d = len(f2_echelon(vecs))
         if search_bound and d < len(basis):
-            if (side, search_bound) not in searched:
-                searched[side, search_bound] = point_search(curve, search_bound)
-            vecs += [_point_vector(curve, P, gens) for P in searched[side, search_bound]]
+            if (side, search_bound) not in searches:
+                searches[side, search_bound] = point_search(a, b, search_bound)
+            vecs += [_point_vector(b, P, gens) for P in searches[side, search_bound]]
             d = len(f2_echelon(vecs))
         if any(f2_reduce(v, basis) for v in vecs):
             raise AssertionError("delta image escaped its Selmer group: descent bug")

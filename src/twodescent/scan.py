@@ -5,12 +5,15 @@ by prime constellations: the selection argument proves existence, while
 enumeration finds witnesses at desk scale.  Each fiber is built from the
 family's integer binary forms (`FamilyRecord.fibers`): the integral model
 (A, B) of E_t, its j and the generic points moved onto it, with no Fraction
-arithmetic.  A task is the group of fibers t = +-m/n that share (|m|, n); a
-memo keyed by (A, B) makes the descent, Tate runs and point searches once
-per curve in a task (in an even family E_t and E_-t are one curve).  A
-support prime, 2 included, where the model is visibly minimal (v_p(c4) < 4
-or v_p(disc) < 12) is bad with no Tate run.  Results are put in (height, t)
-order, so two runs with identical parameters produce byte-identical output.
+arithmetic.  The descent runs on (A, B) as ints (`descend(A, B)`), and
+`rank_bounds` on (A, B) and its dual (-2A, A^2-4B); a Fraction model is
+built only for Tate's algorithm.  A task is the group of fibers t = +-m/n
+that share (|m|, n); a memo keyed by (A, B) makes the descent, Tate runs
+and point searches once per curve in a task (in an even family E_t and
+E_-t are one curve).  A support prime, 2 included, where the model is
+visibly minimal (v_p(c4) < 4 or v_p(disc) < 12) is bad with no Tate run.
+Results are put in (height, t) order, so two runs with identical
+parameters produce byte-identical output.
 The family's bad-place forms drop each t = e and give the pattern primes
 whose c_p(E')/c_p(E) `tamagawa_pattern` checks; `tamagawa_ratio` reads it
 off the descent's local image at p, with no Tate run.
@@ -105,13 +108,12 @@ def enumerate_heights(height_bound: int) -> list[tuple[int, int]]:
 
 class _CurveRuns:
     """What a fiber's record takes from its integral model (A, B) alone:
-    the descent, j, the bad primes and the point searches of `rank_bounds`,
-    each made on first use."""
+    the descent (which keeps the point searches of `rank_bounds`), j and
+    the bad primes, made on first use."""
 
     def __init__(self, A: int, B: int):
-        self.descent = descend(TwoTorsionModel.over_q(A, B))
+        self.descent = descend(A, B)
         self.j = Fraction(256 * (A * A - 3 * B) ** 3, B * B * (A * A - 4 * B))
-        self.searched: dict = {}
         # c4 and the discriminant of the model
         self._c4, self._disc = 16 * (A * A - 3 * B), 16 * B * B * (A * A - 4 * B)
 
@@ -123,13 +125,15 @@ class _CurveRuns:
         wherever the model is minimal, which v_p(c4) < 4 or v_p(disc) < 12
         shows (Silverman, AEC VII.1); v_2(c4) >= 4 always, so only the
         second settles 2.  Tate runs, once per prime, where minimality is
-        in doubt."""
+        in doubt, on the model built over Q for it."""
         D = self.descent
         return tuple(
             p
             for p in (2,) + D.odd_support
             # p is 2 or came out of factor, so it is prime: no second test
-            if self._c4 % p**4 or self._disc % p**12 or not tate_local(D.curve, Place("prime", p=p)).kodaira.is_good
+            if self._c4 % p**4
+            or self._disc % p**12
+            or not tate_local(TwoTorsionModel.over_q(D.A, D.B), Place("prime", p=p)).kodaira.is_good
         )
 
 
@@ -149,26 +153,23 @@ def tamagawa_ratio(D: Descent, p: int) -> Fraction:
     return Fraction(1) if basis is None else Fraction(2) ** (len(basis) - 1)
 
 
-def _curve_runs(A: int, B: int) -> _CurveRuns | str:
-    """The runs of the model (A, B), or why its fibers are skipped."""
-    return run_or_reason(_CurveRuns, A, B)
-
-
 def scan_one(name: str, m: int, n: int, memo: dict | None = None) -> ScanResult:
     """Full descent record for the fiber at t = m/n.
 
     The fiber is built on integers as the model (A, B) of
-    `integral_model(specialize(E, t))` with the generic points moved onto
-    it.  `memo` maps (A, B) to its runs; fibers that pass one memo and
-    share that model share the descent, Tate runs and point searches.  The
-    record is the same with or without it."""
+    `integral_model(specialize(E, t))`, with the generic points moved onto
+    it and its dual (-2A, A^2-4B), the sides of `rank_bounds`.  `memo` maps
+    (A, B) to its runs; fibers that pass one memo and share that model
+    share the descent, Tate runs and point searches.  The record is the
+    same with or without it."""
     rec = family_by_name(name)
     t = Fraction(m, n)
     m, n = t.numerator, t.denominator
     A, B, u = rec.fibers.model(m, n)
     memo = {} if memo is None else memo
     if (A, B) not in memo:
-        memo[A, B] = _curve_runs(A, B)
+        # the runs of the model, or why its fibers are skipped
+        memo[A, B] = run_or_reason(_CurveRuns, A, B)
     curve = memo[A, B]
     if isinstance(curve, str):
         return ScanResult(name, t, skipped=curve)
@@ -176,7 +177,7 @@ def scan_one(name: str, m: int, n: int, memo: dict | None = None) -> ScanResult:
 
     tamagawa_ok = all(tamagawa_ratio(D, p) == order for p, order in rec.pattern_primes(m, n))
     pts_e, pts_ep = rec.fibers.points(m, n, u)
-    rank = rank_bounds(D, pts_e, pts_ep, DEFAULT_SEARCH_BOUND, curve.searched)
+    rank = rank_bounds(D, pts_e, pts_ep, DEFAULT_SEARCH_BOUND)
     checks = {
         "cassels_ratio": "pass" if D.cassels_ok else "fail",
         "tamagawa_pattern": "pass" if tamagawa_ok else "fail",

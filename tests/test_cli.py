@@ -11,7 +11,7 @@ import twodescent
 from twodescent import cli, descent, scan
 from twodescent.arith import FactorizationEffortError
 from twodescent.cli import main
-from twodescent.descent import SolvabilityPrecisionError
+from twodescent.descent import SolvabilityPrecisionError, run_or_reason
 
 
 def test_family_list(capsys):
@@ -61,6 +61,20 @@ def test_selmer_and_rank_subcommands(capsys):
     assert main(["rank", "--curve", curve, "--points", pts, "--search-bound", "0"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["kind"] == "determined" and out["value"] == 1
+
+
+def test_rank_moves_points_onto_the_integral_sides(capsys):
+    """--points lie on E and E' as given, and rank moves them by x -> u^2 x,
+    y -> u^3 y onto the integral sides it runs on.  y^2 = x^3 - 25/16 x has
+    u = 2: its points (45/4, 75/2) and (5/4, 25/8) certify rank 1 with no
+    search, as the moved points (45, 300) and (5, 25) do on y^2 = x^3 - 25x."""
+    runs = [
+        ("-25/16", '{"E": [["45/4","75/2"]], "E\'": [["5/4","25/8"]]}'),
+        ("-25/1", '{"E": [["45/1","300/1"]], "E\'": [["5/1","25/1"]]}'),
+    ]
+    for b, pts in runs:
+        assert main(["rank", "--curve", _q_curve("0/1", b), "--search-bound", "0", "--points", pts]) == 0
+        assert capsys.readouterr().out == '{"kind": "determined", "value": 1}\n', b
 
 
 def test_scan_subcommand(tmp_path, capsys):
@@ -182,17 +196,32 @@ def test_descent_failure_exits_with_status_1(error, prefix, command, monkeypatch
     and one stderr line holding the reason the scan writes into a skipped
     record, and exits with status 1: the input is not at fault."""
 
-    def failing(curve):
+    def failing(A, B):
         raise error
 
     monkeypatch.setattr(cli, "descend", failing)
     monkeypatch.setattr(scan, "descend", failing)
-    reason = scan._curve_runs(0, -25)
+    reason = run_or_reason(scan._CurveRuns, 0, -25)
     assert reason == f"{prefix}: {error}"
     assert main([command[0], "--curve", CURVE, *command[1:]]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"twodescent: error: {reason}\n"
+
+
+@pytest.mark.parametrize("command", [["selmer"], ["rank", "--search-bound", "0"]], ids=["selmer", "rank"])
+def test_integral_model_failure_exits_with_status_1(command, monkeypatch, capsys):
+    """Factoring the denominators for the integral model can give up as
+    well, before any descent: the same status 1 and one stderr line."""
+
+    def failing(curve):
+        raise FactorizationEffortError("rho effort cap hit on 91")
+
+    monkeypatch.setattr(cli, "integral_model", failing)
+    assert main([command[0], "--curve", CURVE, *command[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "twodescent: error: factorization: rho effort cap hit on 91\n"
 
 
 def _q_curve(a: str, b: str) -> str:

@@ -12,6 +12,7 @@ from twodescent.curve import (
     OffCurveError,
     SingularSpecializationError,
     TwoTorsionModel,
+    _reduced_model,
     add_points,
     apply_dual_isogeny,
     apply_isogeny,
@@ -101,7 +102,7 @@ def test_on_curve_integer_check_matches_fraction_formula():
             E0 = TwoTorsionModel.over_q(a, b)
             for C, s in ((C, s) for C in (E0, dual_model(E0)) for s in (1, 2)):
                 E = TwoTorsionModel.over_q(C.a / s**2, C.b / s**4)
-                pts = [(P.x / s**2, P.y / s**3) for P in point_search(C, 6)]
+                pts = [(P.x / s**2, P.y / s**3) for P in point_search(C.a.numerator, C.b.numerator, 6)]
                 pts += [(x, y + Fraction(1, 3)) for x, y in pts] + [(Fraction(b, 7), Fraction(a, 5))]
                 for x, y in pts:
                     want = y * y == x**3 + E.a * x * x + E.b * x
@@ -177,8 +178,9 @@ def test_delta_kernel_contains_dual_image():
     rng = random.Random(25)
     tried = 0
     for _ in range(40):
-        E, _ = curve_through(rng)
-        for Q in point_search(dual_model(E), 20):
+        A, B, _ = integral_model(curve_through(rng)[0])
+        E = TwoTorsionModel.over_q(A, B)
+        for Q in point_search(-2 * A, A * A - 4 * B, 20):
             if Q.x == 0:
                 continue
             image = apply_dual_isogeny(E, Q)
@@ -292,6 +294,32 @@ def test_integral_model_matches_per_prime_exponents():
             continue
         E = TwoTorsionModel.over_q(a, b)
         assert integral_model(E) == _integral_model_reference(E), E
+
+
+def test_integral_model_of_the_dual_is_the_reduced_dual_side():
+    """integral_model(dual_model(E)) is (-2A, A^2-4B) reduced by
+    `_reduced_model(., ., 1, ())`, for (A, B) = integral_model(E): the E'
+    side that `rank_bounds` searches is the model the dual's own integral
+    model gave.  Seeded curves whose denominators are squares and fourth
+    powers of products of primes below and above 13, often times 2 or 3,
+    and whose numerators sometimes carry p^2 and p^4 too."""
+    rng = random.Random(28)
+    primes = (2, 3, 5, 13, 17, 19)
+    scaled = reduced = 0
+    for _ in range(3000):
+        k = math.prod(rng.choice(primes) for _ in range(rng.randint(0, 2)))
+        m = rng.choice((1, 1, 2, 3, 17))
+        a = Fraction(rng.randint(-300, 300) * m * m, k * k * rng.choice((1, 1, 2, 3)))
+        b = Fraction(rng.choice((1, -1)) * rng.randint(1, 300) * m**4, k**4 * rng.choice((1, 1, 2, 4, 17)))
+        if a * a == 4 * b:
+            continue
+        E = TwoTorsionModel.over_q(a, b)
+        A, B, u = integral_model(E)
+        Ad, Bd, s = _reduced_model(-2 * A, A * A - 4 * B, 1, ())
+        assert integral_model(dual_model(E))[:2] == (Ad, Bd), E
+        scaled += u != 1
+        reduced += s != 1
+    assert scaled > 2000 and reduced > 500, (scaled, reduced)
 
 
 def test_integer_fibers_match_integral_model_on_family_fibers():

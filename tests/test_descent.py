@@ -40,7 +40,7 @@ from twodescent.curve import (
     TwoTorsionModel,
     delta_class,
     delta_span_dim,
-    dual_model,
+    _reduced_model,
     integral_model,
     specialize,
 )
@@ -65,8 +65,14 @@ from twodescent.descent import (
 )
 from twodescent.family import family_by_name
 from twodescent.localdata import local_image_order
-from twodescent.polyq import eval_at
+from twodescent.polyq import SingularModelError, eval_at
 from twodescent.scan import enumerate_heights
+
+
+def integral_sides(E) -> list[tuple[int, int]]:
+    """The two integral sides (A, B) and (-2A, A^2-4B) of the Q-curve E."""
+    A, B, _ = integral_model(E)
+    return [(A, B), (-2 * A, A * A - 4 * B)]
 
 
 def test_torsor_validation():
@@ -159,7 +165,7 @@ def test_torsor_depends_only_on_square_class(case):
 def test_selmer_matches_bruteforce_oracle(oracle_selmer_corpus):
     """Criterion-6 style: exhaustive oracle agreement on the 30-curve corpus."""
     for E, A, B, oracle_phi, oracle_hat in oracle_selmer_corpus:
-        D = descend(E)
+        D = descend(A, B)
         assert selmer_values(D, D.phi) == oracle_phi, (A, B)
         assert selmer_values(D, D.phi_hat) == oracle_hat, (A, B)
 
@@ -169,7 +175,7 @@ def _selmer_lines(curves):
     Sel_phi-hat as squarefree integers."""
     lines = []
     for a, b in curves:
-        D = descend(TwoTorsionModel.over_q(a, b))
+        D = descend(*integral_model(TwoTorsionModel.over_q(a, b))[:2])
         phi = " ".join(str(c) for c in D.classes(D.phi))
         hat = " ".join(str(c) for c in D.classes(D.phi_hat))
         lines.append(f"{a} {b} | {phi} | {hat}\n")
@@ -227,20 +233,20 @@ def test_bounded_sweep_tests_few_torsors(monkeypatch):
     for a in range(-15, 16):
         for b in range(-15, 16):
             if b != 0 and a * a != 4 * b:
-                full += 10 + 4 * len(descend(TwoTorsionModel.over_q(a, b)).odd_support)
+                full += 10 + 4 * len(descend(*integral_model(TwoTorsionModel.over_q(a, b))[:2]).odd_support)
     assert full == 16008
     assert calls <= 1837, calls
 
 
 def test_cassels_ratio_on_corpus(small_curve_corpus):
     for E in small_curve_corpus:
-        assert descend(E).cassels_ok
+        assert descend(*integral_model(E)[:2]).cassels_ok
 
 
 def test_selmer_contains_identity_and_marked_classes(small_curve_corpus):
     for E in small_curve_corpus:
         A, B, _ = integral_model(E)
-        D = descend(E)
+        D = descend(A, B)
         S_phi, S_hat = selmer_values(D, D.phi), selmer_values(D, D.phi_hat)
         assert SquareClassQ(1, ()).value() in S_phi
         assert square_class(A * A - 4 * B).value() in S_phi
@@ -252,7 +258,7 @@ def test_selmer_bases_are_echelon_masks_over_gens(small_curve_corpus):
     generators, as the f2_reduce of `rank_bounds` needs, and `classes` names
     each mask by the product of its generators."""
     for E in small_curve_corpus:
-        D = descend(E)
+        D = descend(*integral_model(E)[:2])
         for basis in (D.phi, D.phi_hat):
             assert basis == f2_echelon(basis) and all(0 < m < 1 << len(D.gens) for m in basis), E
             values = sorted(math.prod(g for i, g in enumerate(D.gens) if m >> i & 1) for m in basis)
@@ -263,18 +269,16 @@ def test_searched_points_pass_local_solvability(small_curve_corpus):
     """Soundness: delta classes of rational points lie in the Selmer group."""
     found = 0
     for E in small_curve_corpus[:12]:
-        D = descend(E)
+        (A, B), (Ad, Bd) = integral_sides(E)
+        D = descend(A, B)
         S_hat = selmer_values(D, D.phi_hat)
-        for P in point_search(E, 25):
-            cls = (
-                square_class(E.b) if P.x == 0 else square_class(P.x)
-            )
+        for P in point_search(A, B, 25):
+            cls = square_class(B) if P.x == 0 else square_class(P.x)
             assert cls.value() in S_hat
             found += 1
-        Ed = dual_model(E)
         S_phi = selmer_values(D, D.phi)
-        for Q in point_search(Ed, 25):
-            cls = square_class(Ed.b) if Q.x == 0 else square_class(Q.x)
+        for Q in point_search(Ad, Bd, 25):
+            cls = square_class(Bd) if Q.x == 0 else square_class(Q.x)
             assert cls.value() in S_phi
             found += 1
     assert found >= 30
@@ -423,7 +427,7 @@ def test_class_tables_match_actual_places():
 
 def test_local_image_is_group_of_size_1_2_4_or_8(small_curve_corpus):
     for E in small_curve_corpus[:10]:
-        D = descend(E)
+        D = descend(*integral_model(E)[:2])
         for pl in (REAL, Place.prime(2), Place.prime(3)):
             img = D.local_image(pl)
             assert len(img) in (1, 2, 4, 8)
@@ -441,7 +445,7 @@ def test_local_images_match_tamagawa_ratios(small_curve_corpus):
         curves += [specialize(rec.E, t) for t in ts[:40]]
     pairs = 0
     for E in curves:
-        D = descend(E)
+        D = descend(*integral_model(E)[:2])
         for p in D.odd_support:
             assert len(D.local_image(Place.prime(p))) == 2 * local_image_order(E, p), (E, p)
             pairs += 1
@@ -451,16 +455,15 @@ def test_local_images_match_tamagawa_ratios(small_curve_corpus):
 def test_point_search_examples():
     from twodescent.polyq import Poly, eval_at
 
-    E = TwoTorsionModel.over_q(0, 1)
-    pts = point_search(E, 10)
+    pts = point_search(0, 1, 10)
     assert any(p.x == 0 and p.y == 0 for p in pts)
 
     # rank-4 family at t = 3: all four specialized generators are found
     T = Poly.x()
     t = Fraction(3)
-    Et = specialize(family_by_name("rank4").E, t)
-    pts = point_search(Et, 64)
-    xs = {p.x for p in pts}
+    A, B, u = integral_model(specialize(family_by_name("rank4").E, t))
+    pts = point_search(A, B, 64)
+    xs = {p.x / u**2 for p in pts}
     for xpoly in (
         14 * (T * T - 121),
         2 * (T - 11) * (T - 25),
@@ -472,33 +475,31 @@ def test_point_search_examples():
 
 def test_point_search_rank0_finds_no_infinite_order():
     # rank-0 family at an accepted t: exhaustive small search certifies rank 0
-    Et = specialize(family_by_name("rank0").E, 2)
-    pts = point_search(Et, 200)
-    rs = rank_bounds(descend(Et), pts, point_search(dual_model(Et), 200))
+    (A, B), (Ad, Bd) = integral_sides(specialize(family_by_name("rank0").E, 2))
+    pts = point_search(A, B, 200)
+    rs = rank_bounds(descend(A, B), pts, point_search(Ad, Bd, 200))
     assert rs.kind == "determined" and rs.value == 0
 
 
-def assert_point_search_matches_box(E, H) -> list:
-    """point_search(E, H) returns exactly the points of a plain box search
-    over |u|, v <= H on the integral model, scaled back to E; returns them."""
-    A, B, u = integral_model(E)
-    expected = [(x / u**2, y / u**3) for x, y in oracle_box_points(A, B, H)]
-    found = [(P.x, P.y) for P in point_search(E, H)]
-    assert found == expected, (E, H)
+def assert_point_search_matches_box(A, B, H) -> list:
+    """point_search(A, B, H) returns exactly the points of a plain box search
+    over |u|, v <= H on the reduced model, moved back to (A, B); returns them."""
+    A1, B1, s = _reduced_model(A, B, 1, ())
+    expected = [(x / s**2, y / s**3) for x, y in oracle_box_points(A1, B1, H)]
+    found = [(P.x, P.y) for P in point_search(A, B, H)]
+    assert found == expected, (A, B, H)
     return found
 
 
 def test_point_search_matches_box_on_grid():
-    E = TwoTorsionModel.over_q(0, -25)
-    assert point_search(E, 0) == point_search(E, -1) == []
+    assert point_search(0, -25, 0) == point_search(0, -25, -1) == []
     found = []
     for a in range(-20, 21):
         for b in range(-20, 21):
             if b != 0 and a * a != 4 * b:
-                E = TwoTorsionModel.over_q(a, b)
-                for C in (E, dual_model(E)):
+                for C in ((a, b), (-2 * a, a * a - 4 * b)):
                     for H in (1, 7, 30):
-                        found += assert_point_search_matches_box(C, H)
+                        found += assert_point_search_matches_box(*C, H)
     assert len(found) == 17636
     assert sum(x < 0 for x, _ in found) == 2748
 
@@ -508,10 +509,9 @@ def test_point_search_matches_box_at_bounds_0_and_1():
     u = 0, and the points with u = +-1, v = 1; at bound 0 it returns none."""
     found = []
     for a, b in ((0, -25), (0, 1), (-1, -2), (3, 2), (-2 * 999_999, 999_999**2 - 4), (10**6, -(10**6))):
-        E = TwoTorsionModel.over_q(a, b)
-        for C in (E, dual_model(E)):
-            assert assert_point_search_matches_box(C, 0) == []
-            found += assert_point_search_matches_box(C, 1)
+        for C in ((a, b), (-2 * a, a * a - 4 * b)):
+            assert assert_point_search_matches_box(*C, 0) == []
+            found += assert_point_search_matches_box(*C, 1)
     assert found.count((0, 0)) == 12
     assert len(found) > 12
 
@@ -523,9 +523,8 @@ def test_point_search_matches_box_on_fibers():
         bad = {pl.e for pl in rec.expected.all_places if pl.kind == "ft"}
         for m, n in enumerate_heights(6):
             if Fraction(m, n) not in bad:
-                Et = specialize(rec.E, Fraction(m, n))
-                for C in (Et, dual_model(Et)):
-                    found += len(assert_point_search_matches_box(C, 32))
+                for C in integral_sides(specialize(rec.E, Fraction(m, n))):
+                    found += len(assert_point_search_matches_box(*C, 32))
     assert found == 1400
 
 
@@ -546,8 +545,8 @@ def test_point_search_matches_box_on_fibers_at_128():
     """A fixed slice of the height <= 20 fibers, at the rank_search bound."""
     found = 0
     for Et in fiber_slice_at_128():
-        for C in (Et, dual_model(Et)):
-            found += len(assert_point_search_matches_box(C, 128))
+        for C in integral_sides(Et):
+            found += len(assert_point_search_matches_box(*C, 128))
     assert found == 573
 
 
@@ -555,9 +554,8 @@ def test_point_search_matches_box_on_fibers_at_128():
 @given(st.integers(-(10**6), 10**6), st.integers(-(10**6), 10**6).filter(bool))
 def test_point_search_matches_box_on_large_coefficients(a, b):
     assume(a * a != 4 * b)
-    E = TwoTorsionModel.over_q(a, b)
-    assert_point_search_matches_box(E, 128)
-    assert_point_search_matches_box(dual_model(E), 128)
+    assert_point_search_matches_box(a, b, 128)
+    assert_point_search_matches_box(-2 * a, a * a - 4 * b, 128)
 
 
 def fresh_patterns() -> dict[int, array]:
@@ -582,15 +580,15 @@ def test_residue_pattern_exhaustive(monkeypatch):
 def test_point_search_does_not_depend_on_call_order(monkeypatch):
     """Every search in a process reads the same residue tables: fresh
     tables filled in forward and in reverse call order give the same lists."""
-    calls = [(TwoTorsionModel.over_q(0, -25), 64), (TwoTorsionModel.over_q(10**6 - 3, -(10**6) + 7), 128)]
+    calls = [(0, -25, 64), (10**6 - 3, -(10**6) + 7, 128)]
     for name in ("rank0", "rank1", "rank2", "rank3", "rank4"):
         for t in (Fraction(3), Fraction(-7, 5), Fraction(13, 4)):
-            Et = specialize(family_by_name(name).E, t)
-            calls += [(Et, 32), (dual_model(Et), 128)]
+            E_side, dual_side = integral_sides(specialize(family_by_name(name).E, t))
+            calls += [(*E_side, 32), (*dual_side, 128)]
     runs = []
     for order in (calls, calls[::-1]):
         monkeypatch.setattr(descent, "_PATTERNS", fresh_patterns())
-        runs.append([point_search(C, H) for C, H in order])
+        runs.append([point_search(A, B, H) for A, B, H in order])
     assert runs[0] == runs[1][::-1]
     assert sum(map(len, runs[0])) == 133
 
@@ -617,9 +615,8 @@ def many_divisor_curves(draw):
 @given(many_divisor_curves())
 def test_point_search_matches_box_when_b_has_many_divisors(abh):
     a, b, H = abh
-    E = TwoTorsionModel.over_q(a, b)
-    assert_point_search_matches_box(E, H)
-    assert_point_search_matches_box(dual_model(E), H)
+    assert_point_search_matches_box(a, b, H)
+    assert_point_search_matches_box(-2 * a, a * a - 4 * b, H)
 
 
 SIEVE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)  # the primes of _SIEVE_MODULI
@@ -708,9 +705,8 @@ def curves_with_sieve_primes_in_b(draw):
 @given(curves_with_sieve_primes_in_b())
 def test_point_search_matches_box_at_small_and_bench_bounds(abh):
     a, b, H = abh
-    E = TwoTorsionModel.over_q(a, b)
-    assert_point_search_matches_box(E, H)
-    assert_point_search_matches_box(dual_model(E), H)
+    assert_point_search_matches_box(a, b, H)
+    assert_point_search_matches_box(-2 * a, a * a - 4 * b, H)
 
 
 def test_rank_bounds_statuses():
@@ -720,13 +716,11 @@ def test_rank_bounds_statuses():
     assert RankStatus(0, 2).kind == "bounded"
 
     # Sel dims (1,1) and only 2-torsion: determined 0
-    E = TwoTorsionModel.over_q(0, -1)
-    rs = rank_bounds(descend(E))
+    rs = rank_bounds(descend(0, -1))
     assert rs.kind == "determined" and rs.value == 0
 
     # a curve with Selmer gap stays bounded without points
-    E2 = TwoTorsionModel.over_q(0, -25)
-    rs2 = rank_bounds(descend(E2))
+    rs2 = rank_bounds(descend(0, -25))
     assert rs2.kind == "bounded" and rs2.lo < rs2.hi
 
 
@@ -750,24 +744,23 @@ def test_rank_status_json_is_strict():
 
 
 def test_rank_bounds_monotone_in_search_bound():
-    E = TwoTorsionModel.over_q(0, -25)
-    D = descend(E)
+    D = descend(0, -25)
     los = []
     for bound in (0, 10, 60):
-        pts = point_search(E, bound) if bound else []
-        ptsd = point_search(dual_model(E), bound) if bound else []
+        pts = point_search(0, -25, bound) if bound else []
+        ptsd = point_search(0, 100, bound) if bound else []
         los.append(rank_bounds(D, pts, ptsd).lo)
     assert los == sorted(los)
     # Selmer dims are independent of the search bound
-    assert len(descend(E).phi) == len(D.phi)
+    assert len(descend(0, -25).phi) == len(D.phi)
 
 
 def assert_search_skip_changes_nothing(D, pts, ptsd, H):
     """rank_bounds searching only the sides its points leave open equals
     rank_bounds given both sides' full search."""
-    E, Ed = D.curve, dual_model(D.curve)
-    full = rank_bounds(D, pts + point_search(E, H), ptsd + point_search(Ed, H))
-    assert rank_bounds(D, pts, ptsd, H) == full, (E, H)
+    A, B = D.A, D.B
+    full = rank_bounds(D, pts + point_search(A, B, H), ptsd + point_search(-2 * A, A * A - 4 * B, H))
+    assert rank_bounds(D, pts, ptsd, H) == full, (A, B, H)
 
 
 def test_rank_bounds_search_skip_on_family_fibers():
@@ -781,10 +774,13 @@ def test_rank_bounds_search_skip_on_family_fibers():
             t = Fraction(m, n)
             if t in bad_ts:
                 continue
-            Et = specialize(rec.E, t)
-            pts = [AffinePoint.of(eval_at(P.x, t), eval_at(P.y, t)) for P in rec.points_e]
-            ptsd = [AffinePoint.of(eval_at(P.x, t), eval_at(P.y, t)) for P in rec.points_eprime]
-            assert_search_skip_changes_nothing(descend(Et), pts, ptsd, 32)
+            A, B, u = integral_model(specialize(rec.E, t))
+            # x -> u^2 x, y -> u^3 y moves the points onto the integral sides
+            pts, ptsd = (
+                [AffinePoint.of(eval_at(P.x, t) * u**2, eval_at(P.y, t) * u**3) for P in points]
+                for points in (rec.points_e, rec.points_eprime)
+            )
+            assert_search_skip_changes_nothing(descend(A, B), pts, ptsd, 32)
             checked += 1
     assert checked > 200
 
@@ -795,7 +791,7 @@ def test_rank_bounds_search_skip_on_seeded_curves():
         a, b = rng.randint(-60, 60), rng.randint(-60, 60)
         if b == 0 or a * a == 4 * b:
             continue
-        assert_search_skip_changes_nothing(descend(TwoTorsionModel.over_q(a, b)), [], [], 128)
+        assert_search_skip_changes_nothing(descend(*integral_model(TwoTorsionModel.over_q(a, b))[:2]), [], [], 128)
 
 
 def test_rank_bounds_searches_only_open_sides(monkeypatch):
@@ -805,24 +801,25 @@ def test_rank_bounds_searches_only_open_sides(monkeypatch):
     y^2 = x^3 - 25x stays bounded without points, so it is searched."""
     calls = []
 
-    def counted(E, H):
-        calls.append(E)
-        return point_search(E, H)
+    def counted(A, B, H):
+        calls.append((A, B))
+        return point_search(A, B, H)
 
     monkeypatch.setattr(descent, "point_search", counted)
-    assert rank_bounds(descend(TwoTorsionModel.over_q(0, 2)), search_bound=32) == RankStatus(0, 0)
+    assert rank_bounds(descend(0, 2), search_bound=32) == RankStatus(0, 0)
     assert calls == []
-    assert rank_bounds(descend(TwoTorsionModel.over_q(0, -1)), search_bound=32) == RankStatus(0, 0)
-    assert calls == [TwoTorsionModel.over_q(0, 4)]
-    assert rank_bounds(descend(TwoTorsionModel.over_q(0, -25)), search_bound=32) == RankStatus(1, 1)
+    assert rank_bounds(descend(0, -1), search_bound=32) == RankStatus(0, 0)
+    assert calls == [(0, 4)]
+    assert rank_bounds(descend(0, -25), search_bound=32) == RankStatus(1, 1)
     assert len(calls) > 1
-    # calls that share a `searched` dict search each (curve, bound) once
-    D, searched, before = descend(TwoTorsionModel.over_q(0, -25)), {}, len(calls)
+    # two calls on one descent search each (side, bound) once, and it keeps the searches
+    D, before = descend(0, -25), len(calls)
     for _ in range(2):
-        assert rank_bounds(D, search_bound=32, searched=searched) == RankStatus(1, 1)
-    assert len(calls) - before == len(searched) == 2
+        assert rank_bounds(D, search_bound=32) == RankStatus(1, 1)
+    assert len(calls) - before == len(D.searches) == 2
+    assert D == descend(0, -25)  # the searches take no part in equality
     with pytest.raises(ValueError):
-        rank_bounds(descend(TwoTorsionModel.over_q(0, -25)), search_bound=-1)
+        rank_bounds(descend(0, -25), search_bound=-1)
 
 
 def test_class_vectors_match_delta_class_on_fibers_at_128():
@@ -831,10 +828,12 @@ def test_class_vectors_match_delta_class_on_fibers_at_128():
     and both give the same span dimension on each side."""
     points = 0
     for Et in fiber_slice_at_128():
-        gens = descend(Et).gens
-        for C in (Et, dual_model(Et)):
-            pts = [AffinePoint.of(Fraction(0), Fraction(0))] + point_search(C, 128)
-            vecs = [_point_vector(C, P, gens) for P in pts]
+        sides = integral_sides(Et)
+        gens = descend(*sides[0]).gens
+        for a, b in sides:
+            C = TwoTorsionModel.over_q(a, b)
+            pts = [AffinePoint.of(Fraction(0), Fraction(0))] + point_search(a, b, 128)
+            vecs = [_point_vector(b, P, gens) for P in pts]
             classes = [delta_class(C, P) for P in pts]
             for v, c in zip(vecs, classes):
                 assert math.prod(g for i, g in enumerate(gens) if v >> i & 1) == c.value(), (C, v, c)
@@ -849,7 +848,7 @@ def test_rank_bounds_catches_a_class_outside_selmer():
     span of (0,0) and (5, 0), <-1, 5>, has dimension 2, the Selmer dimension.
     A dimension check passes it; the membership check raises."""
     E = TwoTorsionModel.over_q(0, -25)
-    D = descend(E)
+    D = descend(0, -25)
     P = AffinePoint.of(Fraction(5), Fraction(0))
     assert [c.value() for c in D.classes(D.phi_hat)] == [-1, 5]
     assert rank_bounds(D, [P]) == RankStatus(0, 1)
@@ -872,14 +871,35 @@ def test_class_vector_needs_a_square_cofactor():
         with pytest.raises(AssertionError, match="not supported on the descent's primes"):
             _class_vector(q, gens)
     # an on-curve point whose class needs a prime the descent was told to drop
-    D = descend(TwoTorsionModel.over_q(0, -25))
+    D = descend(0, -25)
     P = AffinePoint.of(Fraction(5), Fraction(0))
     with pytest.raises(AssertionError, match="not supported on the descent's primes"):
         rank_bounds(dataclasses.replace(D, odd_support=()), [P])
 
 
+def test_descend_rejects_coefficients_that_are_not_ints():
+    """descend takes the integral model as two ints, as torsor_solvable_at
+    does; a Fraction, even an integral one, a float or a string is a
+    TypeError, and so is each of them in point_search."""
+    for A, B in ((Fraction(1, 2), 1), (0, Fraction(-25)), (1.0, 2), (0, "-25")):
+        with pytest.raises(TypeError):
+            descend(A, B)
+        with pytest.raises(TypeError):
+            point_search(A, B, 8)
+
+
+def test_descend_rejects_singular_models():
+    """B = 0 or A^2 = 4B raises SingularModelError before anything is
+    factored (factor(0) would raise its own "cannot factor 0")."""
+    for A, B in ((3, 0), (0, 0), (2, 1), (-6, 9), (10**6, 25 * 10**10)):
+        with pytest.raises(SingularModelError):
+            descend(A, B)
+        with pytest.raises(SingularModelError):
+            point_search(A, B, 8)
+
+
 def test_rank_bounds_rejects_a_point_off_its_curve():
-    D = descend(TwoTorsionModel.over_q(0, -25))
+    D = descend(0, -25)
     with pytest.raises(OffCurveError):
         rank_bounds(D, [AffinePoint.of(Fraction(5), Fraction(1))])
     with pytest.raises(OffCurveError):
@@ -887,8 +907,7 @@ def test_rank_bounds_rejects_a_point_off_its_curve():
 
 
 def test_selmer_pair_shares_support():
-    E = TwoTorsionModel.over_q(259, -7000)
-    D = descend(E)
+    D = descend(259, -7000)
     assert D.cassels_ok
     assert len(D.phi_hat) == 2 and len(D.phi) == 2
     support = {p for c in D.classes(D.phi) + D.classes(D.phi_hat) for p in c.support}

@@ -172,7 +172,7 @@ def test_trivial_image_at_split_or_odd_In_places():
             Dt = dual_model(Et)
             A, B, _ = integral_model(Et)
             disc = 16 * B * B * (A * A - 4 * B)
-            D = descend(Et)
+            D = descend(*integral_model(Et)[:2])
             for p in factor(disc).primes:
                 if p == 2:
                     continue
@@ -197,7 +197,7 @@ def test_unit_image_at_good_odd_places():
     for rec in builtin_families()[:3]:
         for t in _sample_ts(rec, rng, 3):
             Et = specialize(rec.E, t)
-            D = descend(Et)
+            D = descend(*integral_model(Et)[:2])
             for p in (3, 5, 7, 11, 13):
                 if not tate_local(Et, Place.prime(p)).kodaira.is_good:
                     continue

@@ -201,7 +201,7 @@ def test_determined_zero_record_agrees_with_bruteforce_descent():
     """Take a determined(0) fiber and re-derive its rank with the
     independent oracle: exhaustive Selmer + exhaustive small point search."""
     from oracles import oracle_selmer
-    from twodescent.curve import dual_model, integral_model, specialize
+    from twodescent.curve import integral_model, specialize
     from twodescent.descent import point_search
 
     results = [
@@ -221,7 +221,7 @@ def test_determined_zero_record_agrees_with_bruteforce_descent():
     assert dims == r.selmer_dims
     assert sum(dims) - 2 == 0
     # and no point of infinite order below an exhaustive small bound
-    for P in point_search(Et, 120) + point_search(dual_model(Et), 120):
+    for P in point_search(A, B, 120) + point_search(-2 * A, A * A - 4 * B, 120):
         assert P.y == 0 or P.x == 0
 
 
@@ -274,15 +274,14 @@ def test_skipped_curve_skips_both_signs(monkeypatch):
     model."""
     rec = family_by_name("rank3")
     t = Fraction(3)
-    A, B, _ = integral_model(specialize(rec.E, t))
-    target = TwoTorsionModel.over_q(A, B)
+    target = integral_model(specialize(rec.E, t))[:2]
     real, calls = scan.descend, []
 
-    def descend(E):
-        if E == target:
-            calls.append(E)
+    def descend(A, B):
+        if (A, B) == target:
+            calls.append((A, B))
             raise FactorizationEffortError("effort cap")
-        return real(E)
+        return real(A, B)
 
     monkeypatch.setattr(scan, "descend", descend)
     batch = {r.t: r for r in run_scan("rank3", 3)}
@@ -296,7 +295,7 @@ def test_skipped_curve_skips_both_signs(monkeypatch):
 
 def _tate_bad_primes(runs) -> tuple[int, ...]:
     """The bad-prime list with a Tate run at every prime."""
-    E = runs.descent.curve
+    E = TwoTorsionModel.over_q(runs.descent.A, runs.descent.B)
     return tuple(p for p in (2,) + runs.descent.odd_support if not tate_local(E, Place("prime", p=p)).kodaira.is_good)
 
 
@@ -346,7 +345,8 @@ def test_bad_primes_run_tate_only_where_minimality_is_in_doubt(monkeypatch, A, B
 def _tate_ratio(D, p: int) -> Fraction:
     """c_p(E')/c_p(E) from Tate's algorithm on the model and its dual."""
     place = Place("prime", p=p)
-    return Fraction(tate_local(D.dual, place).tamagawa, tate_local(D.curve, place).tamagawa)
+    E, Ed = TwoTorsionModel.over_q(D.A, D.B), TwoTorsionModel.over_q(-2 * D.A, D.A * D.A - 4 * D.B)
+    return Fraction(tate_local(Ed, place).tamagawa, tate_local(E, place).tamagawa)
 
 
 def test_tamagawa_ratio_matches_tate_at_pattern_primes():
@@ -365,7 +365,7 @@ def test_tamagawa_ratio_matches_tate_at_pattern_primes():
                 continue
             A, B, _ = rec.fibers.model(m, n)
             if (A, B) not in descents:
-                descents[A, B] = descent.descend(TwoTorsionModel.over_q(A, B))
+                descents[A, B] = descent.descend(A, B)
             D = descents[A, B]
             for p, _ in primes:
                 assert scan.tamagawa_ratio(D, p) == _tate_ratio(D, p), (name, m, n, p)
@@ -375,7 +375,7 @@ def test_tamagawa_ratio_matches_tate_at_pattern_primes():
 
 def test_tamagawa_ratio_is_one_outside_the_odd_support():
     """5 divides neither B = 3 nor A^2 - 4B = -3: both models are good there."""
-    D = descent.descend(TwoTorsionModel.over_q(3, 3))
+    D = descent.descend(3, 3)
     assert 5 not in D.odd_support
     assert scan.tamagawa_ratio(D, 5) == 1 == _tate_ratio(D, 5)
 
