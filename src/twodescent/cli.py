@@ -10,11 +10,11 @@ from fractions import Fraction
 from pathlib import Path
 
 from .arith import Place, parse_place
-from .curve import DOMAIN_Q, AffinePoint, TwoTorsionModel, dual_model, integral_model, on_curve
+from .curve import AffinePoint, TwoTorsionModel, check_nonsingular, clear_denominators, integral_model, on_model
 from .descent import Descent, descend, rank_bounds, run_or_reason
 from .family import builtin_families, family_by_name, verify_conditions
 from .localdata import tate_local
-from .polyq import SingularModelError, rational_from_str
+from .polyq import SingularModelError, poly_from_json, rational_from_str
 from .scan import DEFAULT_SEARCH_BOUND, emit_report, run_scan
 
 
@@ -25,9 +25,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
-def _curve_arg(s: str) -> TwoTorsionModel:
+def _curve_arg(s: str):
+    """A curve over Q as its pair (a, b) of Fractions, or one over Q(T) as a TwoTorsionModel."""
     try:
-        return TwoTorsionModel.from_json(json.loads(s))
+        data = json.loads(s)
+        if data["domain"] == "Q":
+            a, b = rational_from_str(data["a"]), rational_from_str(data["b"])
+            check_nonsingular(a, b)
+            return a, b
+        if data["domain"] == "QT":
+            return TwoTorsionModel(poly_from_json(data["a"]), poly_from_json(data["b"]))
+        raise ValueError(f"unknown domain {data['domain']}")
     except (ValueError, LookupError, TypeError, ZeroDivisionError, SingularModelError) as exc:
         raise argparse.ArgumentTypeError(f"bad curve {s!r}: {type(exc).__name__} {exc}") from None
 
@@ -93,33 +101,38 @@ def _usage_error(args) -> str | None:
     if cmd == "family":
         return None
     E = args.curve
+    domain = "QT" if isinstance(E, TwoTorsionModel) else "Q"
     if cmd == "tate":
-        kinds = ("prime",) if E.domain == DOMAIN_Q else ("ft", "ft_inf")
-        return None if args.place.kind in kinds else f"place {args.place} is incompatible with a {E.domain}-curve"
-    if E.domain != DOMAIN_Q:
+        kinds = ("prime",) if domain == "Q" else ("ft", "ft_inf")
+        return None if args.place.kind in kinds else f"place {args.place} is incompatible with a {domain}-curve"
+    if domain != "Q":
         return f"{cmd} takes a curve over Q"
-    points = getattr(args, "points", None)
-    if points:
-        for name, curve, pts in zip(("E", "E'"), (E, dual_model(E)), points):
+    # rank_bounds checks the moved points again, for its library callers
+    if points := getattr(args, "points", None):
+        a, b = E
+        for name, side, pts in zip(("E", "E'"), ((a, b), (-2 * a, a * a - 4 * b)), points):
             for P in pts:
-                if not on_curve(curve, P):
+                if not on_model(*side, P.x, P.y):
                     return f"point {P} is not on {name}"
     return None
 
 
 def _cmd_tate(args) -> int:
-    red = tate_local(args.curve, args.place)
+    E = args.curve
+    # at a prime Tate takes ints: an integral model has the local data of (a, b)
+    a, b = (E.a, E.b) if isinstance(E, TwoTorsionModel) else clear_denominators(*E)[:2]
+    red = tate_local(a, b, args.place)
     print(json.dumps(red.to_json(), sort_keys=True))
     return 0
 
 
-def _descend(curve: TwoTorsionModel) -> tuple[Descent, Fraction] | None:
-    """(descend(A, B), u) on the integral model (A, B, u) of curve, or None
-    after one stderr line saying why it failed, with the reason the scan
-    writes into skipped records."""
+def _descend(curve) -> tuple[Descent, Fraction] | None:
+    """(descend(A, B), u) on the integral model (A, B, u) of the pair curve,
+    or None after one stderr line saying why it failed, with the reason the
+    scan writes into skipped records."""
 
     def run():
-        A, B, u = integral_model(curve)  # factors the denominators, so it can give up too
+        A, B, u = integral_model(*curve)  # factors the denominators, so it can give up too
         return descend(A, B), u
 
     out = run_or_reason(run)

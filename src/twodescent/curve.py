@@ -1,9 +1,12 @@
 """Weierstrass models y^2 = x^3 + a x^2 + b x with marked 2-torsion (0,0).
 
-Curves live over Q (coefficients Fraction) or Q(T) (coefficients Poly).
-Point coordinates over Q(T) are polynomials, as the families' generic
-points have them; there only the on-curve check and the connecting class
-are taken.  The group law and the isogenies run over Q only, on fibers.
+A curve over Q is its coefficient pair (a, b) of ints or Fractions, the
+pair the descent runs on; its dual is (-2a, a^2-4b), and `on_model` is its
+on-curve check.  The group law and the isogenies take that pair.  A curve
+over Q(T) is a `TwoTorsionModel` of `Poly`s; its points have polynomial
+coordinates, as the families' generic points do, and there only the
+on-curve check and the connecting class are taken.  `specialize` maps it
+to the pair of a fiber.
 """
 
 from __future__ import annotations
@@ -11,25 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
-from .arith import SquareClassQ, f2_echelon, factor, horner, square_class
-from .polyq import (
-    Poly,
-    SingularModelError,
-    SquareClassFT,
-    eval_at,
-    ft_square_class,
-    poly_from_json,
-    poly_to_json,
-    rational_from_str,
-    rational_to_str,
-)
-
-DOMAIN_Q = "Q"
-DOMAIN_QT = "QT"
-
-Coefficient = Union[Fraction, Poly]
+from .arith import f2_echelon, factor, horner
+from .polyq import Poly, SingularModelError, SquareClassFT, eval_at, ft_square_class
 
 
 class OffCurveError(Exception):
@@ -40,55 +27,30 @@ class SingularSpecializationError(Exception):
     """Specialization at a root of the discriminant was requested."""
 
 
+def check_nonsingular(a, b):
+    """SingularModelError if b = 0 or a^2 = 4b, for ints or Fractions, on
+    integers: a^2 = 4b is n^2 e = 4 m d^2 for a = n/d and b = m/e."""
+    n, d, m, e = a.numerator, a.denominator, b.numerator, b.denominator
+    if m == 0 or n * n * e == 4 * m * d * d:
+        raise SingularModelError("b = 0 or a^2 = 4b")
+
+
 @dataclass(frozen=True)
 class TwoTorsionModel:
-    a: Coefficient
-    b: Coefficient
-    domain: str
+    """A curve over Q(T): a and b are Polys."""
+
+    a: Poly
+    b: Poly
 
     def __post_init__(self):
-        if self.domain not in (DOMAIN_Q, DOMAIN_QT):
-            raise ValueError(f"unknown domain {self.domain}")
-        if self.domain == DOMAIN_Q:
-            a, b = Fraction(self.a), Fraction(self.b)
-            object.__setattr__(self, "a", a)
-            object.__setattr__(self, "b", b)
-            # a^2 = 4b on numerators and denominators: n^2 e = 4 m d^2 for a = n/d, b = m/e
-            n, d, m, e = a.numerator, a.denominator, b.numerator, b.denominator
-            if m == 0 or n * n * e == 4 * m * d * d:
-                raise SingularModelError("b = 0 or a^2 = 4b")
-        else:
-            a = self.a if isinstance(self.a, Poly) else Poly.const(self.a)
-            b = self.b if isinstance(self.b, Poly) else Poly.const(self.b)
-            object.__setattr__(self, "a", a)
-            object.__setattr__(self, "b", b)
-            if b.is_zero or (a * a - 4 * b).is_zero:
-                raise SingularModelError("b = 0 or a^2 = 4b")
-
-    @staticmethod
-    def over_q(a, b) -> "TwoTorsionModel":
-        return TwoTorsionModel(a, b, DOMAIN_Q)
-
-    @staticmethod
-    def over_qt(a, b) -> "TwoTorsionModel":
-        return TwoTorsionModel(a, b, DOMAIN_QT)
+        if not (isinstance(self.a, Poly) and isinstance(self.b, Poly)):
+            raise TypeError("a and b must be Polys")
+        if not self.b or self.a * self.a == 4 * self.b:
+            raise SingularModelError("b = 0 or a^2 = 4b")
 
     @property
-    def b_dual(self) -> Coefficient:
+    def b_dual(self) -> Poly:
         return self.a * self.a - 4 * self.b
-
-    def to_json(self) -> dict:
-        if self.domain == DOMAIN_Q:
-            return {"domain": "Q", "a": rational_to_str(self.a), "b": rational_to_str(self.b)}
-        return {"domain": "QT", "a": poly_to_json(self.a), "b": poly_to_json(self.b)}
-
-    @staticmethod
-    def from_json(data: dict) -> "TwoTorsionModel":
-        if data["domain"] == "Q":
-            return TwoTorsionModel.over_q(rational_from_str(data["a"]), rational_from_str(data["b"]))
-        if data["domain"] == "QT":
-            return TwoTorsionModel.over_qt(poly_from_json(data["a"]), poly_from_json(data["b"]))
-        raise ValueError(f"unknown domain {data['domain']}")
 
 
 @dataclass(frozen=True)
@@ -116,14 +78,6 @@ class AffinePoint:
 INFINITY = AffinePoint.infinity()
 
 
-def _coerce_coord(E: TwoTorsionModel, v):
-    if E.domain == DOMAIN_Q:
-        if isinstance(v, Poly):
-            raise TypeError("function-field coordinate on a Q-curve")
-        return v if type(v) is Fraction else Fraction(v)
-    return v if isinstance(v, Poly) else Poly.const(v)
-
-
 def on_model(a, b, x, y) -> bool:
     """Exact check y^2 = x^3 + a x^2 + b x on ints or Fractions, run on integers:
     with x = n/d, y = m/e, a = r/s and b = u/w, both sides times d^3 e^2 s w."""
@@ -134,14 +88,11 @@ def on_model(a, b, x, y) -> bool:
 
 
 def on_curve(E: TwoTorsionModel, P: AffinePoint) -> bool:
-    """Exact check y^2 = x^3 + a x^2 + b x; over Q by `on_model`."""
+    """Exact check y^2 = x^3 + a x^2 + b x on a Q(T) model and polynomial coordinates."""
     if P.at_infinity:
         return True
-    x, y = _coerce_coord(E, P.x), _coerce_coord(E, P.y)
-    a, b = E.a, E.b
-    if E.domain == DOMAIN_Q:
-        return on_model(a, b, x, y)
-    return not y * y - (x * x * x + a * x * x + b * x)
+    x, y = P.x, P.y
+    return not y * y - (x * x * x + E.a * x * x + E.b * x)
 
 
 def _require_on_curve(E: TwoTorsionModel, P: AffinePoint):
@@ -149,38 +100,42 @@ def _require_on_curve(E: TwoTorsionModel, P: AffinePoint):
         raise OffCurveError(f"point {P} is not on the curve")
 
 
+def _require_on_model(a, b, P: AffinePoint):
+    if not (P.at_infinity or on_model(a, b, P.x, P.y)):
+        raise OffCurveError(f"point {P} is not on the curve")
+
+
 def dual_model(E: TwoTorsionModel) -> TwoTorsionModel:
     """The 2-isogenous model (a', b') = (-2a, a^2 - 4b)."""
-    return TwoTorsionModel(-2 * E.a, E.b_dual, E.domain)
+    return TwoTorsionModel(-2 * E.a, E.b_dual)
 
 
-def apply_isogeny(E: TwoTorsionModel, P: AffinePoint) -> AffinePoint:
-    """The degree-2 isogeny (x, y) -> (y^2/x^2, y(b - x^2)/x^2) onto dual_model(E).
+def apply_isogeny(a, b, P: AffinePoint) -> AffinePoint:
+    """The degree-2 isogeny (x, y) -> (y^2/x^2, y(b - x^2)/x^2) from (a, b)
+    onto its dual (-2a, a^2-4b).
 
     The kernel {O, (0,0)} maps to the point at infinity; the rational-map
     formula is undefined there, and (0,0) is the one point with x = 0.
     """
-    if E.domain != DOMAIN_Q:
-        raise ValueError("apply_isogeny runs over Q only")
-    _require_on_curve(E, P)
+    _require_on_model(a, b, P)
     if P.at_infinity or P.is_two_torsion_origin:
         return INFINITY
-    x, y = _coerce_coord(E, P.x), _coerce_coord(E, P.y)
+    x, y = Fraction(P.x), Fraction(P.y)
     xx = x * x
-    return AffinePoint.of(y * y / xx, y * (E.b - xx) / xx)
+    return AffinePoint.of(y * y / xx, y * (b - xx) / xx)
 
 
-def apply_dual_isogeny(E: TwoTorsionModel, Q: AffinePoint) -> AffinePoint:
-    """The dual isogeny dual_model(E) -> E.
+def apply_dual_isogeny(a, b, Q: AffinePoint) -> AffinePoint:
+    """The dual isogeny from (-2a, a^2-4b) back to (a, b).
 
     Implemented as the isogeny of the dual model followed by the
-    isomorphism (x, y) -> (x/4, y/8) from the double dual back to E.
+    isomorphism (x, y) -> (x/4, y/8) from the double dual back to (a, b).
     """
-    R = apply_isogeny(dual_model(E), Q)
+    R = apply_isogeny(-2 * a, a * a - 4 * b, Q)
     if R.at_infinity:
         return INFINITY
     P = AffinePoint.of(R.x / 4, R.y / 8)
-    _require_on_curve(E, P)
+    _require_on_model(a, b, P)
     return P
 
 
@@ -190,19 +145,15 @@ def negate(P: AffinePoint) -> AffinePoint:
     return AffinePoint.of(P.x, -P.y)
 
 
-def add_points(E: TwoTorsionModel, P: AffinePoint, Q: AffinePoint) -> AffinePoint:
-    """Chord-tangent addition."""
-    if E.domain != DOMAIN_Q:
-        raise ValueError("add_points runs over Q only")
-    _require_on_curve(E, P)
-    _require_on_curve(E, Q)
+def add_points(a, b, P: AffinePoint, Q: AffinePoint) -> AffinePoint:
+    """Chord-tangent addition on (a, b)."""
+    _require_on_model(a, b, P)
+    _require_on_model(a, b, Q)
     if P.at_infinity:
         return Q
     if Q.at_infinity:
         return P
-    x1, y1 = _coerce_coord(E, P.x), _coerce_coord(E, P.y)
-    x2, y2 = _coerce_coord(E, Q.x), _coerce_coord(E, Q.y)
-    a, b = E.a, E.b
+    x1, y1, x2, y2 = Fraction(P.x), Fraction(P.y), Fraction(Q.x), Fraction(Q.y)
     if x1 == x2:
         if not y1 + y2:
             return INFINITY
@@ -212,57 +163,43 @@ def add_points(E: TwoTorsionModel, P: AffinePoint, Q: AffinePoint) -> AffinePoin
     x3 = lam * lam - a - x1 - x2
     y3 = lam * (x1 - x3) - y1
     R = AffinePoint.of(x3, y3)
-    _require_on_curve(E, R)
+    _require_on_model(a, b, R)
     return R
 
 
-def multiply_point(E: TwoTorsionModel, P: AffinePoint, n: int) -> AffinePoint:
+def multiply_point(a, b, P: AffinePoint, n: int) -> AffinePoint:
     if n < 0:
-        return multiply_point(E, negate(P), -n)
+        return multiply_point(a, b, negate(P), -n)
     R = INFINITY
     Q = P
     while n:
         if n & 1:
-            R = add_points(E, R, Q)
-        Q = add_points(E, Q, Q)
+            R = add_points(a, b, R, Q)
+        Q = add_points(a, b, Q, Q)
         n >>= 1
     return R
 
 
-def delta_class(E: TwoTorsionModel, P: AffinePoint):
-    """Connecting square class: O -> 1, (0,0) -> class(b), else class(x).
-
-    Returns SquareClassQ over Q and SquareClassFT over Q(T).
-    """
+def delta_class(E: TwoTorsionModel, P: AffinePoint) -> SquareClassFT:
+    """Connecting square class over Q(T): O -> 1, (0,0) -> class(b), else class(x)."""
     _require_on_curve(E, P)
-    if E.domain == DOMAIN_Q:
-        if P.at_infinity:
-            return square_class(1)
-        x = Fraction(P.x)
-        return square_class(E.b) if x == 0 else square_class(x)
     if P.at_infinity:
         return ft_square_class(Poly.const(1))
-    x = _coerce_coord(E, P.x)
-    return ft_square_class(E.b) if not x else ft_square_class(x)
+    return ft_square_class(E.b) if not P.x else ft_square_class(P.x)
 
 
-def j_invariant(E: TwoTorsionModel) -> Fraction:
-    """j = 256 (a^2-3b)^3 / (b^2 (a^2-4b)) for a Q-curve."""
-    if E.domain != DOMAIN_Q:
-        raise ValueError("j_invariant is defined here for Q-curves only")
-    a, b = E.a, E.b
-    return 256 * (a * a - 3 * b) ** 3 / (b * b * (a * a - 4 * b))
+def j_invariant(a, b) -> Fraction:
+    """j = 256 (a^2-3b)^3 / (b^2 (a^2-4b)) for a curve over Q."""
+    return Fraction(256 * (a * a - 3 * b) ** 3) / (b * b * (a * a - 4 * b))
 
 
-def specialize(E: TwoTorsionModel, t) -> TwoTorsionModel:
-    """Set T = t in a Q(T)-model; rejected when the fiber is singular."""
-    if E.domain != DOMAIN_QT:
-        raise ValueError("specialize expects a Q(T)-curve")
+def specialize(E: TwoTorsionModel, t) -> tuple[Fraction, Fraction]:
+    """The pair (a(t), b(t)) of the fiber at T = t; rejected when it is singular."""
     t = Fraction(t)
     a, b = eval_at(E.a, t), eval_at(E.b, t)
     if b == 0 or a * a - 4 * b == 0:
         raise SingularSpecializationError(f"t = {t} is a root of the discriminant")
-    return TwoTorsionModel.over_q(a, b)
+    return a, b
 
 
 def _reduced_model(A: int, B: int, u: int, primes) -> tuple[int, int, Fraction]:
@@ -285,18 +222,21 @@ def _reduced_model(A: int, B: int, u: int, primes) -> tuple[int, int, Fraction]:
     return A, B, Fraction(u, den)
 
 
-def integral_model(E: TwoTorsionModel) -> tuple[int, int, Fraction]:
+def clear_denominators(a, b) -> tuple[int, int, int]:
+    """(d^2 a, d^4 b, d) for d the product of the denominators of a and b:
+    an integral model of (a, b), with the same local data, not reduced."""
+    d = a.denominator * b.denominator
+    return a.numerator * (d * d // a.denominator), b.numerator * (d**4 // b.denominator), d
+
+
+def integral_model(a, b) -> tuple[int, int, Fraction]:
     """Integer model (A, B) = (u^2 a, u^4 b) with the scaling u, mildly reduced.
 
     The scaling x -> u^2 x, y -> u^3 y preserves all square classes and
     local data; small prime powers common to (A, B) are divided back out.
     """
-    if E.domain != DOMAIN_Q:
-        raise ValueError("integral_model expects a Q-curve")
-    a, b = E.a, E.b
     # u = d clears both denominators; _reduced_model takes its primes back out
-    d = a.denominator * b.denominator
-    A, B = a.numerator * (d * d // a.denominator), b.numerator * (d**4 // b.denominator)
+    A, B, d = clear_denominators(a, b)
     return _reduced_model(A, B, d, factor(d).primes if d > 1 else ())
 
 
@@ -318,15 +258,13 @@ class IntegerFibers:
     a(T) and b(T) are cleared once to integer forms of degrees 2k and 4k,
     c^2 a and c^4 b, so that at t = m/n the model scaled by u0 = c n^k is
     A0 = (c n^k)^2 a(t), B0 = (c n^k)^4 b(t), with no Fraction.  `model`
-    reduces it to exactly `integral_model(specialize(E, t))`, and `points`
+    reduces it to exactly `integral_model(*specialize(E, t))`, and `points`
     moves each point's coordinates, cleared once too, onto that model and
     its dual (-2A, A^2-4B), the two sides of `rank_bounds`, by x -> u^2 x,
     y -> u^3 y.
     """
 
     def __init__(self, E: TwoTorsionModel, points_e=(), points_eprime=()):
-        if E.domain != DOMAIN_QT:
-            raise ValueError("IntegerFibers expects a Q(T)-curve")
         self._k = k = max(-(-E.a.degree // 2), -(-E.b.degree // 4))
         da, a = _integer_form(E.a, 2 * k)
         db, b = _integer_form(E.b, 4 * k)
@@ -339,7 +277,7 @@ class IntegerFibers:
         )
 
     def model(self, m: int, n: int) -> tuple[int, int, Fraction]:
-        """(A, B, u) of `integral_model(specialize(E, m/n))`, for n > 0 and
+        """(A, B, u) of `integral_model(*specialize(E, m/n))`, for n > 0 and
         gcd(m, n) = 1; a singular fiber raises SingularSpecializationError."""
         A, B = _form_value(self._a, m, n), _form_value(self._b, m, n)
         if B == 0 or A * A == 4 * B:
@@ -364,27 +302,15 @@ class IntegerFibers:
 
 
 def delta_span_dim(classes) -> int:
-    """F_2-dimension of the span of square classes (Q or Q(T) flavour)."""
+    """F_2-dimension of the span of Q(T) square classes."""
     bits: dict = {}  # atom -> bit position
     vecs = []
     for cls in classes:
+        atoms = [("p", p) for p in cls.constant.support] + [("root", r) for r in cls.roots]
+        if cls.constant.sign < 0:
+            atoms.append(("sign", -1))
         v = 0
-        for atom in _class_support(cls):
+        for atom in atoms:
             v |= 1 << bits.setdefault(atom, len(bits))
         vecs.append(v)
     return len(f2_echelon(vecs))
-
-
-def _class_support(cls) -> frozenset:
-    if isinstance(cls, SquareClassQ):
-        items = set(("p", p) for p in cls.support)
-        if cls.sign < 0:
-            items.add(("sign", -1))
-        return frozenset(items)
-    if isinstance(cls, SquareClassFT):
-        items = set(("p", p) for p in cls.constant.support)
-        if cls.constant.sign < 0:
-            items.add(("sign", -1))
-        items |= {("root", r) for r in cls.roots}
-        return frozenset(items)
-    raise TypeError(f"not a square class: {cls!r}")

@@ -42,7 +42,8 @@ computed once per process on first use.  The generator coordinates take
 one Legendre symbol per pair of odd primes and reciprocity for the other.
 
 The layer runs on the integral model (A, B) as ints: `descend(A, B)` is
-its entry point, and a curve over Q enters through `curve.integral_model`.
+its entry point, and a curve over Q, the pair (a, b), enters through
+`curve.integral_model(a, b)`.
 `point_search(A, B, H)` searches x = d s^2/v^2 as the 2-coverings
 w^2 = d s^4 + A s^2 v^2 + (B/d) v^4, one for each signed squarefree d | B
 with |d| <= H (Cremona, 3.5-3.6; Stoll's ratpoints).  For
@@ -90,8 +91,7 @@ from .arith import (
     square_class,
     taylor_shift,
 )
-from .curve import AffinePoint, OffCurveError, _reduced_model, on_model
-from .polyq import SingularModelError
+from .curve import AffinePoint, OffCurveError, _reduced_model, check_nonsingular, on_model
 
 
 class SolvabilityPrecisionError(Exception):
@@ -489,8 +489,7 @@ def _check_model(A, B):
     """TypeError unless A and B are ints, SingularModelError if B = 0 or A^2 = 4B."""
     if not (isinstance(A, int) and isinstance(B, int)):
         raise TypeError("A and B must be ints")
-    if B == 0 or A * A == 4 * B:
-        raise SingularModelError("B = 0 or A^2 = 4B")
+    check_nonsingular(A, B)
 
 
 def descend(A: int, B: int) -> Descent:

@@ -190,7 +190,7 @@ def builtin_families() -> tuple[FamilyRecord, ...]:
     for f in raw["families"]:
         rec = FamilyRecord(
             name=f["name"],
-            E=TwoTorsionModel.over_qt(poly_from_json(f["a"]), poly_from_json(f["b"])),
+            E=TwoTorsionModel(poly_from_json(f["a"]), poly_from_json(f["b"])),
             points_e=tuple(_point_from_json(p) for p in f["points_e"]),
             points_eprime=tuple(_point_from_json(p) for p in f["points_eprime"]),
             expected=_classification_from_json(f["classification"]),
@@ -226,8 +226,8 @@ def classify_places(E: TwoTorsionModel) -> PlaceClassification:
     Edual = dual_model(E)
     A, M, Mp = set(), set(), set()
     for pl in bad_places_qt(E):
-        rE = tate_local(E, pl)
-        rEd = tate_local(Edual, pl)
+        rE = tate_local(E.a, E.b, pl)
+        rEd = tate_local(Edual.a, Edual.b, pl)
         if rE.reduction == "additive" or rEd.reduction == "additive":
             if rE.is_multiplicative or rEd.is_multiplicative:
                 raise ClassificationError(f"mixed reduction types at {pl}")
@@ -277,7 +277,7 @@ def verify_conditions(rec: FamilyRecord) -> ConditionReport:
 
     def _cd(places, partner):
         for pl in sorted(places, key=str):
-            red = tate_local(partner, pl)
+            red = tate_local(partner.a, partner.b, pl)
             if red.reduction == "split-multiplicative":
                 continue
             if red.kodaira.letter == "I" and red.kodaira.n % 2 == 1:
@@ -290,9 +290,9 @@ def verify_conditions(rec: FamilyRecord) -> ConditionReport:
 
     ok_e, wit_e = True, None
     for pl in sorted(cls.A, key=str):
-        rE = tate_local(E, pl)
+        rE = tate_local(E.a, E.b, pl)
         if rE.kodaira.letter == "I*":
-            rEd = tate_local(Edual, pl)
+            rEd = tate_local(Edual.a, Edual.b, pl)
             if rE.tamagawa != 4 or rEd.tamagawa != 4:
                 ok_e, wit_e = False, f"at {pl}: c(E)={rE.tamagawa}, c(E')={rEd.tamagawa}"
                 break

@@ -8,7 +8,11 @@ field: zero and square tests, square roots, division and counting the
 roots of a cubic.  The place at infinity of Q(T) is
 reduced to a linear place by rewriting the model in U = 1/T and
 clearing denominators with x = X/U^2, y = Y/U^3.  Places are
-`arith.Place`s.
+`arith.Place`s, and the place picks the ring: `tate_local(a, b, place)`
+takes ints at a prime, an integral model of a curve over Q (a rational
+one is moved there by `curve.clear_denominators`; isomorphic models
+share their local data and the algorithm reduces a non-minimal one), and
+the Polys of a Q(T) model at T - e and at infinity.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from fractions import Fraction
 
 from . import modp
 from .arith import _INF, FT_INFINITY, Place, int_valuation, sqrt_rational
-from .curve import DOMAIN_Q, DOMAIN_QT, TwoTorsionModel, dual_model
+from .curve import TwoTorsionModel
 from .polyq import Poly, UnsupportedClassError, model_discriminant, rational_roots, splits_linearly
 
 GOOD = "good"
@@ -397,9 +401,8 @@ def _tate_core(dvr, a2_in, a4_in) -> LocalReduction:
         ai = [dvr.shift(a, -i) for i, a in zip((1, 2, 3, 4, 6), ai)]
 
 
-def _infinity_model(E: TwoTorsionModel) -> tuple[Poly, Poly]:
-    """Model of E in the coordinate U = 1/T, integral and vanishing-checked at U = 0."""
-    a, b = E.a, E.b
+def _infinity_model(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    """Model of (a, b) in the coordinate U = 1/T, integral and vanishing-checked at U = 0."""
     m = max(
         -(-max(a.degree, 0) // 2) if not a.is_zero else 0,
         -(-max(b.degree, 0) // 4),
@@ -410,35 +413,28 @@ def _infinity_model(E: TwoTorsionModel) -> tuple[Poly, Poly]:
     return aU, bU
 
 
-def tate_local(E: TwoTorsionModel, place: Place) -> LocalReduction:
-    """Local reduction data of a minimal model of E at the place."""
-    if E.domain == DOMAIN_Q:
-        if place.kind != "prime":
-            raise ValueError(f"place {place} is incompatible with a Q-curve")
-        # isomorphic models share their local data, and _tate_core reduces a
-        # non-minimal model, so clearing denominators will do
-        a, b = E.a, E.b
-        d = a.denominator * b.denominator
-        return _tate_core(_QpDVR(place.p), a.numerator * (d * d // a.denominator), b.numerator * (d**4 // b.denominator))
+def tate_local(a, b, place: Place) -> LocalReduction:
+    """Local reduction data of a minimal model of y^2 = x^3 + a x^2 + b x at
+    the place: a and b are ints at a prime and Polys at T - e or infinity."""
+    ring = int if place.kind == "prime" else Poly
+    if not (isinstance(a, ring) and isinstance(b, ring)):
+        raise TypeError(f"at {place}, a and b must be {ring.__name__}s")
+    if place.kind == "prime":
+        return _tate_core(_QpDVR(place.p), a, b)
     if place.kind == "ft":
-        dvr = _FTDVR()
-        return _tate_core(dvr, E.a.shift(place.e), E.b.shift(place.e))
+        return _tate_core(_FTDVR(), a.shift(place.e), b.shift(place.e))
     if place.kind == "ft_inf":
-        aU, bU = _infinity_model(E)
-        dvr = _FTDVR()
-        return _tate_core(dvr, aU, bU)
-    raise ValueError(f"place {place} is incompatible with a Q(T)-curve")
+        return _tate_core(_FTDVR(), *_infinity_model(a, b))
+    raise ValueError(f"no Tate's algorithm at {place}")
 
 
 def bad_places_qt(E: TwoTorsionModel) -> list[Place]:
     """All places of Q(T) where E has bad reduction; requires linear bad places."""
-    if E.domain != DOMAIN_QT:
-        raise ValueError("expected a Q(T)-curve")
     disc = model_discriminant(E.a, E.b)
     if not splits_linearly(disc):
         raise UnsupportedClassError("discriminant has a nonlinear factor (condition (a) fails)")
     places = [Place.ft(r) for r, _ in rational_roots(disc)]
-    if not tate_local(E, FT_INFINITY).kodaira.is_good:
+    if not tate_local(E.a, E.b, FT_INFINITY).kodaira.is_good:
         places.append(FT_INFINITY)
     return places
 
@@ -454,16 +450,17 @@ def conductor_degree(E: TwoTorsionModel) -> int:
         raise ValueError("constant/isotrivial curve: no bad linear places")
     total = 0
     for pl in places:
-        red = tate_local(E, pl)
+        red = tate_local(E.a, E.b, pl)
         total += 1 if red.is_multiplicative else 2
     return total
 
 
-def local_image_order(E: TwoTorsionModel, p: int) -> Fraction:
-    """(1/2)|Im(delta_{E',p})| = c_p(E')/c_p(E), for odd primes p."""
+def local_image_order(A: int, B: int, p: int) -> Fraction:
+    """(1/2)|Im(delta_{E',p})| = c_p(E')/c_p(E), for odd primes p, on the
+    integral model (A, B) and its dual (-2A, A^2-4B)."""
     if p == 2:
         raise ValueError("the Tamagawa-ratio formula requires an odd prime")
     place = Place.prime(p)
-    c_e = tate_local(E, place).tamagawa
-    c_dual = tate_local(dual_model(E), place).tamagawa
+    c_e = tate_local(A, B, place).tamagawa
+    c_dual = tate_local(-2 * A, A * A - 4 * B, place).tamagawa
     return Fraction(c_dual, c_e)

@@ -6,12 +6,13 @@ enumeration finds witnesses at desk scale.  Each fiber is built from the
 family's integer binary forms (`FamilyRecord.fibers`): the integral model
 (A, B) of E_t, its j and the generic points moved onto it, with no Fraction
 arithmetic.  The descent runs on (A, B) as ints (`descend(A, B)`), and
-`rank_bounds` on (A, B) and its dual (-2A, A^2-4B); a Fraction model is
-built only for Tate's algorithm.  A task is the group of fibers t = +-m/n
-that share (|m|, n); a memo keyed by (A, B) makes the descent, Tate runs
-and point searches once per curve in a task (in an even family E_t and
-E_-t are one curve).  A support prime, 2 included, where the model is
-visibly minimal (v_p(c4) < 4 or v_p(disc) < 12) is bad with no Tate run.
+`rank_bounds` on (A, B) and its dual (-2A, A^2-4B); Tate's algorithm and
+`curve.j_invariant` take (A, B) too, so no Fraction model is built.  A task
+is the group of fibers t = +-m/n that share (|m|, n); a memo keyed by
+(A, B) makes the descent, Tate runs and point searches once per curve in
+a task (in an even family E_t and E_-t are one curve).  A support prime,
+2 included, where the model is visibly minimal (v_p(c4) < 4 or
+v_p(disc) < 12) is bad with no Tate run.
 Results are put in (height, t) order, so two runs with identical
 parameters produce byte-identical output.
 The family's bad-place forms drop each t = e and give the pattern primes
@@ -30,7 +31,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .arith import Place
-from .curve import TwoTorsionModel
+from .curve import j_invariant
 from .descent import Descent, RankStatus, descend, rank_bounds, run_or_reason
 from .family import family_by_name
 from .localdata import tate_local
@@ -113,7 +114,7 @@ class _CurveRuns:
 
     def __init__(self, A: int, B: int):
         self.descent = descend(A, B)
-        self.j = Fraction(256 * (A * A - 3 * B) ** 3, B * B * (A * A - 4 * B))
+        self.j = j_invariant(A, B)
         # c4 and the discriminant of the model
         self._c4, self._disc = 16 * (A * A - 3 * B), 16 * B * B * (A * A - 4 * B)
 
@@ -125,7 +126,7 @@ class _CurveRuns:
         wherever the model is minimal, which v_p(c4) < 4 or v_p(disc) < 12
         shows (Silverman, AEC VII.1); v_2(c4) >= 4 always, so only the
         second settles 2.  Tate runs, once per prime, where minimality is
-        in doubt, on the model built over Q for it."""
+        in doubt, on (A, B)."""
         D = self.descent
         return tuple(
             p
@@ -133,7 +134,7 @@ class _CurveRuns:
             # p is 2 or came out of factor, so it is prime: no second test
             if self._c4 % p**4
             or self._disc % p**12
-            or not tate_local(TwoTorsionModel.over_q(D.A, D.B), Place("prime", p=p)).kodaira.is_good
+            or not tate_local(D.A, D.B, Place("prime", p=p)).kodaira.is_good
         )
 
 
@@ -157,7 +158,7 @@ def scan_one(name: str, m: int, n: int, memo: dict | None = None) -> ScanResult:
     """Full descent record for the fiber at t = m/n.
 
     The fiber is built on integers as the model (A, B) of
-    `integral_model(specialize(E, t))`, with the generic points moved onto
+    `integral_model(*specialize(E, t))`, with the generic points moved onto
     it and its dual (-2A, A^2-4B), the sides of `rank_bounds`.  `memo` maps
     (A, B) to its runs; fibers that pass one memo and share that model
     share the descent, Tate runs and point searches.  The record is the

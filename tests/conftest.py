@@ -9,11 +9,11 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from oracles import oracle_selmer
-from twodescent.curve import TwoTorsionModel, integral_model
+from twodescent.curve import integral_model
 
 
-def random_small_curves(count: int, coeff_bound: int, seed: int) -> list[TwoTorsionModel]:
-    """Random integral curves y^2 = x^3 + ax^2 + bx with |a|, |b| <= bound."""
+def random_small_curves(count: int, coeff_bound: int, seed: int) -> list[tuple[int, int]]:
+    """Random integral curves y^2 = x^3 + ax^2 + bx, as pairs (a, b), with |a|, |b| <= bound."""
     rng = random.Random(seed)
     out = []
     while len(out) < count:
@@ -21,7 +21,7 @@ def random_small_curves(count: int, coeff_bound: int, seed: int) -> list[TwoTors
         b = rng.randint(-coeff_bound, coeff_bound)
         if b == 0 or a * a == 4 * b:
             continue
-        out.append(TwoTorsionModel.over_q(a, b))
+        out.append((a, b))
     return out
 
 
@@ -37,6 +37,6 @@ def oracle_selmer_corpus(small_curve_corpus):
     the slowest part of the suite, so it runs once per session."""
     out = []
     for E in small_curve_corpus:
-        A, B, _ = integral_model(E)
+        A, B, _ = integral_model(*E)
         out.append((E, A, B, oracle_selmer(A, B), oracle_selmer(-2 * A, A * A - 4 * B)))
     return out

@@ -11,7 +11,8 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
-from twodescent.arith import REAL, Place, f2_echelon, f2_span, local_reps
+from twodescent.arith import REAL, Place, SquareClassQ, f2_echelon, f2_span, local_reps, square_class
+from twodescent.curve import OffCurveError, on_model
 from twodescent.descent import torsor_solvable_at
 from twodescent.polyq import SquareClassFT
 
@@ -163,6 +164,35 @@ def ft_class_product(c: SquareClassFT, d: SquareClassFT) -> SquareClassFT:
     """The product of two Q(T) square classes: the constants' classes
     multiply and the roots add mod 2."""
     return SquareClassFT(c.constant * d.constant, tuple(sorted(set(c.roots) ^ set(d.roots))))
+
+
+def dual_pair(a, b) -> tuple:
+    """The 2-isogenous curve (-2a, a^2-4b) of the curve (a, b) over Q."""
+    return -2 * a, a * a - 4 * b
+
+
+def delta_class_q(a, b, P) -> SquareClassQ:
+    """Connecting square class on the curve (a, b) over Q: O -> 1,
+    (0,0) -> class(b), else class(x), by factoring."""
+    if not (P.at_infinity or on_model(a, b, P.x, P.y)):
+        raise OffCurveError(f"point {P} is not on the curve")
+    if P.at_infinity:
+        return square_class(1)
+    x = Fraction(P.x)
+    return square_class(b) if x == 0 else square_class(x)
+
+
+def delta_span_dim_q(classes) -> int:
+    """F_2-dimension of the span of square classes over Q."""
+    bits: dict = {}  # atom -> bit position
+    vecs = []
+    for cls in classes:
+        atoms = [("p", p) for p in cls.support] + ([("sign", -1)] if cls.sign < 0 else [])
+        v = 0
+        for atom in atoms:
+            v |= 1 << bits.setdefault(atom, len(bits))
+        vecs.append(v)
+    return len(f2_echelon(vecs))
 
 
 def _prime_list(m: int) -> list[int]:

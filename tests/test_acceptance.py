@@ -12,17 +12,9 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import selmer_values
+from oracles import delta_class_q, delta_span_dim_q, dual_pair, selmer_values
 from twodescent.arith import Place, factor
-from twodescent.curve import (
-    AffinePoint,
-    TwoTorsionModel,
-    delta_class,
-    delta_span_dim,
-    dual_model,
-    integral_model,
-    specialize,
-)
+from twodescent.curve import AffinePoint, delta_class, delta_span_dim, integral_model, specialize
 from twodescent.descent import descend, point_search
 from twodescent.family import (
     admissible_divisor_sets,
@@ -87,7 +79,7 @@ def test_criterion_3_kodaira_tamagawa_fixtures():
     for rec in builtin_families():
         for fx in rec.local_fixtures:
             curve = rec.E if fx.curve == "E" else rec.dual
-            r = tate_local(curve, fx.place)
+            r = tate_local(curve.a, curve.b, fx.place)
             if fx.kodaira is not None:
                 assert str(r.kodaira) == fx.kodaira, (rec.name, str(fx.place), r)
             if fx.tamagawa is not None:
@@ -167,25 +159,25 @@ def _satisfies_local_pattern(name: str, t: Fraction) -> bool:
 
 
 def _generic_points(rec, t: Fraction):
-    """E_t, E'_t and, on each, (0,0) followed by the family's generic points
-    specialized at T = t."""
+    """The pairs E_t, E'_t and, on each, (0,0) followed by the family's
+    generic points specialized at T = t."""
     Et = specialize(rec.E, t)
     zero = AffinePoint.of(Fraction(0), Fraction(0))
     pts_e = [zero] + [AffinePoint.of(eval_at(P.x, t), eval_at(P.y, t)) for P in rec.points_e]
     pts_ep = [zero] + [
         AffinePoint.of(eval_at(Q.x, t), eval_at(Q.y, t)) for Q in rec.points_eprime
     ]
-    return Et, dual_model(Et), pts_e, pts_ep
+    return Et, dual_pair(*Et), pts_e, pts_ep
 
 
 def _span(E, points) -> int:
-    return delta_span_dim([delta_class(E, P) for P in points])
+    return delta_span_dim_q([delta_class_q(*E, P) for P in points])
 
 
 def _searched(E, bound: int) -> list:
-    """point_search on the integral model (A, B, u) of the Q-curve E, moved
-    back to E by x -> x/u^2, y -> y/u^3."""
-    A, B, u = integral_model(E)
+    """point_search on the integral model (A, B, u) of the curve E = (a, b)
+    over Q, moved back to E by x -> x/u^2, y -> y/u^3."""
+    A, B, u = integral_model(*E)
     return [AffinePoint.of(P.x / u**2, P.y / u**3) for P in point_search(A, B, bound)]
 
 
@@ -269,14 +261,12 @@ def test_criterion_7_local_image_laws(full_scans):
             if r.skipped or examined >= 200:
                 continue
             examined += 1
-            A, B, _ = integral_model(specialize(family_by_name(name).E, r.t))
+            A, B, _ = integral_model(*specialize(family_by_name(name).E, r.t))
             D = descend(A, B)
-            E_int = TwoTorsionModel.over_q(A, B)
-            D_int = dual_model(E_int)
             odd_bad = [p for p in r.bad_primes if p != 2]
             for p in odd_bad[:3]:
-                rE = tate_local(E_int, Place.prime(p))
-                rD = tate_local(D_int, Place.prime(p))
+                rE = tate_local(A, B, Place.prime(p))
+                rD = tate_local(-2 * A, A * A - 4 * B, Place.prime(p))
                 if not (rE.is_multiplicative and rD.is_multiplicative):
                     continue
                 n = rD.kodaira.n

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from twodescent import cli, descent, scan
 from twodescent.arith import FactorizationEffortError
 from twodescent.cli import main
 from twodescent.descent import SolvabilityPrecisionError, run_or_reason
+from twodescent.polyq import rational_to_str
 
 
 def test_family_list(capsys):
@@ -214,7 +216,7 @@ def test_integral_model_failure_exits_with_status_1(command, monkeypatch, capsys
     """Factoring the denominators for the integral model can give up as
     well, before any descent: the same status 1 and one stderr line."""
 
-    def failing(curve):
+    def failing(a, b):
         raise FactorizationEffortError("rho effort cap hit on 91")
 
     monkeypatch.setattr(cli, "integral_model", failing)
@@ -226,6 +228,10 @@ def test_integral_model_failure_exits_with_status_1(command, monkeypatch, capsys
 
 def _q_curve(a: str, b: str) -> str:
     return f'{{"domain":"Q","a":"{a}","b":"{b}"}}'
+
+
+# (a, b, place) of the lines of tests/data/tate-cli.jsonl
+TATE_CASES = [(-10, -39, "2"), (-12, -60, "2"), (289, 167042, "17")]
 
 
 # the argument lists with which the bare-install step of
@@ -244,8 +250,7 @@ GOLDEN_CLI = {
         for a, b in [("2/1", "-2/13"), ("1100/7", "-1980/49"), ("285/2", "-3591/16"), ("0/1", "-25/1")]
     ],
     "tate-cli.jsonl": [
-        ["tate", "--curve", _q_curve(f"{a}/1", f"{b}/1"), "--place", p]
-        for a, b, p in [(-10, -39, "2"), (-12, -60, "2"), (289, 167042, "17")]
+        ["tate", "--curve", _q_curve(f"{a}/1", f"{b}/1"), "--place", p] for a, b, p in TATE_CASES
     ],
     "family-cli.jsonl": [["family", "list"]] + [["family", "verify", f"rank{r}"] for r in range(5)],
 }
@@ -259,6 +264,19 @@ def test_cli_output_matches_golden_file(name, capsys):
         assert main(argv) == 0, argv
     golden = Path(__file__).parent / "data" / name
     assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("u", [2, 3])
+def test_tate_on_rational_models_matches_golden_file(u, capsys):
+    """(a/u^2, b/u^4) is (a, b) scaled by x -> x/u^2, y -> y/u^3, so it has
+    the same local data: tate, which moves a rational pair to an integral
+    model before Tate's algorithm, prints the golden line of each case."""
+    golden = (Path(__file__).parent / "data" / "tate-cli.jsonl").read_text().splitlines(keepends=True)
+    assert len(golden) == len(TATE_CASES)
+    for (a, b, p), line in zip(TATE_CASES, golden):
+        a, b = rational_to_str(Fraction(a, u * u)), rational_to_str(Fraction(b, u**4))
+        assert main(["tate", "--curve", _q_curve(a, b), "--place", p]) == 0
+        assert capsys.readouterr().out == line, (a, b, p)
 
 
 def _src_env() -> dict:
@@ -309,10 +327,12 @@ def test_cli_loads_only_the_standard_library():
         import contextlib, io, json
         from twodescent.cli import main
         from twodescent.family import family_by_name
+        from twodescent.polyq import poly_to_json
         with contextlib.redirect_stdout(io.StringIO()):
             for name in ["rank0", "rank1", "rank2", "rank3", "rank4"]:
                 assert main(["family", "verify", name]) == 0
-            curve = json.dumps(family_by_name("rank4").E.to_json())
+            E = family_by_name("rank4").E
+            curve = json.dumps({"domain": "QT", "a": poly_to_json(E.a), "b": poly_to_json(E.b)})
             assert main(["tate", "--curve", curve, "--place", "T-11"]) == 0
             assert main(["tate", "--curve", curve, "--place", "inf"]) == 0
         print(" ".join(sorted(set(sys.modules) - before)))

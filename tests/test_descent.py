@@ -11,6 +11,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    delta_class_q,
+    delta_span_dim_q,
     oracle_box_points,
     oracle_covering_points,
     oracle_local_image,
@@ -37,9 +39,6 @@ from twodescent.arith import (
 from twodescent.curve import (
     AffinePoint,
     OffCurveError,
-    TwoTorsionModel,
-    delta_class,
-    delta_span_dim,
     _reduced_model,
     integral_model,
     specialize,
@@ -70,8 +69,8 @@ from twodescent.scan import enumerate_heights
 
 
 def integral_sides(E) -> list[tuple[int, int]]:
-    """The two integral sides (A, B) and (-2A, A^2-4B) of the Q-curve E."""
-    A, B, _ = integral_model(E)
+    """The two integral sides (A, B) and (-2A, A^2-4B) of the curve E = (a, b) over Q."""
+    A, B, _ = integral_model(*E)
     return [(A, B), (-2 * A, A * A - 4 * B)]
 
 
@@ -175,7 +174,7 @@ def _selmer_lines(curves):
     Sel_phi-hat as squarefree integers."""
     lines = []
     for a, b in curves:
-        D = descend(*integral_model(TwoTorsionModel.over_q(a, b))[:2])
+        D = descend(*integral_model(a, b)[:2])
         phi = " ".join(str(c) for c in D.classes(D.phi))
         hat = " ".join(str(c) for c in D.classes(D.phi_hat))
         lines.append(f"{a} {b} | {phi} | {hat}\n")
@@ -233,19 +232,19 @@ def test_bounded_sweep_tests_few_torsors(monkeypatch):
     for a in range(-15, 16):
         for b in range(-15, 16):
             if b != 0 and a * a != 4 * b:
-                full += 10 + 4 * len(descend(*integral_model(TwoTorsionModel.over_q(a, b))[:2]).odd_support)
+                full += 10 + 4 * len(descend(*integral_model(a, b)[:2]).odd_support)
     assert full == 16008
     assert calls <= 1837, calls
 
 
 def test_cassels_ratio_on_corpus(small_curve_corpus):
     for E in small_curve_corpus:
-        assert descend(*integral_model(E)[:2]).cassels_ok
+        assert descend(*integral_model(*E)[:2]).cassels_ok
 
 
 def test_selmer_contains_identity_and_marked_classes(small_curve_corpus):
     for E in small_curve_corpus:
-        A, B, _ = integral_model(E)
+        A, B, _ = integral_model(*E)
         D = descend(A, B)
         S_phi, S_hat = selmer_values(D, D.phi), selmer_values(D, D.phi_hat)
         assert SquareClassQ(1, ()).value() in S_phi
@@ -258,7 +257,7 @@ def test_selmer_bases_are_echelon_masks_over_gens(small_curve_corpus):
     generators, as the f2_reduce of `rank_bounds` needs, and `classes` names
     each mask by the product of its generators."""
     for E in small_curve_corpus:
-        D = descend(*integral_model(E)[:2])
+        D = descend(*integral_model(*E)[:2])
         for basis in (D.phi, D.phi_hat):
             assert basis == f2_echelon(basis) and all(0 < m < 1 << len(D.gens) for m in basis), E
             values = sorted(math.prod(g for i, g in enumerate(D.gens) if m >> i & 1) for m in basis)
@@ -317,7 +316,7 @@ def test_dual_images_match_sweep_on_corpus_and_fibers(small_curve_corpus):
         curves += [specialize(rec.E, t) for t in ts]
     pairs = 0
     for E in curves:
-        A, B, _ = integral_model(E)
+        A, B, _ = integral_model(*E)
         pairs += assert_dual_images_match_sweep(A, B)
     assert pairs >= 1600, pairs
 
@@ -427,7 +426,7 @@ def test_class_tables_match_actual_places():
 
 def test_local_image_is_group_of_size_1_2_4_or_8(small_curve_corpus):
     for E in small_curve_corpus[:10]:
-        D = descend(*integral_model(E)[:2])
+        D = descend(*integral_model(*E)[:2])
         for pl in (REAL, Place.prime(2), Place.prime(3)):
             img = D.local_image(pl)
             assert len(img) in (1, 2, 4, 8)
@@ -445,9 +444,9 @@ def test_local_images_match_tamagawa_ratios(small_curve_corpus):
         curves += [specialize(rec.E, t) for t in ts[:40]]
     pairs = 0
     for E in curves:
-        D = descend(*integral_model(E)[:2])
+        D = descend(*integral_model(*E)[:2])
         for p in D.odd_support:
-            assert len(D.local_image(Place.prime(p))) == 2 * local_image_order(E, p), (E, p)
+            assert len(D.local_image(Place.prime(p))) == 2 * local_image_order(D.A, D.B, p), (E, p)
             pairs += 1
     assert pairs >= 800, pairs
 
@@ -461,7 +460,7 @@ def test_point_search_examples():
     # rank-4 family at t = 3: all four specialized generators are found
     T = Poly.x()
     t = Fraction(3)
-    A, B, u = integral_model(specialize(family_by_name("rank4").E, t))
+    A, B, u = integral_model(*specialize(family_by_name("rank4").E, t))
     pts = point_search(A, B, 64)
     xs = {p.x / u**2 for p in pts}
     for xpoly in (
@@ -528,7 +527,7 @@ def test_point_search_matches_box_on_fibers():
     assert found == 1400
 
 
-def fiber_slice_at_128() -> list[TwoTorsionModel]:
+def fiber_slice_at_128() -> list[tuple[Fraction, Fraction]]:
     """A fixed slice of the height <= 20 fibers of the five families, the
     corpus of the searches at the rank_search bound 128."""
     fibers = []
@@ -774,7 +773,7 @@ def test_rank_bounds_search_skip_on_family_fibers():
             t = Fraction(m, n)
             if t in bad_ts:
                 continue
-            A, B, u = integral_model(specialize(rec.E, t))
+            A, B, u = integral_model(*specialize(rec.E, t))
             # x -> u^2 x, y -> u^3 y moves the points onto the integral sides
             pts, ptsd = (
                 [AffinePoint.of(eval_at(P.x, t) * u**2, eval_at(P.y, t) * u**3) for P in points]
@@ -791,7 +790,7 @@ def test_rank_bounds_search_skip_on_seeded_curves():
         a, b = rng.randint(-60, 60), rng.randint(-60, 60)
         if b == 0 or a * a == 4 * b:
             continue
-        assert_search_skip_changes_nothing(descend(*integral_model(TwoTorsionModel.over_q(a, b))[:2]), [], [], 128)
+        assert_search_skip_changes_nothing(descend(*integral_model(a, b)[:2]), [], [], 128)
 
 
 def test_rank_bounds_searches_only_open_sides(monkeypatch):
@@ -824,20 +823,20 @@ def test_rank_bounds_searches_only_open_sides(monkeypatch):
 
 def test_class_vectors_match_delta_class_on_fibers_at_128():
     """On every point of the fibers-at-128 corpus, and on (0, 0), the class
-    vector over the descent's generators names the class of `delta_class`,
-    and both give the same span dimension on each side."""
+    vector over the descent's generators names the class of
+    `oracles.delta_class_q`, and both give the same span dimension on each
+    side."""
     points = 0
     for Et in fiber_slice_at_128():
         sides = integral_sides(Et)
         gens = descend(*sides[0]).gens
         for a, b in sides:
-            C = TwoTorsionModel.over_q(a, b)
             pts = [AffinePoint.of(Fraction(0), Fraction(0))] + point_search(a, b, 128)
             vecs = [_point_vector(b, P, gens) for P in pts]
-            classes = [delta_class(C, P) for P in pts]
+            classes = [delta_class_q(a, b, P) for P in pts]
             for v, c in zip(vecs, classes):
-                assert math.prod(g for i, g in enumerate(gens) if v >> i & 1) == c.value(), (C, v, c)
-            assert len(f2_echelon(vecs)) == delta_span_dim(classes), C
+                assert math.prod(g for i, g in enumerate(gens) if v >> i & 1) == c.value(), (a, b, v, c)
+            assert len(f2_echelon(vecs)) == delta_span_dim_q(classes), (a, b)
             points += len(pts)
     assert points > 573
 
@@ -847,7 +846,6 @@ def test_rank_bounds_catches_a_class_outside_selmer():
     replaced by <-1, 2>: the point (5, 0) has class 5, outside it, while the
     span of (0,0) and (5, 0), <-1, 5>, has dimension 2, the Selmer dimension.
     A dimension check passes it; the membership check raises."""
-    E = TwoTorsionModel.over_q(0, -25)
     D = descend(0, -25)
     P = AffinePoint.of(Fraction(5), Fraction(0))
     assert [c.value() for c in D.classes(D.phi_hat)] == [-1, 5]
@@ -855,7 +853,7 @@ def test_rank_bounds_catches_a_class_outside_selmer():
     bad = dataclasses.replace(D, phi_hat=(0b10, 0b1))  # the echelon masks of <2, -1> over (-1, 2, 5)
     assert [c.value() for c in bad.classes(bad.phi_hat)] == [-1, 2]
     zero = AffinePoint.of(Fraction(0), Fraction(0))
-    assert delta_span_dim([delta_class(E, zero), delta_class(E, P)]) <= len(bad.phi_hat)
+    assert delta_span_dim_q([delta_class_q(0, -25, zero), delta_class_q(0, -25, P)]) <= len(bad.phi_hat)
     with pytest.raises(AssertionError, match="escaped its Selmer group"):
         rank_bounds(bad, [P])
     # a searched point is held to the same test: (-5, 0) and (5, 0) are in the search

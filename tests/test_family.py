@@ -148,7 +148,7 @@ def test_classification_translation_stability():
     # substituting T -> T + 1 translates every finite place by -1
     for name in ("rank0", "rank2"):
         rec = family_by_name(name)
-        shifted = TwoTorsionModel.over_qt(rec.E.a.shift(1), rec.E.b.shift(1))
+        shifted = TwoTorsionModel(rec.E.a.shift(1), rec.E.b.shift(1))
         cls = classify_places(shifted)
         want = classify_places(rec.E)
 
@@ -199,4 +199,4 @@ def test_pattern_primes_match_fraction_reference():
 
 def test_classify_rejects_isotrivial():
     with pytest.raises(Exception):
-        classify_places(TwoTorsionModel.over_qt(Poly.const(0), T * T + 1))
+        classify_places(TwoTorsionModel(Poly.const(0), T * T + 1))

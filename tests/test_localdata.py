@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from twodescent.arith import FT_INFINITY, Place, factor, parse_place
-from twodescent.curve import TwoTorsionModel, dual_model, integral_model, specialize
+from twodescent.curve import TwoTorsionModel, clear_denominators, integral_model, specialize
 from twodescent.descent import descend
 from twodescent.family import builtin_families, excluded_primes, family_by_name
 from twodescent.localdata import KodairaSymbol, conductor_degree, local_image_order, tate_local
@@ -34,7 +34,7 @@ KNOWN_Q_CURVES = [
 
 @pytest.mark.parametrize("a,b,p,kod,c,red,f", KNOWN_Q_CURVES)
 def test_known_q_reductions(a, b, p, kod, c, red, f):
-    r = tate_local(TwoTorsionModel.over_q(a, b), Place.prime(p))
+    r = tate_local(a, b, Place.prime(p))
     assert str(r.kodaira) == kod
     assert r.tamagawa == c
     assert r.reduction == red
@@ -42,19 +42,19 @@ def test_known_q_reductions(a, b, p, kod, c, red, f):
 
 
 def test_tate_is_model_independent():
-    # a non-minimal model (scaled by u = p) and a non-integral one (u = 1/p)
-    # must give identical local data
+    # a non-minimal model (scaled by u = p) and a non-integral one (u = 1/p),
+    # moved to an integral model by clear_denominators, must give identical
+    # local data
     rng = random.Random(31)
     for _ in range(25):
         a, b = rng.randint(-20, 20), rng.randint(-20, 20)
         if b == 0 or a * a == 4 * b:
             continue
         p = rng.choice([2, 3, 5, 7])
-        r = tate_local(TwoTorsionModel.over_q(a, b), Place.prime(p))
-        Escaled = TwoTorsionModel.over_q(a * p * p, b * p**4)
-        Efrac = TwoTorsionModel.over_q(Fraction(a, p * p), Fraction(b, p**4))
-        assert tate_local(Escaled, Place.prime(p)) == r
-        assert tate_local(Efrac, Place.prime(p)) == r
+        r = tate_local(a, b, Place.prime(p))
+        A, B, _ = clear_denominators(Fraction(a, p * p), Fraction(b, p**4))
+        assert tate_local(a * p * p, b * p**4, Place.prime(p)) == r
+        assert tate_local(A, B, Place.prime(p)) == r
 
 
 def test_isogenous_curves_share_conductor_exponents():
@@ -65,11 +65,10 @@ def test_isogenous_curves_share_conductor_exponents():
         for b in range(-12, 13):
             if b == 0 or a * a == 4 * b:
                 continue
-            E = TwoTorsionModel.over_q(a, b)
             primes = {2, 3, *factor(b).primes, *factor(a * a - 4 * b).primes}
             for p in sorted(primes):
-                fE = tate_local(E, Place.prime(p)).conductor_exponent
-                fD = tate_local(dual_model(E), Place.prime(p)).conductor_exponent
+                fE = tate_local(a, b, Place.prime(p)).conductor_exponent
+                fD = tate_local(-2 * a, a * a - 4 * b, Place.prime(p)).conductor_exponent
                 assert fE == fD, (a, b, p, fE, fD)
                 pairs += 1
     assert pairs >= 1800, pairs
@@ -85,10 +84,9 @@ def _tate_grid_lines():
         for b in range(-12, 13):
             if b == 0 or a * a == 4 * b:
                 continue
-            E = TwoTorsionModel.over_q(a, b)
             for p in (2, 3):
-                for side, curve in (("E", E), ("E'", dual_model(E))):
-                    r = tate_local(curve, Place.prime(p))
+                for side, curve in (("E", (a, b)), ("E'", (-2 * a, a * a - 4 * b))):
+                    r = tate_local(*curve, Place.prime(p))
                     lines.append(
                         f"{a} {b} {p} {side} {r.kodaira} {r.tamagawa} {r.reduction} "
                         f"{r.min_disc_valuation} {r.conductor_exponent}\n"
@@ -109,7 +107,7 @@ def test_family_local_fixtures():
     for rec in builtin_families():
         for fx in rec.local_fixtures:
             curve = rec.E if fx.curve == "E" else rec.dual
-            r = tate_local(curve, fx.place)
+            r = tate_local(curve.a, curve.b, fx.place)
             if fx.kodaira is not None:
                 assert str(r.kodaira) == fx.kodaira, (rec.name, str(fx.place), r)
             if fx.tamagawa is not None:
@@ -123,7 +121,7 @@ def test_ft_minimal_disc_valuations():
     for rec in builtin_families():
         for E in (rec.E, rec.dual):
             for pl in list(rec.expected.all_places):
-                r = tate_local(E, pl)
+                r = tate_local(E.a, E.b, pl)
                 if r.kodaira.letter == "I":
                     assert r.min_disc_valuation == r.kodaira.n
                 elif r.kodaira.letter == "I*":
@@ -146,13 +144,11 @@ def test_isogeny_constraint_on_specializations():
     checked = 0
     for rec in builtin_families():
         for t in _sample_ts(rec, rng, 14):
-            Et = specialize(rec.E, t)
-            Dt = dual_model(Et)
-            A, B, _ = integral_model(Et)
+            A, B, _ = integral_model(*specialize(rec.E, t))
             disc = 16 * B * B * (A * A - 4 * B)
             for p in factor(disc).primes:
-                rE = tate_local(Et, Place.prime(p))
-                rD = tate_local(Dt, Place.prime(p))
+                rE = tate_local(A, B, Place.prime(p))
+                rD = tate_local(-2 * A, A * A - 4 * B, Place.prime(p))
                 assert rE.is_multiplicative == rD.is_multiplicative
                 if rE.is_multiplicative:
                     m, md = rE.kodaira.n, rD.kodaira.n
@@ -168,16 +164,14 @@ def test_trivial_image_at_split_or_odd_In_places():
     hits = 0
     for rec in builtin_families():
         for t in _sample_ts(rec, rng, 6):
-            Et = specialize(rec.E, t)
-            Dt = dual_model(Et)
-            A, B, _ = integral_model(Et)
+            A, B, _ = integral_model(*specialize(rec.E, t))
             disc = 16 * B * B * (A * A - 4 * B)
-            D = descend(*integral_model(Et)[:2])
+            D = descend(A, B)
             for p in factor(disc).primes:
                 if p == 2:
                     continue
-                rE = tate_local(Et, Place.prime(p))
-                rD = tate_local(Dt, Place.prime(p))
+                rE = tate_local(A, B, Place.prime(p))
+                rD = tate_local(-2 * A, A * A - 4 * B, Place.prime(p))
                 if not (rE.is_multiplicative and rD.is_multiplicative):
                     continue
                 n = rD.kodaira.n
@@ -196,12 +190,12 @@ def test_unit_image_at_good_odd_places():
     done = 0
     for rec in builtin_families()[:3]:
         for t in _sample_ts(rec, rng, 3):
-            Et = specialize(rec.E, t)
-            D = descend(*integral_model(Et)[:2])
+            A, B, _ = integral_model(*specialize(rec.E, t))
+            D = descend(A, B)
             for p in (3, 5, 7, 11, 13):
-                if not tate_local(Et, Place.prime(p)).kodaira.is_good:
+                if not tate_local(A, B, Place.prime(p)).kodaira.is_good:
                     continue
-                if not tate_local(dual_model(Et), Place.prime(p)).kodaira.is_good:
+                if not tate_local(-2 * A, A * A - 4 * B, Place.prime(p)).kodaira.is_good:
                     continue
                 img = D.local_image(Place.prime(p))
                 assert all(p not in cls.support for cls in img)
@@ -227,8 +221,8 @@ def test_specialization_transfers_kodaira_symbols():
                     Et = specialize(rec.E, t)
                 except Exception:
                     continue
-                gen = tate_local(rec.E, pl)
-                sp = tate_local(Et, Place.prime(p))
+                gen = tate_local(rec.E.a, rec.E.b, pl)
+                sp = tate_local(*integral_model(*Et)[:2], Place.prime(p))
                 assert str(sp.kodaira) == str(gen.kodaira), (rec.name, str(pl), p)
                 transfers += 1
                 break
@@ -236,11 +230,11 @@ def test_specialization_transfers_kodaira_symbols():
 
 
 def test_local_image_order():
-    E = TwoTorsionModel.over_q(2, 5)  # rank-0 family at t = 5
-    assert local_image_order(E, 5) == Fraction(1, 2)
-    assert local_image_order(E, 7) == 1  # good reduction
+    # rank-0 family at t = 5
+    assert local_image_order(2, 5, 5) == Fraction(1, 2)
+    assert local_image_order(2, 5, 7) == 1  # good reduction
     with pytest.raises(ValueError):
-        local_image_order(E, 2)
+        local_image_order(2, 5, 2)
 
 
 def test_tamagawa_ratio_matches_pattern_classes():
@@ -256,8 +250,8 @@ def test_tamagawa_ratio_matches_pattern_classes():
                 continue
             p = 53 if 53 not in excl else 89
             t = pl.e + Fraction(p * rng.randint(1, 3), p * rng.randint(1, 3) + 1)
-            Et = specialize(rec.E, t)
-            got = local_image_order(Et, p)
+            A, B, _ = integral_model(*specialize(rec.E, t))
+            got = local_image_order(A, B, p)
             assert got == expected[rec.expected.class_of(pl)], (rec.name, str(pl), got)
             done += 1
     assert done >= 10
@@ -266,7 +260,7 @@ def test_tamagawa_ratio_matches_pattern_classes():
 def test_conductor_degree():
     assert conductor_degree(family_by_name("rank4").E) == 8
     assert conductor_degree(family_by_name("rank0").E) == 4
-    const_curve = TwoTorsionModel.over_qt(Poly.const(1), Poly.const(3))
+    const_curve = TwoTorsionModel(Poly.const(1), Poly.const(3))
     with pytest.raises(ValueError):
         conductor_degree(const_curve)
 
@@ -274,7 +268,7 @@ def test_conductor_degree():
 def test_conductor_degree_rejects_nonlinear_bad_place():
     from twodescent.polyq import UnsupportedClassError
 
-    E = TwoTorsionModel.over_qt(Poly.const(0), T * T + 1)
+    E = TwoTorsionModel(Poly.const(0), T * T + 1)
     with pytest.raises(UnsupportedClassError):
         conductor_degree(E)
 
@@ -293,9 +287,27 @@ def test_split_test_uses_exact_rational_squareness():
     # rank-3 family at infinity: node slope discriminant is the square 49,
     # so reduction is split over the residue field Q
     rec3 = family_by_name("rank3")
-    r = tate_local(rec3.E, FT_INFINITY)
+    r = tate_local(rec3.E.a, rec3.E.b, FT_INFINITY)
     assert r.reduction == "split-multiplicative"
     # rank-0 family at T: tangent slope 2 is not a rational square: nonsplit
     rec0 = family_by_name("rank0")
-    r0 = tate_local(rec0.E, Place.ft(0))
+    r0 = tate_local(rec0.E.a, rec0.E.b, Place.ft(0))
     assert r0.reduction == "nonsplit-multiplicative"
+
+
+def test_tate_local_takes_the_ring_of_its_place():
+    """The place picks the ring: ints at a prime, Polys at T - e and at
+    infinity; a Fraction at a prime (even an integral one) or a Poly there,
+    and an int at a place of Q(T), is a TypeError, and the real place has
+    no Tate run."""
+    rec0 = family_by_name("rank0")
+    for a, b, place in (
+        (Fraction(0), Fraction(-1), Place.prime(2)),
+        (rec0.E.a, rec0.E.b, Place.prime(2)),
+        (0, -1, Place.ft(0)),
+        (0, -1, FT_INFINITY),
+    ):
+        with pytest.raises(TypeError):
+            tate_local(a, b, place)
+    with pytest.raises(ValueError):
+        tate_local(rec0.E.a, rec0.E.b, parse_place("real"))

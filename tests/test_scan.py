@@ -6,7 +6,7 @@ import pytest
 
 from twodescent import descent, scan
 from twodescent.arith import FT_INFINITY, FactorizationEffortError, Place, valuation
-from twodescent.curve import TwoTorsionModel, integral_model, specialize
+from twodescent.curve import integral_model, specialize
 from twodescent.family import FamilyRecord, excluded_primes, family_by_name
 from twodescent.localdata import tate_local
 from twodescent.scan import ScanResult, emit_report, enumerate_heights, run_scan, scan_one
@@ -212,7 +212,7 @@ def test_determined_zero_record_agrees_with_bruteforce_descent():
     assert results
     r = results[0]
     Et = specialize(family_by_name("rank0").E, r.t)
-    A, B, _ = integral_model(Et)
+    A, B, _ = integral_model(*Et)
     sel_phi = oracle_selmer(A, B)
     sel_hat = oracle_selmer(-2 * A, A * A - 4 * B)
     import math
@@ -274,7 +274,7 @@ def test_skipped_curve_skips_both_signs(monkeypatch):
     model."""
     rec = family_by_name("rank3")
     t = Fraction(3)
-    target = integral_model(specialize(rec.E, t))[:2]
+    target = integral_model(*specialize(rec.E, t))[:2]
     real, calls = scan.descend, []
 
     def descend(A, B):
@@ -295,8 +295,8 @@ def test_skipped_curve_skips_both_signs(monkeypatch):
 
 def _tate_bad_primes(runs) -> tuple[int, ...]:
     """The bad-prime list with a Tate run at every prime."""
-    E = TwoTorsionModel.over_q(runs.descent.A, runs.descent.B)
-    return tuple(p for p in (2,) + runs.descent.odd_support if not tate_local(E, Place("prime", p=p)).kodaira.is_good)
+    A, B = runs.descent.A, runs.descent.B
+    return tuple(p for p in (2,) + runs.descent.odd_support if not tate_local(A, B, Place("prime", p=p)).kodaira.is_good)
 
 
 def test_bad_primes_match_tate_on_family_fibers():
@@ -337,7 +337,7 @@ def test_bad_primes_run_tate_only_where_minimality_is_in_doubt(monkeypatch, A, B
     tates = _count_calls(monkeypatch, "tate_local")
     runs = scan._CurveRuns(A, B)
     bad = runs.bad_primes
-    assert {place.p for _, place in tates} == tate_primes
+    assert {place.p for *_, place in tates} == tate_primes
     assert bad == _tate_bad_primes(runs)
     assert (2 in bad) == ((A, B) != (-10, -39))
 
@@ -345,8 +345,8 @@ def test_bad_primes_run_tate_only_where_minimality_is_in_doubt(monkeypatch, A, B
 def _tate_ratio(D, p: int) -> Fraction:
     """c_p(E')/c_p(E) from Tate's algorithm on the model and its dual."""
     place = Place("prime", p=p)
-    E, Ed = TwoTorsionModel.over_q(D.A, D.B), TwoTorsionModel.over_q(-2 * D.A, D.A * D.A - 4 * D.B)
-    return Fraction(tate_local(Ed, place).tamagawa, tate_local(E, place).tamagawa)
+    A, B = D.A, D.B
+    return Fraction(tate_local(-2 * A, A * A - 4 * B, place).tamagawa, tate_local(A, B, place).tamagawa)
 
 
 def test_tamagawa_ratio_matches_tate_at_pattern_primes():
