@@ -46,6 +46,11 @@ def _sieve(limit: int) -> list[int]:
 
 _SMALL_PRIMES = _sieve(_TRIAL_LIMIT)
 _SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
+# the primes below 128 are tried one at a time; the rest meet n in one gcd
+# with their product (5,649 bits)
+_HEAD_PRIMES = tuple(p for p in _SMALL_PRIMES if p < 128)
+_TAIL_PRIMES = _SMALL_PRIMES[len(_HEAD_PRIMES) :]
+_TAIL_PRODUCT = math.prod(_TAIL_PRIMES)
 
 
 def is_prime(n: int) -> bool:
@@ -125,20 +130,48 @@ class PrimeFactorization:
         return tuple(p for p, _ in self.factors)
 
 
+def _divide_out(n: int, p: int, out: dict[int, int]) -> int:
+    """n with every factor p removed; out[p] is set to their number."""
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    out[p] = e
+    return n
+
+
 def _factor_positive(n: int) -> dict[int, int]:
+    """The prime factorization of n >= 1 as {p: e}.
+
+    Trial division by the primes below 128 stops at the first p with
+    p^2 > n, which leaves 1 or a prime.  Past them, g = gcd(n, _TAIL_PRODUCT)
+    is the squarefree product of the other primes below _TRIAL_LIMIT that
+    divide n, and trial division of g up to sqrt(g) names them.  What is
+    left of n then has no prime factor below _TRIAL_LIMIT, so it and every
+    factor that rho splits off it are prime when below _TRIAL_LIMIT^2 (the
+    least such composite is 4099^2)."""
     out: dict[int, int] = {}
-    for p in _SMALL_PRIMES:
+    for p in _HEAD_PRIMES:
         if p * p > n:
             break
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
+        if n % p == 0:
+            n = _divide_out(n, p, out)
+    else:
+        g = math.gcd(n, _TAIL_PRODUCT)
+        for p in _TAIL_PRIMES:
+            if p * p > g:
+                break
+            if g % p == 0:
+                g //= p
+                n = _divide_out(n, p, out)
+        if g > 1:
+            n = _divide_out(n, g, out)
     if n == 1:
         return out
     stack = [n]
     while stack:
         m = stack.pop()
-        if is_prime(m):
+        if m < _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
         d = _brent_rho(m)
@@ -160,6 +193,8 @@ def int_valuation(n: int, p: int) -> int:
     """v_p(n) for an integer n and p > 1, with v_p(0) = _INF; p is not checked."""
     if n == 0:
         return _INF
+    if p == 2:
+        return (n & -n).bit_length() - 1
     v = 0
     while n % p == 0:
         n //= p
@@ -191,12 +226,13 @@ def deriv(coeffs):
 
 
 def taylor_shift(coeffs, c):
-    """The coefficients of F(c + X), where F has the given coefficients."""
-    out = [0] * len(coeffs)
-    for k, a in enumerate(coeffs):
-        if a:
-            for j in range(k + 1):
-                out[j] += a * math.comb(k, j) * c ** (k - j)
+    """The coefficients of F(c + X), where F has the given coefficients:
+    Horner's scheme, dividing by X - c once per coefficient (Ruffini)."""
+    out = list(coeffs)
+    n = len(out)
+    for i in range(n - 1):
+        for j in range(n - 2, i - 1, -1):
+            out[j] += c * out[j + 1]
     return out
 
 

@@ -27,11 +27,16 @@ class SingularSpecializationError(Exception):
     """Specialization at a root of the discriminant was requested."""
 
 
-def check_nonsingular(a, b):
-    """SingularModelError if b = 0 or a^2 = 4b, for ints or Fractions, on
-    integers: a^2 = 4b is n^2 e = 4 m d^2 for a = n/d and b = m/e."""
+def is_singular(a, b) -> bool:
+    """b = 0 or a^2 = 4b, for ints or Fractions, on integers: a^2 = 4b is
+    n^2 e = 4 m d^2 for a = n/d and b = m/e."""
     n, d, m, e = a.numerator, a.denominator, b.numerator, b.denominator
-    if m == 0 or n * n * e == 4 * m * d * d:
+    return m == 0 or n * n * e == 4 * m * d * d
+
+
+def check_nonsingular(a, b):
+    """SingularModelError if `is_singular(a, b)`."""
+    if is_singular(a, b):
         raise SingularModelError("b = 0 or a^2 = 4b")
 
 
@@ -197,7 +202,7 @@ def specialize(E: TwoTorsionModel, t) -> tuple[Fraction, Fraction]:
     """The pair (a(t), b(t)) of the fiber at T = t; rejected when it is singular."""
     t = Fraction(t)
     a, b = eval_at(E.a, t), eval_at(E.b, t)
-    if b == 0 or a * a - 4 * b == 0:
+    if is_singular(a, b):
         raise SingularSpecializationError(f"t = {t} is a root of the discriminant")
     return a, b
 
@@ -280,7 +285,7 @@ class IntegerFibers:
         """(A, B, u) of `integral_model(*specialize(E, m/n))`, for n > 0 and
         gcd(m, n) = 1; a singular fiber raises SingularSpecializationError."""
         A, B = _form_value(self._a, m, n), _form_value(self._b, m, n)
-        if B == 0 or A * A == 4 * B:
+        if is_singular(A, B):
             raise SingularSpecializationError(f"t = {Fraction(m, n)} is a root of the discriminant")
         u = self._c * n**self._k
         return _reduced_model(A, B, u, factor(u).primes)

@@ -17,11 +17,17 @@ Hasse-Weil and they lift by Hensel.
 At an odd p dividing b(a^2-4b) but not a the reduction is multiplicative,
 and `_image_at_place` reads the image off the node, with no torsor test.
 
-At an odd prime the test refines residue classes z = c (mod p^k) and reads
-each level off the F_p data of the reduced quartic: its simple roots, its
-multiple roots and whether it takes a nonzero square value.  A sweep of
-F_p gives them below p = 23; at p >= 23 the roots come from gcds with
-X^p - X and the derivative, and Weil's bound settles the square value.
+The test refines residue classes z = c (mod p^k) of each patch of P^1.
+Each node carries its expansion G(X) = F(c + p^k X): G(0) = F(c) and
+G'(0) = p^k F'(c) give the Hensel test, and a child is G(r + pX), one
+shift and a scaling of its parent's coefficients, so no node evaluates F
+from scratch.  At 2 the class of F(z) is pinned on the node when 2^(v+3),
+v = v_2(F(c)), divides the other coefficients of G.  At an odd prime each
+node is read off the F_p data of G over its content: its simple roots,
+its multiple roots r (the children) and whether it takes a nonzero square
+value.  A sweep of F_p gives them below p = 23; at p >= 23 the roots come
+from gcds with X^p - X and the derivative, and Weil's bound settles the
+square value.
 
 Elsewhere only the torsors of (a, b) are tested, and only for the classes
 that the bounds of `_image_at_place` leave open.  At each tested place the
@@ -72,12 +78,10 @@ from functools import lru_cache
 
 from . import modp
 from .arith import (
-    _INF,
     REAL,
     FactorizationEffortError,
     Place,
     SquareClassQ,
-    deriv,
     f2_echelon,
     f2_reduce,
     f2_span,
@@ -127,32 +131,33 @@ def _res_exponent(A4: int, A2: int, A0: int, p: int) -> int:
     return int_valuation(abs(R), p)
 
 
-def _z2_branch_solvable(F, c: int, k: int, rho: int, Fd) -> bool:
-    """Does some z = c (mod 2^k) in Z_2 make F(z) a square in Q_2 (0 allowed)?"""
-    stack = [(c, k)]
+def _z2_branch_solvable(G, k: int, rho: int) -> bool:
+    """Does some z = c (mod 2^k) in Z_2 make F(z) a square in Q_2 (0 allowed)?
+
+    G = (g0, ..., g4) is the node expansion F(c + 2^k X): g0 = F(c) and
+    g1 = 2^k F'(c), and the other coefficients bound how far F moves on
+    the branch.  The children c and c + 2^k are G(2X) and G(1 + 2X).
+    """
+    stack = [(G, k)]
     while stack:
-        c, k = stack.pop()
-        val = horner(F, c)
-        if val == 0:
+        (g0, g1, g2, g3, g4), k = stack.pop()
+        if g0 == 0:
             return True
-        v = int_valuation(val, 2)
-        vd = int_valuation(horner(Fd, c), 2)
-        if v > 2 * vd:
+        v = (g0 & -g0).bit_length() - 1
+        if g1 and v > 2 * ((g1 & -g1).bit_length() - 1 - k):
             return True  # Newton converges to an exact root: a w = 0 point
-        # is the class of F(z) pinned on this branch (unit known mod 8)?
-        shifted = taylor_shift(F, c)
-        prec = min(
-            (int_valuation(cj, 2) + j * k for j, cj in enumerate(shifted) if j >= 1 and cj != 0),
-            default=_INF,
-        )
-        if prec >= v + 3:
-            if v % 2 == 0 and (val >> v) % 8 == 1:
+        # the class of F(z) is pinned on the branch (its unit part known
+        # mod 8) when 2^(v+3) divides g1, ..., g4
+        if not (g1 | g2 | g3 | g4) & ((8 << v) - 1):
+            if v % 2 == 0 and (g0 >> v) & 7 == 1:
                 return True
             continue
         if k > 2 * rho + 8:
             raise SolvabilityPrecisionError("2-adic refinement exceeded certified depth")
-        stack.append((c, k + 1))
-        stack.append((c + (1 << k), k + 1))
+        stack.append(((g0, g1 << 1, g2 << 2, g3 << 3, g4 << 4), k + 1))
+        # G(1 + 2X): the shift by 1, then X -> 2X
+        g0, g1, g2, g3 = g0 + g1 + g2 + g3 + g4, g1 + 2 * g2 + 3 * g3 + 4 * g4, g2 + 3 * g3 + 6 * g4, g3 + 4 * g4
+        stack.append(((g0, g1 << 1, g2 << 2, g3 << 3, g4 << 4), k + 1))
     return False
 
 
@@ -216,31 +221,29 @@ def _is_scaled_square(G, p) -> bool:
     return modp.pmul(h, h, p) == g
 
 
-def _zp_branch_solvable(F, c: int, k: int, p: int, rho: int, Fd) -> bool:
-    """Odd-p analogue: some z = c (mod p^k) with F(z) a square in Q_p?"""
-    stack = [(c, k)]
+def _zp_branch_solvable(G, k: int, p: int, rho: int) -> bool:
+    """Odd-p analogue: some z = c (mod p^k) with F(z) a square in Q_p?
+
+    G is the node expansion F(c + p^k X); the child at a multiple root r
+    of its reduction is G(r + pX)."""
+    stack = [(G, k)]
     while stack:
-        c, k = stack.pop()
-        val = horner(F, c)
-        if val == 0:
+        G, k = stack.pop()
+        if G[0] == 0:
             return True
-        vd = int_valuation(horner(Fd, c), p)
-        if int_valuation(val, p) > 2 * vd:
+        if G[1] and int_valuation(G[0], p) > 2 * (int_valuation(G[1], p) - k):
             return True
         if k > 2 * rho + 4:
             raise SolvabilityPrecisionError("p-adic refinement exceeded certified depth")
-        G = taylor_shift(F, c) if c else list(F)
-        for j in range(len(G)):
-            G[j] *= p ** (j * k)
         nu = min(int_valuation(g, p) for g in G if g != 0)
-        G1 = [g // p**nu for g in G]
-        simple, multiple, sqval = _fp_analysis(G1, p)
+        q = p**nu
+        simple, multiple, sqval = _fp_analysis([g // q for g in G], p)
         if simple:
             return True  # a simple root mod p lifts to an exact root: w = 0 point
         if nu % 2 == 0 and sqval:
             return True
         for r in multiple:
-            stack.append((c + r * p**k, k + 1))
+            stack.append(([h * p**j for j, h in enumerate(taylor_shift(G, r))], k + 1))
     return False
 
 
@@ -248,21 +251,18 @@ def quartic_solvable_qp(A4: int, A2: int, A0: int, p: int) -> bool:
     """Does w^2 = A4 z^4 + A2 z^2 + A0 have a Q_p-point on its smooth model?
 
     Covers P^1: z in Z_p on the given patch, and 1/z in pZ_p on the reversed
-    patch (whose z = 0 point is the point at infinity).
+    patch (whose z = 0 point is the point at infinity), whose root node
+    expansion is A4 + A2 p^2 X^2 + A0 p^4 X^4.
     """
     if A4 == 0 or A0 == 0:
         raise ValueError("degenerate quartic")
-    F = [A0, 0, A2, 0, A4]
-    Frev = [A4, 0, A2, 0, A0]
+    F = (A0, 0, A2, 0, A4)
+    Frev = (A4, 0, A2 * p * p, 0, A0 * p**4)
     rho = _res_exponent(A4, A2, A0, p)
     rho_rev = _res_exponent(A0, A2, A4, p)
     if p == 2:
-        if _z2_branch_solvable(F, 0, 0, rho, deriv(F)):
-            return True
-        return _z2_branch_solvable(Frev, 0, 1, rho_rev, deriv(Frev))
-    if _zp_branch_solvable(F, 0, 0, p, rho, deriv(F)):
-        return True
-    return _zp_branch_solvable(Frev, 0, 1, p, rho_rev, deriv(Frev))
+        return _z2_branch_solvable(F, 0, rho) or _z2_branch_solvable(Frev, 1, rho_rev)
+    return _zp_branch_solvable(F, 0, p, rho) or _zp_branch_solvable(Frev, 1, p, rho_rev)
 
 
 def quartic_solvable_real(A4: int, A2: int, A0: int) -> bool:

@@ -325,9 +325,5 @@ def rational_from_str(s: str) -> Fraction:
     return Fraction(s)
 
 
-def poly_to_json(f: Poly) -> list[str]:
-    return [rational_to_str(c) for c in f.coeffs]
-
-
 def poly_from_json(data: Sequence[str]) -> Poly:
     return Poly([Fraction(s) for s in data])

@@ -14,7 +14,7 @@ from itertools import combinations
 from twodescent.arith import REAL, Place, SquareClassQ, f2_echelon, f2_span, local_reps, square_class
 from twodescent.curve import OffCurveError, on_model
 from twodescent.descent import torsor_solvable_at
-from twodescent.polyq import SquareClassFT
+from twodescent.polyq import Poly, SquareClassFT, rational_to_str
 
 INF = 10**9
 
@@ -29,6 +29,27 @@ def vp(n: int, p: int) -> int:
     return v
 
 
+def oracle_factor(n: int) -> tuple[tuple[int, int], ...]:
+    """The factorization of n >= 1 as (p, e) pairs, by trial division by
+    every integer d with d^2 <= the cofactor."""
+    out, d = [], 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e:
+            out.append((d, e))
+        d += 1
+    if n > 1:
+        out.append((n, 1))
+    return tuple(out)
+
+
+def oracle_is_prime(n: int) -> bool:
+    return n > 1 and oracle_factor(n) == ((n, 1),)
+
+
 def peval(F, z):
     acc = 0
     for c in reversed(F):
@@ -36,12 +57,23 @@ def peval(F, z):
     return acc
 
 
+def branch_precision(F, c, p, k) -> int:
+    """min v_p of the coefficients of X^j, j >= 1, in F(c + p^k X), expanded
+    term by term by the binomial theorem."""
+    return min(
+        vp(sum(F[i] * math.comb(i, j) * c ** (i - j) for i in range(j, len(F))) * p ** (j * k), p)
+        for j in range(1, len(F))
+    )
+
+
 def oracle_qp_points(F, p, start_mod=1, start_res=0, max_depth=None) -> bool:
     """Solvability of w^2 = F(z) for z in start_res + start_mod*Z_p.
 
     Flat breadth-first residue enumeration.  A branch is accepted when the
     value class is pinned and square, or the value is exactly zero; it dies
-    when pinned non-square; it splits into p children otherwise.  Beyond
+    when pinned non-square; it splits into p children otherwise.  The class
+    is pinned on c + p^k Z_p when F(c) = p^v u and every other coefficient of
+    F(c + p^k X) is divisible by p^(v+3) at 2, p^(v+1) at odd p.  Beyond
     the certified depth every surviving branch contains a root (Newton),
     hence is accepted.
     """
@@ -60,7 +92,7 @@ def oracle_qp_points(F, p, start_mod=1, start_res=0, max_depth=None) -> bool:
             if val == 0:
                 return True
             v = vp(val, p)
-            if v + margin <= k:  # class pinned: unit part known well enough
+            if v + margin <= branch_precision(F, c, p, k):  # class pinned on the branch
                 if v % 2 == 0:
                     u = val // p**v
                     if (p == 2 and u % 8 == 1) or (p != 2 and pow(u % p, (p - 1) // 2, p) == 1):
@@ -291,3 +323,9 @@ def oracle_rational_roots(coeffs) -> list[tuple[Fraction, int]]:
                     m, G = m + 1, quotient[::-1]
                 out.append((r, m))
     return sorted(out)
+
+
+def poly_to_json(f: Poly) -> list[str]:
+    """The coefficients of f, constant term first, as the CLI's curve JSON
+    writes them (`polyq.poly_from_json` reads them back)."""
+    return [rational_to_str(c) for c in f.coeffs]

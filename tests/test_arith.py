@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import oracle_factor, oracle_is_prime
 from twodescent.arith import (
     FT_INFINITY,
     REAL,
@@ -86,6 +87,29 @@ def test_factor_roundtrip():
         assert f.value() == n
         assert all(is_prime(p) for p in f.primes)
         assert list(f.primes) == sorted(f.primes)
+
+
+# the least strong pseudoprimes to the prime bases 2..7, 2..11, 2..13 and
+# 2..17 (Jaeschke 1993): Miller-Rabin on those bases alone calls them prime
+STRONG_PSEUDOPRIMES = (3215031751, 2152302898747, 3474749660383, 341550071728321)
+
+
+def test_factor_and_is_prime_match_trial_division():
+    """factor and is_prime agree with trial division around the trial limit
+    4096 (4099^2 is the least composite with no factor below it), on random
+    n <= 10^10, and on strong pseudoprimes, which come out composite with
+    their exact factorization."""
+    edges = [4093, 4099, 4093**2, 4093 * 4099, 4099**2, 4096**2 - 1, 4096**2 + 1, 2**40 * 4093]
+    rng = random.Random(30)
+    for n in edges + [rng.randint(2, 10**10) for _ in range(150)]:
+        assert factor(n).factors == oracle_factor(n), n
+        assert factor(-n).sign == -1
+        assert is_prime(n) == oracle_is_prime(n), n
+    for n in STRONG_PSEUDOPRIMES:
+        assert not is_prime(n)
+        f = factor(n)
+        assert f.value() == n and len(f.factors) > 1 and list(f.primes) == sorted(f.primes)
+        assert all(e == 1 and oracle_is_prime(p) for p, e in f.factors), f
 
 
 def test_is_square_local_examples():

@@ -9,10 +9,12 @@ from pathlib import Path
 import pytest
 
 import twodescent
+from oracles import poly_to_json
 from twodescent import cli, descent, scan
 from twodescent.arith import FactorizationEffortError
 from twodescent.cli import main
 from twodescent.descent import SolvabilityPrecisionError, run_or_reason
+from twodescent.family import family_by_name
 from twodescent.polyq import rational_to_str
 
 
@@ -245,6 +247,10 @@ GOLDEN_CLI = {
         ["selmer", "--curve", _q_curve(f"{a}/1", f"{b}/1")]
         for a, b in [(1, 7569), (1, 87), (2, 7569), (2, 87), (-2, -7568), (-2, -86), (-4, -7565), (-4, -83)]
     ],
+    "selmer-walk-cli.jsonl": [
+        ["selmer", "--curve", _q_curve(f"{a}/1", f"{b}/1")]
+        for a, b in [(-1, 3584), (2, 1024), (3, -5120), (23, 1058), (46, -1587), (29, 1682), (62, -2883), (124, 6727)]
+    ],
     "rank-cli.jsonl": [
         ["rank", "--curve", _q_curve(a, b), "--search-bound", "128"]
         for a, b in [("2/1", "-2/13"), ("1100/7", "-1980/49"), ("285/2", "-3591/16"), ("0/1", "-25/1")]
@@ -320,25 +326,26 @@ def test_cli_loads_only_the_standard_library():
     infinity, import nothing outside the standard library and twodescent
     (in a fresh interpreter, so that the test suite's own imports do not
     count)."""
+    E = family_by_name("rank4").E
+    curve = json.dumps({"domain": "QT", "a": poly_to_json(E.a), "b": poly_to_json(E.b)})
     script = textwrap.dedent(
         """
         import sys
         before = set(sys.modules)
-        import contextlib, io, json
+        import contextlib, io
         from twodescent.cli import main
-        from twodescent.family import family_by_name
-        from twodescent.polyq import poly_to_json
+        curve = sys.argv[1]
         with contextlib.redirect_stdout(io.StringIO()):
             for name in ["rank0", "rank1", "rank2", "rank3", "rank4"]:
                 assert main(["family", "verify", name]) == 0
-            E = family_by_name("rank4").E
-            curve = json.dumps({"domain": "QT", "a": poly_to_json(E.a), "b": poly_to_json(E.b)})
             assert main(["tate", "--curve", curve, "--place", "T-11"]) == 0
             assert main(["tate", "--curve", curve, "--place", "inf"]) == 0
         print(" ".join(sorted(set(sys.modules) - before)))
         """
     )
-    run = subprocess.run([sys.executable, "-c", script], env=_src_env(), capture_output=True, text=True, check=True)
+    run = subprocess.run(
+        [sys.executable, "-c", script, curve], env=_src_env(), capture_output=True, text=True, check=True
+    )
     loaded = run.stdout.split()
     assert "twodescent.polyq" in loaded
     # multiprocessing registers __main__ again as __mp_main__

@@ -16,6 +16,7 @@ from oracles import (
     oracle_box_points,
     oracle_covering_points,
     oracle_local_image,
+    oracle_quartic_qp,
     oracle_torsor_solvable,
     selmer_values,
 )
@@ -59,6 +60,7 @@ from twodescent.descent import (
     _residue_pattern,
     descend,
     point_search,
+    quartic_solvable_qp,
     rank_bounds,
     torsor_solvable_at,
 )
@@ -135,6 +137,39 @@ def test_torsor_solvability_matches_oracle():
             for d in local_reps(pl).values():
                 got = torsor_solvable_at(d, a, b, pl)
                 assert got == oracle_torsor_solvable(d, Fraction(a), Fraction(b), pl), (a, b, d, p)
+
+
+@st.composite
+def general_quartics(draw):
+    """(A4, A2, A0, p): each coefficient a unit part up to 10^6 times p^e,
+    e <= 12, with A2 = 0 about one time in six, so that the leading and
+    constant valuations vary and both patches of P^1 are reached.  One time
+    in three A0 is A4 s^2 + (such a coefficient) and A2 = -2 A4 s instead:
+    then F = A4 (z^2 - s)^2 + A0 - A4 s^2 has multiple roots mod p at the
+    square roots of s, and the odd-p walker refines at nonzero residues."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 23, 29)))
+
+    def coeff():
+        u = draw(st.integers(1, 10**6).filter(lambda u: u % p))
+        return draw(st.sampled_from((1, -1))) * u * p ** draw(st.integers(0, 12))
+
+    A4, A0 = coeff(), coeff()
+    if draw(st.integers(0, 2)):
+        A2 = coeff() if draw(st.integers(0, 5)) else 0
+    else:
+        s = draw(st.integers(1, 10**3))
+        A2, A0 = -2 * A4 * s, A4 * s * s + A0
+    assume(A0 != 0 and A2 * A2 != 4 * A4 * A0)
+    return A4, A2, A0, p
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(general_quartics())
+def test_quartic_walkers_match_oracle_on_general_quartics(case):
+    """The node-expansion walkers at 2 and at odd p agree with the oracle's
+    flat residue sweep on quartics of any shape, not only torsors."""
+    A4, A2, A0, p = case
+    assert quartic_solvable_qp(A4, A2, A0, p) == oracle_quartic_qp(A4, A2, A0, p)
 
 
 @st.composite

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ft_class_product, oracle_rational_roots
+from oracles import ft_class_product, oracle_rational_roots, poly_to_json
 from twodescent.arith import SquareClassQ
 from twodescent.family import builtin_families, family_by_name
 from twodescent.polyq import (
@@ -17,7 +17,6 @@ from twodescent.polyq import (
     ft_square_class,
     model_discriminant,
     poly_from_json,
-    poly_to_json,
     rational_roots,
     splits_linearly,
 )
