@@ -21,8 +21,21 @@ from typing import Union
 
 RationalLike = Union[int, Fraction]
 
-# Deterministic Miller-Rabin witness set, valid for all n < 3.317e24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin bases: the first 14 primes.  n < psi_k is prime iff it passes
+# the first k bases, psi_k being the least strong pseudoprime to all of them
+# (OEIS A014233; Jaeschke, Math. Comp. 61, 1993; Sorenson and Webster, Math.
+# Comp. 86, 2017).  The 12 bases 2..37 are proven only below psi_12 =
+# 318665857834031151167461 = 399165290221 * 798330580441; base 41 carries the
+# proof to psi_13 = 3317044064679887385961981 = 1287836182261 * 2575672364521.
+# From psi_13 on all 14 bases run, a strong probable prime test (base 43
+# rejects psi_13).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+# (psi_k, the first k bases) for the distinct psi_k, in increasing order
+_MR_PREFIXES = tuple(
+    (psi, _MR_BASES[:k])
+    for psi, k in ((2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4), (2152302898747, 5), (3474749660383, 6))
+    + ((341550071728321, 7), (3825123056546413051, 9), (318665857834031151167461, 12), (3317044064679887385961981, 13))
+)
 
 _TRIAL_LIMIT = 4096
 _RHO_MAX_ITER = 1 << 22
@@ -54,18 +67,25 @@ _TAIL_PRODUCT = math.prod(_TAIL_PRIMES)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for n below 3.3e24 (Miller-Rabin)."""
+    """Primality by Miller-Rabin on the shortest prefix of the prime bases
+    2, 3, 5, ... proven for n: deterministic below psi_13 (about 3.317e24),
+    a strong probable prime test on the 14 bases 2..43 from psi_13 on."""
     if n < 2:
         return False
     if n < _TRIAL_LIMIT:
         return n in _SMALL_PRIME_SET
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
+    bases = _MR_BASES
+    for psi, prefix in _MR_PREFIXES:
+        if n < psi:
+            bases = prefix
+            break
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    for a in _MR_BASES:
+    for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -246,15 +266,29 @@ def f2_reduce(v: int, basis) -> int:
 def f2_echelon(vectors) -> tuple[int, ...]:
     """The reduced echelon basis of the F_2-span of vectors given as int
     bitmasks, sorted by decreasing leading bit: no vector has the leading bit
-    of another set, so the basis depends on the span alone."""
-    basis: list[int] = []
-    for v in sorted(vectors, reverse=True):
-        v = f2_reduce(v, basis)
-        if v:
-            basis = [min(b, b ^ v) for b in basis]
-            basis.append(v)
-            basis.sort(reverse=True)
-    return tuple(basis)
+    of another set, so the basis depends on the span alone.
+
+    One pass reduces each vector by the pivots found so far, kept by leading
+    bit, and keeps what is left as a new pivot; then one back-substitution,
+    in increasing leading-bit order, clears from each pivot the leading bits
+    of the (already reduced) pivots below it."""
+    pivots: dict[int, int] = {}
+    for v in vectors:
+        while v:
+            lead = v.bit_length() - 1
+            p = pivots.get(lead)
+            if p is None:
+                pivots[lead] = v
+                break
+            v ^= p
+    leads = sorted(pivots)
+    for i, lead in enumerate(leads):
+        v = pivots[lead]
+        for low in reversed(leads[:i]):
+            if v >> low & 1:
+                v ^= pivots[low]
+        pivots[lead] = v
+    return tuple(pivots[lead] for lead in reversed(leads))
 
 
 def f2_span(basis) -> set[int]:

@@ -35,14 +35,17 @@ image for the dual model (-2a, a^2-4b), which gives Sel_phi-hat(E'/Q), is
 the annihilator of this one under the Hilbert symbol.
 Square classes at a place are the F_2 coordinate vectors of
 `arith.local_coords`, named by the squarefree integers of `arith.local_reps`;
-the Hilbert symbol is `arith.local_pairing` on them, and both Selmer groups
-are kernels read off one `arith.f2_echelon` run each, as bitmasks over
-`Descent.gens`.  `SquareClassQ` objects are built only for output, by
+the Hilbert symbol is `arith.local_pairing` on them.  Both Selmer groups
+are kernels, as bitmasks over `Descent.gens`: one pass builds each
+generator's row for both sides, its coordinates mapped to the quotients by
+the image and by the dual image, and one elimination of the quotient bits
+per side leaves the kernel vectors, which `arith.f2_echelon` puts in
+canonical form.  `SquareClassQ` objects are built only for output, by
 `Descent.classes` and `Descent.local_image`.
 
 On local coordinates the Hilbert symbol depends only on the place class:
 real, 2, or p mod 4 at an odd prime p (Serre, A Course in Arithmetic,
-III.1.2).  So the dual images, the quotient maps by the images and the
+III.1.2).  So the dual images, the two quotient maps of each image and the
 classes pairing trivially with [b] are per-class tables, each entry
 computed once per process on first use.  The generator coordinates take
 one Legendre symbol per pair of odd primes and reciprocity for the other.
@@ -324,12 +327,6 @@ def _pairs_trivially(y: int, cls: Place) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _quotient(image: tuple[int, ...], cls: Place) -> tuple[int, ...]:
-    """The quotient map v -> f2_reduce(v, image) at class cls; 0 exactly on the image."""
-    return tuple(f2_reduce(v, image) for v in range(1 << local_dim(cls)))
-
-
-@lru_cache(maxsize=None)
 def _dual_image(basis: tuple[int, ...], cls: Place) -> tuple[int, ...]:
     """The local image for the dual model (-2a, a^2-4b) at class cls, from that of (a, b).
 
@@ -415,28 +412,61 @@ def _gen_coords(odd_support: tuple[int, ...]) -> list[list[int]]:
     return rows
 
 
-def _selmer_basis(gen_coords, classes, images) -> tuple[int, ...]:
-    """The Selmer basis cut out by echelonized local images at the tested places.
+@lru_cache(maxsize=None)
+def _quotients(image: tuple[int, ...], cls: Place) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """(dim, the quotient map by image, the quotient map by its dual image)
+    at class cls, each map a table v -> f2_reduce(v, ...) over the 2^dim
+    local classes; 0 exactly on the subgroup."""
+    dim = local_dim(cls)
+    dual = _dual_image(image, cls)
+    return dim, tuple(f2_reduce(v, image) for v in range(1 << dim)), tuple(f2_reduce(v, dual) for v in range(1 << dim))
+
+
+def _kernel(rows, n: int) -> tuple[int, ...]:
+    """The echelon basis of the kernel masks of rows, each a generator's
+    quotient bits above its n low marker bits: the quotient bits alone are
+    eliminated, by pivots kept by leading bit, and a row left with none is
+    a kernel vector."""
+    pivots: dict[int, int] = {}
+    kernel = []
+    for row in rows:
+        while row >> n:
+            lead = row.bit_length() - 1
+            p = pivots.get(lead)
+            if p is None:
+                pivots[lead] = row
+                break
+            row ^= p
+        else:
+            kernel.append(row)
+    return f2_echelon(kernel)
+
+
+def _selmer_bases(gen_coords, classes, images) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The bases of Sel_phi and Sel_phi-hat cut out by the echelonized local
+    images of (a, b), and their dual images, at the tested places.
 
     The places are the real place, 2 and the odd primes of b(a^2-4b), of the
     given classes; per the standard descent bound the candidates are the
     classes supported on -1 and those primes, spanned by `Descent.gens`, and
     gen_coords[i][j] is the local coordinates of gens[i] at the j-th place.
-    A candidate lies in the Selmer group iff its local coordinates fall
-    inside the image subgroup at every tested place, an F_2-linear
-    condition: each generator's row holds its coordinates mapped to the
-    quotients by the images, above one bit that marks the generator, and the
-    kernel masks are the reduced echelon rows whose quotient bits vanish.
+    A candidate lies in a Selmer group iff its local coordinates fall inside
+    that side's image at every tested place, an F_2-linear condition: each
+    generator's row holds its coordinates mapped to the quotients by the
+    images, above one bit that marks the generator.  One pass builds the
+    rows of both sides, and each kernel comes from one elimination.
     """
     n = len(gen_coords)
-    layout = [(local_dim(cls), _quotient(img, cls)) for cls, img in zip(classes, images)]
-    rows = []
+    layout = [_quotients(img, cls) for cls, img in zip(classes, images)]
+    rows_phi, rows_hat = [], []
     for i, coords in enumerate(gen_coords):
-        row = 0
-        for v, (dim, quotient) in zip(coords, layout):
+        row = hat = 0
+        for v, (dim, quotient, dual_quotient) in zip(coords, layout):
             row = row << dim | quotient[v]
-        rows.append(row << n | 1 << i)
-    return tuple(kmask for kmask in f2_echelon(rows) if not kmask >> n)
+            hat = hat << dim | dual_quotient[v]
+        rows_phi.append(row << n | 1 << i)
+        rows_hat.append(hat << n | 1 << i)
+    return _kernel(rows_phi, n), _kernel(rows_hat, n)
 
 
 @dataclass(frozen=True)
@@ -449,9 +479,11 @@ class Descent:
     `images` maps each of those places to Im(delta_{E',v}) as the echelon
     basis of its local coordinates.
 
-    `phi` and `phi_hat` are the Selmer bases as echelon F_2 bitmasks over
-    `gens`, bit 0 the sign and bit i gens[i]; their lengths are the Selmer
-    dimensions, and `classes` turns a basis into square classes for output.
+    `phi` and `phi_hat` are the Selmer bases as reduced echelon F_2
+    bitmasks over `gens`, bit 0 the sign and bit i gens[i], both from one
+    pass over the generators' local coordinates (`_selmer_bases`); their
+    lengths are the Selmer dimensions, and `classes` turns a basis into
+    square classes for output.
     `searches` keeps the point searches of `rank_bounds` by (side, bound).
     """
 
@@ -512,9 +544,7 @@ def descend(A: int, B: int) -> Descent:
     images = {pl: _image_at_place(A, B, pl) for pl in places}
     classes = [_place_class(pl) for pl in places]
     gen_coords = _gen_coords(odd_support)
-    basis_phi = _selmer_basis(gen_coords, classes, images.values())
-    dual_images = [_dual_image(img, cls) for cls, img in zip(classes, images.values())]
-    basis_hat = _selmer_basis(gen_coords, classes, dual_images)
+    basis_phi, basis_hat = _selmer_bases(gen_coords, classes, images.values())
     cassels_ok = len(basis_phi) - len(basis_hat) == sum(len(img) - 1 for img in images.values())
     return Descent(A, B, odd_support, basis_phi, basis_hat, images, cassels_ok)
 

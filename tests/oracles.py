@@ -50,6 +50,86 @@ def oracle_is_prime(n: int) -> bool:
     return n > 1 and oracle_factor(n) == ((n, 1),)
 
 
+def _oracle_rho(n: int) -> int:
+    """A nontrivial factor of an odd composite n, by Pollard's rho with
+    Floyd's cycle finding."""
+    for c in range(1, 100):
+        x = y = 2
+        g = 1
+        while g == 1:
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            g = math.gcd(x - y, n)
+        if g != n:
+            return g
+    raise ValueError(f"rho found no factor of {n}")
+
+
+def oracle_proven_prime(n: int) -> bool:
+    """Is n > 1 prime, with a proof either way?  Below 10^10 by trial
+    division.  Above, for a < 200 and n - 1 = 2^s d: n is composite if
+    a^(n-1) != 1 (Fermat) or if some x in a^d, a^(2d), ... has x^2 = 1 with
+    x != +-1 (then gcd(x - 1, n) splits n).  It is prime if some a < 200 has
+    order n - 1 modulo n (Lucas): a^(n-1) = 1 and a^((n-1)/q) != 1 for each
+    prime q | n - 1.  The q are found by trial division below 10^5, then
+    rho splits what is left until each piece is proven prime the same way.
+    Raises when neither proof is found."""
+    if n < 10**10:
+        return oracle_is_prime(n)
+    s = vp(n - 1, 2)
+    for a in range(2, 200):
+        x = pow(a, (n - 1) >> s, n)
+        for _ in range(s):
+            y = x * x % n
+            if y == 1 and x not in (1, n - 1):
+                return False
+            x = y
+        if x != 1:
+            return False
+    m, qs = n - 1, set()
+    for d in range(2, 10**5):
+        if m % d == 0:
+            qs.add(d)
+            while m % d == 0:
+                m //= d
+    stack = [m] if m > 1 else []
+    while stack:
+        m = stack.pop()
+        if oracle_proven_prime(m):
+            qs.add(m)
+        else:
+            g = _oracle_rho(m)
+            stack += [g, m // g]
+    if any(all(pow(a, (n - 1) // q, n) != 1 for q in qs) for a in range(2, 200)):
+        return True
+    raise ValueError(f"no certificate: no a < 200 of order n - 1 modulo {n}")
+
+
+def oracle_f2_span(vectors) -> set[int]:
+    """The XOR of every subset of vectors (int bitmasks), 0 included."""
+    vectors = list(vectors)
+    out = set()
+    for m in range(1 << len(vectors)):
+        x = 0
+        for i, v in enumerate(vectors):
+            if m >> i & 1:
+                x ^= v
+        out.add(x)
+    return out
+
+
+def is_reduced_echelon(basis) -> bool:
+    """Nonzero masks with strictly decreasing leading bits, none of which is
+    set in another mask: the one such basis of their span."""
+    leads = [b.bit_length() - 1 for b in basis]
+    return (
+        all(basis)
+        and all(x > y for x, y in zip(leads, leads[1:]))
+        and not any(c >> lead & 1 for lead, b in zip(leads, basis) for c in basis if c != b)
+    )
+
+
 def peval(F, z):
     acc = 0
     for c in reversed(F):

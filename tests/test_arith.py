@@ -2,14 +2,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import oracle_factor, oracle_is_prime
+from oracles import is_reduced_echelon, oracle_f2_span, oracle_factor, oracle_is_prime, oracle_proven_prime
 from twodescent.arith import (
     FT_INFINITY,
     REAL,
     Place,
     PrimeFactorization,
     SquareClassQ,
+    f2_echelon,
+    f2_span,
     factor,
     hilbert_symbol,
     is_prime,
@@ -89,9 +93,27 @@ def test_factor_roundtrip():
         assert list(f.primes) == sorted(f.primes)
 
 
-# the least strong pseudoprimes to the prime bases 2..7, 2..11, 2..13 and
-# 2..17 (Jaeschke 1993): Miller-Rabin on those bases alone calls them prime
-STRONG_PSEUDOPRIMES = (3215031751, 2152302898747, 3474749660383, 341550071728321)
+# OEIS A014233: psi_k, the least strong pseudoprime to each of the first k
+# prime bases, for k = 1, ..., 13 (psi_8 = psi_7 and psi_10 = psi_11 = psi_9)
+PSI = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
+)
+# the least strong pseudoprimes to the prime bases 2..7, 2..11, 2..13,
+# 2..17, 2..23 and 2..37 (psi_4, ..., psi_7, psi_9, psi_12): Miller-Rabin on
+# those bases alone calls them prime
+STRONG_PSEUDOPRIMES = (3215031751, 2152302898747, 3474749660383, 341550071728321, PSI[8], PSI[11])
 
 
 def test_factor_and_is_prime_match_trial_division():
@@ -110,6 +132,42 @@ def test_factor_and_is_prime_match_trial_division():
         f = factor(n)
         assert f.value() == n and len(f.factors) > 1 and list(f.primes) == sorted(f.primes)
         assert all(e == 1 and oracle_is_prime(p) for p, e in f.factors), f
+
+
+def test_is_prime_matches_proofs_around_the_base_bounds():
+    """At every psi_k, and at every n from the prime below it to the prime
+    above it, is_prime agrees with a primality proof: trial division below
+    10^10, a Fermat or square-root-of-1 witness for a composite, a Lucas
+    certificate for a prime.  Below psi_13 the bases run are proven; at
+    psi_13 itself the 13 bases 2..41 all pass, and base 43 must reject it."""
+    for psi in sorted(set(PSI)):
+        assert not oracle_proven_prime(psi)
+        for step in (-1, 1):
+            n = psi
+            while True:
+                assert is_prime(n) == oracle_proven_prime(n), n
+                if n != psi and is_prime(n):
+                    break
+                n += step
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(
+    st.integers(1, 12).flatmap(lambda w: st.lists(st.integers(0, (1 << w) - 1), max_size=10)),
+    st.randoms(use_true_random=False),
+)
+def test_f2_echelon_matches_brute_force(vectors, rnd):
+    """f2_echelon spans what the subsets of its input XOR to, with one
+    vector per dimension, is the reduced echelon basis (decreasing,
+    pairwise-reduced leading bits), and depends on the span alone: a
+    shuffle with duplicates and zeros gives the same tuple."""
+    basis = f2_echelon(vectors)
+    span = oracle_f2_span(vectors)
+    assert f2_span(basis) == span and 1 << len(basis) == len(span)
+    assert is_reduced_echelon(basis), basis
+    padded = vectors + [rnd.choice(vectors) for _ in range(rnd.randint(0, 5)) if vectors] + [0] * rnd.randint(0, 3)
+    rnd.shuffle(padded)
+    assert f2_echelon(padded) == basis
 
 
 def test_is_square_local_examples():

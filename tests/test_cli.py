@@ -241,7 +241,7 @@ TATE_CASES = [(-10, -39, "2"), (-12, -60, "2"), (289, 167042, "17")]
 GOLDEN_CLI = {
     "selmer-cli.jsonl": [
         ["selmer", "--curve", _q_curve(f"{a}/1", f"{b}/1")]
-        for a, b in [(452799, -76686), (-986562, 731629), (-593705, -937932)]
+        for a, b in [(452799, -76686), (-986562, 731629), (-593705, -937932), (0, -318665857834031151167461)]
     ],
     "selmer-mult-cli.jsonl": [
         ["selmer", "--curve", _q_curve(f"{a}/1", f"{b}/1")]

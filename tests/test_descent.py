@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 from oracles import (
     delta_class_q,
     delta_span_dim_q,
+    is_reduced_echelon,
     oracle_box_points,
     oracle_covering_points,
+    oracle_f2_span,
     oracle_local_image,
     oracle_quartic_qp,
     oracle_torsor_solvable,
@@ -27,6 +29,7 @@ from twodescent.arith import (
     SquareClassQ,
     f2_echelon,
     f2_reduce,
+    f2_span,
     factor,
     int_valuation,
     is_prime,
@@ -56,8 +59,9 @@ from twodescent.descent import (
     _pairs_trivially,
     _place_class,
     _point_vector,
-    _quotient,
+    _quotients,
     _residue_pattern,
+    _selmer_bases,
     descend,
     point_search,
     quartic_solvable_qp,
@@ -65,7 +69,7 @@ from twodescent.descent import (
     torsor_solvable_at,
 )
 from twodescent.family import family_by_name
-from twodescent.localdata import local_image_order
+from twodescent.localdata import local_image_order, tate_local
 from twodescent.polyq import SingularModelError, eval_at
 from twodescent.scan import enumerate_heights
 
@@ -444,8 +448,9 @@ def test_gen_coords_table_matches_local_coords():
 
 def test_class_tables_match_actual_places():
     """Each table entry, looked up through the place class, equals
-    local_pairing, f2_reduce and the annihilator computed at the place
-    itself, for every class y and every subspace of local classes."""
+    local_pairing, the annihilator computed at the place itself, and
+    f2_reduce by the subspace and by that annihilator, for every class y
+    and every subspace of local classes."""
     odd = [5, 13, 3, 7, 23, 29, *_primes_above_million()]
     for pl in [REAL, Place.prime(2)] + [Place.prime(p) for p in odd]:
         cls, size = _place_class(pl), 1 << local_dim(pl)
@@ -454,9 +459,55 @@ def test_class_tables_match_actual_places():
         subspaces = {f2_echelon(vs) for r in range(4) for vs in itertools.combinations(range(1, size), r)}
         assert len(subspaces) == {2: 2, 4: 5, 8: 16}[size]
         for S in subspaces:
-            assert _quotient(S, cls) == tuple(f2_reduce(v, S) for v in range(size))
             annihilator = {v for v in range(size) if not any(local_pairing(v, g, pl) for g in S)}
-            assert _dual_image(S, cls) == f2_echelon(annihilator), (str(pl), S)
+            dual = f2_echelon(annihilator)
+            assert _dual_image(S, cls) == dual, (str(pl), S)
+            quotient, dual_quotient = (tuple(f2_reduce(v, T) for v in range(size)) for T in (S, dual))
+            assert _quotients(S, cls) == (local_dim(pl), quotient, dual_quotient), (str(pl), S)
+
+
+@st.composite
+def selmer_rows(draw):
+    """(gen_coords, classes, images) as `_selmer_bases` takes them: up to 10
+    generators' local coordinates at 1 to 6 places, each of a place class
+    drawn with a random echelonized image."""
+    place_classes = [REAL, Place.prime(2), _place_class(Place.prime(5)), _place_class(Place.prime(3))]
+    classes = draw(st.lists(st.sampled_from(place_classes), min_size=1, max_size=6))
+    coords = [st.integers(0, (1 << local_dim(cls)) - 1) for cls in classes]
+    images = [f2_echelon(draw(st.lists(c, max_size=3))) for c in coords]
+    n = draw(st.integers(0, 10))
+    return [[draw(c) for c in coords] for _ in range(n)], classes, images
+
+
+def _brute_kernel(gen_coords, subgroups) -> set[int]:
+    """The generator masks whose summed local coordinates lie in the given
+    subgroup at every place, over all 2^n masks."""
+    out = set()
+    for m in range(1 << len(gen_coords)):
+        total = [0] * len(subgroups)
+        for i, row in enumerate(gen_coords):
+            if m >> i & 1:
+                total = [t ^ v for t, v in zip(total, row)]
+        if all(t in sub for t, sub in zip(total, subgroups)):
+            out.add(m)
+    return out
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(selmer_rows())
+def test_selmer_bases_match_brute_force_kernels(rows):
+    """Both bases of `_selmer_bases` are the reduced echelon bases of the
+    brute-force kernels: the masks whose local coordinates fall in the
+    image at every place, and in its annihilator under local_pairing."""
+    gen_coords, classes, images = rows
+    spans = [oracle_f2_span(img) for img in images]
+    duals = [
+        {v for v in range(1 << local_dim(cls)) if not any(local_pairing(v, g, cls) for g in img)}
+        for cls, img in zip(classes, images)
+    ]
+    for basis, subgroups in zip(_selmer_bases(gen_coords, classes, images), (spans, duals)):
+        kernel = _brute_kernel(gen_coords, subgroups)
+        assert is_reduced_echelon(basis) and f2_span(basis) == kernel and 1 << len(basis) == len(kernel), basis
 
 
 def test_local_image_is_group_of_size_1_2_4_or_8(small_curve_corpus):
@@ -484,6 +535,40 @@ def test_local_images_match_tamagawa_ratios(small_curve_corpus):
             assert len(D.local_image(Place.prime(p))) == 2 * local_image_order(D.A, D.B, p), (E, p)
             pairs += 1
     assert pairs >= 800, pairs
+
+
+def _two_adic_index(A: int, B: int) -> Fraction:
+    """2 c_2(E')/c_2(E) 2^(k_E' - k_E) for E = (A, B) and E' = (-2A, A^2-4B)
+    from Tate's algorithm at 2, where k = (v_2(model discriminant) -
+    v_2(minimal discriminant))/12 and the model discriminants are
+    16 B^2 (A^2-4B) and 16 (A^2-4B)^2 16 B."""
+    two = Place.prime(2)
+    bdual = A * A - 4 * B
+    e, e_dual = tate_local(A, B, two), tate_local(-2 * A, bdual, two)
+    shift = int_valuation(16 * B * B * bdual, 2) - e.min_disc_valuation
+    shift_dual = int_valuation(256 * bdual * bdual * B, 2) - e_dual.min_disc_valuation
+    assert shift % 12 == 0 and shift_dual % 12 == 0, (A, B)
+    return 2 * Fraction(e_dual.tamagawa, e.tamagawa) * Fraction(2) ** ((shift_dual - shift) // 12)
+
+
+def test_image_at_2_matches_tate_index_formula():
+    """|Im(delta_{E',2})| = 2 c_2(E')/c_2(E) 2^(k_E' - k_E), Schaefer's index
+    formula (J. Number Theory 56, 1996, Lemma 3.8) at 2, where phi also
+    scales the Neron differentials: the 2-adic torsor walker against Tate's
+    algorithm at 2, with no oracle.  On 3,000 seeded (A, B), 2,000 with
+    |A|, |B| <= 300 and 1,000 with |A|, |B| <= 10^6, each shifted by up to
+    8 and 16 bits, and on the selmer-walk golden curves."""
+    rng = random.Random(18)
+    curves = [(-1, 3584), (2, 1024), (3, -5120), (23, 1058), (46, -1587), (29, 1682), (62, -2883), (124, 6727)]
+    for count, bound in ((2000, 300), (1000, 10**6)):
+        while count:
+            A = rng.randint(-bound, bound) << rng.randint(0, 8)
+            B = rng.randint(-bound, bound) << rng.randint(0, 16)
+            if B and A * A != 4 * B:
+                curves.append((A, B))
+                count -= 1
+    for A, B in curves:
+        assert 1 << len(_image_at_place(A, B, Place.prime(2))) == _two_adic_index(A, B), (A, B)
 
 
 def test_point_search_examples():
