@@ -74,9 +74,8 @@ def is_prime(n: int) -> bool:
         return False
     if n < _TRIAL_LIMIT:
         return n in _SMALL_PRIME_SET
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
+    # a base p dividing n > p gives x = 0 (mod p), never 1 or n - 1, so n
+    # fails that round: the proven prefixes need no trial division
     bases = _MR_BASES
     for psi, prefix in _MR_PREFIXES:
         if n < psi:
@@ -311,13 +310,29 @@ def sqrt_rational(q: RationalLike) -> Fraction | None:
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Place:
-    """A place: finite prime of Q, linear place T - e of Q(T), infinity, or real."""
+    """A place: finite prime of Q, linear place T - e of Q(T), infinity, or real.
+
+    Places key the descent's dicts and per-class tables, so the hash of
+    (kind, p, e) is computed once, on construction, and kept outside the
+    fields; a pickled place is rebuilt from its fields, since str hashes
+    differ between processes."""
 
     kind: str  # "prime" | "ft" | "ft_inf" | "real"
     p: int | None = None
     e: Fraction | None = None
+
+    def __init__(self, kind: str, p: int | None = None, e: Fraction | None = None):
+        # frozen: the fields go straight into the instance dict
+        fields = self.__dict__
+        fields["kind"], fields["p"], fields["e"], fields["_hash"] = kind, p, e, hash((kind, p, e))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return Place, (self.kind, self.p, self.e)
 
     @staticmethod
     def prime(p: int) -> "Place":

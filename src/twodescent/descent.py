@@ -55,7 +55,7 @@ its entry point, and a curve over Q, the pair (a, b), enters through
 `curve.integral_model(a, b)`.
 `point_search(A, B, H)` searches x = d s^2/v^2 as the 2-coverings
 w^2 = d s^4 + A s^2 v^2 + (B/d) v^4, one for each signed squarefree d | B
-with |d| <= H (Cremona, 3.5-3.6; Stoll's ratpoints).  For
+with |d| <= H (`_covering_divisors`; Cremona, 3.5-3.6; Stoll's ratpoints).  For
 each s the denominators v <= H are an H-bit mask: the v with gcd(d s, v) = 1,
 then those for which the quartic's own triple (d s^4, A s^2, B/d) mod q
 leaves a square, for each sieve modulus q, then the exact checks.  A
@@ -68,7 +68,12 @@ computed on its first read, so importing the module fills none.
 `rank_bounds` runs over the sides E = (A, B) and E' = (-2A, A^2-4B).  It
 reads each point's class as a mask over the same generators (the sign and
 the parities of v_p(num den)), with no factoring, and checks that the
-Selmer basis of its side reduces it to 0.
+Selmer basis of its side reduces it to 0.  It walks the same x-box as
+`point_search`, covering by covering: the d come with their class masks
+over the generators, a d whose class the span of the points already
+holds is skipped, and a searched covering stops at its first point, whose
+class joins the span.  So it sieves fewer coverings and rows than the full
+search and ends with the same span.
 """
 
 from __future__ import annotations
@@ -484,7 +489,9 @@ class Descent:
     pass over the generators' local coordinates (`_selmer_bases`); their
     lengths are the Selmer dimensions, and `classes` turns a basis into
     square classes for output.
-    `searches` keeps the point searches of `rank_bounds` by (side, bound).
+    `searches` keeps the covering searches of `rank_bounds`: under
+    (side, bound), a dict from each searched d to the first point of its
+    covering in the x-box, or None.
     """
 
     A: int
@@ -607,23 +614,22 @@ def _coprime_mask(n: int, v_max: int) -> int:
     return live
 
 
-def _covering_points(A: int, B: int, d: int, s_max: int, v_max: int) -> list[tuple[int, int, int]]:
+def _covering_points(A: int, B: int, d: int, s_max: int, v_max: int):
     """The (s, v, w) with 1 <= s <= s_max, 1 <= v <= v_max, gcd(d s, v) = 1
     and w >= 0, w^2 = d s^4 + A s^2 v^2 + (B/d) v^4: the points of the
-    2-covering of d (d | B) in that box.
+    2-covering of d (d | B) in that box, generated by s, then v.
 
     For each s the v pass a coprime mask, then one residue pattern per
     sieve modulus q of the triple (d s^4, A s^2, B/d mod q), then the exact
-    checks.  A covering with d < 0, B/d < 0 and (A <= 0 or A^2 < 4 d (B/d))
-    is negative on R^2 minus 0, so it has none; at A^2 = 4 d (B/d) it
-    vanishes on a line.
+    checks; a caller that stops early sieves no further row.  A covering
+    with d < 0, B/d < 0 and (A <= 0 or A^2 < 4 d (B/d)) is negative on R^2
+    minus 0, so it has none; at A^2 = 4 d (B/d) it vanishes on a line.
     """
     e = B // d
     if d < 0 and e < 0 and (A <= 0 or A * A < 4 * d * e):
-        return []
+        return
     sieve = [(q, repunit, e % q) for q, repunit in _repunits(v_max)]
     coprime_d = _coprime_mask(abs(d), v_max)
-    out = []
     for s in range(1, s_max + 1):
         s2 = s * s
         c4, c2 = d * s2 * s2, A * s2
@@ -641,8 +647,33 @@ def _covering_points(A: int, B: int, d: int, s_max: int, v_max: int) -> list[tup
                 continue
             w = math.isqrt(N)
             if w * w == N:
-                out.append((s, v, w))
-    return out
+                yield s, v, w
+
+
+def _covering_divisors(b: int, primes, height_bound: int) -> list[tuple[int, int]]:
+    """(d, mask) for each signed squarefree d | b with |d| <= height_bound:
+    the positive d, each prime of b in turn multiplying those found so far,
+    then their negatives.  primes must hold every prime <= height_bound of
+    b, in increasing order (the others add nothing), and mask is the class
+    of d with bit 0 its sign and bit i primes[i - 1], as in `_class_vector`
+    over gens = (-1, *primes)."""
+    divisors = [(1, 0)]
+    for i, p in enumerate(primes, 1):
+        if b % p == 0:
+            divisors += [(d * p, m | 1 << i) for d, m in divisors if d * p <= height_bound]
+    return divisors + [(-d, m | 1) for d, m in divisors]
+
+
+def _box_points(a, b, A: int, B: int, q: int, d: int, height_bound: int):
+    """The points of y^2 = x^3 + a x^2 + b x that the 2-covering of d (d | B)
+    of its reduced model (A, B) = (a/q^2, b/q^4) gives in the x-box of
+    `point_search`: a hit (s, v, w) of `_covering_points` is x = d s^2/v^2,
+    y = |d| s w/v^3 on (A, B), so x = d s^2 q^2/v^2, y = |d| s w q^3/v^3 on
+    (a, b), checked there with `on_model`; generated in the covering's order."""
+    for s, v, w in _covering_points(A, B, d, math.isqrt(height_bound // abs(d)), height_bound):
+        x, y = Fraction(d * s * s * q * q, v * v), Fraction(abs(d) * s * w * q**3, v**3)
+        if on_model(a, b, x, y):
+            yield AffinePoint.of(x, y)
 
 
 def point_search(A: int, B: int, height_bound: int) -> list[AffinePoint]:
@@ -664,23 +695,17 @@ def point_search(A: int, B: int, height_bound: int) -> list[AffinePoint]:
     _check_model(A, B)
     if height_bound < 1:
         return []
-    A0, B0 = A, B
-    A, B, scale = _reduced_model(A, B, 1, ())
-    q = scale.denominator
-    hits = [(0, 0, 1)]
-    divisors = [1]
-    m = abs(B)
+    Ar, Br, scale = _reduced_model(A, B, 1, ())
+    primes, m = [], abs(Br)
     for p in range(2, min(height_bound, m) + 1):
         if m % p == 0:  # p is prime: every smaller prime is divided out of m
+            primes.append(p)
             while m % p == 0:
                 m //= p
-            divisors += [d * p for d in divisors if d * p <= height_bound]
-    for d in divisors + [-d for d in divisors]:
-        for s, v, w in _covering_points(A, B, d, math.isqrt(height_bound // abs(d)), height_bound):
-            hits.append((d * s * s, abs(d) * s * w, v))
-    # (X/v^2, Y/v^3) on (A, B) is (X q^2/v^2, Y q^3/v^3) on (A0, B0) = (q^2 A, q^4 B)
-    points = [AffinePoint.of(Fraction(X * q * q, v * v), Fraction(Y * q**3, v**3)) for X, Y, v in hits]
-    return sorted((P for P in points if on_model(A0, B0, P.x, P.y)), key=lambda P: P.x)
+    points = [AffinePoint.of(Fraction(0), Fraction(0))]
+    for d, _ in _covering_divisors(Br, primes, height_bound):
+        points += _box_points(A, B, Ar, Br, scale.denominator, d, height_bound)
+    return sorted(points, key=lambda P: P.x)
 
 
 @dataclass(frozen=True)
@@ -763,14 +788,24 @@ def rank_bounds(descent: Descent, points_e=(), points_eprime=(), search_bound: i
     upper = dim Sel_phi-hat + dim Sel_phi - 2 (both clamped at 0).
     A side whose span of (0,0) and the given points is still below its
     Selmer dimension (E against Sel_phi-hat, E' against Sel_phi) also gets
-    the points of `point_search` on it at search_bound (0 searches
-    nothing), kept in `descent.searches` under (side, bound), side 0 being
-    E; a filled side is not searched, since a further point can only leave
-    its span as it is.
+    the classes of the points of `point_search` on it at search_bound (0
+    searches nothing), found covering by covering: for each d of
+    `_covering_divisors` of the side's reduced model, in that order, a d
+    whose class the span already holds is skipped, since a point on its
+    covering has that class; otherwise the first point of its covering in
+    the x-box (`_box_points`), if any, adds its own class.  So the span is
+    that of every point the box holds, as a full `point_search` gives it.
+    The walk neither reads the Selmer basis nor stops when the span fills.
+    Each searched covering's first point, or None, is kept in
+    `descent.searches[side, bound]` by d, side 0 being E, so that a later
+    call, with other given points, searches no covering twice; a filled
+    side is not searched, since a further point can only leave its span as
+    it is.
 
     Classes are F_2 vectors over the descent's generators -1, 2 and the odd
-    support (`_class_vector`); the Selmer basis of its side must reduce each
-    point's class to 0, and a given point off its side raises OffCurveError.
+    support (`_class_vector`); the masks of the d are over the same
+    generators, and the Selmer basis of its side must reduce each point's
+    class to 0.  A given point off its side raises OffCurveError.
     """
     if search_bound < 0:
         raise ValueError(f"search bound {search_bound} is negative")
@@ -784,15 +819,21 @@ def rank_bounds(descent: Descent, points_e=(), points_eprime=(), search_bound: i
             if not (P.at_infinity or on_model(a, b, P.x, P.y)):
                 raise OffCurveError(f"point {P} is not on the curve")
         vecs = [_class_vector(b, gens)] + [_point_vector(b, P, gens) for P in points]
-        d = len(f2_echelon(vecs))
-        if search_bound and d < len(basis):
-            if (side, search_bound) not in searches:
-                searches[side, search_bound] = point_search(a, b, search_bound)
-            vecs += [_point_vector(b, P, gens) for P in searches[side, search_bound]]
-            d = len(f2_echelon(vecs))
+        span = f2_echelon(vecs)
+        if search_bound and len(span) < len(basis):
+            found = searches.setdefault((side, search_bound), {})
+            Ar, Br, scale = _reduced_model(a, b, 1, ())
+            for d, mask in _covering_divisors(Br, gens[1:], search_bound):
+                if not f2_reduce(mask, span):
+                    continue
+                if d not in found:
+                    found[d] = next(_box_points(a, b, Ar, Br, scale.denominator, d, search_bound), None)
+                if found[d] is not None:
+                    vecs.append(_point_vector(b, found[d], gens))
+                    span = f2_echelon(span + (vecs[-1],))
         if any(f2_reduce(v, basis) for v in vecs):
             raise AssertionError("delta image escaped its Selmer group: descent bug")
-        dims.append(d)
+        dims.append(len(span))
     lo = max(sum(dims) - 2, 0)
     hi = max(len(descent.phi_hat) + len(descent.phi) - 2, lo)
     return RankStatus(lo, hi)

@@ -9,7 +9,7 @@ arithmetic.  The descent runs on (A, B) as ints (`descend(A, B)`), and
 `rank_bounds` on (A, B) and its dual (-2A, A^2-4B); Tate's algorithm and
 `curve.j_invariant` take (A, B) too, so no Fraction model is built.  A task
 is the group of fibers t = +-m/n that share (|m|, n); a memo keyed by
-(A, B) makes the descent, Tate runs and point searches once per curve in
+(A, B) makes the descent, Tate runs and covering searches once per curve in
 a task (in an even family E_t and E_-t are one curve).  A support prime,
 2 included, where the model is visibly minimal (v_p(c4) < 4 or
 v_p(disc) < 12) is bad with no Tate run.
@@ -109,7 +109,7 @@ def enumerate_heights(height_bound: int) -> list[tuple[int, int]]:
 
 class _CurveRuns:
     """What a fiber's record takes from its integral model (A, B) alone:
-    the descent (which keeps the point searches of `rank_bounds`), j and
+    the descent (which keeps the covering searches of `rank_bounds`), j and
     the bad primes, made on first use."""
 
     def __init__(self, A: int, B: int):
@@ -161,7 +161,7 @@ def scan_one(name: str, m: int, n: int, memo: dict | None = None) -> ScanResult:
     `integral_model(*specialize(E, t))`, with the generic points moved onto
     it and its dual (-2A, A^2-4B), the sides of `rank_bounds`.  `memo` maps
     (A, B) to its runs; fibers that pass one memo and share that model
-    share the descent, Tate runs and point searches.  The record is the
+    share the descent, Tate runs and covering searches.  The record is the
     same with or without it."""
     rec = family_by_name(name)
     t = Fraction(m, n)

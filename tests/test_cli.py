@@ -236,6 +236,19 @@ def _q_curve(a: str, b: str) -> str:
 TATE_CASES = [(-10, -39, "2"), (-12, -60, "2"), (289, 167042, "17")]
 
 
+# (a, b, points) of the last lines of tests/data/rank-cli.jsonl: rank2 at
+# t = -5/6 and rank3 at t = -2/3 with their generic points, whose classes
+# put coverings in the span, so that the search at 128 skips them
+RANK_POINT_CASES = [
+    ("455/3", "-455/4", {"E": [["5/6", "-10/3"]], "E'": [["182/3", "728/1"]]}),
+    (
+        "87133/9",
+        "83362720/81",
+        {"E": [["-76832/9", "2458624/9"], ["-12152/9", "-352408/3"]], "E'": [["26769/4", "-1436603/8"]]},
+    ),
+]
+
+
 # the argument lists with which the bare-install step of
 # .github/workflows/tests.yml writes each golden file of tests/data
 GOLDEN_CLI = {
@@ -254,6 +267,10 @@ GOLDEN_CLI = {
     "rank-cli.jsonl": [
         ["rank", "--curve", _q_curve(a, b), "--search-bound", "128"]
         for a, b in [("2/1", "-2/13"), ("1100/7", "-1980/49"), ("285/2", "-3591/16"), ("0/1", "-25/1")]
+    ]
+    + [
+        ["rank", "--curve", _q_curve(a, b), "--points", json.dumps(points, separators=(",", ":")), "--search-bound", "128"]
+        for a, b, points in RANK_POINT_CASES
     ],
     "tate-cli.jsonl": [
         ["tate", "--curve", _q_curve(f"{a}/1", f"{b}/1"), "--place", p] for a, b, p in TATE_CASES
@@ -357,7 +374,9 @@ def test_cli_loads_only_the_standard_library():
 def test_sieve_tables_fill_on_demand():
     """Importing twodescent fills no entry of the point-search residue
     tables, and a rank call at search bound 1 fills at most q entries per
-    modulus q (in a fresh interpreter, so that earlier tests do not count)."""
+    modulus q (in a fresh interpreter, so that earlier tests do not count).
+    On y^2 = x^3 - 2x the walk of rank_bounds sieves the covering of d = -1
+    on E, where (-1, 1) lies."""
     script = textwrap.dedent(
         """
         import contextlib, io, json
@@ -368,7 +387,7 @@ def test_sieve_tables_fill_on_demand():
             return [sum(x >= 0 for x in table) for table in descent._PATTERNS.values()]
         at_import = filled()
         with contextlib.redirect_stdout(io.StringIO()):
-            assert main(["rank", "--curve", '{"domain":"Q","a":"0/1","b":"-25/1"}', "--search-bound", "1"]) == 0
+            assert main(["rank", "--curve", '{"domain":"Q","a":"0/1","b":"-2/1"}', "--search-bound", "1"]) == 0
         print(json.dumps([list(descent._PATTERNS), at_import, filled()]))
         """
     )

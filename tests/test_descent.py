@@ -22,7 +22,7 @@ from oracles import (
     oracle_torsor_solvable,
     selmer_values,
 )
-from twodescent import descent
+from twodescent import cli, descent
 from twodescent.arith import (
     REAL,
     Place,
@@ -647,17 +647,21 @@ def test_point_search_matches_box_on_fibers():
     assert found == 1400
 
 
-def fiber_slice_at_128() -> list[tuple[Fraction, Fraction]]:
-    """A fixed slice of the height <= 20 fibers of the five families, the
-    corpus of the searches at the rank_search bound 128."""
+def fibers_at_128() -> list:
+    """(family record, t) for a fixed slice of the height <= 20 fibers of
+    the five families, the corpus of the searches at the rank_search bound
+    128."""
     fibers = []
     for name in ("rank0", "rank1", "rank2", "rank3", "rank4"):
         rec = family_by_name(name)
         bad = {pl.e for pl in rec.expected.all_places if pl.kind == "ft"}
-        for m, n in enumerate_heights(20)[7::40]:
-            if Fraction(m, n) not in bad:
-                fibers.append(specialize(rec.E, Fraction(m, n)))
+        fibers += [(rec, Fraction(m, n)) for m, n in enumerate_heights(20)[7::40] if Fraction(m, n) not in bad]
     return fibers
+
+
+def fiber_slice_at_128() -> list[tuple[Fraction, Fraction]]:
+    """The curves of `fibers_at_128`."""
+    return [specialize(rec.E, t) for rec, t in fibers_at_128()]
 
 
 def test_point_search_matches_box_on_fibers_at_128():
@@ -749,7 +753,7 @@ def test_coprime_mask_matches_gcd():
 
 
 def assert_covering_points_match_loop(A, B, d, s_max, v_max) -> list:
-    found = _covering_points(A, B, d, s_max, v_max)
+    found = list(_covering_points(A, B, d, s_max, v_max))
     assert found == oracle_covering_points(A, B, d, s_max, v_max), (A, B, d, s_max, v_max)
     return found
 
@@ -920,25 +924,102 @@ def test_rank_bounds_searches_only_open_sides(monkeypatch):
     y^2 = x^3 - 25x stays bounded without points, so it is searched."""
     calls = []
 
-    def counted(A, B, H):
-        calls.append((A, B))
-        return point_search(A, B, H)
+    def counted(A, B, d, s_max, v_max):
+        calls.append((A, B, d, s_max, v_max))
+        return _covering_points(A, B, d, s_max, v_max)
 
-    monkeypatch.setattr(descent, "point_search", counted)
+    monkeypatch.setattr(descent, "_covering_points", counted)
     assert rank_bounds(descend(0, 2), search_bound=32) == RankStatus(0, 0)
     assert calls == []
     assert rank_bounds(descend(0, -1), search_bound=32) == RankStatus(0, 0)
-    assert calls == [(0, 4)]
+    assert calls and {C[:2] for C in calls} == {(0, 4)}
     assert rank_bounds(descend(0, -25), search_bound=32) == RankStatus(1, 1)
-    assert len(calls) > 1
-    # two calls on one descent search each (side, bound) once, and it keeps the searches
+    assert len(calls) > 2
+    # two calls on one descent search each (side, bound, d) once, and it
+    # keeps each searched covering's first point, or None, by d
     D, before = descend(0, -25), len(calls)
     for _ in range(2):
         assert rank_bounds(D, search_bound=32) == RankStatus(1, 1)
-    assert len(calls) - before == len(D.searches) == 2
+    searched = calls[before:]
+    assert searched and len(searched) == len(set(searched)) == sum(map(len, D.searches.values()))
+    assert sorted(D.searches) == [(0, 32), (1, 32)]
+    for (side, H), found in D.searches.items():
+        box = point_search(*[(0, -25), (0, 100)][side], H)
+        assert any(found.values()) and all(P is None or P in box for P in found.values())
     assert D == descend(0, -25)  # the searches take no part in equality
     with pytest.raises(ValueError):
         rank_bounds(descend(0, -25), search_bound=-1)
+
+
+def assert_walk_spans_the_box(D, pts, ptsd, H) -> int:
+    """rank_bounds at H, on a copy of D that keeps no searches yet, gives
+    each side the span of its x-box: (0,0), the given points and the first
+    points its covering walk keeps span what (0,0), the given points and
+    every point of `point_search` span, and its lower bound is the one
+    those dims give.  Returns the number of coverings searched."""
+    D = dataclasses.replace(D)
+    rank = rank_bounds(D, pts, ptsd, H)
+    A, B, gens = D.A, D.B, D.gens
+    dims = []
+    for side, (a, b), given in ((0, (A, B), pts), (1, (-2 * A, A * A - 4 * B), ptsd)):
+        kept = [P for P in D.searches.get((side, H), {}).values() if P is not None]
+        walked = f2_echelon([_class_vector(b, gens)] + [_point_vector(b, P, gens) for P in [*given, *kept]])
+        boxed = f2_echelon([_class_vector(b, gens)] + [_point_vector(b, P, gens) for P in [*given, *point_search(a, b, H)]])
+        assert walked == boxed, (A, B, side, H)
+        dims.append(len(walked))
+    assert rank.lo == max(sum(dims) - 2, 0), (A, B, H)
+    return sum(map(len, D.searches.values()))
+
+
+@st.composite
+def curves_with_given_points(draw):
+    """(A, B, H, pts, ptsd): the integral model of a curve with |a|, |b| <=
+    300, a bound H in {0, 1, 32, 128}, and on each side up to three of its
+    points at bound 16, which put their coverings in the span."""
+    a, b = draw(st.integers(-300, 300)), draw(st.integers(-300, 300).filter(bool))
+    assume(a * a != 4 * b)
+    A, B, _ = integral_model(a, b)
+    given = [draw(st.lists(st.sampled_from(point_search(*side, 16)), max_size=3)) for side in ((A, B), (-2 * A, A * A - 4 * B))]
+    return A, B, draw(st.sampled_from([0, 1, 32, 128])), *given
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(curves_with_given_points())
+def test_rank_bounds_walk_spans_the_box_on_random_curves(case):
+    A, B, H, pts, ptsd = case
+    assert_walk_spans_the_box(descend(A, B), pts, ptsd, H)
+
+
+def test_rank_bounds_walk_spans_the_box_on_fibers_at_128():
+    """The fibers-at-128 corpus, with and without its specialized generic
+    points; the points spare the walk some coverings."""
+    searched = {False: 0, True: 0}
+    for rec, t in fibers_at_128():
+        A, B, u = integral_model(*specialize(rec.E, t))
+        D = descend(A, B)
+        # x -> u^2 x, y -> u^3 y moves the points onto the integral sides
+        pts, ptsd = (
+            [AffinePoint.of(eval_at(P.x, t) * u**2, eval_at(P.y, t) * u**3) for P in points]
+            for points in (rec.points_e, rec.points_eprime)
+        )
+        for H in (0, 1, 32, 128):
+            searched[False] += assert_walk_spans_the_box(D, [], [], H)
+            searched[True] += assert_walk_spans_the_box(D, pts, ptsd, H)
+    assert 0 < searched[True] < searched[False], searched
+
+
+def test_rank_bounds_walk_spans_the_box_on_rank_cli_cases():
+    """The curves and points of tests/data/rank-cli.jsonl, moved onto the
+    integral sides as the rank command moves them."""
+    from test_cli import GOLDEN_CLI
+
+    for argv in GOLDEN_CLI["rank-cli.jsonl"]:
+        args = cli._parser().parse_args(argv)
+        A, B, u = integral_model(*args.curve)
+        pts, ptsd = ([AffinePoint.of(P.x * u * u, P.y * u**3) for P in side] for side in args.points or ([], []))
+        for H in (0, 1, 32, 128):
+            assert_walk_spans_the_box(descend(A, B), pts, ptsd, H)
+            assert_walk_spans_the_box(descend(A, B), [], [], H)
 
 
 def test_class_vectors_match_delta_class_on_fibers_at_128():

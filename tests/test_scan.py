@@ -243,15 +243,15 @@ def test_one_descent_per_distinct_curve(monkeypatch, family, fibers, curves):
     rank0 is not, and each fiber gets its own."""
     descents = _count_calls(monkeypatch, "descend")
     tates = _count_calls(monkeypatch, "tate_local")
-    searches = _count_calls(monkeypatch, "point_search", descent)
+    coverings = _count_calls(monkeypatch, "_covering_points", descent)
     results = run_scan(family, 6)
     rec = family_by_name(family)
     assert len(results) == fibers
     assert len({specialize(rec.E, r.t) for r in results}) == curves
     assert len(descents) == curves
-    # no Tate run repeats a (model, place), and no point search a (curve, bound)
+    # no Tate run repeats a (model, place), and no covering search a (model, d, box)
     assert len(tates) == len(set(tates))
-    assert searches and len(searches) == len(set(searches))
+    assert coverings and len(coverings) == len(set(coverings))
 
 
 @pytest.mark.parametrize("family", ["rank3", "rank4"])
