@@ -6,9 +6,7 @@ quartic torsors, rank certification, and a specialization scanner that
 produces curves of each rank 0..4 from the built-in families.
 """
 
-from .arith import (
-    FT_INFINITY, REAL, Place, PrimeFactorization, SquareClassQ, factor, is_square_local, square_class, valuation,
-)
+from .arith import FT_INFINITY, REAL, Place, PrimeFactorization, SquareClassQ, factor, square_class
 from .curve import (
     AffinePoint,
     TwoTorsionModel,
@@ -31,13 +29,12 @@ from .family import (
     ConditionReport,
     FamilyRecord,
     PlaceClassification,
-    admissible_divisor_sets,
     builtin_families,
     classify_places,
     geometric_rank,
     verify_conditions,
 )
-from .localdata import KodairaSymbol, LocalReduction, conductor_degree, local_image_order, tate_local
+from .localdata import KodairaSymbol, LocalReduction, tate_local
 from .polyq import Poly, SquareClassFT, eval_at, ft_square_class, model_discriminant, rational_roots, splits_linearly
 from .scan import ScanResult, emit_report, run_scan
 

@@ -221,16 +221,6 @@ def int_valuation(n: int, p: int) -> int:
     return v
 
 
-def valuation(q: RationalLike, p: int) -> int:
-    """The exponent v_p(q) of the prime p in the nonzero rational q."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    q = Fraction(q)
-    if q == 0:
-        raise ValueError("valuation of 0 is undefined (would be +infinity)")
-    return int_valuation(q.numerator, p) - int_valuation(q.denominator, p)
-
-
 def horner(coeffs, x):
     """The polynomial with the given coefficients, constant term first, at x."""
     acc = 0
@@ -455,18 +445,6 @@ def local_pairing(x: int, y: int, place: Place) -> int:
     return (x >> 1 & y >> 1 & eps_p ^ x & y >> 1 ^ y & x >> 1) & 1
 
 
-def is_square_local(q: RationalLike, place: Place) -> bool:
-    """Is q a square in the completion at the real place or a prime?"""
-    _require_q_place(place)
-    return local_coords(q, place) == 0
-
-
-def hilbert_symbol(x: RationalLike, y: RationalLike, place: Place) -> int:
-    """The Hilbert symbol (x, y) at the real place or a prime, as +1 or -1."""
-    _require_q_place(place)
-    return -1 if local_pairing(local_coords(x, place), local_coords(y, place), place) else 1
-
-
 @dataclass(frozen=True)
 class SquareClassQ:
     """Element of Q^x/(Q^x)^2: the squarefree integer sign * prod(support)."""
@@ -489,10 +467,6 @@ class SquareClassQ:
         for p in self.support:
             v *= p
         return v
-
-    def __mul__(self, other: "SquareClassQ") -> "SquareClassQ":
-        sup = sorted(set(self.support) ^ set(other.support))
-        return SquareClassQ(self.sign * other.sign, tuple(sup))
 
     def __str__(self) -> str:
         return str(self.value())

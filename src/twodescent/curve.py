@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import f2_echelon, factor, horner
-from .polyq import Poly, SingularModelError, SquareClassFT, eval_at, ft_square_class
+from .polyq import Poly, SingularModelError, SquareClassFT, check_nonsingular_qt, eval_at, ft_square_class
 
 
 class OffCurveError(Exception):
@@ -50,8 +50,7 @@ class TwoTorsionModel:
     def __post_init__(self):
         if not (isinstance(self.a, Poly) and isinstance(self.b, Poly)):
             raise TypeError("a and b must be Polys")
-        if not self.b or self.a * self.a == 4 * self.b:
-            raise SingularModelError("b = 0 or a^2 = 4b")
+        check_nonsingular_qt(self.a, self.b)
 
     @property
     def b_dual(self) -> Poly:

@@ -38,10 +38,11 @@ Square classes at a place are the F_2 coordinate vectors of
 the Hilbert symbol is `arith.local_pairing` on them.  Both Selmer groups
 are kernels, as bitmasks over `Descent.gens`: one pass builds each
 generator's row for both sides, its coordinates mapped to the quotients by
-the image and by the dual image, and one elimination of the quotient bits
-per side leaves the kernel vectors, which `arith.f2_echelon` puts in
-canonical form.  `SquareClassQ` objects are built only for output, by
-`Descent.classes` and `Descent.local_image`.
+the image and by the dual image, and the vectors with no quotient bit in
+the reduced echelon basis of each side's rows (`arith.f2_echelon`) are
+the kernel's canonical basis.  `SquareClassQ` objects are built only for
+output, by `Descent.classes` (the tests' `oracles.local_image` builds
+them for a local image).
 
 On local coordinates the Hilbert symbol depends only on the place class:
 real, 2, or p mod 4 at an odd prime p (Serre, A Course in Arithmetic,
@@ -100,7 +101,6 @@ from .arith import (
     local_dim,
     local_pairing,
     local_reps,
-    square_class,
     taylor_shift,
 )
 from .curve import AffinePoint, OffCurveError, _reduced_model, check_nonsingular, on_model
@@ -427,26 +427,6 @@ def _quotients(image: tuple[int, ...], cls: Place) -> tuple[int, tuple[int, ...]
     return dim, tuple(f2_reduce(v, image) for v in range(1 << dim)), tuple(f2_reduce(v, dual) for v in range(1 << dim))
 
 
-def _kernel(rows, n: int) -> tuple[int, ...]:
-    """The echelon basis of the kernel masks of rows, each a generator's
-    quotient bits above its n low marker bits: the quotient bits alone are
-    eliminated, by pivots kept by leading bit, and a row left with none is
-    a kernel vector."""
-    pivots: dict[int, int] = {}
-    kernel = []
-    for row in rows:
-        while row >> n:
-            lead = row.bit_length() - 1
-            p = pivots.get(lead)
-            if p is None:
-                pivots[lead] = row
-                break
-            row ^= p
-        else:
-            kernel.append(row)
-    return f2_echelon(kernel)
-
-
 def _selmer_bases(gen_coords, classes, images) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The bases of Sel_phi and Sel_phi-hat cut out by the echelonized local
     images of (a, b), and their dual images, at the tested places.
@@ -459,7 +439,9 @@ def _selmer_bases(gen_coords, classes, images) -> tuple[tuple[int, ...], tuple[i
     that side's image at every tested place, an F_2-linear condition: each
     generator's row holds its coordinates mapped to the quotients by the
     images, above one bit that marks the generator.  One pass builds the
-    rows of both sides, and each kernel comes from one elimination.
+    rows of both sides.  A side's kernel is the part of its rows' span
+    below the n marker bits, so the vectors of the rows' reduced echelon
+    basis with no quotient bit are the reduced echelon basis of the kernel.
     """
     n = len(gen_coords)
     layout = [_quotients(img, cls) for cls, img in zip(classes, images)]
@@ -471,7 +453,7 @@ def _selmer_bases(gen_coords, classes, images) -> tuple[tuple[int, ...], tuple[i
             hat = hat << dim | dual_quotient[v]
         rows_phi.append(row << n | 1 << i)
         rows_hat.append(hat << n | 1 << i)
-    return _kernel(rows_phi, n), _kernel(rows_hat, n)
+    return tuple(tuple(v for v in f2_echelon(rows) if not v >> n) for rows in (rows_phi, rows_hat))
 
 
 @dataclass(frozen=True)
@@ -513,15 +495,6 @@ class Descent:
         primes = self.gens[1:]
         out = [SquareClassQ(-1 if m & 1 else 1, tuple(p for i, p in enumerate(primes, 1) if m >> i & 1)) for m in basis]
         return tuple(sorted(out, key=lambda c: (len(c.support), abs(c.value()), c.value())))
-
-    def local_image(self, place: Place) -> tuple[SquareClassQ, ...]:
-        """Im(delta_{E',place}) as square classes, one per element; a place
-        outside the tested set is computed here."""
-        basis = self.images.get(place)
-        if basis is None:
-            basis = _image_at_place(self.A, self.B, place)
-        reps = local_reps(place)
-        return tuple(square_class(reps[v]) for v in sorted(f2_span(basis)))
 
 
 def _check_model(A, B):

@@ -28,10 +28,8 @@ from .localdata import bad_places_qt, tate_local
 from .polyq import (
     Poly,
     eval_at,
-    ft_square_class,
     model_discriminant,
     poly_from_json,
-    rational_roots,
     splits_linearly,
 )
 
@@ -311,70 +309,6 @@ def verify_conditions(rec: FamilyRecord) -> ConditionReport:
     statuses["g"] = (span_g >= need_g, None if span_g >= need_g else f"dim {span_g} < {need_g}")
 
     return ConditionReport(statuses, geometric_rank(cls))
-
-
-def _normalization_point(places: frozenset[Place]) -> Place:
-    """Deterministic choice: finite places first, by (numerator height, value)."""
-    finite = [pl for pl in places if pl.kind == "ft"]
-    if finite:
-        return min(finite, key=lambda pl: (abs(pl.e.numerator), pl.e))
-    return FT_INFINITY
-
-
-def _divisor_classes(roots: list[Fraction], has_inf: bool, norm: Place):
-    """Squarefree monomial divisors, normalized to be 1 at the chosen place.
-
-    With the place at infinity inside the support, odd degrees are allowed
-    (infinity absorbs the parity); otherwise only even-degree divisors are
-    unramified at infinity.
-    """
-    out = []
-    n = len(roots)
-    for mask in range(1 << n):
-        B = [roots[i] for i in range(n) if mask >> i & 1]
-        if not has_inf and len(B) % 2 != 0:
-            continue
-        f = Poly.const(1)
-        for e in B:
-            f = f * Poly.monic_linear(e)
-        if norm.kind == "ft":
-            value = eval_at(f, norm.e)
-            if value == 0:
-                raise FamilyValidationError("normalization point is a root of a divisor")
-            f = f * Poly.const(1 / value)
-            assert eval_at(f, norm.e) == 1
-        else:
-            assert f.leading == 1  # monic: trivial square class at infinity
-        out.append((tuple(sorted(B)), f))
-    out.sort(key=lambda t: (len(t[0]), t[0]))
-    return out
-
-
-def admissible_divisor_sets(rec: FamilyRecord):
-    """(F, F'): square classes of the admissible divisors of b and a^2-4b."""
-    E = rec.E
-    cls = classify_places(E)
-    if not (cls.M and cls.M_prime):
-        raise ValueError("conditions (a)/(b) must hold before computing divisor sets")
-    e0 = _normalization_point(cls.M)
-    e0p = _normalization_point(cls.M_prime)
-
-    def finite_roots(pls) -> list[Fraction]:
-        return sorted(pl.e for pl in pls if pl.kind == "ft")
-
-    roots_b = finite_roots(cls.A | cls.M)
-    roots_bp = finite_roots(cls.A | cls.M_prime)
-    # sanity: those are exactly the roots of b and of a^2 - 4b
-    if set(roots_b) != {r for r, _ in rational_roots(E.b)}:
-        raise FamilyValidationError("roots of b do not match A union M")
-    if set(roots_bp) != {r for r, _ in rational_roots(E.b_dual)}:
-        raise FamilyValidationError("roots of a^2-4b do not match A union M'")
-
-    F = _divisor_classes(roots_b, FT_INFINITY in (cls.A | cls.M), e0p)
-    Fp = _divisor_classes(roots_bp, FT_INFINITY in (cls.A | cls.M_prime), e0)
-    assert len(F) == 1 << (len(cls.A) + len(cls.M) - 1)
-    assert len(Fp) == 1 << (len(cls.A) + len(cls.M_prime) - 1)
-    return [ft_square_class(f) for _, f in F], [ft_square_class(f) for _, f in Fp]
 
 
 @lru_cache(maxsize=None)

@@ -49,17 +49,6 @@ class KodairaSymbol:
             return f"I{self.n}*"
         return self.letter
 
-    @staticmethod
-    def parse(s: str) -> "KodairaSymbol":
-        s = s.strip()
-        if s in ("II", "III", "IV", "II*", "III*", "IV*"):
-            return KodairaSymbol(s)
-        star = s.endswith("*")
-        body = s[:-1] if star else s
-        if not body.startswith("I"):
-            raise ValueError(f"bad Kodaira symbol {s!r}")
-        return KodairaSymbol("I*" if star else "I", int(body[1:]))
-
     @property
     def is_good(self) -> bool:
         return self.letter == "I" and self.n == 0
@@ -438,29 +427,3 @@ def bad_places_qt(E: TwoTorsionModel) -> list[Place]:
         places.append(FT_INFINITY)
     return places
 
-
-def conductor_degree(E: TwoTorsionModel) -> int:
-    """deg N: bad places count 1 (multiplicative) or 2 (additive).
-
-    At residue characteristic 0 additive places contribute exactly 2;
-    there is no wild part.
-    """
-    places = bad_places_qt(E)
-    if not places:
-        raise ValueError("constant/isotrivial curve: no bad linear places")
-    total = 0
-    for pl in places:
-        red = tate_local(E.a, E.b, pl)
-        total += 1 if red.is_multiplicative else 2
-    return total
-
-
-def local_image_order(A: int, B: int, p: int) -> Fraction:
-    """(1/2)|Im(delta_{E',p})| = c_p(E')/c_p(E), for odd primes p, on the
-    integral model (A, B) and its dual (-2A, A^2-4B)."""
-    if p == 2:
-        raise ValueError("the Tamagawa-ratio formula requires an odd prime")
-    place = Place.prime(p)
-    c_e = tate_local(A, B, place).tamagawa
-    c_dual = tate_local(-2 * A, A * A - 4 * B, place).tamagawa
-    return Fraction(c_dual, c_e)

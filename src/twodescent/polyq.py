@@ -258,16 +258,21 @@ def splits_linearly(f: Poly) -> bool:
     return sum(m for _, m in rational_roots(f)) == f.degree
 
 
+def check_nonsingular_qt(a: Poly, b: Poly) -> None:
+    """SingularModelError if b = 0 or a^2 = 4b, for Polys a and b: the one
+    singular test for Q(T) models."""
+    if b.is_zero or a * a == 4 * b:
+        raise SingularModelError("b = 0 or a^2 = 4b")
+
+
 def model_discriminant(a, b) -> Poly:
     """Discriminant 16(a^2-4b)b^2 of y^2 = x^3 + a x^2 + b x.
 
     Accepts Poly or rational coefficients; raises on singular models.
     """
     a, b = _as_poly(a), _as_poly(b)
-    bprime = a * a - 4 * b
-    if b.is_zero or bprime.is_zero:
-        raise SingularModelError("b = 0 or a^2 = 4b: singular model")
-    return 16 * bprime * b * b
+    check_nonsingular_qt(a, b)
+    return 16 * (a * a - 4 * b) * b * b
 
 
 @dataclass(frozen=True)

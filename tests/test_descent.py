@@ -14,6 +14,8 @@ from oracles import (
     delta_class_q,
     delta_span_dim_q,
     is_reduced_echelon,
+    local_image,
+    local_image_order,
     oracle_box_points,
     oracle_covering_points,
     oracle_f2_span,
@@ -69,7 +71,7 @@ from twodescent.descent import (
     torsor_solvable_at,
 )
 from twodescent.family import family_by_name
-from twodescent.localdata import local_image_order, tate_local
+from twodescent.localdata import tate_local
 from twodescent.polyq import SingularModelError, eval_at
 from twodescent.scan import enumerate_heights
 
@@ -514,7 +516,7 @@ def test_local_image_is_group_of_size_1_2_4_or_8(small_curve_corpus):
     for E in small_curve_corpus[:10]:
         D = descend(*integral_model(*E)[:2])
         for pl in (REAL, Place.prime(2), Place.prime(3)):
-            img = D.local_image(pl)
+            img = local_image(D, pl)
             assert len(img) in (1, 2, 4, 8)
 
 
@@ -532,9 +534,34 @@ def test_local_images_match_tamagawa_ratios(small_curve_corpus):
     for E in curves:
         D = descend(*integral_model(*E)[:2])
         for p in D.odd_support:
-            assert len(D.local_image(Place.prime(p))) == 2 * local_image_order(D.A, D.B, p), (E, p)
+            assert len(local_image(D, Place.prime(p))) == 2 * local_image_order(D.A, D.B, p), (E, p)
             pairs += 1
     assert pairs >= 800, pairs
+
+
+def test_image_at_3_matches_tamagawa_ratio_on_powers_of_3():
+    """|Im(delta_{E',3})| = 2 c_3(E')/c_3(E) beyond the |a|, |b| <= 12 grid of
+    the golden Tate table: on 3,000 seeded integral models of A = u 3^i,
+    B = w 3^j with |u|, |w| <= 300, i <= 6 and j <= 12, whose Tate runs at
+    3 on E and E' reach III, III*, I0*, I1* to I14* and the even I_n* to
+    I26*.  The torsor
+    walker at 3 against Tate's algorithm at 3, where the star steps tell a
+    double root of their cubic from a triple one."""
+    rng = random.Random(3)
+    three = Place.prime(3)
+    curves = []
+    while len(curves) < 3000:
+        A = rng.randint(-300, 300) * 3 ** rng.randint(0, 6)
+        B = rng.randint(-300, 300) * 3 ** rng.randint(0, 12)
+        if B and A * A != 4 * B:
+            curves.append(integral_model(A, B)[:2])
+    reached = set()
+    for A, B in curves:
+        assert 1 << len(_image_at_place(A, B, three)) == 2 * local_image_order(A, B, 3), (A, B)
+        for side in ((A, B), (-2 * A, A * A - 4 * B)):
+            reached.add(str(tate_local(*side, three).kodaira))
+    stars = {f"I{n}*" for n in [*range(15), *range(16, 27, 2)]}
+    assert {"III", "III*"} | stars <= reached, sorted(reached)
 
 
 def _two_adic_index(A: int, B: int) -> Fraction:

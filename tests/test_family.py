@@ -4,14 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import ft_class_product
-from twodescent.arith import FT_INFINITY, Place, factor, valuation
+from oracles import admissible_divisor_sets, conductor_degree, ft_class_product, valuation
+from twodescent.arith import FT_INFINITY, Place, factor
 from twodescent.curve import AffinePoint, TwoTorsionModel, delta_class, delta_span_dim
 from twodescent.family import (
     FamilyValidationError,
     PlaceClassification,
     _validate,
-    admissible_divisor_sets,
     builtin_families,
     classify_places,
     excluded_primes,
@@ -19,7 +18,6 @@ from twodescent.family import (
     geometric_rank,
     verify_conditions,
 )
-from twodescent.localdata import conductor_degree
 from twodescent.polyq import Poly
 from twodescent.scan import enumerate_heights
 

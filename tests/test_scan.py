@@ -4,8 +4,9 @@ from pathlib import Path
 
 import pytest
 
+from oracles import valuation
 from twodescent import descent, scan
-from twodescent.arith import FT_INFINITY, FactorizationEffortError, Place, valuation
+from twodescent.arith import FT_INFINITY, FactorizationEffortError, Place
 from twodescent.curve import integral_model, specialize
 from twodescent.family import FamilyRecord, excluded_primes, family_by_name
 from twodescent.localdata import tate_local
