@@ -4,11 +4,12 @@ Rationals are plain ``fractions.Fraction`` values (already canonical:
 gcd-reduced, positive denominator, zero is 0/1), so the module exports
 functions over ``Fraction`` rather than a wrapper type.
 
-`Place` names every place the package computes at: the real place and the
-primes of Q, and the places of Q(T).  At the real place and the primes,
-the local square classes Q_v^x/(Q_v^x)^2 are F_2 bitmasks: `local_coords`
-gives them, `local_reps` inverts it and `local_pairing` is the Hilbert
-symbol on them.  This is the one module that states their bit layout.
+A place of Q is an int: a prime p, or `REAL` = 0 for the real place, as
+PARI/GP's ``hilbert(x, y, 0)`` has it.  `Place` is a place of Q(T): T - e
+or infinity.  At the real place and the primes, the local square classes
+Q_v^x/(Q_v^x)^2 are F_2 bitmasks: `local_coords` gives them, `local_reps`
+inverts it and `local_pairing` is the Hilbert symbol on them.  This is the
+one module that states their bit layout.
 """
 
 from __future__ import annotations
@@ -300,79 +301,60 @@ def sqrt_rational(q: RationalLike) -> Fraction | None:
     return None
 
 
-@dataclass(frozen=True, init=False)
+# the real place of Q; a prime p of Q is the int p (PARI/GP's convention)
+REAL = 0
+
+
+@dataclass(frozen=True)
 class Place:
-    """A place: finite prime of Q, linear place T - e of Q(T), infinity, or real.
+    """A place of Q(T): the linear place T - e, or the place at infinity."""
 
-    Places key the descent's dicts and per-class tables, so the hash of
-    (kind, p, e) is computed once, on construction, and kept outside the
-    fields; a pickled place is rebuilt from its fields, since str hashes
-    differ between processes."""
-
-    kind: str  # "prime" | "ft" | "ft_inf" | "real"
-    p: int | None = None
+    kind: str  # "ft" | "ft_inf"
     e: Fraction | None = None
-
-    def __init__(self, kind: str, p: int | None = None, e: Fraction | None = None):
-        # frozen: the fields go straight into the instance dict
-        fields = self.__dict__
-        fields["kind"], fields["p"], fields["e"], fields["_hash"] = kind, p, e, hash((kind, p, e))
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):
-        return Place, (self.kind, self.p, self.e)
-
-    @staticmethod
-    def prime(p: int) -> "Place":
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        return Place("prime", p=p)
 
     @staticmethod
     def ft(e) -> "Place":
-        return Place("ft", e=Fraction(e))
+        return Place("ft", Fraction(e))
 
     def __str__(self):
-        if self.kind == "prime":
-            return str(self.p)
         if self.kind == "ft":
             return f"T-{self.e}" if self.e >= 0 else f"T+{-self.e}"
-        return "inf" if self.kind == "ft_inf" else "real"
+        return "inf"
 
 
 FT_INFINITY = Place("ft_inf")
-REAL = Place("real")
 
 
-def parse_place(s: str) -> Place:
+def parse_place(s: str) -> Place | int:
+    """A place of Q(T) ("T-e", "T+e", "inf"), or a prime of Q as an int."""
     s = s.strip()
     if s in ("inf", "infinity", "oo"):
         return FT_INFINITY
-    if s == "real":
-        return REAL
     if s.startswith("T-"):
         return Place.ft(Fraction(s[2:]))
     if s.startswith("T+"):
         return Place.ft(-Fraction(s[2:]))
-    return Place.prime(int(s))
+    p = int(s)
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    return p
 
 
-def _require_q_place(place: Place) -> None:
-    if place.kind not in ("real", "prime"):
-        raise ValueError(f"local square classes are defined at the real place or a prime of Q, not {place}")
+def _require_q_place(p) -> None:
+    """ValueError unless p is a place of Q: REAL (0) or an int p >= 2."""
+    if not (isinstance(p, int) and (p == REAL or p >= 2)):
+        raise ValueError(f"local data over Q are defined at the real place 0 or a prime, not {p}")
 
 
-def local_dim(place: Place) -> int:
+def local_dim(p: int) -> int:
     """The F_2-dimension of Q_v^x/(Q_v^x)^2 at the real place or a prime."""
-    _require_q_place(place)
-    if place.kind == "real":
+    _require_q_place(p)
+    if p == REAL:
         return 1
-    return 3 if place.p == 2 else 2
+    return 3 if p == 2 else 2
 
 
-def local_coords(q: RationalLike, place: Place) -> int:
+def local_coords(q: RationalLike, p: int) -> int:
     """The class of q in Q_v^x/(Q_v^x)^2 as an F_2 bitmask, at the real place or a prime.
 
     Real place: bit 0 is the sign.  With q = p^alpha u, u a p-adic unit: at
@@ -382,9 +364,8 @@ def local_coords(q: RationalLike, place: Place) -> int:
     """
     if q == 0:
         raise ValueError("0 has no local square class")
-    if place.kind == "real":
+    if p == REAL:
         return int(q < 0)
-    p = place.p
     # n/d and n*d have the same square class; ints carry denominator 1
     n = q.numerator * q.denominator
     alpha = int_valuation(n, p)
@@ -413,20 +394,20 @@ _REAL_REPS = {0: 1, 1: -1}
 _TWO_REPS = {c: (-1 if c & 1 else 1) * (5 if c & 2 else 1) * (2 if c & 4 else 1) for c in range(8)}
 
 
-def local_reps(place: Place) -> dict[int, int]:
+def local_reps(p: int) -> dict[int, int]:
     """The inverse of `local_coords` at the real place or a prime: each
     bitmask -> a squarefree integer in its class.  At odd p these are 1,
     u, p and u p, with u the least non-residue (a prime below p)."""
-    _require_q_place(place)
-    if place.kind == "real":
+    _require_q_place(p)
+    if p == REAL:
         return _REAL_REPS
-    if place.p == 2:
+    if p == 2:
         return _TWO_REPS
-    p, u = place.p, smallest_nonresidue(place.p)
+    u = smallest_nonresidue(p)
     return {0: 1, 1: u, 2: p, 3: u * p}
 
 
-def local_pairing(x: int, y: int, place: Place) -> int:
+def local_pairing(x: int, y: int, p: int) -> int:
     """The Hilbert symbol on local coordinates, as 0 for +1 and 1 for -1.
 
     Serre, A Course in Arithmetic, III.1.2: with x = p^alpha u, y = p^beta v,
@@ -434,14 +415,14 @@ def local_pairing(x: int, y: int, place: Place) -> int:
     (x, y)_2 = (-1)^(eps(u) eps(v) + alpha omega(v) + beta omega(u)), where
     eps(u) = (u-1)/2 and omega(u) = (u^2-1)/8 mod 2.
     """
-    if place.kind == "real":
+    if p == REAL:
         return x & y & 1
-    if place.p == 2:
+    if p == 2:
         # bits 0, 1, 2: eps(u), omega(u), alpha of x and eps(v), omega(v), beta of y
         return (x & y ^ x >> 2 & y >> 1 ^ y >> 2 & x >> 1) & 1
     # bits 0, 1: (u|p) = -1, alpha of x and (v|p) = -1, beta of y; bit 0 of
     # p >> 1 is eps(p)
-    eps_p = place.p >> 1
+    eps_p = p >> 1
     return (x >> 1 & y >> 1 & eps_p ^ x & y >> 1 ^ y & x >> 1) & 1
 
 

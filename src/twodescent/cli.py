@@ -40,11 +40,12 @@ def _curve_arg(s: str):
         raise argparse.ArgumentTypeError(f"bad curve {s!r}: {type(exc).__name__} {exc}") from None
 
 
-def _place_arg(s: str) -> Place:
+def _place_arg(s: str) -> Place | int:
+    """A place of Q(T), or a prime of Q as an int."""
     try:
         return parse_place(s)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad place {s!r}: {exc}") from None
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(f"bad place {s!r}: {type(exc).__name__} {exc}") from None
 
 
 def _is_point_list(items) -> bool:
@@ -103,8 +104,8 @@ def _usage_error(args) -> str | None:
     E = args.curve
     domain = "QT" if isinstance(E, TwoTorsionModel) else "Q"
     if cmd == "tate":
-        kinds = ("prime",) if domain == "Q" else ("ft", "ft_inf")
-        return None if args.place.kind in kinds else f"place {args.place} is incompatible with a {domain}-curve"
+        on_q = isinstance(args.place, int)
+        return None if on_q == (domain == "Q") else f"place {args.place} is incompatible with a {domain}-curve"
     if domain != "Q":
         return f"{cmd} takes a curve over Q"
     # rank_bounds checks the moved points again, for its library callers

@@ -7,12 +7,13 @@ delta_{E',v} exactly when the quartic torsor
     w^2 = d z^4 - 2a z^2 + (a^2 - 4b)/d
 
 has a point over the completion at v (z = 0, z = infinity and w = 0 points
-included).  `torsor_solvable_at(d, a, b, v)` is that test, on plain
-integers; its answer depends only on the square class of d.  Sel_phi(E/Q)
-is the set of classes passing this test at every place; it suffices to
-test the real place, 2, and the odd primes dividing b(a^2-4b): at any
-other odd prime the torsor has good reduction, so it has F_p-points by
-Hasse-Weil and they lift by Hensel.
+included).  `torsor_solvable_at(d, a, b, p)` is that test, on plain
+integers, at a prime p or at the real place p = `REAL` = 0 (a place of Q
+is an int); its answer depends only on the square class of d.
+Sel_phi(E/Q) is the set of classes passing this test at every place; it
+suffices to test the real place, 2, and the odd primes dividing
+b(a^2-4b): at any other odd prime the torsor has good reduction, so it
+has F_p-points by Hasse-Weil and they lift by Hensel.
 
 At an odd p dividing b(a^2-4b) but not a the reduction is multiplicative,
 and `_image_at_place` reads the image off the node, with no torsor test.
@@ -46,10 +47,11 @@ them for a local image).
 
 On local coordinates the Hilbert symbol depends only on the place class:
 real, 2, or p mod 4 at an odd prime p (Serre, A Course in Arithmetic,
-III.1.2).  So the dual images, the two quotient maps of each image and the
-classes pairing trivially with [b] are per-class tables, each entry
-computed once per process on first use.  The generator coordinates take
-one Legendre symbol per pair of odd primes and reciprocity for the other.
+III.1.2), which `_place_class(p)` names as 0, 2, 3 or 5.  So the dual
+images, the two quotient maps of each image and the classes pairing
+trivially with [b] are per-class tables, each entry computed once per
+process on first use.  The generator coordinates take one Legendre
+symbol per pair of odd primes and reciprocity for the other.
 
 The layer runs on the integral model (A, B) as ints: `descend(A, B)` is
 its entry point, and a curve over Q, the pair (a, b), enters through
@@ -89,8 +91,8 @@ from . import modp
 from .arith import (
     REAL,
     FactorizationEffortError,
-    Place,
     SquareClassQ,
+    _require_q_place,
     f2_echelon,
     f2_reduce,
     f2_span,
@@ -284,9 +286,9 @@ def quartic_solvable_real(A4: int, A2: int, A0: int) -> bool:
     return A2 * A2 >= 4 * A4 * A0
 
 
-def torsor_solvable_at(d: int, a: int, b: int, place: Place) -> bool:
+def torsor_solvable_at(d: int, a: int, b: int, p: int) -> bool:
     """Does w^2 = d z^4 - 2a z^2 + (a^2-4b)/d have a point over the completion
-    at a finite prime or the real place?
+    at the prime p, or at the real place for p = REAL?
 
     The answer depends only on the square class of d: z = Z/k, w = W/k carry
     the torsor of d k^2 onto that of d.  Both tests run on the coefficients
@@ -298,15 +300,14 @@ def torsor_solvable_at(d: int, a: int, b: int, place: Place) -> bool:
         raise TypeError("d, a and b must be ints")
     if d == 0:
         raise ValueError("d must be nonzero")
-    if place.kind not in ("real", "prime"):
-        raise ValueError(f"torsors are tested at primes or the real place, not {place}")
+    _require_q_place(p)
     bdual = a * a - 4 * b
     g = math.gcd(d, bdual)
     l2 = (abs(d) // g) ** 2
     A4, A2, A0 = d * l2, -2 * a * l2, (bdual // g) * (d // g)
-    if place.kind == "real":
+    if p == REAL:
         return quartic_solvable_real(A4, A2, A0)
-    return quartic_solvable_qp(A4, A2, A0, place.p)
+    return quartic_solvable_qp(A4, A2, A0, p)
 
 
 # ----------------------------------------------------------------------
@@ -314,25 +315,22 @@ def torsor_solvable_at(d: int, a: int, b: int, place: Place) -> bool:
 # ----------------------------------------------------------------------
 
 
-_P1, _P3 = Place("prime", p=5), Place("prime", p=3)
-
-
-def _place_class(place: Place) -> Place:
-    """The real place, 2, or 5 or 3 standing in for an odd prime p = 1 or 3
-    (mod 4): the key of the tables below, which depend on nothing else."""
-    if place.kind == "real" or place.p == 2:
-        return place
-    return _P3 if place.p & 2 else _P1
+def _place_class(p: int) -> int:
+    """REAL, 2, or 5 or 3 standing in for an odd prime p = 1 or 3 (mod 4):
+    the key of the tables below, which depend on nothing else."""
+    if p <= 2:
+        return p
+    return 3 if p & 2 else 5
 
 
 @lru_cache(maxsize=None)
-def _pairs_trivially(y: int, cls: Place) -> tuple[int, ...]:
+def _pairs_trivially(y: int, cls: int) -> tuple[int, ...]:
     """The local classes v, in increasing order, with (v, y) = 1 at class cls."""
     return tuple(v for v in range(1 << local_dim(cls)) if not local_pairing(v, y, cls))
 
 
 @lru_cache(maxsize=None)
-def _dual_image(basis: tuple[int, ...], cls: Place) -> tuple[int, ...]:
+def _dual_image(basis: tuple[int, ...], cls: int) -> tuple[int, ...]:
     """The local image for the dual model (-2a, a^2-4b) at class cls, from that of (a, b).
 
     The two images are exact annihilators of each other under the Hilbert
@@ -355,8 +353,9 @@ def _node_image(a: int, b: int, p: int) -> tuple[int, ...]:
     return (1,) if int_valuation(b, p) % 2 == 0 and pow(a % p, p >> 1, p) != 1 else ()
 
 
-def _image_at_place(a: int, b: int, place: Place) -> tuple[int, ...]:
-    """Im(delta_{E',v}) for the model (a, b), as echelonized local vectors.
+def _image_at_place(a: int, b: int, p: int) -> tuple[int, ...]:
+    """Im(delta_{E',p}) for the model (a, b), at a prime p or REAL, as
+    echelonized local vectors.
 
     At an odd p dividing b(a^2-4b) but not a, c4 is a p-unit, so the
     reduction is multiplicative, and the image is read off the node with no
@@ -379,21 +378,20 @@ def _image_at_place(a: int, b: int, place: Place) -> tuple[int, ...]:
     skipped too.
     """
     bdual = a * a - 4 * b
-    if place.kind == "prime" and place.p != 2 and a % place.p:
-        p = place.p
+    if p > 2 and a % p:
         if b % p == 0:
             return _node_image(a, b, p)
         if bdual % p == 0:
-            return _dual_image(_node_image(-2 * a, bdual, p), _place_class(place))
-    c = local_coords(bdual, place)
+            return _dual_image(_node_image(-2 * a, bdual, p), _place_class(p))
+    c = local_coords(bdual, p)
     inside, span = ((c,) if c else ()), {0, c}
     outside: list[int] = []
     reps = None
-    for v in _pairs_trivially(local_coords(b, place), _place_class(place)):
+    for v in _pairs_trivially(local_coords(b, p), _place_class(p)):
         if v in span or any(v ^ u in span for u in outside):
             continue
-        reps = reps or local_reps(place)
-        if torsor_solvable_at(reps[v], a, b, place):
+        reps = reps or local_reps(p)
+        if torsor_solvable_at(reps[v], a, b, p):
             inside = f2_echelon(inside + (v,))
             span |= {s ^ v for s in span}
         else:
@@ -418,7 +416,7 @@ def _gen_coords(odd_support: tuple[int, ...]) -> list[list[int]]:
 
 
 @lru_cache(maxsize=None)
-def _quotients(image: tuple[int, ...], cls: Place) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+def _quotients(image: tuple[int, ...], cls: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     """(dim, the quotient map by image, the quotient map by its dual image)
     at class cls, each map a table v -> f2_reduce(v, ...) over the 2^dim
     local classes; 0 exactly on the subgroup."""
@@ -463,8 +461,8 @@ class Descent:
 
     One set of local images, at the real place, 2 and the odd primes of
     B(A^2-4B), gives both Selmer groups and the Cassels ratio check.
-    `images` maps each of those places to Im(delta_{E',v}) as the echelon
-    basis of its local coordinates.
+    `images` maps each of those places, REAL, 2 and the odd support in that
+    order, to Im(delta_{E',v}) as the echelon basis of its local coordinates.
 
     `phi` and `phi_hat` are the Selmer bases as reduced echelon F_2
     bitmasks over `gens`, bit 0 the sign and bit i gens[i], both from one
@@ -481,7 +479,7 @@ class Descent:
     odd_support: tuple[int, ...]
     phi: tuple[int, ...]
     phi_hat: tuple[int, ...]
-    images: dict[Place, tuple[int, ...]]
+    images: dict[int, tuple[int, ...]]
     cassels_ok: bool
     searches: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -519,10 +517,9 @@ def descend(A: int, B: int) -> Descent:
     _check_model(A, B)
     primes = factor(B).primes + factor(A * A - 4 * B).primes
     odd_support = tuple(sorted({p for p in primes if p != 2}))
-    # factor has proven these primes; Place.prime would test them again
-    places = [REAL] + [Place("prime", p=p) for p in (2, *odd_support)]
-    images = {pl: _image_at_place(A, B, pl) for pl in places}
-    classes = [_place_class(pl) for pl in places]
+    places = (REAL, 2, *odd_support)
+    images = {p: _image_at_place(A, B, p) for p in places}
+    classes = [_place_class(p) for p in places]
     gen_coords = _gen_coords(odd_support)
     basis_phi, basis_hat = _selmer_bases(gen_coords, classes, images.values())
     cassels_ok = len(basis_phi) - len(basis_hat) == sum(len(img) - 1 for img in images.values())

@@ -7,12 +7,12 @@ only tame branches can occur).  Each DVR also answers for its residue
 field: zero and square tests, square roots, division and counting the
 roots of a cubic.  The place at infinity of Q(T) is
 reduced to a linear place by rewriting the model in U = 1/T and
-clearing denominators with x = X/U^2, y = Y/U^3.  Places are
-`arith.Place`s, and the place picks the ring: `tate_local(a, b, place)`
-takes ints at a prime, an integral model of a curve over Q (a rational
-one is moved there by `curve.clear_denominators`; isomorphic models
-share their local data and the algorithm reduces a non-minimal one), and
-the Polys of a Q(T) model at T - e and at infinity.
+clearing denominators with x = X/U^2, y = Y/U^3.  The place picks the
+ring: `tate_local(a, b, place)` takes ints at a prime p, given as the int
+p, an integral model of a curve over Q (a rational one is moved there by
+`curve.clear_denominators`; isomorphic models share their local data and
+the algorithm reduces a non-minimal one), and the Polys of a Q(T) model
+at an `arith.Place`, T - e or infinity.  The real place has no Tate run.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import modp
-from .arith import _INF, FT_INFINITY, Place, int_valuation, sqrt_rational
+from .arith import _INF, FT_INFINITY, REAL, Place, _require_q_place, int_valuation, sqrt_rational
 from .curve import TwoTorsionModel
 from .polyq import Poly, UnsupportedClassError, model_discriminant, rational_roots, splits_linearly
 
@@ -402,19 +402,22 @@ def _infinity_model(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     return aU, bU
 
 
-def tate_local(a, b, place: Place) -> LocalReduction:
+def tate_local(a, b, place: Place | int) -> LocalReduction:
     """Local reduction data of a minimal model of y^2 = x^3 + a x^2 + b x at
-    the place: a and b are ints at a prime and Polys at T - e or infinity."""
-    ring = int if place.kind == "prime" else Poly
-    if not (isinstance(a, ring) and isinstance(b, ring)):
-        raise TypeError(f"at {place}, a and b must be {ring.__name__}s")
-    if place.kind == "prime":
-        return _tate_core(_QpDVR(place.p), a, b)
+    the place: a and b are ints at a prime p (the int p) and Polys at a
+    `Place`, T - e or infinity."""
+    if not isinstance(place, Place):
+        _require_q_place(place)
+        if place == REAL:
+            raise ValueError("no Tate's algorithm at the real place")
+        if not (isinstance(a, int) and isinstance(b, int)):
+            raise TypeError(f"at {place}, a and b must be ints")
+        return _tate_core(_QpDVR(place), a, b)
+    if not (isinstance(a, Poly) and isinstance(b, Poly)):
+        raise TypeError(f"at {place}, a and b must be Polys")
     if place.kind == "ft":
         return _tate_core(_FTDVR(), a.shift(place.e), b.shift(place.e))
-    if place.kind == "ft_inf":
-        return _tate_core(_FTDVR(), *_infinity_model(a, b))
-    raise ValueError(f"no Tate's algorithm at {place}")
+    return _tate_core(_FTDVR(), *_infinity_model(a, b))
 
 
 def bad_places_qt(E: TwoTorsionModel) -> list[Place]:

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .arith import Place
 from .curve import j_invariant
 from .descent import Descent, RankStatus, descend, rank_bounds, run_or_reason
 from .family import family_by_name
@@ -131,15 +130,15 @@ class _CurveRuns:
         return tuple(
             p
             for p in (2,) + D.odd_support
-            # p is 2 or came out of factor, so it is prime: no second test
             if self._c4 % p**4
             or self._disc % p**12
-            or not tate_local(D.A, D.B, Place("prime", p=p)).kodaira.is_good
+            or not tate_local(D.A, D.B, p).kodaira.is_good
         )
 
 
 def tamagawa_ratio(D: Descent, p: int) -> Fraction:
-    """c_p(E')/c_p(E) at an odd prime p, read off the descent.
+    """c_p(E')/c_p(E) at an odd prime p, read off the descent's image
+    `D.images[p]`, keyed by the int p like every place of Q.
 
     phi has degree 2, so it is an isomorphism on the formal groups at odd
     p, and Schaefer's index formula (J. Number Theory 56 (1996), Lemma 3.8)
@@ -150,7 +149,7 @@ def tamagawa_ratio(D: Descent, p: int) -> Fraction:
     descent reads the image off the node with no torsor test, so there the
     ratio comes from that closed form; `test_scan` compares it with Tate
     at every pattern prime of height <= 20."""
-    basis = D.images.get(Place("prime", p=p))
+    basis = D.images.get(p)
     return Fraction(1) if basis is None else Fraction(2) ** (len(basis) - 1)
 
 

@@ -219,17 +219,17 @@ def oracle_quartic_real(A4: Fraction, A2: Fraction, A0: Fraction) -> bool:
     return any(u >= 0 and A4 * u * u + A2 * u + A0 >= 0 for u in candidates)
 
 
-def oracle_torsor_solvable(d: int, a: Fraction, b: Fraction, place: Place) -> bool:
+def oracle_torsor_solvable(d: int, a: Fraction, b: Fraction, place: int) -> bool:
     c4 = Fraction(d)
     c2 = -2 * Fraction(a)
     c0 = (Fraction(a) ** 2 - 4 * Fraction(b)) / d
     if place == REAL:
         return oracle_quartic_real(c4, c2, c0)
     l = math.lcm(c4.denominator, c2.denominator, c0.denominator) ** 2
-    return oracle_quartic_qp(int(c4 * l), int(c2 * l), int(c0 * l), place.p)
+    return oracle_quartic_qp(int(c4 * l), int(c2 * l), int(c0 * l), place)
 
 
-def oracle_local_image(a: int, b: int, place: Place) -> tuple[int, ...]:
+def oracle_local_image(a: int, b: int, place: int) -> tuple[int, ...]:
     """Im(delta_{E',v}) for the model (a, b) by a full sweep: the torsor of
     every class of Q_v^x/(Q_v^x)^2 is tested, with no bound and no skip.
     Returns the echelon basis, after asserting the solvable set is a subgroup."""
@@ -271,9 +271,7 @@ def oracle_selmer(A: int, B: int) -> list[int]:
     """
     bprime = A * A - 4 * B
     support = 2 * B * bprime
-    places = [REAL, Place.prime(2)] + [
-        Place.prime(p) for p in sorted(set(_prime_list(abs(support)))) if p % 2 == 1
-    ]
+    places = [REAL, 2] + [p for p in sorted(set(_prime_list(abs(support)))) if p % 2 == 1]
     sel = []
     for d in squarefree_sign_divisors(support):
         if all(oracle_torsor_solvable(d, Fraction(A), Fraction(B), pl) for pl in places):
@@ -310,20 +308,20 @@ def valuation(q, p: int) -> int:
     return int_valuation(q.numerator, p) - int_valuation(q.denominator, p)
 
 
-def is_square_local(q, place: Place) -> bool:
+def is_square_local(q, place: int) -> bool:
     """Is q a square in the completion at the real place or a prime?"""
     _require_q_place(place)
     return local_coords(q, place) == 0
 
 
-def hilbert_symbol(x, y, place: Place) -> int:
+def hilbert_symbol(x, y, place: int) -> int:
     """The Hilbert symbol (x, y) at the real place or a prime, as +1 or -1,
     from `local_pairing` on the local coordinates."""
     _require_q_place(place)
     return -1 if local_pairing(local_coords(x, place), local_coords(y, place), place) else 1
 
 
-def local_image(D: Descent, place: Place) -> tuple[SquareClassQ, ...]:
+def local_image(D: Descent, place: int) -> tuple[SquareClassQ, ...]:
     """Im(delta_{E',place}) of the descent D as square classes, one per
     element, in the order of their local coordinates; a place outside the
     tested set is computed here."""
@@ -339,10 +337,23 @@ def local_image_order(A: int, B: int, p: int) -> Fraction:
     integral model (A, B) and its dual (-2A, A^2-4B), from two Tate runs."""
     if p == 2:
         raise ValueError("the Tamagawa-ratio formula requires an odd prime")
-    place = Place.prime(p)
-    c_e = tate_local(A, B, place).tamagawa
-    c_dual = tate_local(-2 * A, A * A - 4 * B, place).tamagawa
+    c_e = tate_local(A, B, p).tamagawa
+    c_dual = tate_local(-2 * A, A * A - 4 * B, p).tamagawa
     return Fraction(c_dual, c_e)
+
+
+def two_adic_index(A: int, B: int) -> Fraction:
+    """2 c_2(E')/c_2(E) 2^(k_E' - k_E) for E = (A, B) and E' = (-2A, A^2-4B)
+    from Tate's algorithm at 2, where k = (v_2(model discriminant) -
+    v_2(minimal discriminant))/12 and the model discriminants are
+    16 B^2 (A^2-4B) and 16 (A^2-4B)^2 16 B: |Im(delta_{E',2})| by Schaefer's
+    index formula (J. Number Theory 56, 1996, Lemma 3.8)."""
+    bdual = A * A - 4 * B
+    e, e_dual = tate_local(A, B, 2), tate_local(-2 * A, bdual, 2)
+    shift = int_valuation(16 * B * B * bdual, 2) - e.min_disc_valuation
+    shift_dual = int_valuation(256 * bdual * bdual * B, 2) - e_dual.min_disc_valuation
+    assert shift % 12 == 0 and shift_dual % 12 == 0, (A, B)
+    return 2 * Fraction(e_dual.tamagawa, e.tamagawa) * Fraction(2) ** ((shift_dual - shift) // 12)
 
 
 def conductor_degree(E: TwoTorsionModel) -> int:

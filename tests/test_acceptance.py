@@ -12,10 +12,18 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import admissible_divisor_sets, delta_class_q, delta_span_dim_q, dual_pair, local_image, selmer_values
-from twodescent.arith import Place, factor
+from oracles import (
+    admissible_divisor_sets,
+    delta_class_q,
+    delta_span_dim_q,
+    dual_pair,
+    local_image,
+    selmer_values,
+    two_adic_index,
+)
+from twodescent.arith import factor
 from twodescent.curve import AffinePoint, delta_class, delta_span_dim, integral_model, specialize
-from twodescent.descent import descend, point_search
+from twodescent.descent import _image_at_place, descend, point_search
 from twodescent.family import (
     builtin_families,
     excluded_primes,
@@ -264,21 +272,21 @@ def test_criterion_7_local_image_laws(full_scans):
             D = descend(A, B)
             odd_bad = [p for p in r.bad_primes if p != 2]
             for p in odd_bad[:3]:
-                rE = tate_local(A, B, Place.prime(p))
-                rD = tate_local(-2 * A, A * A - 4 * B, Place.prime(p))
+                rE = tate_local(A, B, p)
+                rD = tate_local(-2 * A, A * A - 4 * B, p)
                 if not (rE.is_multiplicative and rD.is_multiplicative):
                     continue
                 n = rD.kodaira.n
                 if rE.kodaira.n != 2 * n or n < 1:
                     continue
                 if rE.reduction == "split-multiplicative" or n % 2 == 1:
-                    img = local_image(D, Place.prime(p))
+                    img = local_image(D, p)
                     assert len(img) == 1 and img[0].is_identity, (name, str(r.t), p)
                     trivial_checks += 1
             for p in (3, 5, 7):
                 if p in r.bad_primes:
                     continue
-                img = local_image(D, Place.prime(p))
+                img = local_image(D, p)
                 assert all(p not in cls.support for cls in img), (name, str(r.t), p)
                 unit_checks += 1
                 break
@@ -289,6 +297,22 @@ def test_criterion_7_local_image_laws(full_scans):
         f"specializations={examined} trivial-image-checks={trivial_checks} unit-checks={unit_checks}, zero violations",
     )
     assert ok
+
+
+def test_image_at_2_matches_tate_index_formula_on_scan_fibers(full_scans):
+    """|Im(delta_{E',2})| = 2 c_2(E')/c_2(E) 2^(k_E' - k_E), Schaefer's index
+    formula at 2, on every distinct integral model of a fiber that the
+    acceptance scans did not skip: the 2-adic torsor walker against Tate's
+    algorithm at 2 over the whole scan."""
+    models = set()
+    for name in FAMILIES:
+        rec = family_by_name(name)
+        for r in full_scans[name]:
+            if not r.skipped:
+                models.add(rec.fibers.model(r.t.numerator, r.t.denominator)[:2])
+    for A, B in models:
+        assert 1 << len(_image_at_place(A, B, 2)) == two_adic_index(A, B), (A, B)
+    assert models
 
 
 def test_criterion_8_rank_formula_witnesses(full_scans):

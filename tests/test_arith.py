@@ -30,6 +30,7 @@ from twodescent.arith import (
     local_dim,
     local_pairing,
     local_reps,
+    parse_place,
     smallest_nonresidue,
     square_class,
 )
@@ -38,7 +39,7 @@ from twodescent.arith import (
 # the heading, "+" for +1 and "-" for -1
 SERRE_TABLES = {
     REAL: ((1, -1), ("++", "+-")),
-    Place.prime(2): (
+    2: (
         (1, 5, -1, -5, 2, 10, -2, -10),
         (
             "++++++++",
@@ -51,10 +52,10 @@ SERRE_TABLES = {
             "+--+-++-",
         ),
     ),
-    Place.prime(3): ((1, 2, 3, 6), ("++++", "++--", "+--+", "+-+-")),
-    Place.prime(5): ((1, 2, 5, 10), ("++++", "++--", "+-+-", "+--+")),
+    3: ((1, 2, 3, 6), ("++++", "++--", "+--+", "+-+-")),
+    5: ((1, 2, 5, 10), ("++++", "++--", "+-+-", "+--+")),
 }
-HILBERT_PLACES = [REAL] + [Place.prime(p) for p in (2, 3, 5, 7, 11, 13, 23, 10007)]
+HILBERT_PLACES = [REAL, 2, 3, 5, 7, 11, 13, 23, 10007]
 
 
 def test_valuation_examples():
@@ -178,13 +179,13 @@ def test_f2_echelon_matches_brute_force(vectors, rnd):
 
 
 def test_is_square_local_examples():
-    assert is_square_local(17, Place.prime(2)) is True
-    assert is_square_local(2, Place.prime(7)) is True
+    assert is_square_local(17, 2) is True
+    assert is_square_local(2, 7) is True
     assert is_square_local(-4, REAL) is False
     with pytest.raises(ValueError):
-        is_square_local(0, Place.prime(3))
+        is_square_local(0, 3)
     with pytest.raises(ValueError):
-        is_square_local(3, Place.prime(15))
+        is_square_local(3, parse_place("15"))
 
 
 def test_is_square_local_properties():
@@ -193,11 +194,11 @@ def test_is_square_local_properties():
     for _ in range(50):
         q = Fraction(rng.randint(1, 300), rng.randint(1, 300))
         for p in primes:
-            assert is_square_local(q * q, Place.prime(p))
+            assert is_square_local(q * q, p)
         assert is_square_local(q * q, REAL)
         for p in primes:
             if p != 2:
-                assert not is_square_local(p * q * q, Place.prime(p))
+                assert not is_square_local(p * q * q, p)
 
 
 def test_square_class_examples():
@@ -230,13 +231,13 @@ def test_hilbert_symbol_serre_tables():
             for y, sign in zip(reps, row):
                 assert hilbert_symbol(x, y, place) == (1 if sign == "+" else -1), (x, y, str(place))
     # rationals enter through their square classes
-    two, three = Place.prime(2), Place.prime(3)
+    two, three = 2, 3
     assert hilbert_symbol(Fraction(1, 2), 5, two) == -1
     assert hilbert_symbol(Fraction(3, 4), Fraction(9, 2), three) == hilbert_symbol(3, 2, three) == -1
     with pytest.raises(ValueError):
         hilbert_symbol(0, 3, three)
     with pytest.raises(ValueError):
-        hilbert_symbol(2, 3, Place.prime(6))
+        hilbert_symbol(2, 3, parse_place("6"))
 
 
 def test_hilbert_symbol_symmetric_and_bilinear():
@@ -271,7 +272,7 @@ def test_hilbert_symbol_product_formula():
             continue
         prod = hilbert_symbol(x, y, REAL)
         for p in set(factor(2 * x * y).primes):
-            prod *= hilbert_symbol(x, y, Place.prime(p))
+            prod *= hilbert_symbol(x, y, p)
         assert prod == 1, (x, y)
         pairs += 1
 
@@ -288,11 +289,11 @@ def test_local_coords_bit_layout():
     at 2.  Swapping the last two bits at 2 leaves the pairing unchanged, so
     only this test pins them."""
     assert [local_coords(x, REAL) for x in (5, Fraction(-1, 3))] == [0, 1]
-    three, two = Place.prime(3), Place.prime(2)
+    three, two = 3, 2
     assert [local_coords(x, three) for x in (7, 2, 3, Fraction(-1, 3))] == [0, 0b01, 0b10, 0b11]
     assert [local_coords(x, two) for x in (17, -1, 5, 2, Fraction(-5, 2))] == [0, 0b001, 0b010, 0b100, 0b111]
     with pytest.raises(ValueError):
-        local_coords(0, Place.prime(5))
+        local_coords(0, 5)
 
 
 def test_local_reps_by_construction():
@@ -300,15 +301,15 @@ def test_local_reps_by_construction():
     p with u the least non-residue; constants at 2 and the real place) are
     squarefree and keyed by their own local coordinates, for every prime
     below 2000 and the real place."""
-    places = [REAL, Place.prime(2)] + [Place.prime(p) for p in range(3, 2000, 2) if is_prime(p)]
+    places = [REAL, 2] + [p for p in range(3, 2000, 2) if is_prime(p)]
     for pl in places:
         reps = local_reps(pl)
         assert reps == {local_coords(c, pl): c for c in reps.values()}, str(pl)
         assert sorted(reps) == list(range(1 << local_dim(pl))), str(pl)
         assert all(square_class(c).value() == c for c in reps.values()), str(pl)
-        if pl.kind == "prime" and pl.p != 2:
-            u = smallest_nonresidue(pl.p)
-            assert list(reps.values()) == [1, u, pl.p, u * pl.p], str(pl)
+        if pl not in (REAL, 2):
+            u = smallest_nonresidue(pl)
+            assert list(reps.values()) == [1, u, pl, u * pl], str(pl)
 
 
 def test_local_coords_homomorphism_square_invariant_zero_on_squares():
@@ -320,7 +321,7 @@ def test_local_coords_homomorphism_square_invariant_zero_on_squares():
     rng = random.Random(8)
     for pl in HILBERT_PLACES:
         assert sorted(local_reps(pl)) == list(range(1 << local_dim(pl)))
-        p = 3 if pl.kind == "real" else pl.p  # any base for the powers at the real place
+        p = 3 if pl == REAL else pl  # any base for the powers at the real place
         m = 8 if p == 2 else p
         residue_squares = {s * s % m for s in range(m)}
         for _ in range(300):
@@ -329,7 +330,7 @@ def test_local_coords_homomorphism_square_invariant_zero_on_squares():
             cx = local_coords(x, pl)
             assert local_coords(x * y, pl) == cx ^ local_coords(y, pl), (x, y, str(pl))
             assert local_coords(x * r * r, pl) == cx, (x, r, str(pl))
-            if pl.kind == "real":
+            if pl == REAL:
                 is_square = x > 0
             else:
                 n = x.numerator * x.denominator

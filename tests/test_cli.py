@@ -100,6 +100,10 @@ CURVE = '{"domain":"Q","a":"0/1","b":"-25/1"}'
     [
         ["tate", "--curve", CURVE, "--place", "15"],
         ["tate", "--curve", CURVE, "--place", "real"],
+        ["tate", "--curve", '{"domain":"QT","a":["2/1"],"b":["0/1","1/1"]}', "--place", "T-1/0"],
+        ["tate", "--curve", '{"domain":"QT","a":["2/1"],"b":["0/1","1/1"]}', "--place", "T+1/0"],
+        ["tate", "--curve", CURVE, "--place", "inf"],
+        ["tate", "--curve", '{"domain":"QT","a":["2/1"],"b":["0/1","1/1"]}', "--place", "3"],
         ["selmer", "--curve", "{not json"],
         ["selmer", "--curve", '{"domain":"Q","a":"0/1"}'],
         ["selmer", "--curve", '{"domain":"Q","a":"0/1","b":"0/1"}'],
@@ -121,6 +125,10 @@ CURVE = '{"domain":"Q","a":"0/1","b":"-25/1"}'
     ids=[
         "tate-place-not-prime",
         "tate-place-not-on-Q",
+        "tate-place-zero-denominator",
+        "tate-place-plus-zero-denominator",
+        "tate-place-of-QT-on-Q",
+        "tate-prime-on-QT",
         "curve-malformed",
         "curve-missing-key",
         "curve-singular",

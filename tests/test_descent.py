@@ -23,6 +23,7 @@ from oracles import (
     oracle_quartic_qp,
     oracle_torsor_solvable,
     selmer_values,
+    two_adic_index,
 )
 from twodescent import cli, descent
 from twodescent.arith import (
@@ -83,17 +84,17 @@ def integral_sides(E) -> list[tuple[int, int]]:
 
 
 def test_torsor_validation():
-    for place in (REAL, Place.prime(3)):
+    for place in (REAL, 3):
         with pytest.raises(ValueError):
             torsor_solvable_at(0, 1, 1, place)
     with pytest.raises(TypeError):
         torsor_solvable_at(1, Fraction(1, 2), 1, REAL)  # coefficients of an integral model only
     with pytest.raises(TypeError):
-        torsor_solvable_at(1.0, 1, 1, Place.prime(2))
+        torsor_solvable_at(1.0, 1, 1, 2)
     with pytest.raises(ValueError):
         torsor_solvable_at(1, 1, 1, Place.ft(1))
     assert torsor_solvable_at(-6, 2, 3, REAL)
-    assert torsor_solvable_at(12, 1, 1, Place.prime(3))  # d need not be squarefree
+    assert torsor_solvable_at(12, 1, 1, 3)  # d need not be squarefree
 
 
 def test_trivial_and_bdual_classes_always_solvable():
@@ -105,7 +106,7 @@ def test_trivial_and_bdual_classes_always_solvable():
         bdual = a * a - 4 * b
         d_triv = 1
         d_bd = square_class(bdual).value()
-        places = [REAL, Place.prime(2), Place.prime(3), Place.prime(5)]
+        places = [REAL, 2, 3, 5]
         for d in (d_triv, d_bd):
             assert all(torsor_solvable_at(d, a, b, pl) for pl in places)
 
@@ -128,21 +129,20 @@ def test_torsor_solvability_matches_oracle():
         if b == 0 or a * a == 4 * b:
             continue
         d = rng.choice([1, -1, 2, -2, 3, 5, -5, 6, 7, -7, 10, 15, -15])
-        for pl in (REAL, Place.prime(2), Place.prime(3), Place.prime(5), Place.prime(7)):
+        for pl in (REAL, 2, 3, 5, 7):
             got = torsor_solvable_at(d, a, b, pl)
             want = oracle_torsor_solvable(d, Fraction(a), Fraction(b), pl)
             assert got == want, (a, b, d, str(pl))
     for p, ks, count in ((2, range(4, 11), 40), (23, range(1, 4), 14), (29, range(1, 4), 14), (31, range(1, 4), 14)):
-        pl = Place.prime(p)
         while count:
             m, h = rng.randint(-40, 40), rng.randint(-40, 40)
             a, b = _deep_shape(p, rng.choice(ks), m, h, rng.random() < 0.5)
             if m % p == 0 or b == 0 or a * a == 4 * b:
                 continue
             count -= 1
-            for d in local_reps(pl).values():
-                got = torsor_solvable_at(d, a, b, pl)
-                assert got == oracle_torsor_solvable(d, Fraction(a), Fraction(b), pl), (a, b, d, p)
+            for d in local_reps(p).values():
+                got = torsor_solvable_at(d, a, b, p)
+                assert got == oracle_torsor_solvable(d, Fraction(a), Fraction(b), p), (a, b, d, p)
 
 
 @st.composite
@@ -183,8 +183,8 @@ def square_class_multiples(draw):
     """(d, k, a, b, place) with d, k nonzero and (a, b) of a _deep_shape at the
     place's prime (2 at the real place); k is often a multiple of that prime,
     so d k^2 moves the valuation of d."""
-    place = draw(st.sampled_from([REAL, *map(Place.prime, (2, 3, 5, 7, 23, 29, 31))]))
-    p = 2 if place == REAL else place.p
+    place = draw(st.sampled_from([REAL, 2, 3, 5, 7, 23, 29, 31]))
+    p = 2 if place == REAL else place
     e = draw(st.integers(4, 10) if p == 2 else st.integers(1, 3))
     m = draw(st.integers(-40, 40).filter(lambda m: m % p))
     a, b = _deep_shape(p, e, m, draw(st.integers(-40, 40)), draw(st.booleans()))
@@ -254,6 +254,32 @@ def test_selmer_bases_match_golden_large():
     assert "".join(_selmer_lines(_large_curves())) == golden.read_text()
 
 
+def test_descend_keys_images_by_int_places_and_builds_no_place(monkeypatch):
+    """A place of Q is an int: on 1,000 seeded curves with |A|, |B| <= 10^6,
+    `images` is keyed by exactly REAL = 0, 2 and the odd support, in that
+    order, and descend builds no `Place`, which names a place of Q(T)."""
+    built = 0
+    init = Place.__init__
+
+    def counted(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Place, "__init__", counted)
+    rng = random.Random(34)
+    curves = 0
+    while curves < 1000:
+        A, B = rng.randint(-(10**6), 10**6), rng.randint(-(10**6), 10**6)
+        if B == 0 or A * A == 4 * B:
+            continue
+        D = descend(A, B)
+        assert tuple(D.images) == (REAL, 2, *D.odd_support), (A, B)
+        assert all(type(p) is int for p in D.images), (A, B)
+        curves += 1
+    assert built == 0
+
+
 def test_bounded_sweep_tests_few_torsors(monkeypatch):
     """On the |a|, |b| <= 15 grid, descend tests 1,837 torsors; the full sweep
     of 2 + 8 + 4 classes per odd prime of b(a^2-4b) would test 16,008.  None
@@ -264,7 +290,7 @@ def test_bounded_sweep_tests_few_torsors(monkeypatch):
     def counted(d, a, b, place):
         nonlocal calls
         calls += 1
-        p = place.p if place.kind == "prime" else 2  # the real place is swept too
+        p = 2 if place == REAL else place  # the real place is swept too
         assert p == 2 or a % p == 0 or b * (a * a - 4 * b) % p, (d, a, b, p)
         return torsor_solvable_at(d, a, b, place)
 
@@ -330,7 +356,7 @@ def assert_dual_images_match_sweep(A, B) -> int:
     derived from it by Hilbert duality equals the full sweep of (-2A, A^2-4B).
     Returns the number of places compared."""
     primes = {2, 3, 5, *factor(B).primes, *factor(A * A - 4 * B).primes}
-    places = [REAL] + [Place.prime(p) for p in sorted(primes)]
+    places = [REAL, *sorted(primes)]
     for pl in places:
         image = _image_at_place(A, B, pl)
         assert image == oracle_local_image(A, B, pl), (A, B, str(pl))
@@ -399,7 +425,7 @@ def assert_node_images_match_sweep(a, b) -> set:
     for p in sorted(support | {3, 5, 7}):
         if p == 2 or a % p == 0:
             continue
-        assert _image_at_place(a, b, Place.prime(p)) == oracle_local_image(a, b, Place.prime(p)), (a, b, p)
+        assert _image_at_place(a, b, p) == oracle_local_image(a, b, p), (a, b, p)
         if p in support:
             reached.add((p, _node_case(a, b, p)))
     return reached
@@ -444,7 +470,7 @@ def test_gen_coords_table_matches_local_coords():
     supports += [sorted(rng.sample(small + large, rng.randint(0, 9))) for _ in range(300)]
     for support in supports:
         gens = [-1, 2, *support]
-        places = [REAL] + [Place.prime(p) for p in (2, *support)]
+        places = [REAL, 2, *support]
         assert _gen_coords(tuple(support)) == [[local_coords(g, pl) for pl in places] for g in gens], support
 
 
@@ -454,7 +480,7 @@ def test_class_tables_match_actual_places():
     f2_reduce by the subspace and by that annihilator, for every class y
     and every subspace of local classes."""
     odd = [5, 13, 3, 7, 23, 29, *_primes_above_million()]
-    for pl in [REAL, Place.prime(2)] + [Place.prime(p) for p in odd]:
+    for pl in [REAL, 2, *odd]:
         cls, size = _place_class(pl), 1 << local_dim(pl)
         for y in range(size):
             assert _pairs_trivially(y, cls) == tuple(v for v in range(size) if not local_pairing(v, y, pl))
@@ -473,7 +499,7 @@ def selmer_rows(draw):
     """(gen_coords, classes, images) as `_selmer_bases` takes them: up to 10
     generators' local coordinates at 1 to 6 places, each of a place class
     drawn with a random echelonized image."""
-    place_classes = [REAL, Place.prime(2), _place_class(Place.prime(5)), _place_class(Place.prime(3))]
+    place_classes = [REAL, 2, _place_class(5), _place_class(3)]
     classes = draw(st.lists(st.sampled_from(place_classes), min_size=1, max_size=6))
     coords = [st.integers(0, (1 << local_dim(cls)) - 1) for cls in classes]
     images = [f2_echelon(draw(st.lists(c, max_size=3))) for c in coords]
@@ -515,7 +541,7 @@ def test_selmer_bases_match_brute_force_kernels(rows):
 def test_local_image_is_group_of_size_1_2_4_or_8(small_curve_corpus):
     for E in small_curve_corpus[:10]:
         D = descend(*integral_model(*E)[:2])
-        for pl in (REAL, Place.prime(2), Place.prime(3)):
+        for pl in (REAL, 2, 3):
             img = local_image(D, pl)
             assert len(img) in (1, 2, 4, 8)
 
@@ -534,7 +560,7 @@ def test_local_images_match_tamagawa_ratios(small_curve_corpus):
     for E in curves:
         D = descend(*integral_model(*E)[:2])
         for p in D.odd_support:
-            assert len(local_image(D, Place.prime(p))) == 2 * local_image_order(D.A, D.B, p), (E, p)
+            assert len(local_image(D, p)) == 2 * local_image_order(D.A, D.B, p), (E, p)
             pairs += 1
     assert pairs >= 800, pairs
 
@@ -548,7 +574,7 @@ def test_image_at_3_matches_tamagawa_ratio_on_powers_of_3():
     walker at 3 against Tate's algorithm at 3, where the star steps tell a
     double root of their cubic from a triple one."""
     rng = random.Random(3)
-    three = Place.prime(3)
+    three = 3
     curves = []
     while len(curves) < 3000:
         A = rng.randint(-300, 300) * 3 ** rng.randint(0, 6)
@@ -562,20 +588,6 @@ def test_image_at_3_matches_tamagawa_ratio_on_powers_of_3():
             reached.add(str(tate_local(*side, three).kodaira))
     stars = {f"I{n}*" for n in [*range(15), *range(16, 27, 2)]}
     assert {"III", "III*"} | stars <= reached, sorted(reached)
-
-
-def _two_adic_index(A: int, B: int) -> Fraction:
-    """2 c_2(E')/c_2(E) 2^(k_E' - k_E) for E = (A, B) and E' = (-2A, A^2-4B)
-    from Tate's algorithm at 2, where k = (v_2(model discriminant) -
-    v_2(minimal discriminant))/12 and the model discriminants are
-    16 B^2 (A^2-4B) and 16 (A^2-4B)^2 16 B."""
-    two = Place.prime(2)
-    bdual = A * A - 4 * B
-    e, e_dual = tate_local(A, B, two), tate_local(-2 * A, bdual, two)
-    shift = int_valuation(16 * B * B * bdual, 2) - e.min_disc_valuation
-    shift_dual = int_valuation(256 * bdual * bdual * B, 2) - e_dual.min_disc_valuation
-    assert shift % 12 == 0 and shift_dual % 12 == 0, (A, B)
-    return 2 * Fraction(e_dual.tamagawa, e.tamagawa) * Fraction(2) ** ((shift_dual - shift) // 12)
 
 
 def test_image_at_2_matches_tate_index_formula():
@@ -595,7 +607,7 @@ def test_image_at_2_matches_tate_index_formula():
                 curves.append((A, B))
                 count -= 1
     for A, B in curves:
-        assert 1 << len(_image_at_place(A, B, Place.prime(2))) == _two_adic_index(A, B), (A, B)
+        assert 1 << len(_image_at_place(A, B, 2)) == two_adic_index(A, B), (A, B)
 
 
 def test_point_search_examples():

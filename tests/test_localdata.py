@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from oracles import conductor_degree, local_image, local_image_order
-from twodescent.arith import FT_INFINITY, Place, factor, parse_place
+from twodescent.arith import FT_INFINITY, REAL, Place, factor, parse_place
 from twodescent.curve import TwoTorsionModel, clear_denominators, integral_model, specialize
 from twodescent.descent import descend
 from twodescent.family import builtin_families, excluded_primes, family_by_name
@@ -35,7 +35,7 @@ KNOWN_Q_CURVES = [
 
 @pytest.mark.parametrize("a,b,p,kod,c,red,f", KNOWN_Q_CURVES)
 def test_known_q_reductions(a, b, p, kod, c, red, f):
-    r = tate_local(a, b, Place.prime(p))
+    r = tate_local(a, b, p)
     assert str(r.kodaira) == kod
     assert r.tamagawa == c
     assert r.reduction == red
@@ -52,10 +52,10 @@ def test_tate_is_model_independent():
         if b == 0 or a * a == 4 * b:
             continue
         p = rng.choice([2, 3, 5, 7])
-        r = tate_local(a, b, Place.prime(p))
+        r = tate_local(a, b, p)
         A, B, _ = clear_denominators(Fraction(a, p * p), Fraction(b, p**4))
-        assert tate_local(a * p * p, b * p**4, Place.prime(p)) == r
-        assert tate_local(A, B, Place.prime(p)) == r
+        assert tate_local(a * p * p, b * p**4, p) == r
+        assert tate_local(A, B, p) == r
 
 
 def test_isogenous_curves_share_conductor_exponents():
@@ -68,8 +68,8 @@ def test_isogenous_curves_share_conductor_exponents():
                 continue
             primes = {2, 3, *factor(b).primes, *factor(a * a - 4 * b).primes}
             for p in sorted(primes):
-                fE = tate_local(a, b, Place.prime(p)).conductor_exponent
-                fD = tate_local(-2 * a, a * a - 4 * b, Place.prime(p)).conductor_exponent
+                fE = tate_local(a, b, p).conductor_exponent
+                fD = tate_local(-2 * a, a * a - 4 * b, p).conductor_exponent
                 assert fE == fD, (a, b, p, fE, fD)
                 pairs += 1
     assert pairs >= 1800, pairs
@@ -87,7 +87,7 @@ def _tate_grid_lines():
                 continue
             for p in (2, 3):
                 for side, curve in (("E", (a, b)), ("E'", (-2 * a, a * a - 4 * b))):
-                    r = tate_local(*curve, Place.prime(p))
+                    r = tate_local(*curve, p)
                     lines.append(
                         f"{a} {b} {p} {side} {r.kodaira} {r.tamagawa} {r.reduction} "
                         f"{r.min_disc_valuation} {r.conductor_exponent}\n"
@@ -148,8 +148,8 @@ def test_isogeny_constraint_on_specializations():
             A, B, _ = integral_model(*specialize(rec.E, t))
             disc = 16 * B * B * (A * A - 4 * B)
             for p in factor(disc).primes:
-                rE = tate_local(A, B, Place.prime(p))
-                rD = tate_local(-2 * A, A * A - 4 * B, Place.prime(p))
+                rE = tate_local(A, B, p)
+                rD = tate_local(-2 * A, A * A - 4 * B, p)
                 assert rE.is_multiplicative == rD.is_multiplicative
                 if rE.is_multiplicative:
                     m, md = rE.kodaira.n, rD.kodaira.n
@@ -171,15 +171,15 @@ def test_trivial_image_at_split_or_odd_In_places():
             for p in factor(disc).primes:
                 if p == 2:
                     continue
-                rE = tate_local(A, B, Place.prime(p))
-                rD = tate_local(-2 * A, A * A - 4 * B, Place.prime(p))
+                rE = tate_local(A, B, p)
+                rD = tate_local(-2 * A, A * A - 4 * B, p)
                 if not (rE.is_multiplicative and rD.is_multiplicative):
                     continue
                 n = rD.kodaira.n
                 if rE.kodaira.n != 2 * n or n < 1:
                     continue
                 if rE.reduction == "split-multiplicative" or n % 2 == 1:
-                    img = local_image(D, Place.prime(p))
+                    img = local_image(D, p)
                     assert len(img) == 1 and img[0].is_identity
                     hits += 1
     assert hits >= 25
@@ -194,11 +194,11 @@ def test_unit_image_at_good_odd_places():
             A, B, _ = integral_model(*specialize(rec.E, t))
             D = descend(A, B)
             for p in (3, 5, 7, 11, 13):
-                if not tate_local(A, B, Place.prime(p)).kodaira.is_good:
+                if not tate_local(A, B, p).kodaira.is_good:
                     continue
-                if not tate_local(-2 * A, A * A - 4 * B, Place.prime(p)).kodaira.is_good:
+                if not tate_local(-2 * A, A * A - 4 * B, p).kodaira.is_good:
                     continue
-                img = local_image(D, Place.prime(p))
+                img = local_image(D, p)
                 assert all(p not in cls.support for cls in img)
                 done += 1
     assert done >= 10
@@ -223,7 +223,7 @@ def test_specialization_transfers_kodaira_symbols():
                 except Exception:
                     continue
                 gen = tate_local(rec.E.a, rec.E.b, pl)
-                sp = tate_local(*integral_model(*Et)[:2], Place.prime(p))
+                sp = tate_local(*integral_model(*Et)[:2], p)
                 assert str(sp.kodaira) == str(gen.kodaira), (rec.name, str(pl), p)
                 transfers += 1
                 break
@@ -275,7 +275,7 @@ def test_conductor_degree_rejects_nonlinear_bad_place():
 
 
 def test_parse_place_and_symbols():
-    assert parse_place("7").p == 7
+    assert parse_place("7") == 7
     assert parse_place("T-3/2").e == Fraction(3, 2)
     assert parse_place("T+16").e == Fraction(-16)
     assert parse_place("inf") == FT_INFINITY
@@ -300,12 +300,12 @@ def test_tate_local_takes_the_ring_of_its_place():
     no Tate run."""
     rec0 = family_by_name("rank0")
     for a, b, place in (
-        (Fraction(0), Fraction(-1), Place.prime(2)),
-        (rec0.E.a, rec0.E.b, Place.prime(2)),
+        (Fraction(0), Fraction(-1), 2),
+        (rec0.E.a, rec0.E.b, 2),
         (0, -1, Place.ft(0)),
         (0, -1, FT_INFINITY),
     ):
         with pytest.raises(TypeError):
             tate_local(a, b, place)
     with pytest.raises(ValueError):
-        tate_local(rec0.E.a, rec0.E.b, parse_place("real"))
+        tate_local(rec0.E.a, rec0.E.b, REAL)

@@ -6,7 +6,7 @@ import pytest
 
 from oracles import valuation
 from twodescent import descent, scan
-from twodescent.arith import FT_INFINITY, FactorizationEffortError, Place
+from twodescent.arith import FT_INFINITY, FactorizationEffortError
 from twodescent.curve import integral_model, specialize
 from twodescent.family import FamilyRecord, excluded_primes, family_by_name
 from twodescent.localdata import tate_local
@@ -297,7 +297,7 @@ def test_skipped_curve_skips_both_signs(monkeypatch):
 def _tate_bad_primes(runs) -> tuple[int, ...]:
     """The bad-prime list with a Tate run at every prime."""
     A, B = runs.descent.A, runs.descent.B
-    return tuple(p for p in (2,) + runs.descent.odd_support if not tate_local(A, B, Place("prime", p=p)).kodaira.is_good)
+    return tuple(p for p in (2,) + runs.descent.odd_support if not tate_local(A, B, p).kodaira.is_good)
 
 
 def test_bad_primes_match_tate_on_family_fibers():
@@ -338,16 +338,15 @@ def test_bad_primes_run_tate_only_where_minimality_is_in_doubt(monkeypatch, A, B
     tates = _count_calls(monkeypatch, "tate_local")
     runs = scan._CurveRuns(A, B)
     bad = runs.bad_primes
-    assert {place.p for *_, place in tates} == tate_primes
+    assert {place for *_, place in tates} == tate_primes
     assert bad == _tate_bad_primes(runs)
     assert (2 in bad) == ((A, B) != (-10, -39))
 
 
 def _tate_ratio(D, p: int) -> Fraction:
     """c_p(E')/c_p(E) from Tate's algorithm on the model and its dual."""
-    place = Place("prime", p=p)
     A, B = D.A, D.B
-    return Fraction(tate_local(-2 * A, A * A - 4 * B, place).tamagawa, tate_local(A, B, place).tamagawa)
+    return Fraction(tate_local(-2 * A, A * A - 4 * B, p).tamagawa, tate_local(A, B, p).tamagawa)
 
 
 def test_tamagawa_ratio_matches_tate_at_pattern_primes():
