@@ -341,8 +341,10 @@ def parse_place(s: str) -> Place | int:
 
 
 def _require_q_place(p) -> None:
-    """ValueError unless p is a place of Q: REAL (0) or an int p >= 2."""
-    if not (isinstance(p, int) and (p == REAL or p >= 2)):
+    """ValueError unless p is a place of Q: REAL (0) or a prime int.  Below
+    4096, where the descents' primes almost always are, `is_prime` is one
+    set lookup."""
+    if not (isinstance(p, int) and (p == REAL or is_prime(p))):
         raise ValueError(f"local data over Q are defined at the real place 0 or a prime, not {p}")
 
 

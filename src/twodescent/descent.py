@@ -39,11 +39,12 @@ Square classes at a place are the F_2 coordinate vectors of
 the Hilbert symbol is `arith.local_pairing` on them.  Both Selmer groups
 are kernels, as bitmasks over `Descent.gens`: one pass builds each
 generator's row for both sides, its coordinates mapped to the quotients by
-the image and by the dual image, and the vectors with no quotient bit in
-the reduced echelon basis of each side's rows (`arith.f2_echelon`) are
-the kernel's canonical basis.  `SquareClassQ` objects are built only for
-output, by `Descent.classes` (the tests' `oracles.local_image` builds
-them for a local image).
+the image and by the dual image; elimination on the quotient bits alone
+leaves the rows with no quotient bit, which span the kernel, and their
+reduced echelon basis (`arith.f2_echelon`) is the kernel's canonical
+basis.  `SquareClassQ` objects are built only for output, by
+`Descent.classes` (the tests' `oracles.local_image` builds them for a
+local image).
 
 On local coordinates the Hilbert symbol depends only on the place class:
 real, 2, or p mod 4 at an odd prime p (Serre, A Course in Arithmetic,
@@ -438,8 +439,9 @@ def _selmer_bases(gen_coords, classes, images) -> tuple[tuple[int, ...], tuple[i
     generator's row holds its coordinates mapped to the quotients by the
     images, above one bit that marks the generator.  One pass builds the
     rows of both sides.  A side's kernel is the part of its rows' span
-    below the n marker bits, so the vectors of the rows' reduced echelon
-    basis with no quotient bit are the reduced echelon basis of the kernel.
+    below the n marker bits: elimination on the quotient bits alone leaves
+    one row with quotient part 0 for each kernel dimension, and the reduced
+    echelon basis of those rows (`f2_echelon`) is that of the kernel.
     """
     n = len(gen_coords)
     layout = [_quotients(img, cls) for cls, img in zip(classes, images)]
@@ -451,7 +453,24 @@ def _selmer_bases(gen_coords, classes, images) -> tuple[tuple[int, ...], tuple[i
             hat = hat << dim | dual_quotient[v]
         rows_phi.append(row << n | 1 << i)
         rows_hat.append(hat << n | 1 << i)
-    return tuple(tuple(v for v in f2_echelon(rows) if not v >> n) for rows in (rows_phi, rows_hat))
+    return _kernel_basis(rows_phi, n), _kernel_basis(rows_hat, n)
+
+
+def _kernel_basis(rows, n: int) -> tuple[int, ...]:
+    """The reduced echelon basis of the part of the rows' span below bit n."""
+    pivots: dict[int, int] = {}
+    kernel = []
+    for v in rows:
+        while v >> n:
+            lead = v.bit_length() - 1
+            p = pivots.get(lead)
+            if p is None:
+                pivots[lead] = v
+                break
+            v ^= p
+        else:
+            kernel.append(v)
+    return f2_echelon(kernel)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,10 @@ a task (in an even family E_t and E_-t are one curve).  A support prime,
 2 included, where the model is visibly minimal (v_p(c4) < 4 or
 v_p(disc) < 12) is bad with no Tate run.
 Results are put in (height, t) order, so two runs with identical
-parameters produce byte-identical output.
+parameters produce byte-identical output.  With jobs = 1 the tasks run
+in the calling process; only jobs > 1 imports and starts a process pool,
+so importing the package loads no `concurrent.futures` or
+`multiprocessing`.
 The family's bad-place forms drop each t = e and give the pattern primes
 whose c_p(E')/c_p(E) `tamagawa_pattern` checks; `tamagawa_ratio` reads it
 off the descent's local image at p, with no Tate run.
@@ -25,7 +28,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -214,6 +216,9 @@ def run_scan(family: str, height_bound: int, jobs: int = 1) -> list[ScanResult]:
     if jobs == 1:
         done = list(map(_worker, tasks))
     else:
+        # imported here, so that no other use of the package loads the pool
+        from concurrent.futures import ProcessPoolExecutor
+
         # a chunk of 16 tasks holds about 32 fibers
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             done = list(pool.map(_worker, tasks, chunksize=16))

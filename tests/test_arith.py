@@ -34,6 +34,8 @@ from twodescent.arith import (
     smallest_nonresidue,
     square_class,
 )
+from twodescent.descent import torsor_solvable_at
+from twodescent.localdata import tate_local
 
 # Serre, A Course in Arithmetic, III.1.2: rows and columns in the order of
 # the heading, "+" for +1 and "-" for -1
@@ -359,4 +361,19 @@ def test_local_square_classes_reject_function_field_places(place):
     ]
     for call in calls:
         with pytest.raises(ValueError, match=str(place).replace("+", r"\+")):
+            call()
+
+
+@pytest.mark.parametrize("place", [1, 15, 4097 * 4099, -3])
+def test_q_layer_rejects_places_that_are_not_prime(place):
+    """A place of Q is 0 or a prime: a composite (or 1, or a negative int)
+    is a ValueError that names it, not the local data of a wrong ring."""
+    calls = [
+        lambda: local_dim(place),
+        lambda: local_reps(place),
+        lambda: torsor_solvable_at(2, 1, 15, place),
+        lambda: tate_local(1, 15, place),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=str(place)):
             call()

@@ -373,10 +373,23 @@ def test_cli_loads_only_the_standard_library():
     )
     loaded = run.stdout.split()
     assert "twodescent.polyq" in loaded
-    # multiprocessing registers __main__ again as __mp_main__
-    allowed = sys.stdlib_module_names | {"twodescent", "__mp_main__"}
+    allowed = sys.stdlib_module_names | {"twodescent"}
     foreign = [m for m in loaded if m.partition(".")[0] not in allowed]
     assert foreign == [], foreign
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    """Only a scan with jobs > 1 uses a process pool, so importing
+    twodescent.cli, and with it every command, loads neither
+    concurrent.futures nor multiprocessing (in a fresh interpreter; CI's
+    bare-install step runs the same check on the installed package)."""
+    script = (
+        "import sys, twodescent.cli; "
+        "loaded = {'concurrent.futures', 'multiprocessing'} & set(sys.modules); "
+        "assert not loaded, sorted(loaded)"
+    )
+    run = subprocess.run([sys.executable, "-c", script], env=_src_env(), capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
 
 
 def test_sieve_tables_fill_on_demand():

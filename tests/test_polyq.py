@@ -24,8 +24,8 @@ from twodescent.polyq import (
 T = Poly.x()
 
 
-def rand_poly(rng, deg, bound=9):
-    return Poly([Fraction(rng.randint(-bound, bound), rng.randint(1, 4)) for _ in range(deg + 1)])
+def rand_poly(rng, deg, bound=9, den=4):
+    return Poly([Fraction(rng.randint(-bound, bound), rng.randint(1, den)) for _ in range(deg + 1)])
 
 
 def test_eval_examples():
@@ -36,15 +36,18 @@ def test_eval_examples():
 
 
 def test_eval_is_ring_homomorphism():
+    """On small polynomials, then on wider ones (degree up to 12) whose
+    coefficients have large, mostly different denominators."""
     rng = random.Random(10)
-    for _ in range(500):
-        f = rand_poly(rng, rng.randint(0, 4))
-        g = rand_poly(rng, rng.randint(0, 4))
-        t = Fraction(rng.randint(-20, 20), rng.randint(1, 5))
-        c = Fraction(rng.randint(-20, 20), rng.randint(1, 5))
-        assert eval_at(f + g, t) == eval_at(f, t) + eval_at(g, t)
-        assert eval_at(f * g, t) == eval_at(f, t) * eval_at(g, t)
-        assert eval_at(f.shift(c), t) == eval_at(f, t + c)
+    for deg, bound, den in ((4, 9, 4), (12, 10**6, 10**4)):
+        for _ in range(500):
+            f = rand_poly(rng, rng.randint(0, deg), bound, den)
+            g = rand_poly(rng, rng.randint(0, deg), bound, den)
+            t = Fraction(rng.randint(-20, 20), rng.randint(1, 5))
+            c = Fraction(rng.randint(-20, 20), rng.randint(1, 5))
+            assert eval_at(f + g, t) == eval_at(f, t) + eval_at(g, t)
+            assert eval_at(f * g, t) == eval_at(f, t) * eval_at(g, t)
+            assert eval_at(f.shift(c), t) == eval_at(f, t + c)
 
 
 def test_rational_roots_examples():
