@@ -10,18 +10,14 @@ from .arith import FT_INFINITY, REAL, Place, PrimeFactorization, SquareClassQ, f
 from .curve import (
     AffinePoint,
     TwoTorsionModel,
-    add_points,
-    apply_isogeny,
     delta_class,
     dual_model,
     j_invariant,
-    specialize,
 )
 from .descent import (
     Descent,
     RankStatus,
     descend,
-    point_search,
     rank_bounds,
     torsor_solvable_at,
 )

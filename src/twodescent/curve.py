@@ -2,11 +2,12 @@
 
 A curve over Q is its coefficient pair (a, b) of ints or Fractions, the
 pair the descent runs on; its dual is (-2a, a^2-4b), and `on_model` is its
-on-curve check.  The group law and the isogenies take that pair.  A curve
-over Q(T) is a `TwoTorsionModel` of `Poly`s; its points have polynomial
-coordinates, as the families' generic points do, and there only the
-on-curve check and the connecting class are taken.  `specialize` maps it
-to the pair of a fiber.
+on-curve check.  A curve over Q(T) is a `TwoTorsionModel` of `Poly`s; its
+points have polynomial coordinates, as the families' generic points do,
+and there only the on-curve check and the connecting class are taken.
+The fiber at T = t is the pair (a(t), b(t)); `IntegerFibers` gives its
+reduced integral model and the generic points on it, on integers (the
+tests' `oracles.specialize` is the Fraction reference for that pair).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import f2_echelon, factor, horner
-from .polyq import Poly, SingularModelError, SquareClassFT, check_nonsingular_qt, eval_at, ft_square_class
+from .polyq import Poly, SingularModelError, SquareClassFT, check_nonsingular_qt, ft_square_class
 
 
 class OffCurveError(Exception):
@@ -64,22 +65,11 @@ class AffinePoint:
     at_infinity: bool = False
 
     @staticmethod
-    def infinity() -> "AffinePoint":
-        return AffinePoint(at_infinity=True)
-
-    @staticmethod
     def of(x, y) -> "AffinePoint":
         return AffinePoint(x=x, y=y)
 
-    @property
-    def is_two_torsion_origin(self) -> bool:
-        return not self.at_infinity and not self.y and not self.x
-
     def __str__(self):
         return "O" if self.at_infinity else f"({self.x}, {self.y})"
-
-
-INFINITY = AffinePoint.infinity()
 
 
 def on_model(a, b, x, y) -> bool:
@@ -104,84 +94,9 @@ def _require_on_curve(E: TwoTorsionModel, P: AffinePoint):
         raise OffCurveError(f"point {P} is not on the curve")
 
 
-def _require_on_model(a, b, P: AffinePoint):
-    if not (P.at_infinity or on_model(a, b, P.x, P.y)):
-        raise OffCurveError(f"point {P} is not on the curve")
-
-
 def dual_model(E: TwoTorsionModel) -> TwoTorsionModel:
     """The 2-isogenous model (a', b') = (-2a, a^2 - 4b)."""
     return TwoTorsionModel(-2 * E.a, E.b_dual)
-
-
-def apply_isogeny(a, b, P: AffinePoint) -> AffinePoint:
-    """The degree-2 isogeny (x, y) -> (y^2/x^2, y(b - x^2)/x^2) from (a, b)
-    onto its dual (-2a, a^2-4b).
-
-    The kernel {O, (0,0)} maps to the point at infinity; the rational-map
-    formula is undefined there, and (0,0) is the one point with x = 0.
-    """
-    _require_on_model(a, b, P)
-    if P.at_infinity or P.is_two_torsion_origin:
-        return INFINITY
-    x, y = Fraction(P.x), Fraction(P.y)
-    xx = x * x
-    return AffinePoint.of(y * y / xx, y * (b - xx) / xx)
-
-
-def apply_dual_isogeny(a, b, Q: AffinePoint) -> AffinePoint:
-    """The dual isogeny from (-2a, a^2-4b) back to (a, b).
-
-    Implemented as the isogeny of the dual model followed by the
-    isomorphism (x, y) -> (x/4, y/8) from the double dual back to (a, b).
-    """
-    R = apply_isogeny(-2 * a, a * a - 4 * b, Q)
-    if R.at_infinity:
-        return INFINITY
-    P = AffinePoint.of(R.x / 4, R.y / 8)
-    _require_on_model(a, b, P)
-    return P
-
-
-def negate(P: AffinePoint) -> AffinePoint:
-    if P.at_infinity:
-        return P
-    return AffinePoint.of(P.x, -P.y)
-
-
-def add_points(a, b, P: AffinePoint, Q: AffinePoint) -> AffinePoint:
-    """Chord-tangent addition on (a, b)."""
-    _require_on_model(a, b, P)
-    _require_on_model(a, b, Q)
-    if P.at_infinity:
-        return Q
-    if Q.at_infinity:
-        return P
-    x1, y1, x2, y2 = Fraction(P.x), Fraction(P.y), Fraction(Q.x), Fraction(Q.y)
-    if x1 == x2:
-        if not y1 + y2:
-            return INFINITY
-        lam = (3 * x1 * x1 + 2 * a * x1 + b) / (2 * y1)
-    else:
-        lam = (y2 - y1) / (x2 - x1)
-    x3 = lam * lam - a - x1 - x2
-    y3 = lam * (x1 - x3) - y1
-    R = AffinePoint.of(x3, y3)
-    _require_on_model(a, b, R)
-    return R
-
-
-def multiply_point(a, b, P: AffinePoint, n: int) -> AffinePoint:
-    if n < 0:
-        return multiply_point(a, b, negate(P), -n)
-    R = INFINITY
-    Q = P
-    while n:
-        if n & 1:
-            R = add_points(a, b, R, Q)
-        Q = add_points(a, b, Q, Q)
-        n >>= 1
-    return R
 
 
 def delta_class(E: TwoTorsionModel, P: AffinePoint) -> SquareClassFT:
@@ -195,15 +110,6 @@ def delta_class(E: TwoTorsionModel, P: AffinePoint) -> SquareClassFT:
 def j_invariant(a, b) -> Fraction:
     """j = 256 (a^2-3b)^3 / (b^2 (a^2-4b)) for a curve over Q."""
     return Fraction(256 * (a * a - 3 * b) ** 3) / (b * b * (a * a - 4 * b))
-
-
-def specialize(E: TwoTorsionModel, t) -> tuple[Fraction, Fraction]:
-    """The pair (a(t), b(t)) of the fiber at T = t; rejected when it is singular."""
-    t = Fraction(t)
-    a, b = eval_at(E.a, t), eval_at(E.b, t)
-    if is_singular(a, b):
-        raise SingularSpecializationError(f"t = {t} is a root of the discriminant")
-    return a, b
 
 
 def _reduced_model(A: int, B: int, u: int, primes) -> tuple[int, int, Fraction]:
@@ -262,10 +168,11 @@ class IntegerFibers:
     a(T) and b(T) are cleared once to integer forms of degrees 2k and 4k,
     c^2 a and c^4 b, so that at t = m/n the model scaled by u0 = c n^k is
     A0 = (c n^k)^2 a(t), B0 = (c n^k)^4 b(t), with no Fraction.  `model`
-    reduces it to exactly `integral_model(*specialize(E, t))`, and `points`
-    moves each point's coordinates, cleared once too, onto that model and
-    its dual (-2A, A^2-4B), the two sides of `rank_bounds`, by x -> u^2 x,
-    y -> u^3 y.
+    reduces it to exactly the model that `integral_model` gives the pair
+    (a(t), b(t)), and `points` moves each point's coordinates, cleared once
+    too, onto that model and its dual (-2A, A^2-4B), the two sides of
+    `rank_bounds`, by x -> u^2 x, y -> u^3 y.  The tests check `model`
+    against `integral_model` of `oracles.specialize(E, t)`.
     """
 
     def __init__(self, E: TwoTorsionModel, points_e=(), points_eprime=()):
@@ -281,8 +188,10 @@ class IntegerFibers:
         )
 
     def model(self, m: int, n: int) -> tuple[int, int, Fraction]:
-        """(A, B, u) of `integral_model(*specialize(E, m/n))`, for n > 0 and
-        gcd(m, n) = 1; a singular fiber raises SingularSpecializationError."""
+        """(A, B, u) of `integral_model(a(t), b(t))` at t = m/n, for n > 0
+        and gcd(m, n) = 1: the reduced integral model of the fiber.  A
+        singular fiber, b(t) = 0 or a(t)^2 = 4 b(t), raises
+        SingularSpecializationError."""
         A, B = _form_value(self._a, m, n), _form_value(self._b, m, n)
         if is_singular(A, B):
             raise SingularSpecializationError(f"t = {Fraction(m, n)} is a root of the discriminant")

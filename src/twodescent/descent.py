@@ -57,27 +57,26 @@ symbol per pair of odd primes and reciprocity for the other.
 The layer runs on the integral model (A, B) as ints: `descend(A, B)` is
 its entry point, and a curve over Q, the pair (a, b), enters through
 `curve.integral_model(a, b)`.
-`point_search(A, B, H)` searches x = d s^2/v^2 as the 2-coverings
-w^2 = d s^4 + A s^2 v^2 + (B/d) v^4, one for each signed squarefree d | B
-with |d| <= H (`_covering_divisors`; Cremona, 3.5-3.6; Stoll's ratpoints).  For
-each s the denominators v <= H are an H-bit mask: the v with gcd(d s, v) = 1,
-then those for which the quartic's own triple (d s^4, A s^2, B/d) mod q
-leaves a square, for each sieve modulus q, then the exact checks.  A
-covering with d < 0, B/d < 0 and A <= 0 or A^2 < 4 d (B/d) is negative on
-R^2 minus 0 and is skipped.  The pattern of each residue triple is a pure
-function of it, so one table per sieve modulus q (q^3 entries: 32,760 for
-the nine moduli, 131 KB) serves every search in the process; an entry is
-computed on its first read, so importing the module fills none.
+The x-box at height bound H on a model holds the points whose x is u/v^2
+in lowest terms with |u|, v <= H on its reduced model,
+`_reduced_model(A, B, 1, ())`.  Writing u = d s^2, d signed and
+squarefree, they lie on the 2-coverings w^2 = d s^4 + A s^2 v^2 +
+(B/d) v^4 of the signed squarefree d | B with |d| <= H
+(`_covering_divisors`; Cremona, Algorithms for Modular Elliptic Curves,
+3.5-3.6; Stoll's ratpoints), and `_covering_points` sieves each covering.  Its pattern tables, one per
+sieve modulus q (q^3 entries: 32,760 for the nine moduli, 131 KB), serve
+every covering in the process; an entry is computed on its first read, so
+importing the module fills none.
 
 `rank_bounds` runs over the sides E = (A, B) and E' = (-2A, A^2-4B).  It
 reads each point's class as a mask over the same generators (the sign and
 the parities of v_p(num den)), with no factoring, and checks that the
-Selmer basis of its side reduces it to 0.  It walks the same x-box as
-`point_search`, covering by covering: the d come with their class masks
-over the generators, a d whose class the span of the points already
-holds is skipped, and a searched covering stops at its first point, whose
-class joins the span.  So it sieves fewer coverings and rows than the full
-search and ends with the same span.
+Selmer basis of its side reduces it to 0.  It walks the x-box covering by
+covering: the d come with their class masks over the generators, a d
+whose class the span of the points already holds is skipped, and a
+searched covering stops at its first point, whose class joins the span.
+So it ends with the span of every point in the box and sieves fewer
+coverings and rows than a search for all of them.
 """
 
 from __future__ import annotations
@@ -608,11 +607,13 @@ def _covering_points(A: int, B: int, d: int, s_max: int, v_max: int):
     and w >= 0, w^2 = d s^4 + A s^2 v^2 + (B/d) v^4: the points of the
     2-covering of d (d | B) in that box, generated by s, then v.
 
-    For each s the v pass a coprime mask, then one residue pattern per
-    sieve modulus q of the triple (d s^4, A s^2, B/d mod q), then the exact
-    checks; a caller that stops early sieves no further row.  A covering
-    with d < 0, B/d < 0 and (A <= 0 or A^2 < 4 d (B/d)) is negative on R^2
-    minus 0, so it has none; at A^2 = 4 d (B/d) it vanishes on a line.
+    For each s the denominators v <= v_max are a bitmask: the v with
+    gcd(d s, v) = 1, then those for which the triple (d s^4, A s^2, B/d)
+    mod q leaves a square, one residue pattern per sieve modulus q, then
+    the exact checks; a caller that stops early sieves no further row.  A
+    covering with d < 0, B/d < 0 and (A <= 0 or A^2 < 4 d (B/d)) is
+    negative on R^2 minus 0, so it has none; at A^2 = 4 d (B/d) it
+    vanishes on a line.
     """
     e = B // d
     if d < 0 and e < 0 and (A <= 0 or A * A < 4 * d * e):
@@ -655,46 +656,18 @@ def _covering_divisors(b: int, primes, height_bound: int) -> list[tuple[int, int
 
 def _box_points(a, b, A: int, B: int, q: int, d: int, height_bound: int):
     """The points of y^2 = x^3 + a x^2 + b x that the 2-covering of d (d | B)
-    of its reduced model (A, B) = (a/q^2, b/q^4) gives in the x-box of
-    `point_search`: a hit (s, v, w) of `_covering_points` is x = d s^2/v^2,
-    y = |d| s w/v^3 on (A, B), so x = d s^2 q^2/v^2, y = |d| s w q^3/v^3 on
-    (a, b), checked there with `on_model`; generated in the covering's order."""
+    of its reduced model (A, B) = (a/q^2, b/q^4) gives in the x-box at
+    height_bound: x = u/v^2 on (A, B) with u = d s^2, |u| <= height_bound
+    and v <= height_bound.  A hit (s, v, w) of `_covering_points` is
+    x = d s^2/v^2, y = |d| s w/v^3 on (A, B), in lowest terms and distinct
+    for distinct (d, s, v), so x = d s^2 q^2/v^2, y = |d| s w q^3/v^3 on
+    (a, b), checked there with `on_model`; generated in the covering's
+    order.  The tests' `oracles.point_search` collects every covering's
+    points."""
     for s, v, w in _covering_points(A, B, d, math.isqrt(height_bound // abs(d)), height_bound):
         x, y = Fraction(d * s * s * q * q, v * v), Fraction(abs(d) * s * w * q**3, v**3)
         if on_model(a, b, x, y):
             yield AffinePoint.of(x, y)
-
-
-def point_search(A: int, B: int, height_bound: int) -> list[AffinePoint]:
-    """The points of y^2 = x^3 + A x^2 + B x (A, B integers) whose x is u/v^2
-    with |u|, v <= height bound on the reduced model, sorted by x.
-
-    The reduced model divides each p <= 13 out of (A, B) while p^2 | A and
-    p^4 | B, as `curve.integral_model` does; the points are moved back from
-    it.  The denominator of x is a square for integral models with
-    rational 2-torsion, so this shape loses nothing; the search is sound but
-    incomplete.  Write u = d s^2 with d signed and squarefree and
-    gcd(u, v) = 1.  At a prime of d not dividing B, u^3 + A u^2 v^2 + B u v^4
-    has odd valuation; for d | B it is (d s)^2 (d s^4 + A s^2 v^2 + (B/d) v^4).
-    So only d | B with |d| <= H are tried, each on its 2-covering
-    (`_covering_points`) with s <= sqrt(H/|d|) and v <= H, and a hit w gives
-    x = d s^2/v^2, y = |d| s w/v^3, in lowest terms and distinct for distinct
-    (d, s, v).  u = 0 gives only the 2-torsion point (0, 0).
-    """
-    _check_model(A, B)
-    if height_bound < 1:
-        return []
-    Ar, Br, scale = _reduced_model(A, B, 1, ())
-    primes, m = [], abs(Br)
-    for p in range(2, min(height_bound, m) + 1):
-        if m % p == 0:  # p is prime: every smaller prime is divided out of m
-            primes.append(p)
-            while m % p == 0:
-                m //= p
-    points = [AffinePoint.of(Fraction(0), Fraction(0))]
-    for d, _ in _covering_divisors(Br, primes, height_bound):
-        points += _box_points(A, B, Ar, Br, scale.denominator, d, height_bound)
-    return sorted(points, key=lambda P: P.x)
 
 
 @dataclass(frozen=True)
@@ -777,13 +750,14 @@ def rank_bounds(descent: Descent, points_e=(), points_eprime=(), search_bound: i
     upper = dim Sel_phi-hat + dim Sel_phi - 2 (both clamped at 0).
     A side whose span of (0,0) and the given points is still below its
     Selmer dimension (E against Sel_phi-hat, E' against Sel_phi) also gets
-    the classes of the points of `point_search` on it at search_bound (0
-    searches nothing), found covering by covering: for each d of
-    `_covering_divisors` of the side's reduced model, in that order, a d
-    whose class the span already holds is skipped, since a point on its
-    covering has that class; otherwise the first point of its covering in
-    the x-box (`_box_points`), if any, adds its own class.  So the span is
-    that of every point the box holds, as a full `point_search` gives it.
+    the classes of the points in its x-box at search_bound (x = u/v^2 with
+    |u|, v <= search_bound on its reduced model; 0 searches nothing),
+    found covering by covering: for each d of `_covering_divisors` of the
+    side's reduced model, in that order, a d whose class the span already
+    holds is skipped, since a point on its covering has that class;
+    otherwise the first point of its covering in the x-box (`_box_points`),
+    if any, adds its own class.  So the span is that of every point the
+    box holds.
     The walk neither reads the Selmer basis nor stops when the span fills.
     Each searched covering's first point, or None, is kept in
     `descent.searches[side, bound]` by d, side 0 being E, so that a later

@@ -158,12 +158,13 @@ def tamagawa_ratio(D: Descent, p: int) -> Fraction:
 def scan_one(name: str, m: int, n: int, memo: dict | None = None) -> ScanResult:
     """Full descent record for the fiber at t = m/n.
 
-    The fiber is built on integers as the model (A, B) of
-    `integral_model(*specialize(E, t))`, with the generic points moved onto
-    it and its dual (-2A, A^2-4B), the sides of `rank_bounds`.  `memo` maps
-    (A, B) to its runs; fibers that pass one memo and share that model
-    share the descent, Tate runs and covering searches.  The record is the
-    same with or without it."""
+    The fiber is built on integers as the reduced integral model (A, B)
+    of (a(t), b(t)) (`IntegerFibers.model`), with the generic points moved
+    onto it and its dual (-2A, A^2-4B), the sides of `rank_bounds`.  `memo`
+    maps (A, B) to its runs; fibers that pass one memo and share that
+    model share the descent, Tate runs and covering searches, whose first
+    points stay in `memo[A, B].descent.searches`.  The record is the same
+    with or without it."""
     rec = family_by_name(name)
     t = Fraction(m, n)
     m, n = t.numerator, t.denominator

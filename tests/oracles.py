@@ -3,6 +3,12 @@
 Everything here is deliberately primitive: exhaustive candidate
 enumeration, flat residue refinement with no multiplicity analysis, no
 character sums, no Tamagawa shortcuts.  Slow but hard to fool.
+
+The last section holds code the scan does not run: `specialize`, the
+Fraction reference for the fibers, `point_search`, which collects every
+point of the x-box with the package's own covering helpers and so is no
+independent oracle, and the group law and isogenies on a curve (a, b)
+over Q.
 """
 
 from __future__ import annotations
@@ -26,8 +32,23 @@ from twodescent.arith import (
     local_reps,
     square_class,
 )
-from twodescent.curve import OffCurveError, TwoTorsionModel, on_model
-from twodescent.descent import Descent, _image_at_place, torsor_solvable_at
+from twodescent.curve import (
+    AffinePoint,
+    OffCurveError,
+    SingularSpecializationError,
+    TwoTorsionModel,
+    _reduced_model,
+    is_singular,
+    on_model,
+)
+from twodescent.descent import (
+    Descent,
+    _box_points,
+    _check_model,
+    _covering_divisors,
+    _image_at_place,
+    torsor_solvable_at,
+)
 from twodescent.family import FamilyRecord, FamilyValidationError, classify_places
 from twodescent.localdata import bad_places_qt, tate_local
 from twodescent.polyq import Poly, SquareClassFT, eval_at, ft_square_class, rational_roots, rational_to_str
@@ -501,22 +522,6 @@ def oracle_covering_points(A: int, B: int, d: int, s_max: int, v_max: int) -> li
     return pts
 
 
-def oracle_real_image_contains_minus1(A: int, B: int) -> bool:
-    """Does E': y^2 = x^3 -2A x^2 + (A^2-4B)x have a real point with x < 0?
-
-    Sampled densely plus exact endpoints; used only as a sanity crosscheck.
-    """
-    bp = A * A - 4 * B
-    if bp < 0:
-        return True
-    # roots of x^2 - 2A x + bp
-    disc = 4 * A * A - 4 * bp
-    if disc < 0:
-        return False
-    lo = Fraction(2 * A - math.isqrt(disc) - 2, 2)
-    return lo < 0
-
-
 def _divisors(n: int) -> list[int]:
     n = abs(n)
     small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
@@ -560,3 +565,131 @@ def poly_to_json(f: Poly) -> list[str]:
     """The coefficients of f, constant term first, as the CLI's curve JSON
     writes them (`polyq.poly_from_json` reads them back)."""
     return [rational_to_str(c) for c in f.coeffs]
+
+
+# ----------------------------------------------------------------------
+# Fraction references and the Q group law, which the scan does not run
+# ----------------------------------------------------------------------
+
+
+def specialize(E: TwoTorsionModel, t) -> tuple[Fraction, Fraction]:
+    """The pair (a(t), b(t)) of the fiber at T = t, by Fraction evaluation;
+    a singular fiber raises the package's SingularSpecializationError.
+    The reference that `IntegerFibers.model` is tested against."""
+    t = Fraction(t)
+    a, b = eval_at(E.a, t), eval_at(E.b, t)
+    if is_singular(a, b):
+        raise SingularSpecializationError(f"t = {t} is a root of the discriminant")
+    return a, b
+
+
+def point_search(A: int, B: int, height_bound: int) -> list[AffinePoint]:
+    """The points of y^2 = x^3 + A x^2 + B x (A, B integers) whose x is u/v^2
+    with |u|, v <= height bound on the reduced model, sorted by x.
+
+    Not an independent oracle: it composes the package's covering helpers
+    (`_reduced_model`, `_covering_divisors`, `_box_points`), the x-box walk
+    of `rank_bounds`, and collects every covering's points instead of the
+    first; `oracle_box_points` is the plain double loop it is checked
+    against.  The reduced model divides each p <= 13 out of (A, B) while
+    p^2 | A and p^4 | B, as `curve.integral_model` does; the points are
+    moved back from it.  The denominator of x is a square for integral
+    models with rational 2-torsion, so this shape loses nothing.  Write
+    u = d s^2 with d signed and squarefree and gcd(u, v) = 1.  At a prime of
+    d not dividing B, u^3 + A u^2 v^2 + B u v^4 has odd valuation; for d | B
+    it is (d s)^2 (d s^4 + A s^2 v^2 + (B/d) v^4).  So only d | B with
+    |d| <= H are tried, each on its 2-covering with s <= sqrt(H/|d|) and
+    v <= H.  u = 0 gives only the 2-torsion point (0, 0).
+    """
+    _check_model(A, B)
+    if height_bound < 1:
+        return []
+    Ar, Br, scale = _reduced_model(A, B, 1, ())
+    primes, m = [], abs(Br)
+    for p in range(2, min(height_bound, m) + 1):
+        if m % p == 0:  # p is prime: every smaller prime is divided out of m
+            primes.append(p)
+            while m % p == 0:
+                m //= p
+    points = [AffinePoint.of(Fraction(0), Fraction(0))]
+    for d, _ in _covering_divisors(Br, primes, height_bound):
+        points += _box_points(A, B, Ar, Br, scale.denominator, d, height_bound)
+    return sorted(points, key=lambda P: P.x)
+
+
+INFINITY = AffinePoint(at_infinity=True)
+
+
+def _require_on_model(a, b, P: AffinePoint):
+    if not (P.at_infinity or on_model(a, b, P.x, P.y)):
+        raise OffCurveError(f"point {P} is not on the curve")
+
+
+def apply_isogeny(a, b, P: AffinePoint) -> AffinePoint:
+    """The degree-2 isogeny (x, y) -> (y^2/x^2, y(b - x^2)/x^2) from (a, b)
+    onto its dual (-2a, a^2-4b).
+
+    The kernel {O, (0,0)} maps to the point at infinity; the rational-map
+    formula is undefined there, and (0,0) is the one point with x = 0.
+    """
+    _require_on_model(a, b, P)
+    if P.at_infinity or not (P.x or P.y):
+        return INFINITY
+    x, y = Fraction(P.x), Fraction(P.y)
+    xx = x * x
+    return AffinePoint.of(y * y / xx, y * (b - xx) / xx)
+
+
+def apply_dual_isogeny(a, b, Q: AffinePoint) -> AffinePoint:
+    """The dual isogeny from (-2a, a^2-4b) back to (a, b).
+
+    Implemented as the isogeny of the dual model followed by the
+    isomorphism (x, y) -> (x/4, y/8) from the double dual back to (a, b).
+    """
+    R = apply_isogeny(-2 * a, a * a - 4 * b, Q)
+    if R.at_infinity:
+        return INFINITY
+    P = AffinePoint.of(R.x / 4, R.y / 8)
+    _require_on_model(a, b, P)
+    return P
+
+
+def negate(P: AffinePoint) -> AffinePoint:
+    if P.at_infinity:
+        return P
+    return AffinePoint.of(P.x, -P.y)
+
+
+def add_points(a, b, P: AffinePoint, Q: AffinePoint) -> AffinePoint:
+    """Chord-tangent addition on (a, b)."""
+    _require_on_model(a, b, P)
+    _require_on_model(a, b, Q)
+    if P.at_infinity:
+        return Q
+    if Q.at_infinity:
+        return P
+    x1, y1, x2, y2 = Fraction(P.x), Fraction(P.y), Fraction(Q.x), Fraction(Q.y)
+    if x1 == x2:
+        if not y1 + y2:
+            return INFINITY
+        lam = (3 * x1 * x1 + 2 * a * x1 + b) / (2 * y1)
+    else:
+        lam = (y2 - y1) / (x2 - x1)
+    x3 = lam * lam - a - x1 - x2
+    y3 = lam * (x1 - x3) - y1
+    R = AffinePoint.of(x3, y3)
+    _require_on_model(a, b, R)
+    return R
+
+
+def multiply_point(a, b, P: AffinePoint, n: int) -> AffinePoint:
+    if n < 0:
+        return multiply_point(a, b, negate(P), -n)
+    R = INFINITY
+    Q = P
+    while n:
+        if n & 1:
+            R = add_points(a, b, R, Q)
+        Q = add_points(a, b, Q, Q)
+        n >>= 1
+    return R

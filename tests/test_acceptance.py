@@ -19,11 +19,12 @@ from oracles import (
     dual_pair,
     local_image,
     selmer_values,
+    specialize,
     two_adic_index,
 )
 from twodescent.arith import factor
-from twodescent.curve import AffinePoint, delta_class, delta_span_dim, integral_model, specialize
-from twodescent.descent import _image_at_place, descend, point_search
+from twodescent.curve import AffinePoint, delta_class, delta_span_dim, integral_model
+from twodescent.descent import _image_at_place, descend
 from twodescent.family import (
     builtin_families,
     excluded_primes,
@@ -32,7 +33,7 @@ from twodescent.family import (
 )
 from twodescent.localdata import tate_local
 from twodescent.polyq import Poly, eval_at, model_discriminant
-from twodescent.scan import DEFAULT_SEARCH_BOUND, run_scan
+from twodescent.scan import DEFAULT_SEARCH_BOUND, run_scan, scan_one
 
 ACCEPT_HEIGHT = int(os.environ.get("TWODESCENT_ACCEPT_HEIGHT", "50"))
 ACCEPT_JOBS = int(os.environ.get("TWODESCENT_ACCEPT_JOBS", str(min(8, os.cpu_count() or 1))))
@@ -181,13 +182,6 @@ def _span(E, points) -> int:
     return delta_span_dim_q([delta_class_q(*E, P) for P in points])
 
 
-def _searched(E, bound: int) -> list:
-    """point_search on the integral model (A, B, u) of the curve E = (a, b)
-    over Q, moved back to E by x -> x/u^2, y -> y/u^3."""
-    A, B, u = integral_model(*E)
-    return [AffinePoint.of(P.x / u**2, P.y / u**3) for P in point_search(A, B, bound)]
-
-
 def test_criterion_5_no_misdetermined_patterned_fibers(full_scans):
     """Fibers with the prescribed local pattern and passing checks carry what
     the pattern guarantees, bounded fibers included:
@@ -317,16 +311,33 @@ def test_image_at_2_matches_tate_index_formula_on_scan_fibers(full_scans):
 
 def test_criterion_8_rank_formula_witnesses(full_scans):
     """Every determined record satisfies r = dim(delta_E span) + dim(delta_E'
-    span) - 2 with the spans realized by explicit points."""
+    span) - 2 with the spans realized by explicit points.
+
+    The points are the scan's own witnesses: `scan_one` re-runs the fiber
+    on a fresh memo and must give the record again, and on each integral
+    side, E = (A, B) and E' = (-2A, A^2-4B), the witnesses are (0,0), the
+    generic points moved onto it and the first point of each covering that
+    its x-box walk searched, kept in `descent.searches[side, bound]`.
+    `delta_class_q` checks each with `on_model` on its side and classes it
+    by factoring, apart from the class masks of `rank_bounds`."""
+    zero = AffinePoint.of(Fraction(0), Fraction(0))
     checked = 0
     for name in FAMILIES:
         rec = family_by_name(name)
         for r in full_scans[name]:
             if r.skipped or r.rank.kind != "determined":
                 continue
-            Et, Dt, pts_e, pts_ep = _generic_points(rec, r.t)
-            d1 = _span(Et, pts_e + _searched(Et, DEFAULT_SEARCH_BOUND))
-            d2 = _span(Dt, pts_ep + _searched(Dt, DEFAULT_SEARCH_BOUND))
+            m, n = r.t.numerator, r.t.denominator
+            memo: dict = {}
+            assert scan_one(name, m, n, memo) == r, (name, str(r.t))
+            A, B, u = rec.fibers.model(m, n)
+            searches = memo[A, B].descent.searches
+            witnesses = []
+            for side, given in enumerate(rec.fibers.points(m, n, u)):
+                found = searches.get((side, DEFAULT_SEARCH_BOUND), {}).values()
+                witnesses.append([zero, *given, *(P for P in found if P is not None)])
+            d1 = _span((A, B), witnesses[0])
+            d2 = _span(dual_pair(A, B), witnesses[1])
             assert max(d1 + d2 - 2, 0) == r.rank.value, (name, str(r.t))
             assert sum(r.selmer_dims) - 2 == r.rank.value, (name, str(r.t))
             checked += 1

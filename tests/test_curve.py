@@ -4,30 +4,34 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import class_product, delta_class_q, dual_pair
+from oracles import (
+    INFINITY,
+    add_points,
+    apply_dual_isogeny,
+    apply_isogeny,
+    class_product,
+    delta_class_q,
+    dual_pair,
+    multiply_point,
+    negate,
+    point_search,
+    specialize,
+)
 from twodescent.arith import factor, int_valuation
 from twodescent.curve import (
-    INFINITY,
     AffinePoint,
     IntegerFibers,
     OffCurveError,
     SingularSpecializationError,
     TwoTorsionModel,
     _reduced_model,
-    add_points,
-    apply_dual_isogeny,
-    apply_isogeny,
     delta_class,
     dual_model,
     integral_model,
     j_invariant,
-    multiply_point,
-    negate,
     on_curve,
     on_model,
-    specialize,
 )
-from twodescent.descent import point_search
 from twodescent.family import builtin_families, family_by_name
 from twodescent.polyq import Poly, eval_at
 

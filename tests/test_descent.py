@@ -22,7 +22,9 @@ from oracles import (
     oracle_local_image,
     oracle_quartic_qp,
     oracle_torsor_solvable,
+    point_search,
     selmer_values,
+    specialize,
     two_adic_index,
 )
 from twodescent import cli, descent
@@ -48,7 +50,6 @@ from twodescent.curve import (
     OffCurveError,
     _reduced_model,
     integral_model,
-    specialize,
 )
 from twodescent.descent import (
     _SIEVE_MODULI,
@@ -66,7 +67,6 @@ from twodescent.descent import (
     _residue_pattern,
     _selmer_bases,
     descend,
-    point_search,
     quartic_solvable_qp,
     rank_bounds,
     torsor_solvable_at,
@@ -588,6 +588,27 @@ def test_image_at_3_matches_tamagawa_ratio_on_powers_of_3():
             reached.add(str(tate_local(*side, three).kodaira))
     stars = {f"I{n}*" for n in [*range(15), *range(16, 27, 2)]}
     assert {"III", "III*"} | stars <= reached, sorted(reached)
+
+
+def test_image_at_real_place_holds_minus_1_by_the_square_law():
+    """Im(delta_{E',R}) for the model (A, B) holds -1 exactly when B > 0 and
+    (A <= 0 or A^2 < 4B), with no sampling.
+
+    -1 is in the image exactly when the torsor of d = -1 has a real point.
+    Completing the square, that torsor is w^2 = -z^4 - 2A z^2 - (A^2 - 4B)
+    = -(z^2 + A)^2 + 4B.  Its leading coefficient is negative, so it has no
+    point at z = infinity, and it has one at a real z exactly when
+    (z^2 + A)^2 <= 4B there.  For B < 0 no z qualifies.  For B > 0,
+    z^2 = -A reaches 0 when A <= 0; when A > 0 the least value is A^2, at
+    z = 0, and A^2 = 4B is singular.  On the nonsingular (A, B) of the
+    |A|, |B| <= 40 grid and of 20,000 seeded pairs with |A|, |B| <= 10^9."""
+    rng = random.Random(21)
+    pairs = [(A, B) for A in range(-40, 41) for B in range(-40, 41)]
+    pairs += [(rng.randint(-(10**9), 10**9), rng.randint(-(10**9), 10**9)) for _ in range(20000)]
+    curves = [(A, B) for A, B in pairs if B and A * A != 4 * B]
+    for A, B in curves:
+        assert (len(_image_at_place(A, B, REAL)) == 1) == (B > 0 and (A <= 0 or A * A < 4 * B)), (A, B)
+    assert len(curves) == 26468
 
 
 def test_image_at_2_matches_tate_index_formula():

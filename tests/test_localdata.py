@@ -4,9 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from oracles import conductor_degree, local_image, local_image_order
+from oracles import conductor_degree, local_image, local_image_order, specialize
 from twodescent.arith import FT_INFINITY, REAL, Place, factor, parse_place
-from twodescent.curve import TwoTorsionModel, clear_denominators, integral_model, specialize
+from twodescent.curve import TwoTorsionModel, clear_denominators, integral_model
 from twodescent.descent import descend
 from twodescent.family import builtin_families, excluded_primes, family_by_name
 from twodescent.localdata import tate_local

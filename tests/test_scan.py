@@ -4,10 +4,10 @@ from pathlib import Path
 
 import pytest
 
-from oracles import valuation
+from oracles import specialize, valuation
 from twodescent import descent, scan
 from twodescent.arith import FT_INFINITY, FactorizationEffortError
-from twodescent.curve import integral_model, specialize
+from twodescent.curve import integral_model
 from twodescent.family import FamilyRecord, excluded_primes, family_by_name
 from twodescent.localdata import tate_local
 from twodescent.scan import ScanResult, emit_report, enumerate_heights, run_scan, scan_one
@@ -201,9 +201,7 @@ def test_rank4_accepted_fiber_has_selmer_dims_3_3():
 def test_determined_zero_record_agrees_with_bruteforce_descent():
     """Take a determined(0) fiber and re-derive its rank with the
     independent oracle: exhaustive Selmer + exhaustive small point search."""
-    from oracles import oracle_selmer
-    from twodescent.curve import integral_model, specialize
-    from twodescent.descent import point_search
+    from oracles import oracle_box_points, oracle_selmer
 
     results = [
         r
@@ -222,8 +220,8 @@ def test_determined_zero_record_agrees_with_bruteforce_descent():
     assert dims == r.selmer_dims
     assert sum(dims) - 2 == 0
     # and no point of infinite order below an exhaustive small bound
-    for P in point_search(A, B, 120) + point_search(-2 * A, A * A - 4 * B, 120):
-        assert P.y == 0 or P.x == 0
+    for x, y in oracle_box_points(A, B, 120) + oracle_box_points(-2 * A, A * A - 4 * B, 120):
+        assert y == 0 or x == 0
 
 
 def _count_calls(monkeypatch, name: str, module=scan) -> list:
