@@ -25,10 +25,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
+def _is_coefficient(c, domain) -> bool:
+    """Whether c is a rational string, or over Q(T) a list of them."""
+    if domain == "QT":
+        return isinstance(c, list) and all(isinstance(x, str) for x in c)
+    return isinstance(c, str)
+
+
 def _curve_arg(s: str):
     """A curve over Q as its pair (a, b) of Fractions, or one over Q(T) as a TwoTorsionModel."""
     try:
         data = json.loads(s)
+        if not all(_is_coefficient(data[key], data["domain"]) for key in "ab"):
+            raise ValueError('coefficients must be "num/den" strings over Q, and lists of them over Q(T)')
         if data["domain"] == "Q":
             a, b = rational_from_str(data["a"]), rational_from_str(data["b"])
             check_nonsingular(a, b)
@@ -89,6 +98,8 @@ def _usage_error(args) -> str | None:
     cmd = args.command
     if cmd == "family" and args.action == "verify" and not args.name:
         return "family verify requires a name"
+    if cmd == "family" and args.action == "list" and args.name:
+        return f"family list takes no name, got {args.name!r}"
     if cmd == "scan" and Path(args.out).is_dir():
         return f"--out {args.out!r} is a directory, not a file"
     if cmd == "scan" and not (out_dir := Path(args.out).parent).is_dir():

@@ -9,7 +9,7 @@ the discriminant identities must hold, so transcription errors fail fast.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from importlib import resources
@@ -24,14 +24,8 @@ from .curve import (
     dual_model,
     on_curve,
 )
-from .localdata import bad_places_qt, tate_local
-from .polyq import (
-    Poly,
-    eval_at,
-    model_discriminant,
-    poly_from_json,
-    splits_linearly,
-)
+from .localdata import LocalReduction, bad_places_qt
+from .polyq import Poly, UnsupportedClassError, eval_at, model_discriminant, poly_from_json
 
 
 class ClassificationError(Exception):
@@ -47,6 +41,8 @@ class PlaceClassification:
     A: frozenset[Place]
     M: frozenset[Place]
     M_prime: frozenset[Place]
+    # classify_places keeps bad_places_qt(E) here, empty on fixture data; == and hash skip it
+    local: dict[Place, tuple[LocalReduction, LocalReduction]] = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def all_places(self) -> frozenset[Place]:
@@ -221,11 +217,9 @@ def family_by_name(name: str) -> FamilyRecord:
 
 def classify_places(E: TwoTorsionModel) -> PlaceClassification:
     """Partition the bad places into A (additive), M (I(2n), I(n)), M' (I(n), I(2n))."""
-    Edual = dual_model(E)
+    local = bad_places_qt(E)
     A, M, Mp = set(), set(), set()
-    for pl in bad_places_qt(E):
-        rE = tate_local(E.a, E.b, pl)
-        rEd = tate_local(Edual.a, Edual.b, pl)
+    for pl, (rE, rEd) in local.items():
         if rE.reduction == "additive" or rEd.reduction == "additive":
             if rE.is_multiplicative or rEd.is_multiplicative:
                 raise ClassificationError(f"mixed reduction types at {pl}")
@@ -240,7 +234,7 @@ def classify_places(E: TwoTorsionModel) -> PlaceClassification:
             Mp.add(pl)
         else:
             raise ClassificationError(f"multiplicative pair (I{m}, I{md}) at {pl} fits no pattern")
-    return PlaceClassification(frozenset(A), frozenset(M), frozenset(Mp))
+    return PlaceClassification(frozenset(A), frozenset(M), frozenset(Mp), local)
 
 
 def geometric_rank(cls: PlaceClassification) -> int:
@@ -251,31 +245,23 @@ def geometric_rank(cls: PlaceClassification) -> int:
     return r
 
 
-def _zero_point(E: TwoTorsionModel) -> AffinePoint:
-    return AffinePoint.of(Poly(), Poly())
-
-
 def verify_conditions(rec: FamilyRecord) -> ConditionReport:
     """Machine check of conditions (a)-(g) against the live curve data."""
     E, Edual = rec.E, rec.dual
-    statuses: dict = {}
-
-    disc = model_discriminant(E.a, E.b)
-    ok_a = splits_linearly(disc)
-    statuses["a"] = (ok_a, None if ok_a else "discriminant has a nonlinear irreducible factor")
-    if not ok_a:
+    try:
+        cls = classify_places(E)
+    except UnsupportedClassError:
         # nothing below is well-defined without (a)
-        for key in "bcdefg":
-            statuses[key] = (False, "skipped: condition (a) failed")
-        return ConditionReport(statuses, 0)
+        skipped = dict.fromkeys("bcdefg", (False, "skipped: condition (a) failed"))
+        return ConditionReport({"a": (False, "discriminant has a nonlinear irreducible factor"), **skipped}, 0)
 
-    cls = classify_places(E)
+    statuses: dict = {"a": (True, None)}
     ok_b = bool(cls.M) and bool(cls.M_prime)
     statuses["b"] = (ok_b, None if ok_b else f"M={sorted(map(str, cls.M))} M'={sorted(map(str, cls.M_prime))}")
 
-    def _cd(places, partner):
+    def _cd(places, partner: int):
         for pl in sorted(places, key=str):
-            red = tate_local(partner.a, partner.b, pl)
+            red = cls.local[pl][partner]
             if red.reduction == "split-multiplicative":
                 continue
             if red.kodaira.letter == "I" and red.kodaira.n % 2 == 1:
@@ -283,29 +269,24 @@ def verify_conditions(rec: FamilyRecord) -> ConditionReport:
             return False, f"at {pl}: partner has {red.kodaira} {red.reduction}"
         return True, None
 
-    statuses["c"] = _cd(cls.M, Edual)
-    statuses["d"] = _cd(cls.M_prime, E)
+    statuses["c"] = _cd(cls.M, 1)  # E' at the M places
+    statuses["d"] = _cd(cls.M_prime, 0)  # E at the M' places
 
     ok_e, wit_e = True, None
     for pl in sorted(cls.A, key=str):
-        rE = tate_local(E.a, E.b, pl)
-        if rE.kodaira.letter == "I*":
-            rEd = tate_local(Edual.a, Edual.b, pl)
-            if rE.tamagawa != 4 or rEd.tamagawa != 4:
-                ok_e, wit_e = False, f"at {pl}: c(E)={rE.tamagawa}, c(E')={rEd.tamagawa}"
-                break
+        rE, rEd = cls.local[pl]
+        if rE.kodaira.letter == "I*" and (rE.tamagawa != 4 or rEd.tamagawa != 4):
+            ok_e, wit_e = False, f"at {pl}: c(E)={rE.tamagawa}, c(E')={rEd.tamagawa}"
+            break
     statuses["e"] = (ok_e, wit_e)
 
+    origin = AffinePoint.of(Poly(), Poly())
     need_f = len(cls.A) + len(cls.M) - 1
-    span_f = delta_span_dim(
-        [delta_class(E, _zero_point(E))] + [delta_class(E, P) for P in rec.points_e]
-    )
+    span_f = delta_span_dim([delta_class(E, origin)] + [delta_class(E, P) for P in rec.points_e])
     statuses["f"] = (span_f >= need_f, None if span_f >= need_f else f"dim {span_f} < {need_f}")
 
     need_g = len(cls.A) + len(cls.M_prime) - 1
-    span_g = delta_span_dim(
-        [delta_class(Edual, _zero_point(Edual))] + [delta_class(Edual, Q) for Q in rec.points_eprime]
-    )
+    span_g = delta_span_dim([delta_class(Edual, origin)] + [delta_class(Edual, Q) for Q in rec.points_eprime])
     statuses["g"] = (span_g >= need_g, None if span_g >= need_g else f"dim {span_g} < {need_g}")
 
     return ConditionReport(statuses, geometric_rank(cls))

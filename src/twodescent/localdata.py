@@ -22,8 +22,8 @@ from fractions import Fraction
 
 from . import modp
 from .arith import _INF, FT_INFINITY, REAL, Place, _require_q_place, int_valuation, sqrt_rational
-from .curve import TwoTorsionModel
-from .polyq import Poly, UnsupportedClassError, model_discriminant, rational_roots, splits_linearly
+from .curve import TwoTorsionModel, dual_model
+from .polyq import Poly, UnsupportedClassError, model_discriminant, rational_roots
 
 GOOD = "good"
 SPLIT_MULT = "split-multiplicative"
@@ -420,13 +420,19 @@ def tate_local(a, b, place: Place | int) -> LocalReduction:
     return _tate_core(_FTDVR(), *_infinity_model(a, b))
 
 
-def bad_places_qt(E: TwoTorsionModel) -> list[Place]:
-    """All places of Q(T) where E has bad reduction; requires linear bad places."""
+def bad_places_qt(E: TwoTorsionModel) -> dict[Place, tuple[LocalReduction, LocalReduction]]:
+    """Each place of Q(T) where E has bad reduction, T - e by increasing e
+    and then infinity, mapped to the local data of E and of its partner
+    E' = (-2a, a^2-4b): one Tate run per (model, place).  Requires linear
+    bad places."""
     disc = model_discriminant(E.a, E.b)
-    if not splits_linearly(disc):
+    roots = rational_roots(disc)
+    if sum(m for _, m in roots) != disc.degree:
         raise UnsupportedClassError("discriminant has a nonlinear factor (condition (a) fails)")
-    places = [Place.ft(r) for r, _ in rational_roots(disc)]
-    if not tate_local(E.a, E.b, FT_INFINITY).kodaira.is_good:
-        places.append(FT_INFINITY)
-    return places
-
+    Ed = dual_model(E)
+    places = [Place.ft(r) for r, _ in roots]
+    local = {pl: (tate_local(E.a, E.b, pl), tate_local(Ed.a, Ed.b, pl)) for pl in places}
+    at_inf = tate_local(E.a, E.b, FT_INFINITY)
+    if not at_inf.kodaira.is_good:
+        local[FT_INFINITY] = (at_inf, tate_local(Ed.a, Ed.b, FT_INFINITY))
+    return local

@@ -380,10 +380,10 @@ def two_adic_index(A: int, B: int) -> Fraction:
 def conductor_degree(E: TwoTorsionModel) -> int:
     """deg N of a Q(T) model: bad places count 1 (multiplicative) or 2
     (additive); at residue characteristic 0 there is no wild part."""
-    places = bad_places_qt(E)
-    if not places:
+    local = bad_places_qt(E)
+    if not local:
         raise ValueError("constant/isotrivial curve: no bad linear places")
-    return sum(1 if tate_local(E.a, E.b, pl).is_multiplicative else 2 for pl in places)
+    return sum(1 if rE.is_multiplicative else 2 for rE, _ in local.values())
 
 
 def _normalization_point(places: frozenset[Place]) -> Place:

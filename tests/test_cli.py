@@ -110,6 +110,10 @@ CURVE = '{"domain":"Q","a":"0/1","b":"-25/1"}'
         ["selmer", "--curve", '{"domain":"Q","a":"0/1","b":"0/0"}'],
         ["selmer", "--curve", '{"domain":"QT","a":["2/1"],"b":["0/1","1/0"]}'],
         ["selmer", "--curve", '{"domain":"QT","a":["2/1"],"b":["0/1","1/1"]}'],
+        ["tate", "--curve", '{"domain":"QT","a":"21","b":["0/1","1/1"]}', "--place", "T-1"],
+        ["tate", "--curve", '{"domain":"QT","a":["2/1"],"b":["0/1",1]}', "--place", "T-1"],
+        ["selmer", "--curve", '{"domain":"Q","a":true,"b":"-25/1"}'],
+        ["selmer", "--curve", '{"domain":"Q","a":0,"b":"-25/1"}'],
         ["rank", "--curve", CURVE, "--points", '{"E": [["1/1","1/1"]]}'],
         ["rank", "--curve", CURVE, "--points", '{"E\'": [["5/1","-24/1"]]}'],
         ["rank", "--curve", CURVE, "--points", '{"E": [["1/0","2"]]}'],
@@ -121,6 +125,7 @@ CURVE = '{"domain":"Q","a":"0/1","b":"-25/1"}'
         ["scan", "--family", "rank0", "--height", "2", "--out", os.curdir],
         ["family", "verify", "nosuch"],
         ["family", "verify"],
+        ["family", "list", "rank0"],
     ],
     ids=[
         "tate-place-not-prime",
@@ -135,6 +140,10 @@ CURVE = '{"domain":"Q","a":"0/1","b":"-25/1"}'
         "curve-zero-denominator",
         "curve-qt-zero-denominator",
         "selmer-curve-over-QT",
+        "curve-qt-coefficient-a-string",
+        "curve-qt-coefficient-not-a-string",
+        "curve-coefficient-a-bool",
+        "curve-coefficient-an-int",
         "rank-point-off-E",
         "rank-point-off-E-dual",
         "rank-points-zero-denominator",
@@ -146,6 +155,7 @@ CURVE = '{"domain":"Q","a":"0/1","b":"-25/1"}'
         "scan-out-is-a-directory",
         "family-verify-unknown",
         "family-verify-no-name",
+        "family-list-with-name",
     ],
 )
 def test_input_errors_exit_with_status_2(argv, capsys):

@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 
 from oracles import admissible_divisor_sets, conductor_degree, ft_class_product, valuation
+from test_scan import _count_calls
+from twodescent import family, localdata, polyq
 from twodescent.arith import FT_INFINITY, Place, factor
 from twodescent.curve import AffinePoint, TwoTorsionModel, delta_class, delta_span_dim
 from twodescent.family import (
@@ -18,7 +20,7 @@ from twodescent.family import (
     geometric_rank,
     verify_conditions,
 )
-from twodescent.polyq import Poly
+from twodescent.polyq import Poly, model_discriminant
 from twodescent.scan import enumerate_heights
 
 T = Poly.x()
@@ -77,6 +79,74 @@ def test_mutated_fixture_fails_condition_f():
     report = verify_conditions(broken)
     ok, witness = report.statuses["f"]
     assert not ok and "2 < 3" in witness
+
+
+def _report(r: int, **fails) -> dict:
+    """ConditionReport.to_json() with the given witnesses failing and the rest passing."""
+    conditions = {
+        key: {"status": "fail", "witness": fails[key]} if key in fails else {"status": "pass", "witness": None}
+        for key in "abcdefg"
+    }
+    return {"conditions": conditions, "r": r}
+
+
+@pytest.mark.parametrize(
+    "b, expected",
+    [
+        (
+            -(T + 3) * (T + 3),
+            _report(
+                0,
+                a="discriminant has a nonlinear irreducible factor",
+                **dict.fromkeys("bcdefg", "skipped: condition (a) failed"),
+            ),
+        ),
+        ((T + 1) * (T + 1), _report(0, b="M=[] M'=[]", e="at T+1: c(E)=2, c(E')=4", f="dim 0 < 1")),
+        (
+            (T + 3) * (T + 3),
+            _report(
+                1,
+                c="at T+3: partner has I2 nonsplit-multiplicative",
+                e="at inf: c(E)=2, c(E')=4",
+                f="dim 0 < 1",
+                g="dim 1 < 2",
+            ),
+        ),
+        (
+            2 * T * (T + 3),
+            _report(
+                1,
+                d="at T-3: partner has I2 nonsplit-multiplicative",
+                e="at inf: c(E)=4, c(E')=2",
+                f="dim 1 < 2",
+                g="dim 0 < 1",
+            ),
+        ),
+    ],
+    ids=["a-fails", "b-and-e-fail", "c-fails", "d-fails"],
+)
+def test_failure_witnesses(b, expected):
+    """Each failing condition names its witness: a = -3 - 3T with four b,
+    no generic points, pinned to the reports of the parent layout."""
+    E = TwoTorsionModel(Poly([-3, -3]), b)
+    rec = replace(family_by_name("rank0"), E=E, points_e=(), points_eprime=())
+    assert verify_conditions(rec).to_json() == expected
+
+
+def test_verify_runs_tate_once_per_model_and_place(monkeypatch):
+    """verify_conditions reads (a)-(e) off one table of local data: over the
+    five families, one Tate run per distinct (model, place), 49 in all, and
+    one search for the rational roots of each discriminant."""
+    tates = _count_calls(monkeypatch, "tate_local", localdata)
+    roots = _count_calls(monkeypatch, "rational_roots", polyq)
+    # every binding of the two counted names goes through the counters
+    monkeypatch.setattr(localdata, "rational_roots", polyq.rational_roots)
+    monkeypatch.setattr(family, "tate_local", localdata.tate_local, raising=False)
+    for rec in builtin_families():
+        assert verify_conditions(rec).all_pass
+    assert len(tates) == len(set(tates)) == 49
+    discs = {model_discriminant(rec.E.a, rec.E.b) for rec in builtin_families()}
+    assert len([f for (f,) in roots if f in discs]) == len(discs) == 5
 
 
 @pytest.mark.parametrize(
